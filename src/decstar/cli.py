@@ -120,8 +120,20 @@ def read_cochain_csv(path, expected: int) -> np.ndarray:
     return out
 
 
+def _finite_or_null(obj):
+    """Replace every non-finite float in a JSON-ready structure by None."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    """Print one strict-JSON line; non-finite numbers are written as null."""
+    print(json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +179,20 @@ def cmd_dual(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_hodge(cfg: RunConfig, args) -> int:
+def _assemble_star(cfg: RunConfig) -> hodge.HodgeOperator:
     comp = resolve_mesh(cfg.mesh)
     dual = mesh.build_dual(comp, cfg.rule)
     if cfg.kind == "diag":
-        op = hodge.assemble_diag(comp, dual, cfg.k)
-    elif cfg.kind == "whitney":
-        op = hodge.assemble_whitney(comp, cfg.k)
-    elif cfg.kind == "dual_inverse":
-        op = hodge.assemble_dual_inverse(comp, dual, cfg.k, cfg.grid)
-    else:
-        raise CliError(f"unknown Hodge kind {cfg.kind!r}")
+        return hodge.assemble_diag(comp, dual, cfg.k)
+    if cfg.kind == "whitney":
+        return hodge.assemble_whitney(comp, cfg.k)
+    if cfg.kind == "dual_inverse":
+        return hodge.assemble_dual_inverse(comp, dual, cfg.k, cfg.grid)
+    raise CliError(f"unknown Hodge kind {cfg.kind!r}")
+
+
+def cmd_hodge(cfg: RunConfig, args) -> int:
+    op = _assemble_star(cfg)
     path = cfg.out / f"hodge_{cfg.kind}_k{cfg.k}.mtx"
     write_matrix_market(op.matrix, path)
     A = op.toarray()
@@ -195,17 +210,8 @@ def cmd_hodge(cfg: RunConfig, args) -> int:
 
 
 def cmd_cond(cfg: RunConfig, args) -> int:
-    comp = resolve_mesh(cfg.mesh)
-    dual = mesh.build_dual(comp, cfg.rule)
-    if cfg.kind == "diag":
-        op = hodge.assemble_diag(comp, dual, cfg.k)
-    elif cfg.kind == "whitney":
-        op = hodge.assemble_whitney(comp, cfg.k)
-    elif cfg.kind == "dual_inverse":
-        op = hodge.assemble_dual_inverse(comp, dual, cfg.k, cfg.grid)
-    else:
-        raise CliError(f"unknown Hodge kind {cfg.kind!r}")
-    est = hodge.condition_estimate(op, args.method, args.block)
+    est = hodge.condition_estimate(_assemble_star(cfg), args.method,
+                                   args.block)
     emit({
         "command": "cond",
         "kind": cfg.kind,

@@ -59,9 +59,16 @@ class ConditionEstimate:
 # assembly
 
 
+def _check_degree(complex: SimplicialComplex, k: int) -> None:
+    if not 0 <= k <= complex.dim:
+        raise HodgeError(f"degree k={k} out of range 0..{complex.dim} for a "
+                         f"{complex.dim}D mesh")
+
+
 def assemble_diag(complex: SimplicialComplex, dual: DualMesh,
                   k: int) -> HodgeOperator:
     """Diagonal Hodge star: entries |dual cell| / |primal simplex|."""
+    _check_degree(complex, k)
     if dual.rule == "barycentric":
         warnings.warn(
             "diagonal Hodge star with a barycentric dual is uncorrected; "
@@ -85,6 +92,7 @@ def assemble_diag(complex: SimplicialComplex, dual: DualMesh,
 
 def assemble_whitney(complex: SimplicialComplex, k: int) -> HodgeOperator:
     """Whitney (Galerkin) Hodge star: Gram matrix of Whitney k-forms."""
+    _check_degree(complex, k)
     mat = whitney_gram_matrix(complex, k)
     return HodgeOperator(k, "whitney", mat, f"primal {k}-simplices", {})
 
@@ -116,6 +124,7 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
     """
     if complex.dim != 2:
         raise HodgeError("dual-inverse assembly is implemented for 2D meshes")
+    _check_degree(complex, k)
     di = interpolation or DualInterpolation(complex, dual)
     n = complex.dim
     N = len(complex.simplices[k])
@@ -146,7 +155,7 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
                     mat[ga, gb] += val
                     if ga != gb:
                         mat[gb, ga] += val
-        elif k == 1:
+        else:  # k == 1
             vals, grads = sc.coords_and_gradients_batch(pts)
             fields = []
             for e in complex.cofaces(0, v):
@@ -163,8 +172,6 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
                     mat[ea, eb] += val
                     if ea != eb:
                         mat[eb, ea] += val
-        else:
-            raise HodgeError(f"unsupported degree k={k} for 2D dual forms")
     return HodgeOperator(k, "dual_inverse", mat.tocsr(),
                          f"dual {n - k}-cells of primal {k}-simplices",
                          {"resolution": resolution, "dual_rule": dual.rule})

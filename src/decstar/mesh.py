@@ -80,16 +80,6 @@ def center(points: np.ndarray, rule: str) -> np.ndarray:
     raise MeshError(f"unknown center rule {rule!r}")
 
 
-def circumcenter_inside(points: np.ndarray) -> bool:
-    """True if the circumcenter lies inside the (closed) simplex."""
-    pts = np.asarray(points, dtype=float)
-    c = circumcenter(pts)
-    edges = (pts[1:] - pts[0]).T
-    coords, *_ = np.linalg.lstsq(edges, c - pts[0], rcond=None)
-    lam = np.concatenate([[1.0 - coords.sum()], coords])
-    return bool(np.all(lam >= -1e-12))
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """An oriented simplicial complex with all faces enumerated.
@@ -481,6 +471,12 @@ def aspect_ratio(points: np.ndarray) -> float:
     return R / (n * r)
 
 
+def _gradation(measures: np.ndarray) -> float:
+    """max/min of the measures; infinite when the smallest one is zero."""
+    lo = measures.min()
+    return float(measures.max() / lo) if lo != 0 else math.inf
+
+
 def quality_report(complex: SimplicialComplex, dual: DualMesh) -> QualityReport:
     n = complex.dim
     primal_range, dual_range, ratio_range = [], [], []
@@ -492,8 +488,8 @@ def quality_report(complex: SimplicialComplex, dual: DualMesh) -> QualityReport:
         dual_range.append((float(dm.min()), float(dm.max())))
         ratio = dm / pm
         ratio_range.append((float(ratio.min()), float(ratio.max())))
-        primal_grad.append(float(pm.max() / pm.min()))
-        dual_grad.append(float(dm.max() / dm.min()))
+        primal_grad.append(_gradation(pm))
+        dual_grad.append(_gradation(dm))
     worst = max(
         aspect_ratio(complex.simplex_points(n, i))
         for i in range(len(complex.simplices[n]))

@@ -3,7 +3,11 @@
 2D coordinates are exact: every Voronoi region is obtained by half-plane
 clipping, and the incremental region of an inserted point reduces to a single
 half-plane clip of each precomputed site region, which vectorizes over query
-points.  3D coordinates are estimated by regular-grid sampling of the cell.
+points.  The same clip pass measures the bisector chord that bounds each
+overlap, and Sibson's vector identity (Sibson 1980; Piper 1993) turns the
+chord's length and first moment into the exact gradient of the overlap area.
+3D coordinates are estimated by regular-grid sampling of the cell, and their
+gradients by central differences.
 
 Dual Whitney forms attach interpolants to dual mesh cells: Sibson coordinates
 to dual vertices, antisymmetric gradient pairs to dual edges, a weighted
@@ -72,37 +76,47 @@ def points_in_polygon(loop: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return crossings.sum(axis=1) % 2 == 1
 
 
-def _clip_areas_batch(loop: np.ndarray, midpts: np.ndarray,
-                      normals: np.ndarray) -> np.ndarray:
-    """Areas of loop intersected with {y : (y - midpt) . n_hat <= 0}, batched.
+def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray):
+    """Clip `region` to the part nearer each query point than `site`.
 
-    Emits, per polygon edge, a pair of points that equals the Sutherland-
-    Hodgman output where the edge interacts with the half-plane and collapses
-    to collinear points on the clip line otherwise, so the shoelace sum over
-    the emitted cyclic sequence is the exact clipped area.
+    `region` is a counter-clockwise loop and `pts` a (q, 2) batch.  For every
+    point x this is one pass over the loop's edges against the bisector half-
+    plane {y : |y - x| <= |y - site|}, returning
+
+    - the clipped area,
+    - the length L of the chord F (the bisector inside `region`),
+    - the first moment of F about the bisector midpoint c = (x + site) / 2,
+      i.e. the integral of (y - c) over F.
+
+    An edge contributes the inside fraction of its shoelace term.  The chord
+    terms are signed sums over the edges that cross the bisector (+1 where
+    the loop leaves the half-plane, -1 where it enters), so a chord with
+    several pieces on a non-convex region is counted piece by piece.  Edges
+    are taken relative to c, where the chord adds nothing to the shoelace
+    sum.
     """
-    loop = np.asarray(loop, dtype=float)
-    a = loop
-    b = np.roll(loop, -1, axis=0)
-    nrm = np.linalg.norm(normals, axis=1, keepdims=True)
-    nhat = normals / np.where(nrm == 0.0, 1.0, nrm)
-    da = np.einsum("md,qd->qm", a, nhat) - np.einsum("qd,qd->q", midpts, nhat)[:, None]
-    db = np.einsum("md,qd->qm", b, nhat) - np.einsum("qd,qd->q", midpts, nhat)[:, None]
-    denom = da - db
-    t = np.where(np.abs(denom) > 0, da / np.where(denom == 0, 1.0, denom), 0.0)
-    inter = a[None] + t[..., None] * (b - a)[None]
-    proj_a = a[None] - da[..., None] * nhat[:, None, :]
-    proj_b = b[None] - db[..., None] * nhat[:, None, :]
-    a_in = (da <= 0)[..., None]
-    b_in = (db <= 0)[..., None]
-    q1 = np.where(a_in, a[None], np.where(b_in, inter, proj_a))
-    q2 = np.where(b_in, b[None], np.where(a_in, inter, proj_b))
-    seq = np.empty((len(midpts), 2 * len(loop), 2))
-    seq[:, 0::2] = q1
-    seq[:, 1::2] = q2
-    nxt = np.roll(seq, -1, axis=1)
-    return 0.5 * np.sum(seq[..., 0] * nxt[..., 1] - seq[..., 1] * nxt[..., 0],
-                        axis=1)
+    closed = np.vstack([region, region[:1]])
+    n = site - pts
+    nrm = np.sqrt(n[:, 0] ** 2 + n[:, 1] ** 2)[:, None]
+    nhat = n / np.where(nrm == 0.0, 1.0, nrm)
+    mid = 0.5 * (pts + site)
+    rx = closed[None, :, 0] - mid[:, :1]
+    ry = closed[None, :, 1] - mid[:, 1:]
+    d = rx * nhat[:, :1] + ry * nhat[:, 1:]
+    s = rx * nhat[:, 1:] - ry * nhat[:, :1]  # coordinate along the bisector
+    out = d > 0
+    da, db = d[:, :-1], d[:, 1:]
+    sign = out[:, 1:].astype(float) - out[:, :-1]
+    t = da / np.where(sign == 0.0, 1.0, da - db)
+    inside = (~out[:, :-1]) - sign * (1.0 - t)
+    cross = rx[:, :-1] * ry[:, 1:] - ry[:, :-1] * rx[:, 1:]
+    area = 0.5 * np.sum(inside * cross, axis=1)
+    sa = s[:, :-1]
+    crossing = sa + t * (s[:, 1:] - sa)
+    length = np.sum(sign * crossing, axis=1)
+    along = 0.5 * np.sum(sign * crossing ** 2, axis=1)
+    tangent = np.column_stack([nhat[:, 1], -nhat[:, 0]])
+    return area, length, along[:, None] * tangent
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +181,18 @@ class PolyCell:
             inside |= np.all(lam >= -1e-12, axis=0)
         return inside
 
-    def boundary_distance(self, x) -> float:
-        """Distance from x to the cell boundary (2D only)."""
+    def boundary_distance(self, x):
+        """Distance from x to the cell boundary (2D only); an array for a
+        (q, 2) batch of points, a float for one point."""
         x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)[:, None, :]
         v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        d = w - v
-        t = np.clip(np.einsum("id,id->i", x - v, d)
+        d = np.roll(v, -1, axis=0) - v
+        t = np.clip(np.sum((pts - v) * d, axis=2)
                     / np.einsum("id,id->i", d, d), 0.0, 1.0)
-        proj = v + t[:, None] * d
-        return float(np.linalg.norm(proj - x, axis=1).min())
+        proj = v + t[..., None] * d
+        dist = np.linalg.norm(proj - pts, axis=2).min(axis=1)
+        return float(dist[0]) if x.ndim == 1 else dist
 
 
 @dataclass(frozen=True)
@@ -188,7 +204,6 @@ class SibsonEvaluation:
     site_measures: np.ndarray  # C_i
     inserted_measure: float  # D(x)
     inserted_overlap: np.ndarray  # D(x) cap C_i
-    gradients: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +220,14 @@ def is_convex(loop: np.ndarray, tol: float = 1e-12) -> bool:
 
 def _site_regions_within(loop: np.ndarray, domain: np.ndarray) -> list:
     """Voronoi region of each site of `loop`, clipped to `domain`."""
+    # np.allclose(vi, vj) for every pair, with its default tolerances
+    close = np.all(np.abs(loop[:, None] - loop[None])
+                   <= 1e-8 + 1e-5 * np.abs(loop[None]), axis=2)
     regions = []
     for i, vi in enumerate(loop):
         region = domain
         for j, vj in enumerate(loop):
-            if j == i or np.allclose(vi, vj):
+            if j == i or close[i, j]:
                 continue
             mid = 0.5 * (vi + vj)
             region = clip_halfplane(region, mid, vj - vi)
@@ -217,14 +235,6 @@ def _site_regions_within(loop: np.ndarray, domain: np.ndarray) -> list:
                 break
         regions.append(region)
     return regions
-
-
-def voronoi_site_regions(cell: PolyCell) -> list:
-    """Per-vertex Voronoi regions of the cell, clipped to the cell (2D)."""
-    if cell.dim != 2:
-        raise SibsonError("exact site regions are 2D only")
-    loop = ensure_ccw(cell.vertices)
-    return _site_regions_within(loop, loop)
 
 
 def _box_loop(center: np.ndarray, half: float) -> np.ndarray:
@@ -242,7 +252,7 @@ def clipped_voronoi_measures(cell: PolyCell, x=None, resolution: int = 64):
     if cell.dim == 3:
         return _sampled_measures(cell, x, resolution)
     loop = ensure_ccw(cell.vertices)
-    regions = voronoi_site_regions(cell)
+    regions = _site_regions_within(loop, loop)
     if x is None:
         return np.array([abs(polygon_area(r)) if len(r) >= 3 else 0.0
                          for r in regions])
@@ -259,10 +269,8 @@ def clipped_voronoi_measures(cell: PolyCell, x=None, resolution: int = 64):
         if len(region) < 3:
             overlaps[i] = 0.0
             continue
-        mid = (0.5 * (x + vi))[None, :]
-        overlaps[i] = max(
-            float(_clip_areas_batch(region, mid, (vi - x)[None, :])[0]), 0.0
-        )
+        overlaps[i] = max(float(_bisector_clip(region, vi, x[None])[0][0]),
+                          0.0)
     return overlaps
 
 
@@ -354,35 +362,47 @@ class SibsonCell:
             )
         return self._box_cache[key]
 
-    def coords_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Sibson coordinates for a batch of strictly interior points (2D).
+    def _site_clips(self, pts: np.ndarray):
+        """Overlap areas A_i = |D(x) cap C_i| and their exact gradients at a
+        batch of points (2D).
 
-        The area formula extends continuously to points slightly outside the
-        cell, so stencil points of finite-difference gradients need no
-        special casing.
+        Sibson's identity gives grad A_i = integral over F_i of (y - x) ds
+        divided by |v_i - x|, where F_i is the part of the x-v_i bisector
+        inside the site region C_i.  Site regions do not move with x, so the
+        identity holds for the restricted and the classical variant alike.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.restricted:
             regions = self.regions
         else:
             # the inserted region of a point at distance d from the site hull
             # can reach roughly diam^2 / (2 d) beyond it; size the box so the
             # batch's closest point is still covered
-            margin = max(min(self.cell.boundary_distance(p) for p in pts),
+            margin = max(self.cell.boundary_distance(pts).min(),
                          1e-9 * self.cell.diameter)
             regions = self._boxed_regions(
                 self.cell.diameter ** 2 / (2.0 * margin) + self.cell.diameter
             )
-        overlaps = np.zeros((len(pts), self.n_sites))
+        areas = np.zeros((len(pts), self.n_sites))
+        grads = np.zeros((len(pts), self.n_sites, 2))
         for i, region in enumerate(regions):
             if region is None:
                 continue
             vi = self.sites[i]
-            mid = 0.5 * (pts + vi)
-            areas = _clip_areas_batch(region, mid, vi - pts)
-            overlaps[:, i] = np.maximum(areas, 0.0)
-        total = overlaps.sum(axis=1)
-        return overlaps / total[:, None]
+            area, length, moment = _bisector_clip(region, vi, pts)
+            areas[:, i] = np.maximum(area, 0.0)
+            # (y - x) = (y - c) + (v_i - x) / 2 with c the bisector midpoint
+            n = vi - pts
+            dist = np.sqrt(n[:, 0] ** 2 + n[:, 1] ** 2)[:, None]
+            grads[:, i] = ((moment + 0.5 * length[:, None] * n)
+                           / np.where(dist == 0.0, 1.0, dist))
+        return areas, grads
+
+    def coords_batch(self, pts: np.ndarray) -> np.ndarray:
+        """Sibson coordinates for a batch of points inside the cell (2D):
+        the overlap areas of `_site_clips` over their sum."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        areas, _ = self._site_clips(pts)
+        return areas / areas.sum(axis=1)[:, None]
 
     def _exact_overlaps(self, x: np.ndarray):
         """Exact overlap areas D(x) cap C_i and the directly computed D(x)."""
@@ -439,8 +459,7 @@ class SibsonCell:
                 return coords
         raise SibsonError("point not on the cell boundary")
 
-    def evaluate(self, x, with_gradients: bool = False,
-                 step: float | None = None) -> SibsonEvaluation:
+    def evaluate(self, x) -> SibsonEvaluation:
         x = np.asarray(x, dtype=float)
         if self.cell.dim == 3:
             return self._evaluate_sampled(x)
@@ -449,20 +468,14 @@ class SibsonCell:
                        or np.linalg.norm(self.sites - x, axis=1).min() <= tol)
         if on_boundary:
             coords = self._boundary_coords(x)
-            ev = SibsonEvaluation(x, coords, self.region_areas, 0.0,
-                                  np.zeros(self.n_sites))
-        else:
-            if not self.cell.contains(x)[0]:
-                raise SibsonError("point lies outside the cell")
-            overlaps, direct = self._exact_overlaps(x)
-            total = float(overlaps.sum())
-            ev = SibsonEvaluation(x, overlaps / total, self.region_areas,
-                                  direct, overlaps)
-        if with_gradients:
-            g = self.gradients(x, step)
-            ev = SibsonEvaluation(ev.x, ev.coords, ev.site_measures,
-                                  ev.inserted_measure, ev.inserted_overlap, g)
-        return ev
+            return SibsonEvaluation(x, coords, self.region_areas, 0.0,
+                                    np.zeros(self.n_sites))
+        if not self.cell.contains(x)[0]:
+            raise SibsonError("point lies outside the cell")
+        overlaps, direct = self._exact_overlaps(x)
+        total = float(overlaps.sum())
+        return SibsonEvaluation(x, overlaps / total, self.region_areas,
+                                direct, overlaps)
 
     def _evaluate_sampled(self, x):
         site_meas = clipped_voronoi_measures(self.cell, None, self.resolution)
@@ -472,23 +485,16 @@ class SibsonCell:
             raise SibsonError("inserted point captured no samples")
         return SibsonEvaluation(x, overlaps / total, site_meas, total, overlaps)
 
-    def gradients(self, x, step: float | None = None,
-                  enforce_margin: bool = True) -> np.ndarray:
-        """Central-difference gradients of all coordinates at x.
+    def gradients(self, x) -> np.ndarray:
+        """Gradients of all coordinates at x, one row per site.
 
-        With enforce_margin=False the stencil may cross the cell boundary;
-        the area formula extends smoothly there, so the result is the
-        one-sided derivative limit.
+        2D gradients are exact (see `coords_and_gradients_batch`).  3D
+        gradients are central differences of the sampled coordinates.
         """
         x = np.asarray(x, dtype=float)
-        h = step if step is not None else 1e-4 * self.cell.diameter
         if self.cell.dim == 2:
-            if enforce_margin and self.cell.boundary_distance(x) < h:
-                raise SibsonError("gradient stencil margin violated")
-            stencil = np.array([[h, 0], [-h, 0], [0, h], [0, -h]]) + x
-            vals = self.coords_batch(stencil)
-            return np.stack([(vals[0] - vals[1]) / (2 * h),
-                             (vals[2] - vals[3]) / (2 * h)], axis=1)
+            return self.coords_and_gradients_batch(x[None])[1][0]
+        h = 1e-4 * self.cell.diameter
         grads = np.zeros((self.n_sites, 3))
         for d in range(3):
             e = np.zeros(3)
@@ -498,31 +504,26 @@ class SibsonCell:
             grads[:, d] = (hi - lo) / (2 * h)
         return grads
 
-    def coords_and_gradients_batch(self, pts: np.ndarray,
-                                   step: float | None = None):
-        """Coordinates and gradients of every site at a batch of points (2D).
+    def coords_and_gradients_batch(self, pts: np.ndarray):
+        """Coordinates (q, n) and gradients (q, n, 2) at a batch of points (2D).
 
-        Intended for quadrature: stencils may cross the cell boundary and the
-        smooth extension of the area formula is used there.
+        One clip pass per site gives each overlap area A_i and its exact
+        gradient (`_site_clips`); the quotient rule on lambda_i = A_i / sum A
+        then gives grad lambda_i = (grad A_i - lambda_i sum_j grad A_j)
+        / sum_j A_j.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        h = step if step is not None else 1e-4 * self.cell.diameter
-        offsets = np.array([[0.0, 0.0], [h, 0], [-h, 0], [0, h], [0, -h]])
-        stacked = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
-        vals = self.coords_batch(stacked).reshape(5, len(pts), self.n_sites)
-        grads = np.stack([(vals[1] - vals[2]) / (2 * h),
-                          (vals[3] - vals[4]) / (2 * h)], axis=2)
-        return vals[0], grads
+        areas, area_grads = self._site_clips(pts)
+        total = areas.sum(axis=1)[:, None]
+        coords = areas / total
+        grads = (area_grads - coords[..., None]
+                 * area_grads.sum(axis=1, keepdims=True)) / total[..., None]
+        return coords, grads
 
 
 def sibson(cell: PolyCell, x, resolution: int = 64,
            restricted: bool | None = None) -> SibsonEvaluation:
     return SibsonCell(cell, resolution, restricted).evaluate(x)
-
-
-def sibson_gradient(cell: PolyCell, x, step: float | None = None,
-                    restricted: bool | None = None) -> np.ndarray:
-    return SibsonCell(cell, restricted=restricted).gradients(x, step)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +631,7 @@ class DualInterpolation:
                 return np.zeros(2)
             sc = self.evaluator(cell_vertex)
             ev = sc.evaluate(x)
-            grads = sc.gradients(x, enforce_margin=False)
+            grads = sc.gradients(x)
             ia, ib = lookup[tag_a], lookup[tag_b]
             return (ev.coords[ia] * grads[ib]
                     - ev.coords[ib] * grads[ia])
@@ -668,7 +669,7 @@ class DualInterpolation:
                         total += weights[tag[1]] * ev.coords[i]
                 return total
             ev = sc.evaluate(x)
-            grads = sc.gradients(x, enforce_margin=False)
+            grads = sc.gradients(x)
             total = np.zeros(2)
             for e in _vertex_edges(self.complex, v):
                 tag_a, tag_b = self.edge_endpoint_tags(e)

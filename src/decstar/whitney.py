@@ -147,19 +147,6 @@ def _faces_of_cell(complex: SimplicialComplex, k: int, cell: int):
     ]
 
 
-def integral_lambda_pair(complex: SimplicialComplex, cell: int, i: int, j: int) -> float:
-    """Exact integral of lambda_i * lambda_j over an n-simplex.
-
-    i and j are global vertex indices that must belong to the cell.
-    """
-    n = complex.dim
-    verts = complex.simplices[n][cell].tolist()
-    if i not in verts or j not in verts:
-        raise ValueError("vertex not part of the cell")
-    meas = complex.measure(n, cell)
-    return meas * (2.0 if i == j else 1.0) / ((n + 1) * (n + 2))
-
-
 def _local_pair_integral(grads: np.ndarray, measure: float, n: int,
                          I: tuple, J: tuple) -> float:
     """Integral over one element of W_I . W_J for local vertex tuples I, J."""
@@ -215,6 +202,8 @@ def whitney_gram_matrix(complex: SimplicialComplex, k: int):
     import scipy.sparse as sp
 
     n = complex.dim
+    if not 0 <= k <= n:
+        raise DegreeError(f"degree k={k} out of range for n={n}")
     N = len(complex.simplices[k])
     mat = sp.lil_matrix((N, N))
     for cell in range(len(complex.simplices[n])):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -10,10 +11,17 @@ SUBCOMMANDS = ["info", "dual", "hodge", "cond", "table1", "solve", "wave",
                "sample-field", "fig8", "convert"]
 
 
+def strict_json(line):
+    """json.loads that rejects the non-standard Infinity/-Infinity/NaN."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(line, parse_constant=reject)
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
-    lines = [json.loads(l) for l in out.out.splitlines() if l.strip()]
+    lines = [strict_json(l) for l in out.out.splitlines() if l.strip()]
     return code, lines, out.err
 
 
@@ -42,6 +50,34 @@ def test_info_summary(capsys):
     assert code == 0
     assert lines[0]["counts"] == {"0": "4", "1": "5", "2": "2"} or \
         lines[0]["counts"] == {"0": 4, "1": 5, "2": 2}
+
+
+def test_info_zero_dual_measure_is_strict_json(capsys):
+    # right triangles put circumcenters on the hypotenuses, so the diagonal
+    # edges have zero dual length and an unbounded dual gradation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, lines, _ = run(["info", "--mesh", "grid:4", "--rule",
+                              "circumcentric"], capsys)
+    assert code == 0
+    assert lines[0]["dual_gradation"] == [4.0, None, 1.0]
+
+
+def test_strict_json_rejects_non_finite():
+    with pytest.raises(ValueError):
+        strict_json('{"condition": Infinity}')
+    with pytest.raises(ValueError):
+        strict_json("[NaN]")
+
+
+@pytest.mark.parametrize("kind", ["diag", "whitney", "dual_inverse"])
+@pytest.mark.parametrize("k", [5, -1])
+def test_out_of_range_degree_fails(kind, k, capsys):
+    code, lines, err = run(["cond", "--mesh", "grid:2", "--k", str(k),
+                            "--kind", kind, "--grid", "16"], capsys)
+    assert code == 1
+    assert lines == []
+    assert err.startswith("error: degree k=") and err.count("\n") == 1
 
 
 def test_bad_mesh_spec_fails(capsys):

@@ -9,11 +9,11 @@ from decstar.sibson import (
     PolyCell,
     SibsonCell,
     SibsonError,
+    _bisector_clip,
     clipped_voronoi_measures,
     is_convex,
     polygon_area,
     sibson,
-    sibson_gradient,
 )
 
 
@@ -99,8 +99,107 @@ def test_gradients_reproduce_identity():
     for p in interior_points(cell, rng, 8, margin=0.05):
         g = sc.gradients(p)
         J = g.T @ cell.vertices  # d/dx of sum lam_i v_i should be identity
-        assert np.abs(J - np.eye(2)).max() < 1e-6
-        assert np.abs(sibson_gradient(cell, p) - g).max() < 1e-12
+        assert np.abs(J - np.eye(2)).max() < 1e-10
+        batch = sc.coords_and_gradients_batch(p[None])[1][0]
+        assert np.abs(batch - g).max() < 1e-12
+
+
+def central_differences(sc, pts):
+    """Central differences of coords_batch at h = 1e-7 * diam, (q, n, 2).
+
+    One point per call: the classical variant sizes its bounding box by the
+    batch's point nearest the boundary, and a larger box adds rounding that
+    the 1 / h of a difference quotient would magnify.
+    """
+    h = 1e-7 * sc.cell.diameter
+    steps = (np.array([h, 0.0]), np.array([0.0, h]))
+    return np.array([
+        np.stack([(sc.coords_batch(p + e) - sc.coords_batch(p - e))[0] / (2 * h)
+                  for e in steps], axis=1)
+        for p in pts
+    ])
+
+
+def assert_matches_differences(sc, pts):
+    """Exact gradients agree with central differences and sum to zero.
+
+    Gradients scale as 1 / diam, so gaps are compared in that unit.  At
+    h = 1e-7 * diam the differences carry a rounding error of about
+    eps * diam / h ~ 1e-9 of it, so the median gap must be tiny.  A stencil
+    that straddles a kink of an area's second derivative (the bisector
+    passing a region corner) adds O(h) there, hence the looser bound on the
+    largest gap.
+    """
+    lam, grads = sc.coords_and_gradients_batch(pts)
+    assert np.abs(lam - sc.coords_batch(pts)).max() < 1e-14
+    diam = sc.cell.diameter
+    gap = diam * np.abs(grads - central_differences(sc, pts)).max(axis=(1, 2))
+    assert np.median(gap) < 1e-7
+    assert gap.max() < 1e-4
+    assert diam * np.abs(grads.sum(axis=1)).max() < 1e-12
+
+
+def test_exact_gradients_on_convex_cells():
+    rng = np.random.default_rng(20)
+    for _ in range(5):
+        cell = random_convex_cell(rng)
+        sc = SibsonCell(cell)
+        assert not sc.restricted
+        assert_matches_differences(sc, interior_points(cell, rng, 60, 1e-3))
+
+
+def test_exact_gradients_on_nonconvex_cells():
+    # restricted path: an L-shaped cell, and a C-shaped one where the
+    # bisector of a point in one arm can cut a site region in both arms
+    cells = [
+        [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]],
+        [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 3], [0, 3]],
+    ]
+    rng = np.random.default_rng(21)
+    for loop in cells:
+        cell = PolyCell(np.array(loop, dtype=float))
+        sc = SibsonCell(cell)
+        assert sc.restricted
+        assert_matches_differences(sc, interior_points(cell, rng, 200, 1e-3))
+
+
+def test_bisector_clip_two_piece_chord():
+    # x = 2 bisects x = (1, 1.2) and site (3, 1.2) and cuts both arms of the
+    # C, leaving chord pieces {2} x [0, 1] and {2} x [2, 3]
+    loop = np.array([[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 3],
+                     [0, 3]], dtype=float)
+    area, length, moment = _bisector_clip(loop, np.array([3.0, 1.2]),
+                                          np.array([[1.0, 1.2]]))
+    assert area[0] == pytest.approx(5.0, abs=1e-14)
+    assert length[0] == pytest.approx(2.0, abs=1e-14)
+    # integral of (y - (2, 1.2)) over both pieces: (0, -0.7 + 1.3)
+    assert np.abs(moment[0] - [0.0, 0.6]).max() < 1e-14
+
+
+def test_exact_gradients_on_mesh_dual_polygons():
+    comp = mesh.random_delaunay(60, 3)
+    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    rng = np.random.default_rng(22)
+    for v, cell in enumerate(di.cells):
+        assert_matches_differences(di.evaluator(v),
+                                   interior_points(cell, rng, 10, 1e-3))
+
+
+def test_boundary_distance_batch_matches_loop():
+    rng = np.random.default_rng(23)
+    cell = random_convex_cell(rng)
+    pts = rng.uniform(-1.5, 1.5, size=(50, 2))
+
+    def one_point(x):  # the per-point formula, as a reference
+        v = cell.vertices
+        d = np.roll(v, -1, axis=0) - v
+        t = np.clip(np.einsum("id,id->i", x - v, d)
+                    / np.einsum("id,id->i", d, d), 0.0, 1.0)
+        return float(np.linalg.norm(v + t[:, None] * d - x, axis=1).min())
+
+    loop = np.array([one_point(p) for p in pts])
+    assert np.array_equal(cell.boundary_distance(pts), loop)
+    assert cell.boundary_distance(pts[0]) == loop[0]
 
 
 def test_restricted_variant_on_nonconvex_cell():
@@ -255,9 +354,10 @@ def test_dual_edge_form_line_duality(grid_interp):
     c1 = comp.simplex_points(2, t1).mean(axis=0)
     first = dual.cells[1][e].points[0]
     sign = 1.0 if np.allclose(first, c1) else -1.0
-    # the circulation along the form's own dual edge is close to one; the
-    # finite-difference gradients lose a few percent where the path runs
-    # along dual-polygon boundaries
+    # the circulation along the form's own dual edge is close to one, not
+    # exactly one: the path runs along the boundary between two dual
+    # polygons, and the restricted form of either polygon carries a few
+    # percent less than one along it
     assert 0.85 < sign * path_integral(e) < 1.1
     # a distant edge's dual path carries no circulation of this form
     far = int(interior[0]) if interior[0] != e else int(interior[-1])

@@ -145,3 +145,6 @@ def test_degree_validation():
         whitney.interpolate(comp, 1, np.ones(2))
     with pytest.raises(DegreeError):
         whitney.eval_whitney(comp, 3, 0, [0.2, 0.2], 0)
+    for k in (-1, 3):
+        with pytest.raises(DegreeError):
+            whitney.whitney_gram_matrix(comp, k)

@@ -11,7 +11,7 @@ from .mesh import (
     quality_report,
 )
 from .whitney import interpolate, whitney_gram_matrix
-from .sibson import DualInterpolation, SibsonCell, sibson
+from .sibson import DualInterpolation, SibsonCell
 from .hodge import (
     HodgeOperator,
     assemble_diag,
@@ -36,7 +36,7 @@ __all__ = [
     "SimplicialComplex", "DualMesh", "build_complex", "build_dual",
     "load_mesh", "save_mesh", "quality_report",
     "interpolate", "whitney_gram_matrix",
-    "DualInterpolation", "SibsonCell", "sibson",
+    "DualInterpolation", "SibsonCell",
     "HodgeOperator", "assemble_diag", "assemble_whitney",
     "assemble_dual_inverse", "hodge_pair", "condition_estimate",
     "sparsity_audit", "table1_experiment",

@@ -182,13 +182,7 @@ def cmd_dual(cfg: RunConfig, args) -> int:
 def _assemble_star(cfg: RunConfig) -> hodge.HodgeOperator:
     comp = resolve_mesh(cfg.mesh)
     dual = mesh.build_dual(comp, cfg.rule)
-    if cfg.kind == "diag":
-        return hodge.assemble_diag(comp, dual, cfg.k)
-    if cfg.kind == "whitney":
-        return hodge.assemble_whitney(comp, cfg.k)
-    if cfg.kind == "dual_inverse":
-        return hodge.assemble_dual_inverse(comp, dual, cfg.k, cfg.grid)
-    raise CliError(f"unknown Hodge kind {cfg.kind!r}")
+    return hodge.assemble(cfg.kind, comp, dual, cfg.k, cfg.grid)
 
 
 def cmd_hodge(cfg: RunConfig, args) -> int:
@@ -241,45 +235,36 @@ def cmd_table1(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _default_load(comp, problem: str, group: int, seed: int) -> np.ndarray:
-    """Deterministic compatible load for a solve subcommand."""
-    rng = np.random.default_rng(seed)
-    n = comp.dim
-    if problem == "darcy":
-        size = len(comp.simplices[n]) if group == 1 else len(comp.vertices)
-        load = rng.standard_normal(size)
-        if group == 2:
-            load -= load.mean()
-        return load
-    if group == 1:  # current as a dual cochain on (n-2)-simplices
-        load = rng.standard_normal(len(comp.simplices[n - 2]))
-        return load - load.mean()
-    return rng.standard_normal(len(comp.simplices[2]))
+def _default_load(derivative, seed: int) -> np.ndarray:
+    """Seeded load projected onto the range of `derivative`, so that every
+    formulation of the pair accepts it."""
+    load = np.random.default_rng(seed).standard_normal(derivative.shape[0])
+    x, *_ = np.linalg.lstsq(derivative.toarray(), load, rcond=None)
+    return derivative @ x
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     comp = resolve_mesh(cfg.mesh)
     dual = mesh.build_dual(comp, cfg.rule)
     ids = cfg.system
-    groups = {1 if s in (1, 2) else 2 for s in ids}
-    if len(groups) > 1:
+    if not ids:
+        raise CliError("--system needs at least one formulation id")
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
+    problem = "darcy" if args.problem == "darcy" else "magnetostatics"
+    rows = [systems._formulation(problem, sid) for sid in ids]
+    if len({(row.degree, row.load) for row in rows}) > 1:
         raise CliError(
             "systems 1-2 and 3-4 take loads on different spaces and cannot "
             "share one run; pick systems from a single pair"
         )
-    group = groups.pop()
-    degree = comp.dim - 1 if group == 1 else 1
-    M, Minv = hodge.hodge_pair(comp, dual, degree, cfg.kind, cfg.grid)
+    M, Minv = hodge.hodge_pair(comp, dual, rows[0].hodge_degree(comp.dim),
+                               cfg.kind, cfg.grid)
+    derivative = rows[0].load_derivative(comp)
     if args.load is not None:
-        expected = {
-            ("darcy", 1): len(comp.simplices[comp.dim]),
-            ("darcy", 2): len(comp.vertices),
-            ("magneto", 1): len(comp.simplices[comp.dim - 2]),
-            ("magneto", 2): len(comp.simplices[2]),
-        }[(args.problem, group)]
-        load = read_cochain_csv(args.load, expected)
+        load = read_cochain_csv(args.load, derivative.shape[0])
     else:
-        load = _default_load(comp, args.problem, group, args.seed)
+        load = _default_load(derivative, args.seed)
     assemble = (systems.assemble_darcy if args.problem == "darcy"
                 else systems.assemble_magnetostatics)
     reports = []
@@ -331,6 +316,11 @@ def cmd_wave(cfg: RunConfig, args) -> int:
 
 def cmd_sample_field(cfg: RunConfig, args) -> int:
     comp = resolve_mesh(cfg.mesh)
+    if not 0 <= cfg.k <= comp.dim:
+        raise CliError(f"degree k={cfg.k} out of range 0..{comp.dim} for a "
+                       f"{comp.dim}D mesh")
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
     if args.cochain is not None:
         weights = read_cochain_csv(args.cochain, len(comp.simplices[cfg.k]))
     else:
@@ -471,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         add_common(p)
         p.add_argument("--k", type=int, default=1, help="form degree")
-        p.add_argument("--kind", default="diag",
-                       choices=["diag", "whitney", "dual_inverse"])
+        p.add_argument("--kind", default="diag", choices=hodge.KINDS)
         p.add_argument("--grid", type=int, default=128,
                        help="quadrature grid resolution")
         if name == "cond":
@@ -493,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", type=_int_list, required=True,
                    help="comma-separated formulation ids from one pair "
                         "(1,2 or 3,4)")
-    p.add_argument("--kind", default="diag",
-                   choices=["diag", "whitney", "dual_inverse"])
+    p.add_argument("--kind", default="diag", choices=hodge.KINDS)
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--gauge", default="pin", choices=["pin", "augment"])
     p.add_argument("--load", default=None,
@@ -510,8 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--formulation", default="primal",
                    choices=["primal", "dual"])
-    p.add_argument("--kind", default="diag",
-                   choices=["diag", "whitney", "dual_inverse"])
+    p.add_argument("--kind", default="diag", choices=hodge.KINDS)
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--count", type=int, default=6,
                    help="number of smallest eigenvalues to report")

@@ -13,14 +13,15 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DualMesh, SimplicialComplex, generate_fig8, build_dual
+from .mesh import DualMesh, SimplicialComplex, generate_fig8
 from .whitney import whitney_gram_matrix
-from .sibson import DualInterpolation, points_in_polygon
+from .sibson import (DualInterpolation, PolyCell, SibsonCell, _ccw_ring,
+                     points_in_polygon)
 
 
 class HodgeError(ValueError):
@@ -29,13 +30,12 @@ class HodgeError(ValueError):
 
 @dataclass
 class HodgeOperator:
-    """A discrete Hodge star matrix with its provenance."""
+    """A discrete Hodge star matrix."""
 
     degree: int
     kind: str  # "diag" | "whitney" | "dual_inverse"
     matrix: sp.csr_matrix
     space: str  # index space description
-    provenance: dict = field(default_factory=dict)
 
     @property
     def shape(self):
@@ -48,7 +48,6 @@ class HodgeOperator:
 @dataclass
 class ConditionEstimate:
     method: str  # "full" | "leading-block"
-    block_size: int | None
     lambda_max: float
     lambda_min: float
     ratio: float
@@ -86,15 +85,14 @@ def assemble_diag(complex: SimplicialComplex, dual: DualMesh,
             f"nonpositive dual measures for degree {k}: {detail}"
         )
     mat = sp.diags(dual_m / primal).tocsr()
-    return HodgeOperator(k, "diag", mat, f"primal {k}-simplices",
-                         {"dual_rule": dual.rule})
+    return HodgeOperator(k, "diag", mat, f"primal {k}-simplices")
 
 
 def assemble_whitney(complex: SimplicialComplex, k: int) -> HodgeOperator:
     """Whitney (Galerkin) Hodge star: Gram matrix of Whitney k-forms."""
     _check_degree(complex, k)
     mat = whitney_gram_matrix(complex, k)
-    return HodgeOperator(k, "whitney", mat, f"primal {k}-simplices", {})
+    return HodgeOperator(k, "whitney", mat, f"primal {k}-simplices")
 
 
 def _cell_quadrature(cell, resolution: int):
@@ -128,17 +126,14 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
     di = interpolation or DualInterpolation(complex, dual)
     n = complex.dim
     N = len(complex.simplices[k])
-    mat = sp.lil_matrix((N, N))
+    space = f"dual {n - k}-cells of primal {k}-simplices"
     if k == 0:
-        for v in range(len(complex.vertices)):
-            mat[v, v] = 1.0 / di.cells[v].measure
-        return HodgeOperator(k, "dual_inverse", mat.tocsr(),
-                             f"dual {n - k}-cells of primal {k}-simplices",
-                             {"resolution": resolution, "dual_rule": dual.rule})
+        mat = sp.diags(1.0 / np.array([c.measure for c in di.cells])).tocsr()
+        return HodgeOperator(k, "dual_inverse", mat, space)
+    rows, cols, vals = [], [], []
     todo = range(len(complex.vertices)) if vertices is None else vertices
     for v in todo:
-        cell = di.cells[v]
-        pts, w = _cell_quadrature(cell, resolution)
+        pts, w = _cell_quadrature(di.cells[v], resolution)
         if len(pts) < 10:
             raise HodgeError(
                 f"quadrature resolution {resolution} leaves fewer than 10 "
@@ -146,35 +141,49 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
             )
         sc = di.evaluator(v)
         lookup = di.site_lookup[v]
+        # the forms supported on this polygon, one (q, d) field each
         if k == n:
-            vals = sc.coords_batch(pts)
-            active = [(tag[1], i) for tag, i in lookup.items() if tag[0] == "c"]
-            for a, (ga, ia) in enumerate(active):
-                for gb, ib in active[a:]:
-                    val = w * float(vals[:, ia] @ vals[:, ib])
-                    mat[ga, gb] += val
-                    if ga != gb:
-                        mat[gb, ga] += val
+            gens = [g for kind, g in lookup if kind == "c"]
+            fields = sc.coords_batch(pts).T[[lookup["c", g] for g in gens],
+                                            :, None]
         else:  # k == 1
-            vals, grads = sc.coords_and_gradients_batch(pts)
-            fields = []
-            for e in complex.cofaces(0, v):
-                e = int(e)
+            lam, grads = sc.coords_and_gradients_batch(pts)
+            gens, fields = [], []
+            for e in complex.cofaces(0, v).tolist():
                 tag_a, tag_b = di.edge_endpoint_tags(e)
                 if tag_a in lookup and tag_b in lookup:
                     ia, ib = lookup[tag_a], lookup[tag_b]
-                    F = (vals[:, ia, None] * grads[:, ib, :]
-                         - vals[:, ib, None] * grads[:, ia, :])
-                    fields.append((e, F))
-            for a, (ea, Fa) in enumerate(fields):
-                for eb, Fb in fields[a:]:
-                    val = w * float(np.einsum("qd,qd->", Fa, Fb))
-                    mat[ea, eb] += val
-                    if ea != eb:
-                        mat[eb, ea] += val
-    return HodgeOperator(k, "dual_inverse", mat.tocsr(),
-                         f"dual {n - k}-cells of primal {k}-simplices",
-                         {"resolution": resolution, "dual_rule": dual.rule})
+                    gens.append(e)
+                    fields.append(lam[:, ia, None] * grads[:, ib, :]
+                                  - lam[:, ib, None] * grads[:, ia, :])
+            fields = np.reshape(fields, (len(gens), len(pts), 2))
+        # symmetric by construction: the upper triangle, mirrored
+        gram = np.triu(w * np.einsum("aqd,bqd->ab", fields, fields))
+        gram += np.triu(gram, 1).T
+        rows.append(np.repeat(gens, len(gens)))
+        cols.append(np.tile(gens, len(gens)))
+        vals.append(gram.ravel())
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                np.concatenate(cols))),
+                        shape=(N, N)).tocsr()
+    mat.eliminate_zeros()
+    return HodgeOperator(k, "dual_inverse", mat, space)
+
+
+KINDS = ("diag", "whitney", "dual_inverse")
+
+
+def assemble(kind: str, complex: SimplicialComplex, dual: DualMesh, k: int,
+             resolution: int = 128) -> HodgeOperator:
+    """The Hodge star of one of `KINDS` at degree k: M_k for diag and
+    whitney, its inverse M_k^{-1} for dual_inverse."""
+    if kind == "diag":
+        return assemble_diag(complex, dual, k)
+    if kind == "whitney":
+        return assemble_whitney(complex, k)
+    if kind == "dual_inverse":
+        return assemble_dual_inverse(complex, dual, k, resolution)
+    raise HodgeError(f"unknown Hodge kind {kind!r}")
 
 
 def hodge_pair(complex: SimplicialComplex, dual: DualMesh, k: int,
@@ -184,18 +193,12 @@ def hodge_pair(complex: SimplicialComplex, dual: DualMesh, k: int,
     The mixed-system equivalences hold only when M and M^{-1} are exact
     inverse pairs, so both are derived from a single assembly.
     """
-    if kind == "diag":
-        M = assemble_diag(complex, dual, k).matrix
-        Minv = sp.diags(1.0 / M.diagonal()).tocsr()
-    elif kind == "whitney":
-        M = assemble_whitney(complex, k).matrix
-        Minv = sp.csr_matrix(np.linalg.inv(M.toarray()))
-    elif kind == "dual_inverse":
-        Minv = assemble_dual_inverse(complex, dual, k, resolution).matrix
-        M = sp.csr_matrix(np.linalg.inv(Minv.toarray()))
+    A = assemble(kind, complex, dual, k, resolution).matrix
+    if A.nnz == np.count_nonzero(A.diagonal()):  # diagonal: entrywise
+        inv = sp.diags(1.0 / A.diagonal()).tocsr()
     else:
-        raise HodgeError(f"unknown Hodge kind {kind!r}")
-    return M, Minv
+        inv = sp.csr_matrix(np.linalg.inv(A.toarray()))
+    return (inv, A) if kind == "dual_inverse" else (A, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +216,18 @@ def condition_estimate(operator: HodgeOperator | sp.spmatrix | np.ndarray,
     A = operator.toarray() if hasattr(operator, "toarray") else np.asarray(operator)
     A = np.asarray(A, dtype=float)
     if method == "leading-block":
+        if not 1 <= block_size <= len(A):
+            raise HodgeError(f"leading block size {block_size} out of range "
+                             f"1..{len(A)}")
         A = A[:block_size, :block_size]
     vals, vecs = np.linalg.eigh(A)
     lmax = float(np.abs(vals).max())
     lmin_idx = int(np.abs(vals).argmin())
     lmin = float(abs(vals[lmin_idx]))
     if lmin <= 1e-12 * max(lmax, 1.0):
-        return ConditionEstimate(method,
-                                 block_size if method == "leading-block" else None,
-                                 lmax, lmin, math.inf, vecs[:, lmin_idx])
-    return ConditionEstimate(method,
-                             block_size if method == "leading-block" else None,
-                             lmax, lmin, lmax / lmin)
+        return ConditionEstimate(method, lmax, lmin, math.inf,
+                                 vecs[:, lmin_idx])
+    return ConditionEstimate(method, lmax, lmin, lmax / lmin)
 
 
 def simplex_neighborhood_size(complex: SimplicialComplex, k: int,
@@ -333,8 +336,6 @@ def _fig8_ring_entries(comp: SimplicialComplex, resolution: int):
     theta_half is the half of theta carried by the first hub cell; the other
     half lives on a fan-tip cell that leaves the patch.
     """
-    from .sibson import PolyCell, SibsonCell, ensure_ccw
-
     centers = {
         tuple(sorted(t)): comp.simplex_points(2, i).mean(axis=0)
         for i, t in enumerate(comp.simplices[2].tolist())
@@ -355,11 +356,7 @@ def _fig8_ring_entries(comp: SimplicialComplex, resolution: int):
     }
 
     def cell_products(ring, pairs):
-        labels = [l for l, _ in ring]
-        orig = np.array([p for _, p in ring])
-        loop = ensure_ccw(orig)
-        if not np.allclose(loop, orig):
-            labels = labels[::-1]
+        loop, labels = _ccw_ring([p for _, p in ring], [l for l, _ in ring])
         cell = PolyCell(loop)
         sc = SibsonCell(cell, restricted=True)
         idx = {l: i for i, l in enumerate(labels)}

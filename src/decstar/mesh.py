@@ -98,16 +98,8 @@ class SimplicialComplex:
     face_indices: list  # face_indices[k]: (N_{k+1}, k+2) int array
     index: list = field(repr=False)  # list of dict tuple -> int
 
-    @property
-    def n_simplices(self) -> list:
-        return [len(s) for s in self.simplices]
-
     def simplex_points(self, k: int, i: int) -> np.ndarray:
         return self.vertices[self.simplices[k][i]]
-
-    def simplex_index(self, verts) -> int:
-        k = len(verts) - 1
-        return self.index[k][tuple(sorted(verts))]
 
     def measure(self, k: int, i: int) -> float:
         """Exact length/area/volume of a k-simplex; 1 for vertices."""
@@ -262,15 +254,13 @@ class DualCell:
     `points` are the dual vertex coordinates making up the cell.  For 2D the
     structure is explicit: a point (k=n), a polyline (k=n-1), or a closed
     polygon loop in order (k=0).  In 3D, k=n gives a point, k=n-1 a polyline,
-    k=1 a polygonal ring around the primal edge, and k=0 a polyhedral cell
-    stored as its elementary tetrahedra.
+    and k=1 and k=0 the centers spanning the cell's elementary simplices.
     """
 
     degree: int
     generator: int
     points: np.ndarray
     measure: float
-    pieces: list = field(default_factory=list, repr=False)
 
 
 @dataclass(frozen=True)
@@ -279,9 +269,6 @@ class DualMesh:
     complex: SimplicialComplex
     cells: list  # cells[k][i] -> DualCell for primal k-simplex i
     measures: list  # measures[k]: (N_k,) array of |*sigma^k|
-
-    def measure(self, k: int, i: int) -> float:
-        return float(self.measures[k][i])
 
     def negative_cells(self, k: int):
         """Indices of primal k-simplices with nonpositive dual measure."""
@@ -350,54 +337,33 @@ def _chain_contributions(complex: SimplicialComplex, rule: str):
     return centers, contributions
 
 
-def _vertex_loop_2d(complex, centers, v: int):
-    """Ordered boundary loop of a vertex's dual 2-cell in 2D.
+def vertex_ring(complex: SimplicialComplex, v: int) -> list:
+    """The dual polygon of vertex v of a 2D complex, as tags in ring order.
 
-    Interior vertices give an alternating midpoint/barycenter loop; boundary
-    vertices close the loop through the vertex itself.
+    Tags are ("m", e) for the midpoint of edge e, ("c", t) for the center of
+    triangle t and ("v", v) for the vertex itself, each emitted once.  An
+    interior vertex gives alternating midpoints and centers; a boundary
+    vertex's ring runs from one boundary-edge midpoint to the other and
+    closes through the vertex.
     """
-    edges = complex.cofaces(0, v)
-    tris_of_edge = {e: complex.cofaces(1, e) for e in edges}
-    bdry_edges = [e for e in edges if len(tris_of_edge[e]) == 1]
-    # walk edge -> triangle -> next edge around v
-    def other_edge(tri, e):
-        for e2 in complex.face_indices[1][tri]:
-            if e2 != e and v in complex.simplices[1][e2]:
-                return e2
-        raise AssertionError("triangle missing second edge at vertex")
-
-    loop = []
-    if bdry_edges:
-        e = bdry_edges[0]
-        loop.append(centers[1][e])
-        tri = tris_of_edge[e][0]
-        prev = e
-        while True:
-            loop.append(centers[2][tri])
-            nxt = other_edge(tri, prev)
-            loop.append(centers[1][nxt])
-            rest = [t for t in tris_of_edge[nxt] if t != tri]
-            if not rest:
-                break
-            tri = rest[0]
-            prev = nxt
-        loop.append(complex.vertices[v])
-    else:
-        e = edges[0]
-        tri = tris_of_edge[e][0]
-        prev = e
-        first_tri = tri
-        while True:
-            loop.append(centers[1][prev])
-            loop.append(centers[2][tri])
-            nxt = other_edge(tri, prev)
-            rest = [t for t in tris_of_edge[nxt] if t != tri]
-            prev = nxt
-            tri = rest[0]
-            if tri == first_tri:
-                loop.append(centers[1][prev])
-                break
-    return np.array(loop)
+    edges = complex.cofaces(0, v).tolist()
+    tris_of_edge = {e: complex.cofaces(1, e).tolist() for e in edges}
+    bdry = [e for e in edges if len(tris_of_edge[e]) == 1]
+    e = bdry[0] if bdry else edges[0]
+    first = tri = tris_of_edge[e][0]
+    tags = [("m", e)]
+    while True:
+        tags.append(("c", tri))
+        # the other edge of `tri` at v
+        e = next(int(f) for f in complex.face_indices[1][tri]
+                 if f != e and v in complex.simplices[1][f])
+        rest = [t for t in tris_of_edge[e] if t != tri]
+        if not rest:
+            return tags + [("m", e), ("v", v)]
+        if rest[0] == first:
+            return tags
+        tags.append(("m", e))
+        tri = rest[0]
 
 
 def build_dual(complex: SimplicialComplex, rule: str) -> DualMesh:
@@ -430,15 +396,15 @@ def build_dual(complex: SimplicialComplex, rule: str) -> DualMesh:
                 else:
                     pts = np.array([centers[k][i], centers[n][tris[0]]])
             elif k == 0 and n == 2:
-                pts = _vertex_loop_2d(complex, centers, i)
+                pts = np.array([centers[{"v": 0, "m": 1, "c": 2}[kind]][j]
+                                for kind, j in vertex_ring(complex, i)])
             else:
                 uniq = {}
                 for chain, _ in chain_list:
                     for depth, sid in enumerate(chain):
                         uniq[(k + depth, sid)] = centers[k + depth][sid]
                 pts = np.array(list(uniq.values())) if uniq else np.empty((0, n))
-            cells[k].append(DualCell(k, i, pts, float(meas[i]),
-                                     contributions[k].get(i, [])))
+            cells[k].append(DualCell(k, i, pts, float(meas[i])))
         measures.append(meas)
     return DualMesh(rule, complex, cells, measures)
 
@@ -611,11 +577,20 @@ def random_delaunay(n_points: int, seed: int, dim: int = 2) -> SimplicialComplex
 
 
 def complex_to_json(complex: SimplicialComplex) -> dict:
-    return {
+    """The mesh as a JSON document.  `build_complex` enumerates the lower
+    simplices lexicographically; a complex that orders some degree otherwise
+    (say, `generate_fig8`'s pinned edges) also carries "simplex_order", that
+    degree's simplices in their order."""
+    doc = {
         "dimension": complex.dim,
         "vertices": complex.vertices.tolist(),
         "cells": complex.simplices[complex.dim].tolist(),
     }
+    for k in range(1, complex.dim):
+        rows = complex.simplices[k].tolist()
+        if rows != sorted(rows):
+            doc.setdefault("simplex_order", {})[str(k)] = rows
+    return doc
 
 
 def complex_from_json(doc) -> SimplicialComplex:
@@ -627,7 +602,18 @@ def complex_from_json(doc) -> SimplicialComplex:
     verts = np.asarray(doc["vertices"], dtype=float)
     if verts.shape[1] != doc["dimension"]:
         raise MeshError("vertex coordinate size disagrees with dimension")
-    return build_complex(verts, doc["cells"])
+    comp = build_complex(verts, doc["cells"])
+    for key, order in doc.get("simplex_order", {}).items():
+        try:
+            k = int(key)
+            listed = sorted(sorted(int(v) for v in s) for s in order)
+        except (TypeError, ValueError) as exc:
+            raise MeshError(f"bad simplex_order[{key!r}]: {exc}") from exc
+        if not (0 < k < comp.dim and listed == comp.simplices[k].tolist()):
+            raise MeshError(f"simplex_order[{key!r}] is not an ordering of "
+                            f"the mesh's {key}-simplices")
+        comp = comp.with_leading_simplices(k, order)
+    return comp
 
 
 def load_mesh(path) -> SimplicialComplex:

@@ -1,13 +1,13 @@
 """Sibson (natural-neighbor) coordinates on dual cells and dual Whitney forms.
 
-2D coordinates are exact: every Voronoi region is obtained by half-plane
-clipping, and the incremental region of an inserted point reduces to a single
-half-plane clip of each precomputed site region, which vectorizes over query
-points.  The same clip pass measures the bisector chord that bounds each
-overlap, and Sibson's vector identity (Sibson 1980; Piper 1993) turns the
-chord's length and first moment into the exact gradient of the overlap area.
-3D coordinates are estimated by regular-grid sampling of the cell, and their
-gradients by central differences.
+2D coordinates are exact and come from one batch kernel: site regions are
+precomputed by half-plane clipping, and the region of an inserted point is one
+half-plane clip of each site region, vectorized over query points.  The same
+pass measures the bisector chord that bounds each overlap, and Sibson's vector
+identity (Sibson 1980; Piper 1993) turns the chord's length and first moment
+into the exact gradient of the overlap area.  One point is a batch of one, with
+the Milbradt-Pick limit on the cell boundary.  3D coordinates are estimated by
+regular-grid sampling of the cell, and their gradients by central differences.
 
 Dual Whitney forms attach interpolants to dual mesh cells: Sibson coordinates
 to dual vertices, antisymmetric gradient pairs to dual edges, a weighted
@@ -18,11 +18,11 @@ functions to top-dimensional dual cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DualMesh, SimplicialComplex, barycenter
+from .mesh import DualMesh, SimplicialComplex, vertex_ring
 
 
 class SibsonError(ValueError):
@@ -42,6 +42,14 @@ def polygon_area(loop: np.ndarray) -> float:
 def ensure_ccw(loop: np.ndarray) -> np.ndarray:
     loop = np.asarray(loop, dtype=float)
     return loop if polygon_area(loop) >= 0 else loop[::-1]
+
+
+def _ccw_ring(loop: np.ndarray, labels: list):
+    """A labelled loop turned counter-clockwise, its labels kept in step."""
+    loop = np.asarray(loop, dtype=float)
+    if polygon_area(loop) >= 0:
+        return loop, list(labels)
+    return loop[::-1], list(labels)[::-1]
 
 
 def clip_halfplane(loop: np.ndarray, point, normal) -> np.ndarray:
@@ -197,13 +205,10 @@ class PolyCell:
 
 @dataclass(frozen=True)
 class SibsonEvaluation:
-    """Sibson coordinates at one point, with the intermediate measures."""
+    """Sibson coordinates at one point."""
 
     x: np.ndarray
     coords: np.ndarray  # lambda-bar per site
-    site_measures: np.ndarray  # C_i
-    inserted_measure: float  # D(x)
-    inserted_overlap: np.ndarray  # D(x) cap C_i
 
 
 # ---------------------------------------------------------------------------
@@ -237,44 +242,15 @@ def _site_regions_within(loop: np.ndarray, domain: np.ndarray) -> list:
     return regions
 
 
-def _box_loop(center: np.ndarray, half: float) -> np.ndarray:
-    cx, cy = center
-    return np.array([[cx - half, cy - half], [cx + half, cy - half],
-                     [cx + half, cy + half], [cx - half, cy + half]])
-
-
 def clipped_voronoi_measures(cell: PolyCell, x=None, resolution: int = 64):
-    """Measures of the sites' clipped Voronoi regions; with an inserted point
-    x, the overlaps D(x) cap C_i instead.
+    """Grid-sampled measures of a 3D cell's site regions; with an inserted
+    point x, the overlaps D(x) cap C_i instead.
 
-    2D measures are exact; 3D measures are grid-sampled estimates.
+    2D site-region areas are exact and come from `SibsonCell.region_areas`.
     """
-    if cell.dim == 3:
-        return _sampled_measures(cell, x, resolution)
-    loop = ensure_ccw(cell.vertices)
-    regions = _site_regions_within(loop, loop)
-    if x is None:
-        return np.array([abs(polygon_area(r)) if len(r) >= 3 else 0.0
-                         for r in regions])
-    x = np.asarray(x, dtype=float)
-    if not cell.contains(x)[0]:
-        raise SibsonError("inserted point lies outside the cell")
-    dists = np.linalg.norm(loop - x, axis=1)
-    if dists.min() <= 1e-12 * cell.diameter:
-        raise SibsonError("inserted point coincides with a cell vertex")
-    if cell.boundary_distance(x) <= 1e-12 * cell.diameter:
-        raise SibsonError("inserted point lies on the cell boundary")
-    overlaps = np.empty(len(loop))
-    for i, (vi, region) in enumerate(zip(loop, regions)):
-        if len(region) < 3:
-            overlaps[i] = 0.0
-            continue
-        overlaps[i] = max(float(_bisector_clip(region, vi, x[None])[0][0]),
-                          0.0)
-    return overlaps
-
-
-def _sampled_measures(cell: PolyCell, x, resolution: int):
+    if cell.dim != 3:
+        raise SibsonError("sampled measures are for 3D cells; 2D site-region "
+                          "areas are SibsonCell.region_areas")
     pts, vox = _sample_grid(cell, resolution)
     sites = cell.vertices
     d2 = ((pts[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
@@ -354,9 +330,9 @@ class SibsonCell:
         """Site regions clipped to a bounding box, cached by box size."""
         key = math.ceil(math.log2(max(half / self.cell.diameter, 1.0)))
         if key not in self._box_cache:
-            center = self.sites.mean(axis=0)
-            box = _box_loop(center, self.cell.diameter * 2.0 ** key
-                            + self.cell.diameter)
+            half = self.cell.diameter * 2.0 ** key + self.cell.diameter
+            box = self.sites.mean(axis=0) + half * np.array(
+                [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
             self._box_cache[key] = _pad_regions(
                 _site_regions_within(self.sites, box)
             )
@@ -404,40 +380,6 @@ class SibsonCell:
         areas, _ = self._site_clips(pts)
         return areas / areas.sum(axis=1)[:, None]
 
-    def _exact_overlaps(self, x: np.ndarray):
-        """Exact overlap areas D(x) cap C_i and the directly computed D(x)."""
-        if self.restricted:
-            overlaps = clipped_voronoi_measures(self.cell, x)
-            region = ensure_ccw(self.cell.vertices)
-            for v in self.sites:
-                region = clip_halfplane(region, 0.5 * (x + v), v - x)
-                if len(region) == 0:
-                    break
-            direct = abs(polygon_area(region - x)) if len(region) >= 3 else 0.0
-            return overlaps, direct
-        half = 4.0 * self.cell.diameter
-        for _ in range(50):
-            region = _box_loop(x, half)
-            for v in self.sites:
-                region = clip_halfplane(region, 0.5 * (x + v), v - x)
-            if len(region) >= 3 and np.abs(region - x).max() < half * (1 - 1e-9):
-                break
-            half *= 4.0
-        else:
-            raise SibsonError("inserted Voronoi region is unbounded")
-        direct = abs(polygon_area(region - x))
-        overlaps = np.empty(self.n_sites)
-        for i, vi in enumerate(self.sites):
-            sub = region
-            for j, vj in enumerate(self.sites):
-                if j == i:
-                    continue
-                sub = clip_halfplane(sub, 0.5 * (vi + vj), vj - vi)
-                if len(sub) == 0:
-                    break
-            overlaps[i] = abs(polygon_area(sub - x)) if len(sub) >= 3 else 0.0
-        return overlaps, direct
-
     def _boundary_coords(self, x):
         """Milbradt-Pick limit on the cell boundary: coordinates depend only
         on the vertices of the edge containing x (2D)."""
@@ -460,6 +402,8 @@ class SibsonCell:
         raise SibsonError("point not on the cell boundary")
 
     def evaluate(self, x) -> SibsonEvaluation:
+        """Coordinates at one point: the batch kernel inside the cell (2D),
+        the Milbradt-Pick limit on its boundary."""
         x = np.asarray(x, dtype=float)
         if self.cell.dim == 3:
             return self._evaluate_sampled(x)
@@ -467,23 +411,17 @@ class SibsonCell:
         on_boundary = (self.cell.boundary_distance(x) <= tol
                        or np.linalg.norm(self.sites - x, axis=1).min() <= tol)
         if on_boundary:
-            coords = self._boundary_coords(x)
-            return SibsonEvaluation(x, coords, self.region_areas, 0.0,
-                                    np.zeros(self.n_sites))
+            return SibsonEvaluation(x, self._boundary_coords(x))
         if not self.cell.contains(x)[0]:
             raise SibsonError("point lies outside the cell")
-        overlaps, direct = self._exact_overlaps(x)
-        total = float(overlaps.sum())
-        return SibsonEvaluation(x, overlaps / total, self.region_areas,
-                                direct, overlaps)
+        return SibsonEvaluation(x, self.coords_batch(x[None])[0])
 
     def _evaluate_sampled(self, x):
-        site_meas = clipped_voronoi_measures(self.cell, None, self.resolution)
         overlaps = clipped_voronoi_measures(self.cell, x, self.resolution)
         total = float(overlaps.sum())
         if total == 0.0:
             raise SibsonError("inserted point captured no samples")
-        return SibsonEvaluation(x, overlaps / total, site_meas, total, overlaps)
+        return SibsonEvaluation(x, overlaps / total)
 
     def gradients(self, x) -> np.ndarray:
         """Gradients of all coordinates at x, one row per site.
@@ -521,11 +459,6 @@ class SibsonCell:
         return coords, grads
 
 
-def sibson(cell: PolyCell, x, resolution: int = 64,
-           restricted: bool | None = None) -> SibsonEvaluation:
-    return SibsonCell(cell, resolution, restricted).evaluate(x)
-
-
 # ---------------------------------------------------------------------------
 # dual Whitney forms (2D machinery; 3D dual-face form below)
 
@@ -553,31 +486,19 @@ class DualInterpolation:
         if complex.dim != 2:
             raise SibsonError("dual interpolation machinery is 2D")
         self.complex = complex
-        self.dual = dual
         self.restricted = restricted
         self.cells = []  # PolyCell per primal vertex
         self.site_tags = []  # per vertex: list of tags matching cell loop
         self.site_lookup = []  # per vertex: dict tag -> local index
-        centers = np.array([
-            barycenter(complex.simplex_points(2, t))
-            if dual.rule == "barycentric"
-            else dual.cells[2][t].points[0]
-            for t in range(len(complex.simplices[2]))
-        ])
+        boundary = complex.boundary_simplices(1)
         for v in range(len(complex.vertices)):
-            tags = _vertex_site_tags(complex, v)
-            pts = []
-            for tag in tags:
-                kind, idx = tag
-                if kind == "c":
-                    pts.append(centers[idx])
-                elif kind == "m":
-                    pts.append(complex.simplex_points(1, idx).mean(axis=0))
-                else:
-                    pts.append(complex.vertices[idx])
-            loop = ensure_ccw(np.array(pts))
-            if not np.allclose(loop, np.array(pts)):
-                tags = tags[::-1]
+            ring = vertex_ring(complex, v)
+            # sites are the ring's triangle centers, boundary-edge midpoints
+            # and boundary vertex; interior-edge midpoints are not sites
+            keep = [i for i, (kind, e) in enumerate(ring)
+                    if kind != "m" or boundary[e]]
+            loop, tags = _ccw_ring(dual.cells[0][v].points[keep],
+                                   [ring[i] for i in keep])
             self.cells.append(PolyCell(loop))
             self.site_tags.append(tags)
             self.site_lookup.append({tag: i for i, tag in enumerate(tags)})
@@ -671,7 +592,7 @@ class DualInterpolation:
             ev = sc.evaluate(x)
             grads = sc.gradients(x)
             total = np.zeros(2)
-            for e in _vertex_edges(self.complex, v):
+            for e in self.complex.cofaces(0, v).tolist():
                 tag_a, tag_b = self.edge_endpoint_tags(e)
                 if tag_a in lookup and tag_b in lookup:
                     ia, ib = lookup[tag_a], lookup[tag_b]
@@ -680,53 +601,6 @@ class DualInterpolation:
             return total
 
         return field
-
-
-def _vertex_edges(complex: SimplicialComplex, v: int):
-    return [int(e) for e in complex.cofaces(0, v)]
-
-
-def _vertex_site_tags(complex: SimplicialComplex, v: int):
-    """Sites of the dual polygon of vertex v, walked in ring order."""
-    edges = _vertex_edges(complex, v)
-    tris_of_edge = {e: complex.cofaces(1, e) for e in edges}
-    bdry = [e for e in edges if len(tris_of_edge[e]) == 1]
-
-    def next_edge(tri, e):
-        for e2 in complex.face_indices[1][tri]:
-            if e2 != e and v in complex.simplices[1][e2]:
-                return int(e2)
-        raise AssertionError
-
-    tags = []
-    if bdry:
-        e = bdry[0]
-        tags.append(("m", e))
-        tri = int(tris_of_edge[e][0])
-        prev = e
-        while True:
-            tags.append(("c", tri))
-            nxt = next_edge(tri, prev)
-            rest = [int(t) for t in tris_of_edge[nxt] if t != tri]
-            if not rest:
-                tags.append(("m", nxt))
-                break
-            tri = rest[0]
-            prev = nxt
-        tags.append(("v", v))
-    else:
-        e = edges[0]
-        tri = int(tris_of_edge[e][0])
-        prev = e
-        first = tri
-        while True:
-            tags.append(("c", tri))
-            nxt = next_edge(tri, prev)
-            tri = [int(t) for t in tris_of_edge[nxt] if t != tri][0]
-            prev = nxt
-            if tri == first:
-                break
-    return tags
 
 
 # ---------------------------------------------------------------------------

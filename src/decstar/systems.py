@@ -2,16 +2,23 @@
 
 Each physical problem (magnetostatics, Darcy flow) admits four equivalent
 mixed formulations, two discretizing the flux-like variable on the primal
-mesh and two on the dual mesh.  All systems are assembled as symmetric 2x2
-block matrices and solved by dense factorization at the scales this library
-targets; pressure-like gauge freedoms are handled by pinning one degree of
-freedom or by a mean-zero augmentation.
+mesh and two on the dual mesh.  The eight formulations are rows of one table
+over the two generic layouts of `assemble_generic`: each row names its layout,
+the degree of its Hodge pair, the sign of its Hodge block, the space its load
+lives on (and so the derivative a load is lifted through) and how its
+physical cochains are recovered.  All systems are symmetric 2x2 block
+matrices, solved by dense factorization at the scales this library targets;
+the pressure-like gauge of a dual-first layout is handled by pinning one
+degree of freedom or by a mean-zero augmentation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -37,24 +44,14 @@ class MixedSystem:
     """
 
     name: str
-    blocks: tuple  # ((A, B), (C, None)) sparse blocks; C = B.T structurally
-    unknowns: tuple  # descriptors of the two block variables
+    blocks: tuple  # ((A, B), (C, None)) dense blocks; C = B.T
     rhs: tuple  # (f, g) arrays
     recover: callable  # (u, w) -> dict of named physical cochains
     gauge: int | None = None  # index into the second block needing pinning
-    provenance: dict = field(default_factory=dict)
 
     def matrix(self) -> np.ndarray:
         (A, B), (C, _) = self.blocks
-        A = A.toarray() if sp.issparse(A) else np.asarray(A)
-        B = B.toarray() if sp.issparse(B) else np.asarray(B)
-        C = C.toarray() if sp.issparse(C) else np.asarray(C)
-        n0, n1 = A.shape[0], B.shape[1]
-        M = np.zeros((n0 + n1, n0 + n1))
-        M[:n0, :n0] = A
-        M[:n0, n0:] = B
-        M[n0:, :n0] = C
-        return M
+        return np.block([[A, B], [C, np.zeros((C.shape[0], B.shape[1]))]])
 
     def rhs_vector(self) -> np.ndarray:
         return np.concatenate([np.asarray(self.rhs[0], dtype=float),
@@ -79,7 +76,10 @@ class WaveSystem:
     mass: np.ndarray
 
     def eigenpairs(self, count: int | None = None):
-        """Generalized eigenpairs (omega^2, mode), ascending."""
+        """Generalized eigenpairs (omega^2, mode), ascending; the `count`
+        smallest when given."""
+        if count is not None and count < 1:
+            raise SystemError(f"eigenpair count must be at least 1, got {count}")
         mass_eigs = np.linalg.eigvalsh(self.mass)
         if mass_eigs.min() <= 0:
             raise SystemError("wave mass matrix is not positive definite")
@@ -160,16 +160,103 @@ def assemble_generic(complex: SimplicialComplex, k: int, orientation: str,
     return MixedSystem(
         name=f"generic-{orientation}-k{k}",
         blocks=((A, B), (B.T, None)),
-        unknowns=("u", "w"),
         rhs=(f, g),
         recover=lambda u, w: {"u": u, "w": w},
         gauge=None,
-        provenance={"n": n, "k": k},
     )
 
 
 # ---------------------------------------------------------------------------
-# magnetostatics
+# the eight formulations
+
+
+class _Formulation(NamedTuple):
+    """One mixed formulation, as a row over `assemble_generic`.
+
+    The Hodge pair has degree d = range(n + 1)[degree], so -2 stands for
+    n - 1.  A primal-first layout constrains D_d u on the (d+1)-simplices and
+    a dual-first one D_{d-1}^T u on the (d-1)-simplices.  The load lives on
+    the (d+1)-simplices in the range of D_d (load "up") or on the
+    (d-1)-simplices in the range of D_{d-1}^T (load "down").  On the side
+    the layout constrains it is the second right-hand side; otherwise it is
+    lifted through that derivative to a particular solution x0, and -sign x0
+    is the first.  `sign` multiplies the generic layout's Hodge block.
+    """
+
+    orientation: str
+    degree: int
+    sign: float
+    load: str
+    recover: Callable  # (u, w, parts) -> dict of named physical cochains
+
+    def hodge_degree(self, n: int) -> int:
+        return range(n + 1)[self.degree]
+
+    def load_derivative(self, complex: SimplicialComplex):
+        """The derivative whose range holds this formulation's load."""
+        d = self.hodge_degree(complex.dim)
+        if self.load == "up":
+            return complex.incidence_matrix(d)
+        return complex.incidence_matrix(d - 1).T
+
+
+def _flux_and_pressure(u, w, parts):
+    return {"f": parts.H @ u, "p": particular_solution(parts.L.T, -u)}
+
+
+_FORMULATIONS = {
+    ("magnetostatics", 1): _Formulation(
+        "primal-first", -2, 1.0, "down",
+        lambda u, w, parts: {"b": u, "h": parts.x0 + parts.B @ w}),
+    ("magnetostatics", 2): _Formulation(
+        "dual-first", -2, 1.0, "down",
+        lambda u, w, parts: {"b": parts.B @ w, "h": u}),
+    ("magnetostatics", 3): _Formulation(
+        "dual-first", 1, 1.0, "up",
+        lambda u, w, parts: {"b": u, "h": parts.H @ u}),
+    ("magnetostatics", 4): _Formulation(
+        "primal-first", 1, 1.0, "up",
+        lambda u, w, parts: {"b": parts.B @ w, "h": u}),
+    ("darcy", 1): _Formulation(
+        "primal-first", -2, -1.0, "up",
+        lambda u, w, parts: {"f": u, "p": w}),
+    ("darcy", 2): _Formulation("dual-first", -2, 1.0, "up", _flux_and_pressure),
+    ("darcy", 3): _Formulation(
+        "dual-first", 1, -1.0, "down",
+        lambda u, w, parts: {"f": u, "p": w}),
+    ("darcy", 4): _Formulation("primal-first", 1, -1.0, "down",
+                               _flux_and_pressure),
+}
+
+
+def _formulation(problem: str, system: int) -> _Formulation:
+    if (problem, system) not in _FORMULATIONS:
+        raise SystemError(f"{problem} system id must be 1-4, got {system}")
+    return _FORMULATIONS[problem, system]
+
+
+def _assemble_formulation(problem: str, complex: SimplicialComplex,
+                          system: int, load, M, M_inv) -> MixedSystem:
+    row = _formulation(problem, system)
+    name = f"{problem}-{system}"
+    n = complex.dim
+    d = row.hodge_degree(n)
+    primal = row.orientation == "primal-first"
+    L = row.load_derivative(complex)
+    load = _check_load(name, load, L.shape[0])
+    H = _as_dense(M if primal else M_inv)
+    f, g, x0 = np.zeros(len(complex.simplices[d])), load, None
+    if primal != (row.load == "up"):
+        x0 = particular_solution(L, load)
+        f = -row.sign * x0
+        g = np.zeros(len(complex.simplices[d + 1 if primal else d - 1]))
+    signed = row.sign * H
+    generic = assemble_generic(complex, d if primal else n - d,
+                               row.orientation, signed, signed, f, g)
+    parts = SimpleNamespace(B=generic.blocks[0][1], H=H, L=L, x0=x0)
+    return dataclasses.replace(
+        generic, name=name, gauge=None if primal else 0,
+        recover=lambda u, w: row.recover(u, w, parts))
 
 
 def assemble_magnetostatics(complex: SimplicialComplex, system: int, j,
@@ -186,74 +273,8 @@ def assemble_magnetostatics(complex: SimplicialComplex, system: int, j,
     (n-2)-simplices; systems 3-4 take it as a primal 2-cochain (the field h
     is a primal 1-cochain in every dimension).
     """
-    n = complex.dim
-    M = _as_dense(M)
-    M_inv = _as_dense(M_inv)
-    Dtop = complex.incidence_matrix(n - 1)  # (n-1)-simplices -> n-simplices
-    Dlow = complex.incidence_matrix(n - 2)
-    n_flux = len(complex.simplices[n - 1])
-
-    if system == 1:
-        j = _check_load("magnetostatics system 1 current", j,
-                        len(complex.simplices[n - 2]))
-        h0 = particular_solution(Dlow.T.toarray(), j)
-        B = Dtop.T.toarray()
-
-        def recover(u, w):
-            h = h0 + B @ w
-            return {"b": u, "h": h}
-
-        return MixedSystem("magnetostatics-1", ((-M, B), (B.T, None)),
-                           ("b_primal", "p_dual"), (-h0, np.zeros(Dtop.shape[0])),
-                           recover, gauge=None, provenance={"h0": h0})
-
-    if system == 2:
-        j = _check_load("magnetostatics system 2 current", j,
-                        len(complex.simplices[n - 2]))
-        B = Dlow.toarray()
-
-        def recover(u, w):
-            return {"b": B @ w, "h": u}
-
-        return MixedSystem("magnetostatics-2", ((-M_inv, B), (B.T, None)),
-                           ("h_dual", "a_primal"), (np.zeros(n_flux), j),
-                           recover, gauge=0)
-
-    D1 = complex.incidence_matrix(1)
-    D0 = complex.incidence_matrix(0)
-    n_edges = len(complex.simplices[1])
-
-    if system == 3:
-        j = _check_load("magnetostatics system 3 current", j,
-                        len(complex.simplices[2]))
-        h0 = particular_solution(D1.toarray(), j)
-        B = D0.toarray()
-
-        def recover(u, w):
-            return {"b": u, "h": M_inv @ u}
-
-        return MixedSystem("magnetostatics-3", ((-M_inv, B), (B.T, None)),
-                           ("b_dual", "p_primal"),
-                           (-h0, np.zeros(D0.shape[1])),
-                           recover, gauge=0, provenance={"h0": h0})
-
-    if system == 4:
-        j = _check_load("magnetostatics system 4 current", j,
-                        len(complex.simplices[2]))
-        B = D1.T.toarray()
-
-        def recover(u, w):
-            return {"b": B @ w, "h": u}
-
-        return MixedSystem("magnetostatics-4", ((-M, B), (B.T, None)),
-                           ("h_primal", "a_dual"), (np.zeros(n_edges), j),
-                           recover, gauge=None)
-
-    raise SystemError(f"magnetostatics system id must be 1-4, got {system}")
-
-
-# ---------------------------------------------------------------------------
-# Darcy flow
+    return _assemble_formulation("magnetostatics", complex, system, j,
+                                 M, M_inv)
 
 
 def assemble_darcy(complex: SimplicialComplex, system: int, phi,
@@ -264,72 +285,7 @@ def assemble_darcy(complex: SimplicialComplex, system: int, phi,
     source phi a primal n-cochain; systems 3-4 use a dual flux with the
     source a dual n-cochain (indexed by primal vertices).
     """
-    n = complex.dim
-    M = _as_dense(M)
-    M_inv = _as_dense(M_inv)
-    Dtop = complex.incidence_matrix(n - 1)
-    Dlow = complex.incidence_matrix(n - 2)
-    n_flux = len(complex.simplices[n - 1])
-
-    if system == 1:
-        phi = _check_load("darcy system 1 source", phi,
-                          len(complex.simplices[n]))
-        B = Dtop.T.toarray()
-
-        def recover(u, w):
-            return {"f": u, "p": w}
-
-        return MixedSystem("darcy-1", ((M, B), (B.T, None)),
-                           ("f_primal", "p_dual"),
-                           (np.zeros(n_flux), phi), recover, gauge=None)
-
-    if system == 2:
-        phi = _check_load("darcy system 2 source", phi,
-                          len(complex.simplices[n]))
-        f0 = particular_solution(Dtop.toarray(), phi)
-        B = Dlow.toarray()
-
-        def recover(u, w):
-            p = particular_solution(Dtop.T.toarray(), -u)
-            return {"f": M_inv @ u, "p": p}
-
-        return MixedSystem("darcy-2", ((-M_inv, B), (B.T, None)),
-                           ("q_dual", "g_primal"),
-                           (-f0, np.zeros(B.shape[1])),
-                           recover, gauge=0, provenance={"f0": f0})
-
-    D0 = complex.incidence_matrix(0)
-    D1 = complex.incidence_matrix(1)
-    n_edges = len(complex.simplices[1])
-
-    if system == 3:
-        phi = _check_load("darcy system 3 source", phi,
-                          len(complex.vertices))
-        B = D0.toarray()
-
-        def recover(u, w):
-            return {"f": u, "p": w}
-
-        return MixedSystem("darcy-3", ((M_inv, B), (B.T, None)),
-                           ("f_dual", "p_primal"),
-                           (np.zeros(n_edges), phi), recover, gauge=0)
-
-    if system == 4:
-        phi = _check_load("darcy system 4 source", phi,
-                          len(complex.vertices))
-        f0 = particular_solution(D0.T.toarray(), phi)
-        B = D1.T.toarray()
-
-        def recover(u, w):
-            p = particular_solution(D0.toarray(), -u)
-            return {"f": M @ u, "p": p}
-
-        return MixedSystem("darcy-4", ((M, B), (B.T, None)),
-                           ("q_primal", "g_dual"),
-                           (f0, np.zeros(B.shape[1])),
-                           recover, gauge=None, provenance={"f0": f0})
-
-    raise SystemError(f"darcy system id must be 1-4, got {system}")
+    return _assemble_formulation("darcy", complex, system, phi, M, M_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from decstar import cli
 
@@ -248,3 +251,118 @@ def test_fig8_subcommand(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "fig8_P3.json").exists()
     assert lines[0]["counts"] == {"0": 8, "1": 13, "2": 6}
+
+
+def test_cond_rejects_bad_block(capsys):
+    for block in ("0", "-3", "14"):
+        code, lines, err = run(["cond", "--mesh", "fig8:2", "--kind", "whitney",
+                                "--method", "leading-block", "--block", block],
+                               capsys)
+        assert code == 1 and lines == []
+        assert err.startswith("error: leading block size") and err.count("\n") == 1
+
+
+def test_wave_rejects_bad_count(capsys):
+    for count in ("0", "-1"):
+        code, lines, err = run(["wave", "--mesh", "grid:2", "--count", count,
+                                "--kind", "whitney"], capsys)
+        assert code == 1 and lines == []
+        assert err.startswith("error: eigenpair count") and err.count("\n") == 1
+
+
+def test_solve_rejects_empty_system_list(capsys):
+    code, lines, err = run(["solve", "darcy", "--mesh", "grid:2",
+                            "--system", ","], capsys)
+    assert code == 1 and lines == []
+    assert err.startswith("error: --system") and err.count("\n") == 1
+
+
+def test_solve_3d_default_load_is_compatible(capsys):
+    # the default current of systems 1-2 is projected onto the range of
+    # D_{n-2}^T, which in 3D is not just the mean-zero vectors
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, lines, err = run(["solve", "magneto", "--mesh", "random:12:3:3",
+                                "--system", "1,2", "--tol", "1e-8"], capsys)
+    assert code == 0, err
+    diff = [l for l in lines if l["command"] == "solve diff"][0]
+    assert diff["pass"] is True
+
+
+def test_fig8_json_keeps_edge_order(tmp_path, capsys):
+    code, lines, _ = run(["fig8", "--P", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "fig8_P2.json").read_text())
+    assert "simplex_order" in doc
+    conds = []
+    for spec in ("fig8:2", str(tmp_path / "fig8_P2.json")):
+        code, lines, _ = run(["cond", "--mesh", spec, "--kind", "whitney",
+                              "--method", "leading-block"], capsys)
+        assert code == 0
+        conds.append(lines[0]["condition"])
+    assert conds[0] == conds[1] == pytest.approx(3.2443, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every argv of a small grammar exits 0, 1 or 2 without a traceback
+# and prints only strict-JSON lines
+
+MESHES = ["grid:2", "two_triangle", "fig8:2", "random:8:1:3"]
+INTS = ["0", "-1", "-3", "1", "2", "3"]
+LISTS = ["", ",", "0", "-1", "2", "0.5,2", "1,2", "3,4", "1,3", "5"]
+GRIDS = ["0", "-5", "16"]
+COMMON = {"--mesh": MESHES, "--rule": ["barycentric", "circumcentric"]}
+KIND = {"--kind": ["diag", "whitney", "dual_inverse"], "--grid": GRIDS}
+GRAMMAR = {
+    "info": [COMMON],
+    "dual": [COMMON],
+    "hodge": [COMMON, KIND, {"--k": INTS}],
+    "cond": [COMMON, KIND, {"--k": INTS, "--method": ["full", "leading-block"],
+                            "--block": INTS + ["100"]}],
+    "table1": [{"--P": LISTS, "--grid": GRIDS}],
+    "solve": [COMMON, KIND, {"--system": LISTS, "--seed": INTS,
+                             "--tol": ["0", "-1", "1e-8"],
+                             "--gauge": ["pin", "augment"]}],
+    "wave": [COMMON, KIND, {"--count": INTS,
+                            "--formulation": ["primal", "dual"]}],
+    "sample-field": [COMMON, {"--k": INTS, "--space": ["primal", "dual"],
+                              "--samples": INTS}],
+    "fig8": [{"--P": LISTS}],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    if command == "solve":
+        argv.append(draw(st.sampled_from(["darcy", "magneto"])))
+    for group in GRAMMAR[command]:
+        for flag, values in group.items():
+            value = draw(st.sampled_from([None] + values))
+            if value is not None:
+                argv += [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_cli_fuzz(fuzz_out, argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main(argv + ["--out", str(fuzz_out)])
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue()
+    for line in stdout.getvalue().splitlines():
+        strict_json(line)

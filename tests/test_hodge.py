@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from decstar import hodge, mesh, whitney
 from decstar.hodge import HodgeError
+from decstar.sibson import DualInterpolation
 
 
 def test_diag_entries_are_measure_ratios():
@@ -60,8 +62,6 @@ def test_dual_inverse_symmetric_pd_and_sparse():
 def test_dual_inverse_vertex_block_is_inverse_areas():
     comp = mesh.structured_grid(3)
     dual = mesh.build_dual(comp, "barycentric")
-    from decstar.sibson import DualInterpolation
-
     di = DualInterpolation(comp, dual)
     op = hodge.assemble_dual_inverse(comp, dual, 0, interpolation=di)
     expect = np.array([1.0 / c.measure for c in di.cells])
@@ -153,3 +153,50 @@ def test_table1_small_resolution_sane():
     csv = hodge.table1_csv(rows)
     assert csv.splitlines()[0] == "P,cond_diag,cond_whitney,cond_dual_inverse"
     assert csv.splitlines()[1].startswith("2,")
+
+
+def loop_dual_inverse(comp, di, k, resolution):
+    """The dual-inverse star by per-entry accumulation, as a reference for
+    the scattered local Gram matrices of `assemble_dual_inverse`."""
+    N = len(comp.simplices[k])
+    mat = sp.lil_matrix((N, N))
+    for v in range(len(comp.vertices)):
+        pts, w = hodge._cell_quadrature(di.cells[v], resolution)
+        sc = di.evaluator(v)
+        lookup = di.site_lookup[v]
+        if k == 2:
+            lam = sc.coords_batch(pts)
+            fields = [(g, lam[:, i]) for (kind, g), i in lookup.items()
+                      if kind == "c"]
+        else:
+            lam, grads = sc.coords_and_gradients_batch(pts)
+            fields = []
+            for e in comp.cofaces(0, v).tolist():
+                tag_a, tag_b = di.edge_endpoint_tags(e)
+                if tag_a in lookup and tag_b in lookup:
+                    ia, ib = lookup[tag_a], lookup[tag_b]
+                    fields.append((e, lam[:, ia, None] * grads[:, ib]
+                                   - lam[:, ib, None] * grads[:, ia]))
+        for a, (ga, Fa) in enumerate(fields):
+            for gb, Fb in fields[a:]:
+                val = w * float(np.sum(Fa * Fb))
+                mat[ga, gb] += val
+                if ga != gb:
+                    mat[gb, ga] += val
+    return mat.tocsr()
+
+
+def test_dual_inverse_matches_per_entry_assembly():
+    # random_delaunay(40, 1) has edges whose form vanishes on its whole
+    # support, so exact-zero entries must not be stored
+    comp = mesh.random_delaunay(40, 1)
+    dual = mesh.build_dual(comp, "barycentric")
+    di = DualInterpolation(comp, dual)
+    for k in (1, 2):
+        A = hodge.assemble_dual_inverse(comp, dual, k, 32, interpolation=di)
+        ref = loop_dual_inverse(comp, di, k, 32)
+        assert A.matrix.nnz == ref.nnz
+        assert ((A.matrix != 0) != (ref != 0)).nnz == 0
+        scale = abs(ref).max()
+        assert abs(A.matrix - ref).max() <= 1e-12 * scale
+        assert (A.matrix != A.matrix.T).nnz == 0

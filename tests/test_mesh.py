@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decstar import mesh
 from decstar.mesh import MeshError
+from decstar.sibson import DualInterpolation, polygon_area
 
 
 def test_single_triangle_counts():
@@ -96,6 +98,25 @@ def test_dual_vertex_cells_partition_area():
                                                    abs=1e-12)
 
 
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 10_000))
+def test_vertex_ring_walks_each_element_once(n, seed):
+    comp = mesh.random_delaunay(n, seed)
+    dual = mesh.build_dual(comp, "barycentric")
+    di = DualInterpolation(comp, dual)
+    boundary = comp.boundary_simplices(1)
+    for v in range(len(comp.vertices)):
+        loop = dual.cells[0][v].points
+        assert not np.all(loop == np.roll(loop, -1, axis=0), axis=1).any()
+        area = polygon_area(loop)
+        assert abs(area) == pytest.approx(dual.measures[0][v], rel=1e-12)
+        # the interpolation polygon drops the interior-edge midpoints and
+        # runs counter-clockwise
+        kept = [t for t in mesh.vertex_ring(comp, v)
+                if t[0] != "m" or boundary[t[1]]]
+        assert di.site_tags[v] == (kept if area > 0 else kept[::-1])
+
+
 def test_circumcentric_dual_on_equilateral():
     comp = mesh.equilateral_grid(3)
     dual = mesh.build_dual(comp, "circumcentric")
@@ -118,6 +139,28 @@ def test_json_roundtrip(tmp_path):
     assert np.array_equal(back.vertices, comp.vertices)
     for k in range(comp.dim + 1):
         assert np.array_equal(back.simplices[k], comp.simplices[k])
+
+
+def test_json_keeps_simplex_order(tmp_path):
+    comp = mesh.generate_fig8(2.0)
+    doc = mesh.complex_to_json(comp)
+    assert list(doc["simplex_order"]) == ["1"]
+    path = tmp_path / "fig8.json"
+    mesh.save_mesh(comp, path)
+    back = mesh.load_mesh(path)
+    for k in range(comp.dim + 1):
+        assert np.array_equal(back.simplices[k], comp.simplices[k])
+    for k in range(comp.dim):
+        assert np.array_equal(back.face_indices[k], comp.face_indices[k])
+    # a document without the key loads with lexicographic simplices, and a
+    # key that is not an ordering of the mesh's simplices is rejected
+    del doc["simplex_order"]
+    plain = mesh.complex_from_json(json.dumps(doc))
+    assert plain.simplices[1].tolist() == sorted(comp.simplices[1].tolist())
+    assert "simplex_order" not in mesh.complex_to_json(plain)
+    for bad in ({"1": [[0, 1]]}, {"2": [[0, 1, 2]]}, {"x": []}):
+        with pytest.raises(MeshError, match="simplex_order"):
+            mesh.complex_from_json(json.dumps({**doc, "simplex_order": bad}))
 
 
 def test_json_missing_key_rejected():

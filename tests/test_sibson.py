@@ -10,10 +10,10 @@ from decstar.sibson import (
     SibsonCell,
     SibsonError,
     _bisector_clip,
+    clip_halfplane,
     clipped_voronoi_measures,
     is_convex,
     polygon_area,
-    sibson,
 )
 
 
@@ -41,6 +41,39 @@ def interior_points(cell, rng, count, margin):
     return np.array(out)
 
 
+def classical_reference(sc, x):
+    """Classical Sibson coordinates at one point by direct half-plane
+    clipping, independent of the batch kernel.
+
+    The inserted point's Voronoi region among the sites is clipped out of a
+    box around x, grown until the region stays clear of it, and then cut
+    into its overlap with each site's Voronoi region.
+    """
+    sites = sc.sites
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    half = 4.0 * sc.cell.diameter
+    for _ in range(50):
+        region = x + half * corners
+        for v in sites:
+            region = clip_halfplane(region, 0.5 * (x + v), v - x)
+        if len(region) >= 3 and np.abs(region - x).max() < half * (1 - 1e-9):
+            break
+        half *= 4.0
+    else:
+        raise AssertionError("inserted Voronoi region is unbounded")
+    overlaps = np.empty(len(sites))
+    for i, vi in enumerate(sites):
+        sub = region
+        for j, vj in enumerate(sites):
+            if j == i:
+                continue
+            sub = clip_halfplane(sub, 0.5 * (vi + vj), vj - vi)
+            if len(sub) == 0:
+                break
+        overlaps[i] = abs(polygon_area(sub - x)) if len(sub) >= 3 else 0.0
+    return overlaps / overlaps.sum()
+
+
 def test_properties_on_convex_cells():
     rng = np.random.default_rng(42)
     for trial in range(5):
@@ -54,7 +87,7 @@ def test_properties_on_convex_cells():
             assert lam.min() > -1e-10
             assert np.abs(lam @ cell.vertices - p).max() < 1e-10
         batch = sc.coords_batch(pts)
-        exact = np.array([sc.evaluate(p).coords for p in pts])
+        exact = np.array([classical_reference(sc, p) for p in pts])
         assert np.abs(batch - exact).max() < 1e-7
 
 
@@ -89,7 +122,7 @@ def test_batch_matches_single_point():
     pts = interior_points(cell, rng, 20, margin=0.02)
     batch = sc.coords_batch(pts)
     for p, row in zip(pts, batch):
-        assert np.abs(sibson(cell, p).coords - row).max() < 1e-9
+        assert np.abs(sc.evaluate(p).coords - row).max() < 1e-9
 
 
 def test_gradients_reproduce_identity():
@@ -230,14 +263,15 @@ def test_restricted_loses_linear_precision_near_boundary():
 def test_evaluation_rejects_bad_points():
     cell = regular_polygon(5)
     with pytest.raises(SibsonError):
-        clipped_voronoi_measures(cell, np.array([3.0, 3.0]))
+        SibsonCell(cell).evaluate(np.array([3.0, 3.0]))
+    # sampled measures are 3D only; 2D areas come from the exact kernel
     with pytest.raises(SibsonError):
         clipped_voronoi_measures(cell, cell.vertices[0])
 
 
 def test_measures_partition_cell():
     cell = regular_polygon(8, phase=0.3)
-    areas = clipped_voronoi_measures(cell)
+    areas = SibsonCell(cell).region_areas
     assert areas.sum() == pytest.approx(cell.measure, abs=1e-12)
     assert np.all(areas > 0)
 

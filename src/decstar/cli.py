@@ -564,7 +564,7 @@ def main(argv=None) -> int:
         cfg = make_config(args)
         return COMMANDS[args.command](cfg, args)
     except (CliError, MeshError, HodgeError, SibsonError, SystemError,
-            whitney.DegreeError, FileNotFoundError) as exc:
+            whitney.DegreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,12 @@ simplices.  Dual cells of boundary simplices are clipped to the domain: the
 boundary contributes edge midpoints and the primal vertex itself as dual cell
 vertices, so that vertex dual areas always sum to the mesh volume under the
 barycentric rule.
+
+Assembly works on whole arrays of simplices: faces are enumerated with
+`np.unique` over sorted vertex tuples, measures and centers come from batched
+determinants and solves, and `cofaces` reads a coboundary table in CSR form
+(the cofaces of every k-simplex, ascending) that each complex derives once
+from its `face_indices`.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,54 +38,46 @@ class MeshError(ValueError):
     """Raised for invalid mesh input (degenerate, duplicate, out of range)."""
 
 
-def simplex_measure(points: np.ndarray) -> float:
-    """Unsigned k-volume of the simplex spanned by the given points.
+def simplex_measures(points) -> np.ndarray:
+    """Unsigned k-volumes of a stack of k-simplices, points shaped (..., k+1, d).
 
-    Uses the Gram determinant, so it works for a k-simplex embedded in any
+    Uses the Gram determinant, so it works for k-simplices embedded in any
     ambient dimension.  A single point has measure 1 by convention.
     """
     pts = np.asarray(points, dtype=float)
-    k = len(pts) - 1
+    k = pts.shape[-2] - 1
     if k == 0:
-        return 1.0
-    edges = pts[1:] - pts[0]
-    gram = edges @ edges.T
-    det = np.linalg.det(gram)
-    if det < 0.0:
-        det = 0.0
-    return math.sqrt(det) / math.factorial(k)
+        return np.ones(pts.shape[:-2])
+    edges = pts[..., 1:, :] - pts[..., :1, :]
+    det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
 
 
-def barycenter(points: np.ndarray) -> np.ndarray:
-    return np.asarray(points, dtype=float).mean(axis=0)
+def simplex_centers(points, rule: str) -> np.ndarray:
+    """Barycenters or circumcenters of a stack (m, k+1, d) of k-simplices.
 
-
-def circumcenter(points: np.ndarray) -> np.ndarray:
-    """Point equidistant from all vertices, within the simplex's affine hull.
-
-    Raises MeshError for degenerate simplices (relative determinant below
-    DEGENERACY_RTOL at the simplex's own scale).
+    A circumcenter is the point equidistant from all vertices within the
+    simplex's affine hull.  Raises MeshError for a degenerate simplex
+    (relative determinant below DEGENERACY_RTOL at the simplex's own scale).
     """
     pts = np.asarray(points, dtype=float)
-    if len(pts) == 1:
-        return pts[0].copy()
-    edges = pts[1:] - pts[0]
-    gram = 2.0 * edges @ edges.T
-    rhs = np.einsum("ij,ij->i", edges, edges)
-    scale = float(np.max(np.abs(edges))) or 1.0
-    k = len(pts) - 1
-    if abs(np.linalg.det(gram)) <= (DEGENERACY_RTOL * (2.0 * scale * scale) ** k):
-        raise MeshError("degenerate simplex has no circumcenter")
-    sol = np.linalg.solve(gram, rhs)
-    return pts[0] + sol @ edges
-
-
-def center(points: np.ndarray, rule: str) -> np.ndarray:
     if rule == BARYCENTRIC:
-        return barycenter(points)
-    if rule == CIRCUMCENTRIC:
-        return circumcenter(points)
-    raise MeshError(f"unknown center rule {rule!r}")
+        return pts.mean(axis=1)
+    if rule != CIRCUMCENTRIC:
+        raise MeshError(f"unknown center rule {rule!r}")
+    k = pts.shape[1] - 1
+    if k == 0:
+        return pts[:, 0].copy()
+    edges = pts[:, 1:] - pts[:, :1]
+    gram = 2.0 * edges @ np.swapaxes(edges, -1, -2)
+    rhs = np.einsum("mij,mij->mi", edges, edges)
+    scale = np.abs(edges).max(axis=(1, 2))
+    scale[scale == 0] = 1.0
+    if np.any(np.abs(np.linalg.det(gram))
+              <= DEGENERACY_RTOL * (2.0 * scale * scale) ** k):
+        raise MeshError("degenerate simplex has no circumcenter")
+    sol = np.linalg.solve(gram, rhs[..., None])
+    return pts[:, 0] + (np.swapaxes(sol, -1, -2) @ edges)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -105,29 +105,37 @@ class SimplicialComplex:
         """Exact length/area/volume of a k-simplex; 1 for vertices."""
         return float(self.measures[k][i])
 
+    @cached_property
+    def _coboundary(self) -> list:
+        """Per k < dim, (indptr, rows): the (k+1)-simplices containing
+        k-simplex i are rows[indptr[i]:indptr[i+1]], ascending."""
+        table = []
+        for k, fi in enumerate(self.face_indices):
+            faces = fi.ravel()
+            rows = np.argsort(faces, kind="stable") // fi.shape[1]
+            rows.flags.writeable = False
+            counts = np.bincount(faces, minlength=len(self.simplices[k]))
+            table.append((np.concatenate([[0], np.cumsum(counts)]), rows))
+        return table
+
     def cofaces(self, k: int, i: int) -> np.ndarray:
         """Indices of the (k+1)-simplices containing k-simplex i."""
         if k >= self.dim:
             return np.empty(0, dtype=int)
-        rows, _ = np.nonzero(self.face_indices[k] == i)
-        return np.unique(rows)
+        indptr, rows = self._coboundary[k]
+        return rows[indptr[i]:indptr[i + 1]]
 
     def boundary_simplices(self, k: int) -> np.ndarray:
-        """Boolean mask of k-simplices lying on the domain boundary."""
+        """Boolean mask of k-simplices lying on the domain boundary: the
+        (n-1)-simplices with one coface, and their faces."""
         n = self.dim
-        counts = np.bincount(
-            self.face_indices[n - 1].ravel(), minlength=len(self.simplices[n - 1])
-        )
-        on_bdry = counts == 1
-        if k == n - 1:
-            return on_bdry
-        if k == n:
-            return np.zeros(len(self.simplices[n]), dtype=bool)
+        counts = np.bincount(self.face_indices[n - 1].ravel(),
+                             minlength=len(self.simplices[n - 1]))
+        ids = np.nonzero(counts == 1)[0] if k < n else []
+        for level in range(n - 2, k - 1, -1):
+            ids = self.face_indices[level][ids].ravel()
         mask = np.zeros(len(self.simplices[k]), dtype=bool)
-        bdry_faces = np.nonzero(on_bdry)[0]
-        for f in bdry_faces:
-            for sub in itertools.combinations(self.simplices[n - 1][f], k + 1):
-                mask[self.index[k][tuple(sub)]] = True
+        mask[ids] = True
         return mask
 
     def incidence_matrix(self, k: int):
@@ -148,8 +156,9 @@ class SimplicialComplex:
     def with_leading_simplices(self, k: int, leading) -> "SimplicialComplex":
         """Return a copy with the given k-simplices enumerated first, in order."""
         lead_ids = [self.index[k][tuple(sorted(t))] for t in leading]
-        rest = [i for i in range(len(self.simplices[k])) if i not in set(lead_ids)]
-        perm = np.array(lead_ids + rest)
+        lead = set(lead_ids)
+        perm = np.array(lead_ids + [i for i in range(len(self.simplices[k]))
+                                    if i not in lead])
         inv = np.empty_like(perm)
         inv[perm] = np.arange(len(perm))
         simplices = list(self.simplices)
@@ -171,6 +180,17 @@ class SimplicialComplex:
         )
 
 
+def _numeric_array(values, name: str, kinds: str) -> np.ndarray:
+    """`values` as a rectangular array whose dtype kind is one of `kinds`."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise MeshError(f"{name} must be a rectangular array") from exc
+    if arr.size and arr.dtype.kind not in kinds:
+        raise MeshError(f"{name} must not hold {arr.dtype} values")
+    return arr
+
+
 def build_complex(vertices, cells) -> SimplicialComplex:
     """Build the full complex from top-dimensional cells.
 
@@ -179,64 +199,55 @@ def build_complex(vertices, cells) -> SimplicialComplex:
     cell's determinant for the sorted vertex tuple; lower simplices carry +1
     and are identified with their sorted tuples.
     """
-    verts = np.asarray(vertices, dtype=float)
-    cells = np.asarray(cells, dtype=int)
+    verts = _numeric_array(vertices, "vertices", "iuf")
     if verts.ndim != 2 or verts.shape[1] not in (2, 3):
         raise MeshError("vertices must be an (V, 2) or (V, 3) array")
+    verts = verts.astype(float)
+    if not np.isfinite(verts).all():
+        raise MeshError("vertex coordinates must be finite")
     n = verts.shape[1]
+    cells = _numeric_array(cells, "cells", "iu")
     if cells.ndim != 2 or cells.shape[1] != n + 1:
         raise MeshError(f"cells must have {n + 1} vertices each")
-    if cells.min(initial=0) < 0 or cells.max(initial=-1) >= len(verts):
+    if len(cells) == 0:
+        raise MeshError("mesh has no cells")
+    if cells.min() < 0 or cells.max() >= len(verts):
         raise MeshError("cell vertex index out of range")
 
+    # The first cell failing a check names the error: repeated vertices,
+    # then an earlier identical cell, then a vanishing determinant.
     scale = float(np.ptp(verts, axis=0).max()) or 1.0
-    sorted_cells = np.sort(cells, axis=1)
-    seen = set()
-    orient_n = np.empty(len(cells), dtype=int)
-    for ci, cell in enumerate(sorted_cells):
-        if len(set(cell.tolist())) != n + 1:
+    sorted_cells = np.sort(cells.astype(int), axis=1)
+    _, first, inverse = np.unique(sorted_cells, axis=0, return_index=True,
+                                  return_inverse=True)
+    det = np.linalg.det(verts[sorted_cells[:, 1:]] - verts[sorted_cells[:, :1]])
+    repeated = (np.diff(sorted_cells, axis=1) == 0).any(axis=1)
+    duplicate = first[inverse.ravel()] != np.arange(len(cells))
+    degenerate = np.abs(det) <= DEGENERACY_RTOL * scale**n
+    bad = np.nonzero(repeated | duplicate | degenerate)[0]
+    if len(bad):
+        ci = int(bad[0])
+        key = tuple(sorted_cells[ci])
+        if repeated[ci]:
             raise MeshError(f"cell {ci} has repeated vertices")
-        key = tuple(cell)
-        if key in seen:
+        if duplicate[ci]:
             raise MeshError(f"duplicate cell {ci}: {key}")
-        seen.add(key)
-        det = np.linalg.det(verts[cell[1:]] - verts[cell[0]])
-        if abs(det) <= DEGENERACY_RTOL * scale**n:
-            raise MeshError(f"degenerate cell {ci}: {key}")
-        orient_n[ci] = 1 if det > 0 else -1
+        raise MeshError(f"degenerate cell {ci}: {key}")
 
-    simplices = [None] * (n + 1)
-    index = [None] * (n + 1)
-    simplices[n] = sorted_cells
-    # Enumerate every lower-dimensional face exactly once, lexicographically.
+    # Enumerate every lower-dimensional face exactly once, lexicographically:
+    # column m of `faces` deletes vertex position m of each (k+1)-simplex.
+    simplices = [None] * n + [sorted_cells]
+    face_indices = [None] * n
     for k in range(n - 1, -1, -1):
-        faces = set()
-        for s in simplices[k + 1]:
-            faces.update(itertools.combinations(s.tolist(), k + 1))
-        simplices[k] = np.array(sorted(faces), dtype=int)
-    for k in range(n + 1):
-        index[k] = {tuple(s): i for i, s in enumerate(simplices[k])}
-
-    face_indices = []
-    for k in range(n):
-        upper = simplices[k + 1]
-        fi = np.empty((len(upper), k + 2), dtype=int)
-        for r, s in enumerate(upper):
-            s = s.tolist()
-            for m in range(k + 2):
-                fi[r, m] = index[k][tuple(s[:m] + s[m + 1:])]
-        face_indices.append(fi)
-
-    measures = []
-    for k in range(n + 1):
-        if k == 0:
-            measures.append(np.ones(len(simplices[0])))
-        else:
-            measures.append(
-                np.array([simplex_measure(verts[s]) for s in simplices[k]])
-            )
+        keep = [[j for j in range(k + 2) if j != m] for m in range(k + 2)]
+        faces = simplices[k + 1][:, keep].reshape(-1, k + 1)
+        simplices[k], inverse = np.unique(faces, axis=0, return_inverse=True)
+        face_indices[k] = inverse.reshape(-1, k + 2)
+    index = [{tuple(s): i for i, s in enumerate(simp.tolist())}
+             for simp in simplices]
+    measures = [simplex_measures(verts[simp]) for simp in simplices]
     orientations = [np.ones(len(simplices[k]), dtype=int) for k in range(n)]
-    orientations.append(orient_n)
+    orientations.append(np.where(det > 0, 1, -1))
 
     return SimplicialComplex(
         n, verts, simplices, orientations, measures, face_indices, index
@@ -275,66 +286,43 @@ class DualMesh:
         return np.nonzero(self.measures[k] <= 0)[0]
 
 
-def _side_sign(base_pts: np.ndarray, opposite: np.ndarray, query: np.ndarray) -> float:
-    """+1 if `query` and `opposite` are on the same side of aff(base_pts)."""
-    base_pts = np.asarray(base_pts, dtype=float)
-    v0 = base_pts[0]
-    edges = (base_pts[1:] - v0).T  # (dim, k)
+def _side_signs(complex: SimplicialComplex, centers: list, k: int) -> np.ndarray:
+    """(N_k, k+1) signs: +1 where the center of k-simplex i and the vertex
+    that its face m omits lie on the same side of that face's affine hull,
+    -1 on opposite sides, 0 if the center lies on it."""
+    faces = complex.simplices[k - 1][complex.face_indices[k - 1]]
+    base = complex.vertices[faces]  # (N_k, k+1, k, dim)
+    v0 = base[..., 0, :]
+    edges = base[..., 1:, :] - v0[..., None, :]
 
-    def residual(p):
-        if edges.size == 0:
-            return p - v0
-        coef, *_ = np.linalg.lstsq(edges, p - v0, rcond=None)
-        return p - v0 - edges @ coef
+    def residual(p):  # p - v0 minus its projection onto the face's span
+        r = p - v0
+        if k > 1:
+            coef = np.linalg.solve(edges @ np.swapaxes(edges, -1, -2),
+                                   edges @ r[..., None])
+            r = r - (np.swapaxes(edges, -1, -2) @ coef)[..., 0]
+        return r
 
-    d = float(residual(query) @ residual(opposite))
-    if d == 0.0:
-        return 0.0
-    return 1.0 if d > 0 else -1.0
+    query = np.broadcast_to(centers[k][:, None, :], v0.shape)
+    opposite = complex.vertices[complex.simplices[k]]
+    return np.sign(np.einsum("imd,imd->im", residual(query),
+                             residual(opposite)))
 
 
-def _chain_contributions(complex: SimplicialComplex, rule: str):
-    """Signed elementary dual volumes for every chain sigma^k < ... < sigma^n.
-
-    Returns centers[k] (center of each k-simplex) and a per-(k, i) list of
-    (chain simplex ids, signed volume).
-    """
-    n = complex.dim
-    centers = [
-        np.array([center(complex.simplex_points(k, i), rule)
-                  for i in range(len(complex.simplices[k]))])
-        for k in range(n + 1)
-    ]
-
-    contributions = [dict() for _ in range(n + 1)]
-
-    def recurse(k, chain_ids, chain_pts, sign):
-        i = chain_ids[0]
-        vol = simplex_measure(np.array(chain_pts))
-        contributions[k].setdefault(i, []).append((tuple(chain_ids), sign * vol))
-        if k == 0:
-            return
-        # extend the chain downward: every (k-1)-face of sigma^k
-        for m in range(k + 1):
-            f = complex.face_indices[k - 1][i, m]
-            face_verts = set(complex.simplices[k - 1][f].tolist())
-            simplex_verts = set(complex.simplices[k][i].tolist())
-            (opp,) = simplex_verts - face_verts
-            # side of the deepest center accumulated so far w.r.t. the face
-            s = _side_sign(
-                complex.vertices[complex.simplices[k - 1][f]],
-                complex.vertices[opp],
-                chain_pts[-1],
-            )
-            recurse(k - 1, [f] + chain_ids,
-                    chain_pts + [centers[k - 1][f]], sign * s)
-
-    # Chains are built top-down from each n-simplex; chain_pts accumulates
-    # centers from dimension n downward, so the dual simplex of the chain
-    # (sigma^k < ... < sigma^n) has vertices [c_n, ..., c_k].
-    for t in range(len(complex.simplices[n])):
-        recurse(n, [t], [centers[n][t]], 1.0)
-    return centers, contributions
+def _first_seen_points(chains: np.ndarray, centers: list, count: int) -> list:
+    """Per k-simplex, the distinct centers along its chains, first-seen
+    order: chain by chain, each from sigma^k up to sigma^n."""
+    n = len(centers) - 1
+    k = n + 1 - chains.shape[1]
+    offsets = np.cumsum([0] + [len(c) for c in centers])
+    keys = (chains[:, ::-1] + offsets[k:n + 1]).ravel()
+    owner = np.repeat(chains[:, -1], chains.shape[1])
+    order = np.argsort(owner, kind="stable")
+    keys, owner = keys[order], owner[order]
+    _, first = np.unique(owner * offsets[-1] + keys, return_index=True)
+    first.sort()
+    split = np.cumsum(np.bincount(owner[first], minlength=count))[:-1]
+    return np.split(np.concatenate(centers)[keys[first]], split)
 
 
 def vertex_ring(complex: SimplicialComplex, v: int) -> list:
@@ -354,9 +342,10 @@ def vertex_ring(complex: SimplicialComplex, v: int) -> list:
     tags = [("m", e)]
     while True:
         tags.append(("c", tri))
-        # the other edge of `tri` at v
-        e = next(int(f) for f in complex.face_indices[1][tri]
-                 if f != e and v in complex.simplices[1][f])
+        # the other edge of `tri` at v: face m of `tri` omits its vertex m
+        (e,) = (f for f, u in zip(complex.face_indices[1][tri].tolist(),
+                                  complex.simplices[2][tri].tolist())
+                if u != v and f != e)
         rest = [t for t in tris_of_edge[e] if t != tri]
         if not rest:
             return tags + [("m", e), ("v", v)]
@@ -376,36 +365,51 @@ def build_dual(complex: SimplicialComplex, rule: str) -> DualMesh:
     if rule not in (BARYCENTRIC, CIRCUMCENTRIC):
         raise MeshError(f"unknown center rule {rule!r}")
     n = complex.dim
-    centers, contributions = _chain_contributions(complex, rule)
+    counts = [len(s) for s in complex.simplices]
+    centers = [simplex_centers(complex.vertices[s], rule)
+               for s in complex.simplices]
+
+    # Chains sigma^k < ... < sigma^n, one row each with the simplex ids from
+    # degree n down to k, grown a degree at a time in depth-first order.  A
+    # chain's elementary dual simplex spans the centers of its row; its sign
+    # is the product of the side signs of the steps down.
+    chains = np.arange(counts[n])[:, None]
+    sign = np.ones(counts[n])
+    measures = [None] * (n + 1)
+    points = [None] * (n + 1)
+    for k in range(n, -1, -1):
+        if k < n:
+            pts = np.stack([centers[n - j][chains[:, j]]
+                            for j in range(n - k + 1)], axis=1)
+            measures[k] = np.bincount(chains[:, -1], minlength=counts[k],
+                                      weights=sign * simplex_measures(pts))
+            if k < n - 1 and not (k == 0 and n == 2):
+                points[k] = _first_seen_points(chains, centers, counts[k])
+        if k > 0:
+            sign = (sign[:, None]
+                    * _side_signs(complex, centers, k)[chains[:, -1]]).ravel()
+            chains = np.column_stack([
+                np.repeat(chains, k + 1, axis=0),
+                complex.face_indices[k - 1][chains[:, -1]].ravel()])
+    measures[n] = np.ones(counts[n])
 
     cells = [[] for _ in range(n + 1)]
-    measures = []
     for k in range(n + 1):
-        meas = np.zeros(len(complex.simplices[k]))
-        for i in range(len(complex.simplices[k])):
-            chain_list = contributions[k].get(i, [])
-            meas[i] = sum(v for _, v in chain_list) if k < n else 1.0
+        for i in range(counts[k]):
             if k == n:
                 pts = centers[n][i][None, :]
             elif k == n - 1:
-                # polyline through the face center; one or two n-cell centers
+                # polyline through the face center from the center of its
+                # first n-cell (if it has two) to that of its last
                 tris = complex.cofaces(k, i)
-                if len(tris) == 2:
-                    pts = np.array([centers[n][tris[0]], centers[k][i],
-                                    centers[n][tris[1]]])
-                else:
-                    pts = np.array([centers[k][i], centers[n][tris[0]]])
+                pts = np.concatenate([centers[n][tris[:-1]], centers[k][i:i + 1],
+                                      centers[n][tris[-1:]]])
             elif k == 0 and n == 2:
                 pts = np.array([centers[{"v": 0, "m": 1, "c": 2}[kind]][j]
                                 for kind, j in vertex_ring(complex, i)])
             else:
-                uniq = {}
-                for chain, _ in chain_list:
-                    for depth, sid in enumerate(chain):
-                        uniq[(k + depth, sid)] = centers[k + depth][sid]
-                pts = np.array(list(uniq.values())) if uniq else np.empty((0, n))
-            cells[k].append(DualCell(k, i, pts, float(meas[i])))
-        measures.append(meas)
+                pts = points[k][i]
+            cells[k].append(DualCell(k, i, pts, float(measures[k][i])))
     return DualMesh(rule, complex, cells, measures)
 
 
@@ -421,20 +425,6 @@ class QualityReport:
     primal_gradation: list  # per k: max/min of |sigma^k|
     dual_gradation: list  # per k: max/min of |*sigma^k|
     worst_aspect_ratio: float
-
-
-def aspect_ratio(points: np.ndarray) -> float:
-    """Circumradius over (n times inradius); 1 for the regular simplex."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts) - 1
-    c = circumcenter(pts)
-    R = float(np.linalg.norm(c - pts[0]))
-    vol = simplex_measure(pts)
-    surf = sum(
-        simplex_measure(np.delete(pts, m, axis=0)) for m in range(n + 1)
-    )
-    r = n * vol / surf
-    return R / (n * r)
 
 
 def _gradation(measures: np.ndarray) -> float:
@@ -456,10 +446,12 @@ def quality_report(complex: SimplicialComplex, dual: DualMesh) -> QualityReport:
         ratio_range.append((float(ratio.min()), float(ratio.max())))
         primal_grad.append(_gradation(pm))
         dual_grad.append(_gradation(dm))
-    worst = max(
-        aspect_ratio(complex.simplex_points(n, i))
-        for i in range(len(complex.simplices[n]))
-    )
+    # aspect ratio: circumradius over n times the inradius n |T| / |dT|,
+    # 1 for the regular simplex
+    pts = complex.vertices[complex.simplices[n]]
+    R = np.linalg.norm(simplex_centers(pts, CIRCUMCENTRIC) - pts[:, 0], axis=1)
+    surf = complex.measures[n - 1][complex.face_indices[n - 1]].sum(axis=1)
+    worst = (R / (n * (n * complex.measures[n] / surf))).max()
     return QualityReport(primal_range, dual_range, ratio_range,
                          primal_grad, dual_grad, float(worst))
 
@@ -563,13 +555,9 @@ def random_delaunay(n_points: int, seed: int, dim: int = 2) -> SimplicialComplex
     pts = rng.random((n_points, dim))
     corners = np.array(list(itertools.product([0.0, 1.0], repeat=dim)))
     pts = np.vstack([corners, pts])
-    tri = Delaunay(pts)
-    keep = []
-    for cell in tri.simplices:
-        vol = abs(np.linalg.det(pts[cell[1:]] - pts[cell[0]]))
-        if vol > 1e-10:
-            keep.append(sorted(cell.tolist()))
-    return build_complex(pts, keep)
+    cells = Delaunay(pts).simplices
+    vol = np.abs(np.linalg.det(pts[cells[:, 1:]] - pts[cells[:, :1]]))
+    return build_complex(pts, np.sort(cells[vol > 1e-10], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +583,30 @@ def complex_to_json(complex: SimplicialComplex) -> dict:
 
 def complex_from_json(doc) -> SimplicialComplex:
     if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except ValueError as exc:  # not JSON, or not UTF-8/16/32 text
+            raise MeshError(f"mesh document is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MeshError("mesh document must be a JSON object")
     for key in ("dimension", "vertices", "cells"):
         if key not in doc:
             raise MeshError(f"mesh document missing {key!r}")
-    verts = np.asarray(doc["vertices"], dtype=float)
-    if verts.shape[1] != doc["dimension"]:
+    if type(doc["dimension"]) is not int or doc["dimension"] not in (2, 3):
+        raise MeshError(f"dimension must be 2 or 3, got {doc['dimension']!r}")
+    comp = build_complex(doc["vertices"], doc["cells"])
+    if comp.dim != doc["dimension"]:
         raise MeshError("vertex coordinate size disagrees with dimension")
-    comp = build_complex(verts, doc["cells"])
-    for key, order in doc.get("simplex_order", {}).items():
+    orders = doc.get("simplex_order", {})
+    if not isinstance(orders, dict):
+        raise MeshError("simplex_order must map degrees to simplex lists")
+    for key, order in orders.items():
         try:
             k = int(key)
-            listed = sorted(sorted(int(v) for v in s) for s in order)
+            order = [[operator.index(v) for v in s] for s in order]
         except (TypeError, ValueError) as exc:
             raise MeshError(f"bad simplex_order[{key!r}]: {exc}") from exc
+        listed = sorted(sorted(s) for s in order)
         if not (0 < k < comp.dim and listed == comp.simplices[k].tolist()):
             raise MeshError(f"simplex_order[{key!r}] is not an ordering of "
                             f"the mesh's {key}-simplices")
@@ -617,8 +615,8 @@ def complex_from_json(doc) -> SimplicialComplex:
 
 
 def load_mesh(path) -> SimplicialComplex:
-    with open(path) as fh:
-        return complex_from_json(json.load(fh))
+    with open(path, "rb") as fh:
+        return complex_from_json(fh.read())
 
 
 def save_mesh(complex: SimplicialComplex, path) -> None:

@@ -80,10 +80,11 @@ class WaveSystem:
         smallest when given."""
         if count is not None and count < 1:
             raise SystemError(f"eigenpair count must be at least 1, got {count}")
-        mass_eigs = np.linalg.eigvalsh(self.mass)
-        if mass_eigs.min() <= 0:
-            raise SystemError("wave mass matrix is not positive definite")
-        vals, vecs = scipy.linalg.eigh(self.stiffness, self.mass)
+        try:
+            vals, vecs = scipy.linalg.eigh(self.stiffness, self.mass)
+        except scipy.linalg.LinAlgError as exc:
+            raise SystemError("wave mass matrix is not positive definite") \
+                from exc
         if count is not None:
             vals, vecs = vals[:count], vecs[:, :count]
         return vals, vecs
@@ -395,6 +396,8 @@ def assemble_wave(complex: SimplicialComplex, formulation: str,
         raise SystemError(f"unknown wave formulation {formulation!r}")
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)
-    if np.linalg.eigvalsh(B).min() <= 0:
-        raise SystemError("wave mass matrix is not positive definite")
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError as exc:
+        raise SystemError("wave mass matrix is not positive definite") from exc
     return WaveSystem(formulation, A, B)

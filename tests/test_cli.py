@@ -366,3 +366,61 @@ def test_cli_fuzz(fuzz_out, argv):
     assert "Traceback" not in stderr.getvalue()
     for line in stdout.getvalue().splitlines():
         strict_json(line)
+
+
+# malformed mesh files: each one is a one-line error and exit status 1
+
+SQUARE = '"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]'
+MALFORMED_MESHES = {
+    "not_json": b"{dimension: 2",
+    "empty": b"",
+    "not_text": b"\xff\xfe\x00\xd8",
+    "not_an_object": b"[2, [], []]",
+    "empty_arrays": b'{"dimension": 2, "vertices": [], "cells": []}',
+    "one_d_vertices": b'{"dimension": 2, "vertices": [0, 1, 2], '
+                      b'"cells": [[0, 1, 2]]}',
+    "ragged_cells": f'{{"dimension": 2, {SQUARE}, '
+                    f'"cells": [[0, 1, 2], [0, 2]]}}'.encode(),
+    "float_cells": f'{{"dimension": 2, {SQUARE}, '
+                   f'"cells": [[0, 1, 2.5]]}}'.encode(),
+    "wrong_dimension": f'{{"dimension": 3, {SQUARE}, '
+                       f'"cells": [[0, 1, 2]]}}'.encode(),
+    "dimension_4": f'{{"dimension": 4, {SQUARE}, '
+                   f'"cells": [[0, 1, 2]]}}'.encode(),
+    "text_vertices": b'{"dimension": 2, "vertices": [["a", "b"], [1, 0], '
+                     b'[0, 1]], "cells": [[0, 1, 2]]}',
+    "nan_vertices": b'{"dimension": 2, "vertices": [[NaN, 0], [1, 0], '
+                    b'[0, 1]], "cells": [[0, 1, 2]]}',
+    "order_not_a_map": f'{{"dimension": 2, {SQUARE}, "cells": [[0, 1, 2]], '
+                       f'"simplex_order": [[0, 1]]}}'.encode(),
+    "directory": None,
+}
+
+
+@pytest.fixture(scope="module")
+def malformed_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("malformed")
+    for name, data in MALFORMED_MESHES.items():
+        if data is None:
+            (root / f"{name}.json").mkdir()
+        else:
+            (root / f"{name}.json").write_bytes(data)
+    return root
+
+
+@pytest.mark.parametrize("argv", [["info"], ["dual"],
+                                  ["hodge", "--kind", "whitney"],
+                                  ["solve", "darcy", "--system", "1,2"]])
+def test_malformed_mesh_files_fail_cleanly(malformed_dir, argv):
+    for name in MALFORMED_MESHES:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(argv + ["--mesh", str(malformed_dir / f"{name}.json"),
+                                    "--out", str(malformed_dir)])
+        assert code == 1, name
+        err = stderr.getvalue()
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        assert "Traceback" not in err
+        for line in stdout.getvalue().splitlines():
+            strict_json(line)

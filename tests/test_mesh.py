@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -187,3 +189,199 @@ def test_with_leading_simplices_reorders():
     for k in range(comp.dim - 1):
         prod = re.incidence_matrix(k + 1) @ re.incidence_matrix(k)
         assert abs(prod).max() == 0
+
+
+# ---------------------------------------------------------------------------
+# The per-simplex loops that the array kernels of `build_complex`,
+# `build_dual` and `cofaces` replaced, kept as references.
+
+
+def loop_measure(points):
+    pts = np.asarray(points, dtype=float)
+    k = len(pts) - 1
+    if k == 0:
+        return 1.0
+    edges = pts[1:] - pts[0]
+    det = np.linalg.det(edges @ edges.T)
+    return math.sqrt(max(det, 0.0)) / math.factorial(k)
+
+
+def loop_build_complex(vertices, cells):
+    """(simplices, face_indices, orientations, measures), simplex by simplex."""
+    verts = np.asarray(vertices, dtype=float)
+    n = verts.shape[1]
+    top = np.sort(np.asarray(cells, dtype=int), axis=1)
+    orient = np.array([1 if np.linalg.det(verts[c[1:]] - verts[c[0]]) > 0
+                       else -1 for c in top])
+    simplices = [None] * n + [top]
+    for k in range(n - 1, -1, -1):
+        faces = set()
+        for s in simplices[k + 1]:
+            faces.update(itertools.combinations(s.tolist(), k + 1))
+        simplices[k] = np.array(sorted(faces), dtype=int)
+    index = [{tuple(s): i for i, s in enumerate(simp.tolist())}
+             for simp in simplices]
+    face_indices = [
+        np.array([[index[k][tuple(s[:m] + s[m + 1:])] for m in range(k + 2)]
+                  for s in simplices[k + 1].tolist()])
+        for k in range(n)]
+    measures = [np.array([loop_measure(verts[s]) for s in simp])
+                for simp in simplices]
+    orientations = [np.ones(len(s), dtype=int) for s in simplices[:n]]
+    return simplices, face_indices, orientations + [orient], measures
+
+
+def scan_cofaces(comp, k, i):
+    if k >= comp.dim:
+        return np.empty(0, dtype=int)
+    rows, _ = np.nonzero(comp.face_indices[k] == i)
+    return np.unique(rows)
+
+
+def loop_center(points, rule):
+    pts = np.asarray(points, dtype=float)
+    if rule == "barycentric" or len(pts) == 1:
+        return pts.mean(axis=0)
+    edges = pts[1:] - pts[0]
+    sol = np.linalg.solve(2.0 * edges @ edges.T,
+                          np.einsum("ij,ij->i", edges, edges))
+    return pts[0] + sol @ edges
+
+
+def loop_side_sign(base_pts, opposite, query):
+    """+1 if `query` and `opposite` are on the same side of aff(base_pts)."""
+    v0 = base_pts[0]
+    edges = (base_pts[1:] - v0).T
+
+    def residual(p):
+        if edges.size == 0:
+            return p - v0
+        coef, *_ = np.linalg.lstsq(edges, p - v0, rcond=None)
+        return p - v0 - edges @ coef
+
+    return float(np.sign(residual(query) @ residual(opposite)))
+
+
+def loop_vertex_ring(comp, v):
+    edges = scan_cofaces(comp, 0, v).tolist()
+    tris_of_edge = {e: scan_cofaces(comp, 1, e).tolist() for e in edges}
+    bdry = [e for e in edges if len(tris_of_edge[e]) == 1]
+    e = bdry[0] if bdry else edges[0]
+    first = tri = tris_of_edge[e][0]
+    tags = [("m", e)]
+    while True:
+        tags.append(("c", tri))
+        e = next(int(f) for f in comp.face_indices[1][tri]
+                 if f != e and v in comp.simplices[1][f])
+        rest = [t for t in tris_of_edge[e] if t != tri]
+        if not rest:
+            return tags + [("m", e), ("v", v)]
+        if rest[0] == first:
+            return tags
+        tags.append(("m", e))
+        tri = rest[0]
+
+
+def loop_build_dual(comp, rule):
+    """(measures, cell points) by the recursive walk over the chains
+    sigma^k < ... < sigma^n, top-down from each n-simplex."""
+    n = comp.dim
+    centers = [np.array([loop_center(comp.simplex_points(k, i), rule)
+                         for i in range(len(comp.simplices[k]))])
+               for k in range(n + 1)]
+    chains = [dict() for _ in range(n + 1)]
+
+    def recurse(k, ids, pts, sign):
+        chains[k].setdefault(ids[0], []).append(
+            (ids, sign * loop_measure(np.array(pts))))
+        for m in range(k + 1 if k > 0 else 0):
+            f = comp.face_indices[k - 1][ids[0], m]
+            (opp,) = (set(comp.simplices[k][ids[0]].tolist())
+                      - set(comp.simplices[k - 1][f].tolist()))
+            s = loop_side_sign(comp.vertices[comp.simplices[k - 1][f]],
+                               comp.vertices[opp], pts[-1])
+            recurse(k - 1, [f] + ids, pts + [centers[k - 1][f]], sign * s)
+
+    for t in range(len(comp.simplices[n])):
+        recurse(n, [t], [centers[n][t]], 1.0)
+    measures, points = [], []
+    for k in range(n + 1):
+        count = len(comp.simplices[k])
+        measures.append(np.array([sum(v for _, v in chains[k][i]) if k < n
+                                  else 1.0 for i in range(count)]))
+        for i in range(count):
+            if k == n:
+                pts = centers[n][i][None, :]
+            elif k == n - 1:
+                tris = scan_cofaces(comp, k, i)
+                pts = (np.array([centers[n][tris[0]], centers[k][i],
+                                 centers[n][tris[1]]]) if len(tris) == 2
+                       else np.array([centers[k][i], centers[n][tris[0]]]))
+            elif k == 0 and n == 2:
+                pts = np.array([centers[{"v": 0, "m": 1, "c": 2}[kind]][j]
+                                for kind, j in loop_vertex_ring(comp, i)])
+            else:
+                uniq = {}
+                for chain, _ in chains[k][i]:
+                    for depth, sid in enumerate(chain):
+                        uniq[(k + depth, sid)] = centers[k + depth][sid]
+                pts = np.array(list(uniq.values()))
+            points.append((k, i, pts))
+    return measures, points
+
+
+MESHES = st.one_of(
+    st.tuples(st.just(2), st.integers(3, 30), st.integers(0, 10_000)),
+    st.tuples(st.just(3), st.integers(2, 12), st.integers(0, 10_000)))
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(case=MESHES)
+def test_build_complex_matches_loop(relabelled_delaunay, case):
+    dim, n_points, seed = case
+    verts, cells = relabelled_delaunay(n_points, seed, dim)
+    comp = mesh.build_complex(verts, cells)
+    simplices, face_indices, orientations, measures = \
+        loop_build_complex(verts, cells)
+    for k in range(dim + 1):
+        assert np.array_equal(comp.simplices[k], simplices[k])
+        assert np.array_equal(comp.orientations[k], orientations[k])
+        assert np.abs(comp.measures[k] - measures[k]).max() \
+            <= 1e-14 * np.abs(measures[k]).max()
+    for k in range(dim):
+        assert np.array_equal(comp.face_indices[k], face_indices[k])
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(case=MESHES)
+def test_cofaces_match_scan(relabelled_delaunay, case):
+    dim, n_points, seed = case
+    comps = [mesh.build_complex(*relabelled_delaunay(n_points, seed, dim))]
+    fig8 = mesh.generate_fig8(2.0)
+    comps += [fig8, fig8.with_leading_simplices(0, [(5,), (2,)]),
+              fig8.with_leading_simplices(1, [(3, 7), (0, 2)]),
+              fig8.with_leading_simplices(2, [(1, 3, 7)])]
+    for comp in comps:
+        for k in range(comp.dim + 1):
+            for i in range(len(comp.simplices[k])):
+                assert np.array_equal(comp.cofaces(k, i),
+                                      scan_cofaces(comp, k, i))
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(case=MESHES, rule=st.sampled_from(["barycentric", "circumcentric"]))
+def test_build_dual_matches_loop(relabelled_delaunay, case, rule):
+    dim, n_points, seed = case
+    comp = mesh.build_complex(*relabelled_delaunay(n_points, seed, dim))
+    dual = mesh.build_dual(comp, rule)
+    measures, points = loop_build_dual(comp, rule)
+    # 3D circumcentric: where a center lies on a face's hull (slivers), the
+    # loop's side sign is rounding noise and its chain volume, the square
+    # root of a rounding-level Gram determinant, is about 1e-8 of the
+    # largest measure; the array kernel gives both a clean zero there
+    rtol = 1e-6 if (dim, rule) == (3, "circumcentric") else 1e-12
+    for k in range(dim + 1):
+        assert np.abs(dual.measures[k] - measures[k]).max() \
+            <= rtol * np.abs(measures[k]).max()
+    for k, i, pts in points:
+        assert np.array_equal(dual.cells[k][i].points, pts)

@@ -185,11 +185,20 @@ def _assemble_star(cfg: RunConfig) -> hodge.HodgeOperator:
     return hodge.assemble(cfg.kind, comp, dual, cfg.k, cfg.grid)
 
 
+def _is_symmetric(A) -> bool:
+    """`np.allclose(A, A.T, atol=1e-12)` over the entries where A or A.T is
+    nonzero; every other entry compares 0 with 0."""
+    A = sp.csr_matrix(A)
+    pattern = (abs(A) + abs(A.T)).tocoo()
+    a = np.asarray(A[pattern.row, pattern.col]).ravel()
+    b = np.asarray(A.T.tocsr()[pattern.row, pattern.col]).ravel()
+    return bool(np.allclose(a, b, atol=1e-12))
+
+
 def cmd_hodge(cfg: RunConfig, args) -> int:
     op = _assemble_star(cfg)
     path = cfg.out / f"hodge_{cfg.kind}_k{cfg.k}.mtx"
     write_matrix_market(op.matrix, path)
-    A = op.toarray()
     emit({
         "command": "hodge",
         "kind": cfg.kind,
@@ -197,7 +206,7 @@ def cmd_hodge(cfg: RunConfig, args) -> int:
         "rule": cfg.rule,
         "shape": list(op.shape),
         "nnz": int(op.matrix.nnz),
-        "symmetric": bool(np.allclose(A, A.T, atol=1e-12)),
+        "symmetric": _is_symmetric(op.matrix),
         "file": str(path),
     })
     return 0
@@ -239,8 +248,7 @@ def _default_load(derivative, seed: int) -> np.ndarray:
     """Seeded load projected onto the range of `derivative`, so that every
     formulation of the pair accepts it."""
     load = np.random.default_rng(seed).standard_normal(derivative.shape[0])
-    x, *_ = np.linalg.lstsq(derivative.toarray(), load, rcond=None)
-    return derivative @ x
+    return derivative @ systems.least_squares(derivative, load)
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
@@ -566,6 +574,9 @@ def main(argv=None) -> int:
     except (CliError, MeshError, HodgeError, SibsonError, SystemError,
             whitney.DegreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

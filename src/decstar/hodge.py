@@ -5,7 +5,8 @@ matrices indexed by primal k-simplices.  The diagonal star is the ratio of
 dual to primal measures; the Whitney star is the Gram matrix of primal
 Whitney forms; the dual-inverse star is the Gram matrix of dual Whitney
 forms, assembled directly (its sparsity is the point: the inverse of the
-Whitney star would be dense).
+Whitney star would be dense).  `hodge_pair` therefore never forms that
+inverse; it keeps the sparse LU factors of the assembled star.
 """
 
 from __future__ import annotations
@@ -186,18 +187,69 @@ def assemble(kind: str, complex: SimplicialComplex, dual: DualMesh, k: int,
     raise HodgeError(f"unknown Hodge kind {kind!r}")
 
 
+class FactorizedInverse:
+    """scale * G^{-1} for a sparse nonsingular Hodge matrix G, applied by
+    solves with the sparse LU factors of G.
+
+    It is what a mixed system needs from the inverse side of a Hodge pair:
+    products `self @ x` with arrays or sparse matrices, scalar multiples
+    and the shape.  `nnz` is the fill of the factors, the storage this
+    operator costs; `toarray` forms the dense inverse, and only callers
+    that need one call it.
+    """
+
+    def __init__(self, G, scale: float = 1.0, lu=None):
+        from scipy.sparse.linalg import splu  # on first use, see `systems`
+
+        self.G = sp.csc_matrix(G)
+        self.scale = float(scale)
+        self.lu = lu if lu is not None else splu(
+            self.G, permc_spec="MMD_AT_PLUS_A")
+
+    @property
+    def shape(self):
+        return self.G.shape
+
+    @property
+    def nnz(self) -> int:
+        return int(self.lu.L.nnz + self.lu.U.nnz)
+
+    def __matmul__(self, x):
+        x = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
+        return self.scale * self.lu.solve(x)
+
+    def __mul__(self, c):
+        if not np.isscalar(c):
+            return NotImplemented
+        return FactorizedInverse(self.G, self.scale * c, self.lu)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def toarray(self) -> np.ndarray:
+        return self @ np.eye(self.shape[0])
+
+
 def hodge_pair(complex: SimplicialComplex, dual: DualMesh, k: int,
                kind: str, resolution: int = 128):
-    """A Hodge matrix and its exact inverse, as dense-safe sparse matrices.
+    """A Hodge matrix and its exact inverse, from a single assembly.
 
     The mixed-system equivalences hold only when M and M^{-1} are exact
-    inverse pairs, so both are derived from a single assembly.
+    inverse pairs.  The assembled side is returned as its sparse matrix; a
+    diagonal star is inverted entrywise, and any other star's inverse is a
+    `FactorizedInverse` over the LU factors of the assembled side.
     """
     A = assemble(kind, complex, dual, k, resolution).matrix
     if A.nnz == np.count_nonzero(A.diagonal()):  # diagonal: entrywise
         inv = sp.diags(1.0 / A.diagonal()).tocsr()
     else:
-        inv = sp.csr_matrix(np.linalg.inv(A.toarray()))
+        try:
+            inv = FactorizedInverse(A)
+        except RuntimeError as exc:
+            raise HodgeError(f"{kind} Hodge star of degree {k} is singular: "
+                             f"{exc}") from exc
     return (inv, A) if kind == "dual_inverse" else (A, inv)
 
 

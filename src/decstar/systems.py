@@ -6,10 +6,19 @@ mesh and two on the dual mesh.  The eight formulations are rows of one table
 over the two generic layouts of `assemble_generic`: each row names its layout,
 the degree of its Hodge pair, the sign of its Hodge block, the space its load
 lives on (and so the derivative a load is lifted through) and how its
-physical cochains are recovered.  All systems are symmetric 2x2 block
-matrices, solved by dense factorization at the scales this library targets;
-the pressure-like gauge of a dual-first layout is handled by pinning one
-degree of freedom or by a mean-zero augmentation.
+physical cochains are recovered.
+
+All systems are symmetric 2x2 block systems with sparse blocks, and they
+are solved sparse.  A sparse Hodge block is factored together with the whole
+block system by sparse LU.  An inverse Hodge block c G^{-1}, which
+`hodge.hodge_pair` keeps as the LU factors of G, is eliminated instead: what
+remains is the sparse second-order operator B^T G B of the formulation
+equivalences.  The gauge of a dual-first layout is the kernel of its
+derivative block, the constants on vertices or (3D, unknown on edges) the
+gradients.  It is pinned at one vertex or on the edges of a spanning tree
+(Albanese & Rubinacci 1988), or bordered with a basis of that kernel.
+Particular solutions are minimum-norm least-squares solutions by LSMR.
+Only the wave eigensolve is dense.
 """
 
 from __future__ import annotations
@@ -24,7 +33,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .hodge import FactorizedInverse
 from .mesh import SimplicialComplex
+
+# scipy.sparse.linalg and scipy.sparse.csgraph are imported inside the
+# functions that use them: together they add 30-40 ms and 3 MB to the
+# start of every CLI command, and most commands solve nothing.
 
 
 class SystemError(ValueError):
@@ -36,6 +50,23 @@ class IncompatibleLoadError(SystemError):
 
 
 @dataclass
+class Gauge:
+    """The kernel of a dual-first layout's derivative block B = D_degree:
+    the second-block dofs that pin it and a sparse basis of it (columns)."""
+
+    degree: int  # 0: constants on vertices; 1: gradients on edges
+    pins: np.ndarray
+    kernel: sp.csr_matrix
+
+    def label(self, strategy: str) -> str:
+        if strategy == "pin":
+            return (f"pin dof {self.pins[0]}" if self.degree == 0
+                    else f"pin tree of {len(self.pins)} edges")
+        return ("mean-zero augmentation" if self.degree == 0
+                else f"augmentation by {self.kernel.shape[1]} gradients")
+
+
+@dataclass
 class MixedSystem:
     """A 2x2 block saddle-point system with its recovery rules.
 
@@ -44,18 +75,10 @@ class MixedSystem:
     """
 
     name: str
-    blocks: tuple  # ((A, B), (C, None)) dense blocks; C = B.T
+    blocks: tuple  # ((A, B), (B.T, None)); A sparse or a FactorizedInverse
     rhs: tuple  # (f, g) arrays
     recover: callable  # (u, w) -> dict of named physical cochains
-    gauge: int | None = None  # index into the second block needing pinning
-
-    def matrix(self) -> np.ndarray:
-        (A, B), (C, _) = self.blocks
-        return np.block([[A, B], [C, np.zeros((C.shape[0], B.shape[1]))]])
-
-    def rhs_vector(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.rhs[0], dtype=float),
-                               np.asarray(self.rhs[1], dtype=float)])
+    gauge: Gauge | None = None  # kernel of B, for dual-first layouts
 
 
 @dataclass
@@ -77,7 +100,13 @@ class WaveSystem:
 
     def eigenpairs(self, count: int | None = None):
         """Generalized eigenpairs (omega^2, mode), ascending; the `count`
-        smallest when given."""
+        smallest when given.
+
+        The solve is dense.  The primal spectrum is wanted past its V - 1
+        dimensional kernel, 201 of 533 pairs on a 196-vertex mesh; there,
+        on one core, a dense `eigh` took 52 ms, its `subset_by_index` 57 ms
+        and a shift-invert `eigsh` 345 ms (agreeing only to 2e-8).
+        """
         if count is not None and count < 1:
             raise SystemError(f"eigenpair count must be at least 1, got {count}")
         try:
@@ -94,15 +123,22 @@ class WaveSystem:
 # helpers
 
 
-def _as_dense(M):
-    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+def least_squares(D, rhs) -> np.ndarray:
+    """Minimum-norm least-squares solution of D x = rhs for a sparse D.
+
+    LSMR started from zero keeps its iterates in the row space of D, so it
+    converges to the minimum-norm solution; its tolerances sit at double
+    rounding.
+    """
+    from scipy.sparse.linalg import lsmr
+
+    return lsmr(D, np.asarray(rhs, dtype=float), atol=1e-15, btol=1e-15)[0]
 
 
 def particular_solution(D, rhs, tol: float = 1e-10) -> np.ndarray:
     """Minimum-norm solution of D x = rhs; rejects incompatible loads."""
-    D = _as_dense(D)
     rhs = np.asarray(rhs, dtype=float)
-    x, *_ = np.linalg.lstsq(D, rhs, rcond=None)
+    x = least_squares(D, rhs)
     residual = np.linalg.norm(D @ x - rhs)
     scale = max(np.linalg.norm(rhs), 1.0)
     if residual > tol * scale:
@@ -111,6 +147,23 @@ def particular_solution(D, rhs, tol: float = 1e-10) -> np.ndarray:
             f"(least-squares residual {residual:.3e})"
         )
     return x
+
+
+def _gauge(complex: SimplicialComplex, degree: int) -> Gauge:
+    """The kernel of D_degree (degree 0 or 1) and the dofs that pin it: one
+    vertex, or the edges of a spanning tree, whose values fix a gradient."""
+    if degree == 0:
+        ones = sp.csr_matrix(np.ones((len(complex.vertices), 1)))
+        return Gauge(0, np.array([0]), ones)
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    edges = complex.simplices[1]
+    n = len(complex.vertices)
+    ids = sp.coo_matrix((np.arange(1.0, len(edges) + 1),
+                         (edges[:, 0], edges[:, 1])), shape=(n, n))
+    tree = minimum_spanning_tree(ids)  # the lowest edge ids
+    pins = np.sort(tree.data.astype(int) - 1)
+    return Gauge(1, pins, complex.incidence_matrix(0).tocsc()[:, 1:].tocsr())
 
 
 def _check_load(name, load, expected):
@@ -140,14 +193,14 @@ def assemble_generic(complex: SimplicialComplex, k: int, orientation: str,
     n = complex.dim
     if orientation == "primal-first":
         D = complex.incidence_matrix(k)
-        A = -_as_dense(M)
-        B = D.T.toarray()
+        A = -M
+        B = D.T.tocsr()
         sizes = (len(complex.simplices[k]), D.shape[0])
     elif orientation == "dual-first":
         m = n - k
         D = complex.incidence_matrix(m - 1)
-        A = -_as_dense(M_inv)
-        B = D.toarray()
+        A = -M_inv
+        B = D.tocsr()
         sizes = (len(complex.simplices[m]), D.shape[1])
     else:
         raise SystemError(f"unknown orientation {orientation!r}")
@@ -245,7 +298,7 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
     primal = row.orientation == "primal-first"
     L = row.load_derivative(complex)
     load = _check_load(name, load, L.shape[0])
-    H = _as_dense(M if primal else M_inv)
+    H = M if primal else M_inv
     f, g, x0 = np.zeros(len(complex.simplices[d])), load, None
     if primal != (row.load == "up"):
         x0 = particular_solution(L, load)
@@ -256,7 +309,7 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
                                row.orientation, signed, signed, f, g)
     parts = SimpleNamespace(B=generic.blocks[0][1], H=H, L=L, x0=x0)
     return dataclasses.replace(
-        generic, name=name, gauge=None if primal else 0,
+        generic, name=name, gauge=None if primal else _gauge(complex, d - 1),
         recover=lambda u, w: row.recover(u, w, parts))
 
 
@@ -294,52 +347,63 @@ def assemble_darcy(complex: SimplicialComplex, system: int, phi,
 
 
 def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
-    """Dense solve of a mixed system with gauge handling.
+    """Sparse solve of a mixed system with gauge handling.
 
-    gauge="pin" zeroes one gauge degree of freedom; gauge="augment" enforces
-    a zero mean on the gauge variable via a bordered system.  Rank
+    The gauged system is [[A, Bg], [Bg^T, E]] [u; y] = [f; g].
+    gauge="pin" zeroes the gauge dofs: Bg is B without their columns, E the
+    identity on them, y = w.  gauge="augment" borders the system with the
+    kernel basis Z of B: Bg = [B, 0], E = [[0, Z], [Z^T, 0]],
+    y = [w; multipliers], so w is orthogonal to the kernel.  A sparse
+    Hodge block A is factored with the whole system; A = c G^{-1} is
+    eliminated, (Bg^T G Bg - c E) y = Bg^T G f - c g and
+    u = G (f - Bg y) / c.  The residual is that of the gauged system.  Rank
     deficiency beyond the declared gauge is an error.
     """
+    from scipy.sparse.linalg import splu
+
     t0 = time.perf_counter()
-    K = system.matrix()
-    b = system.rhs_vector()
-    n0 = len(system.rhs[0])
+    (A, B), _ = system.blocks
+    f, g = (np.asarray(v, dtype=float) for v in system.rhs)
+    n1 = B.shape[1]
+    E = sp.csr_matrix((n1, n1))
     applied = None
     if system.gauge is not None:
-        gi = n0 + system.gauge
         if gauge == "pin":
-            K = K.copy()
-            K[gi, :] = 0.0
-            K[:, gi] = 0.0
-            K[gi, gi] = 1.0
-            b = b.copy()
-            b[gi] = 0.0
-            applied = f"pin dof {system.gauge}"
+            free = np.ones(n1)
+            free[system.gauge.pins] = 0.0
+            B = B @ sp.diags(free)
+            E = sp.diags(1.0 - free)
+            g = g * free
         elif gauge == "augment":
-            m = K.shape[0]
-            n1 = m - n0
-            Ka = np.zeros((m + 1, m + 1))
-            Ka[:m, :m] = K
-            Ka[m, n0:m] = 1.0
-            Ka[n0:m, m] = 1.0
-            K = Ka
-            b = np.concatenate([b, [0.0]])
-            applied = "mean-zero augmentation"
+            Z = system.gauge.kernel
+            B = sp.hstack([B, sp.csr_matrix((B.shape[0], Z.shape[1]))])
+            E = sp.bmat([[E, Z], [Z.T, None]])
+            g = np.concatenate([g, np.zeros(Z.shape[1])])
         else:
             raise SystemError(f"unknown gauge strategy {gauge!r}")
+        applied = system.gauge.label(gauge)
+    B, E = B.tocsr(), E.tocsr()
     try:
-        x = scipy.linalg.solve(K, b, assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
+        if isinstance(A, FactorizedInverse):
+            G, c = A.G, A.scale
+            S = (B.T @ G @ B - c * E).tocsc()
+            y = splu(S).solve(B.T @ (G @ f) - c * g)
+            u = G @ (f - B @ y) / c
+        else:
+            K = sp.bmat([[A, B], [B.T, E]], format="csc")
+            x = splu(K).solve(np.concatenate([f, g]))
+            u, y = x[:len(f)], x[len(f):]
+    except RuntimeError as exc:
         raise SystemError(f"saddle system singular: {exc}") from exc
-    residual = np.linalg.norm(K @ x - b) / max(np.linalg.norm(b), 1.0)
-    if not np.isfinite(x).all() or residual > 1e-6:
-        null_dim = K.shape[0] - np.linalg.matrix_rank(K)
+    r = np.concatenate([A @ u + B @ y - f, B.T @ u + E @ y - g])
+    residual = np.linalg.norm(r) / max(np.linalg.norm(np.concatenate([f, g])),
+                                       1.0)
+    if not (np.isfinite(u).all() and np.isfinite(y).all()) or residual > 1e-6:
         raise SystemError(
             f"saddle system rank-deficient beyond the declared gauge "
-            f"(residual {residual:.3e}, null-space dimension {null_dim})"
+            f"(residual {residual:.3e})"
         )
-    total = n0 + len(system.rhs[1])
-    u, w = x[:n0], x[n0:total]
+    w = y[:n1]
     recovered = system.recover(u, w)
     return SolveReport(system.name, u, w, recovered, float(residual),
                        applied, time.perf_counter() - t0)
@@ -383,17 +447,18 @@ def assemble_wave(complex: SimplicialComplex, formulation: str,
     primal: (D_1^T M_2 D_1) e = omega^2 M_1 e.
     dual:   (D_1 M_1^{-1} D_1^T) h = omega^2 M_2^{-1} h.
     """
-    D1 = complex.incidence_matrix(1).toarray()
+    D1 = complex.incidence_matrix(1).tocsr()
     if formulation == "primal":
-        A = D1.T @ _as_dense(M2) @ D1
-        B = _as_dense(M1)
+        A, B = D1.T @ (M2 @ D1), M1
     elif formulation == "dual":
         if M1_inv is None or M2_inv is None:
             raise SystemError("dual wave system needs inverse Hodge matrices")
-        A = D1 @ _as_dense(M1_inv) @ D1.T
-        B = _as_dense(M2_inv)
+        # factor solves against D_1^T when M_1^{-1} is factorized
+        A, B = D1 @ (M1_inv @ D1.T), M2_inv
     else:
         raise SystemError(f"unknown wave formulation {formulation!r}")
+    A, B = (X.toarray() if hasattr(X, "toarray") else np.asarray(X, float)
+            for X in (A, B))
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)
     try:

@@ -5,10 +5,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from decstar import cli
+from decstar import cli, hodge, mesh
 
 SUBCOMMANDS = ["info", "dual", "hodge", "cond", "table1", "solve", "wave",
                "sample-field", "fig8", "convert"]
@@ -126,6 +128,36 @@ def test_hodge_deterministic_output(tmp_path, capsys):
         assert code == 0
         outs.append((d / "hodge_whitney_k1.mtx").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_symmetry_check_matches_dense_allclose():
+    """`hodge`'s sparse symmetry test agrees with np.allclose(A, A.T,
+    atol=1e-12) on stars and on perturbations near both tolerances."""
+    rng = np.random.default_rng(0)
+    comp = mesh.equilateral_grid(3)
+    dual = mesh.build_dual(comp, "circumcentric")
+    verdicts = set()
+    for kind in ("diag", "whitney"):
+        A = hodge.assemble(kind, comp, dual, 1).matrix
+        for eps in (0.0, 5e-13, 2e-12, 1e-6, 1e-4):
+            noise = sp.random(*A.shape, density=0.05, random_state=rng)
+            B = (A + eps * noise).tocsr()
+            dense = B.toarray()
+            verdict = np.allclose(dense, dense.T, atol=1e-12)
+            assert cli._is_symmetric(B) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_memory_error_is_one_line(monkeypatch, capsys):
+    def exhaust(cfg, args):
+        raise MemoryError("Unable to allocate 12.1 GiB for an array")
+
+    monkeypatch.setitem(cli.COMMANDS, "info", exhaust)
+    code = cli.main(["info", "--mesh", "two_triangle"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: out of memory: Unable to allocate 12.1 GiB for an array\n"
 
 
 def test_cond_summary(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -85,15 +87,20 @@ def test_dual_inverse_resolution_guard():
 def test_hodge_pair_exact_inverses():
     comp = mesh.structured_grid(3)
     dual = mesh.build_dual(comp, "barycentric")
-    for kind in ("diag", "whitney", "dual_inverse"):
+    for kind, k in itertools.product(("diag", "whitney", "dual_inverse"),
+                                     (1, 2)):
         with np.errstate(all="ignore"):
             import warnings
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                M, Minv = hodge.hodge_pair(comp, dual, 2, kind, resolution=48)
-        prod = (M @ Minv).toarray()
-        assert np.abs(prod - np.eye(prod.shape[0])).max() < 1e-10
+                M, Minv = hodge.hodge_pair(comp, dual, k, kind, resolution=48)
+        assembled, derived = (Minv, M) if kind == "dual_inverse" else (M, Minv)
+        diagonal = assembled.nnz == np.count_nonzero(assembled.diagonal())
+        assert isinstance(derived, hodge.FactorizedInverse) != diagonal
+        eye = np.eye(M.shape[0])
+        prod = M @ (Minv @ eye)
+        assert np.abs(prod - eye).max() < 1e-10
 
 
 def test_condition_estimate_full_and_block():
@@ -200,3 +207,12 @@ def test_dual_inverse_matches_per_entry_assembly():
         scale = abs(ref).max()
         assert abs(A.matrix - ref).max() <= 1e-12 * scale
         assert (A.matrix != A.matrix.T).nnz == 0
+
+
+def test_singular_star_is_a_hodge_error():
+    # at resolution 16 the pixel rule misses the dual cell of a sliver
+    # triangle, which leaves the dual-inverse star a zero row
+    comp = mesh.random_delaunay(6, 0)
+    dual = mesh.build_dual(comp, "barycentric")
+    with pytest.raises(HodgeError, match="singular"):
+        hodge.hodge_pair(comp, dual, 1, "dual_inverse", resolution=16)

@@ -1,9 +1,14 @@
+import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from decstar import hodge, mesh, systems
+from decstar import cli, hodge, mesh, systems
 from decstar.systems import IncompatibleLoadError, SystemError
 
 
@@ -145,7 +150,10 @@ def test_generic_layouts_match_specialized():
         comp, 1, "primal-first", -M, None, np.zeros(n_edges), phi
     )
     darcy1 = systems.assemble_darcy(comp, 1, phi, M, Minv)
-    assert np.abs(generic.matrix() - darcy1.matrix()).max() == 0
+    (A, B), (C, _) = generic.blocks
+    (A1, B1), (C1, _) = darcy1.blocks
+    for X, Y in ((A, A1), (B, B1), (C, C1)):
+        assert X.shape == Y.shape and abs(X - Y).max() == 0
 
 
 def test_generic_dual_first_shapes():
@@ -157,8 +165,9 @@ def test_generic_dual_first_shapes():
         comp, 1, "dual-first", M, Minv,
         np.zeros(n_edges), np.zeros(n_verts)
     )
-    K = sysd.matrix()
-    assert K.shape == (n_edges + n_verts, n_edges + n_verts)
+    (A, B), (C, _) = sysd.blocks
+    assert A.shape == (n_edges, n_edges)
+    assert B.shape == (n_edges, n_verts) and C.shape == (n_verts, n_edges)
 
 
 def test_wave_systems():
@@ -191,3 +200,174 @@ def test_particular_solution_min_norm():
     assert np.abs(D @ x - rhs).max() < 1e-12
     # minimum-norm: orthogonal to the kernel (constants)
     assert abs(x.sum()) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the dense pipeline that the sparse one replaced, kept as a reference
+
+
+def lstsq_reference(D, rhs, tol=1e-10):
+    """Minimum-norm particular solution by dense least squares."""
+    D = D.toarray() if sp.issparse(D) else np.asarray(D, dtype=float)
+    x, *_ = np.linalg.lstsq(D, rhs, rcond=None)
+    residual = np.linalg.norm(D @ x - rhs)
+    if residual > tol * max(np.linalg.norm(rhs), 1.0):
+        raise IncompatibleLoadError(f"residual {residual:.3e}")
+    return x
+
+
+def dense_pair_reference(comp, dual, k, kind, resolution):
+    """The Hodge pair with the non-diagonal inverse formed by np.linalg.inv,
+    both sides as CSR matrices."""
+    A = hodge.assemble(kind, comp, dual, k, resolution).matrix
+    if A.nnz == np.count_nonzero(A.diagonal()):
+        inv = sp.diags(1.0 / A.diagonal()).tocsr()
+    else:
+        inv = sp.csr_matrix(np.linalg.inv(A.toarray()))
+    return (inv, A) if kind == "dual_inverse" else (A, inv)
+
+
+def dense_solve_reference(system, gauge):
+    """Dense LU of the whole block matrix, pinning or bordering the gauge."""
+    (A, B), _ = system.blocks
+    A, B = A.toarray(), B.toarray()
+    f, g = system.rhs
+    n0, n1 = B.shape
+    K = np.block([[A, B], [B.T, np.zeros((n1, n1))]])
+    b = np.concatenate([f, g])
+    if system.gauge is not None and gauge == "pin":
+        for gi in n0 + system.gauge.pins:
+            K[gi, :] = K[:, gi] = 0.0
+            K[gi, gi] = 1.0
+            b[gi] = 0.0
+    elif system.gauge is not None:
+        Z = system.gauge.kernel.toarray()
+        border = np.vstack([np.zeros((n0, Z.shape[1])), Z])
+        K = np.block([[K, border], [border.T, np.zeros((Z.shape[1],) * 2)]])
+        b = np.concatenate([b, np.zeros(Z.shape[1])])
+    x = scipy.linalg.solve(K, b, assume_a="sym")
+    return x[:n0], x[n0:n0 + n1]
+
+
+# every formulation the code supports: all four of each problem in 2D; in 3D
+# systems 3-4 need a cotree gauge on faces, so only 1-2
+PROBLEMS = {"darcy": systems.assemble_darcy,
+            "magnetostatics": systems.assemble_magnetostatics}
+FORMULATION_MESHES = st.one_of(
+    st.tuples(st.just(2), st.integers(3, 30), st.integers(0, 10_000)),
+    st.tuples(st.just(3), st.integers(2, 12), st.integers(0, 10_000)))
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(case=FORMULATION_MESHES)
+def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
+    """Sparse pair, sparse solve and LSMR particular solutions give the
+    recovered cochains of the dense pipeline, to 1e-8 of max|reference|."""
+    dim, n_points, seed = case
+    comp = mesh.build_complex(*relabelled_delaunay(n_points, seed, dim))
+    dual = mesh.build_dual(comp, "barycentric")
+    rng = np.random.default_rng(seed)
+    kinds = ("diag", "whitney", "dual_inverse") if dim == 2 else ("diag",
+                                                                 "whitney")
+    for kind in kinds:
+        for (problem, sid), row in systems._FORMULATIONS.items():
+            if dim == 3 and sid > 2:
+                continue
+            d = row.hodge_degree(dim)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                star = hodge.assemble(kind, comp, dual, d, 16).toarray()
+                try:
+                    pair = hodge.hodge_pair(comp, dual, d, kind, 16)
+                except hodge.HodgeError:
+                    # the pixel rule can miss the dual cell of a sliver
+                    # and leave a zero row: the dense star is singular too
+                    assert np.linalg.matrix_rank(star) < len(star)
+                    continue
+                ref_pair = dense_pair_reference(comp, dual, d, kind, 16)
+            L = row.load_derivative(comp)
+            load = L @ rng.standard_normal(L.shape[1])
+            for gauge in ("pin", "augment"):
+                report = systems.solve(
+                    PROBLEMS[problem](comp, sid, load, *pair), gauge)
+                with mock.patch.object(systems, "particular_solution",
+                                       lstsq_reference):
+                    ref_system = PROBLEMS[problem](comp, sid, load, *ref_pair)
+                    ref = ref_system.recover(
+                        *dense_solve_reference(ref_system, gauge))
+                for key, want in ref.items():
+                    got = report.recovered[key]
+                    assert np.abs(got - want).max() \
+                        <= 1e-8 * max(1.0, np.abs(want).max()), \
+                        (kind, problem, sid, gauge, key)
+
+
+def test_default_load_is_the_lstsq_projection():
+    for spec in ("grid:4", "random:12:3:3"):
+        comp = cli.resolve_mesh(spec)
+        for row in systems._FORMULATIONS.values():
+            D = row.load_derivative(comp)
+            load = cli._default_load(D, seed=7)
+            raw = np.random.default_rng(7).standard_normal(D.shape[0])
+            want = D @ np.linalg.lstsq(D.toarray(), raw, rcond=None)[0]
+            assert np.abs(load - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("problem", ["darcy", "magneto"])
+@pytest.mark.parametrize("kind", ["diag", "whitney"])
+def test_3d_dual_first_gauge_is_a_spanning_tree(problem, kind, capsys):
+    labels = {"pin": "pin tree of 19 edges",
+              "augment": "augmentation by 19 gradients"}
+    for gauge, label in labels.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            code = cli.main(["solve", problem, "--mesh", "random:12:3:3",
+                             "--system", "1,2", "--kind", kind, "--gauge",
+                             gauge, "--tol", "1e-8"])
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert lines[1]["gauge"] == label
+        assert lines[2]["pass"] is True
+
+
+def test_3d_systems_3_4_fail_in_one_line(capsys):
+    code = cli.main(["solve", "darcy", "--mesh", "random:12:3:3", "--system",
+                     "3,4", "--kind", "whitney"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: saddle system") and err.count("\n") == 1
+
+
+def _refuse_square(original, name):
+    def guarded(a, *args, **kwargs):
+        shape = np.shape(a)
+        if len(shape) == 2 and shape[0] == shape[1] and shape[0] > 4:
+            raise AssertionError(f"{name} on a {shape} matrix")
+        return original(a, *args, **kwargs)
+    return guarded
+
+
+def test_solve_forms_no_dense_square_matrix(monkeypatch, capsys):
+    """No N x N inverse or densified matrix on the diag and Whitney solve
+    paths; a 2-D array above the 4 x 4 of a simplex frame counts as N x N."""
+    monkeypatch.setattr(np.linalg, "inv", _refuse_square(np.linalg.inv, "inv"))
+    classes = [sp._base._spbase]
+    while classes:
+        cls = classes.pop()
+        classes.extend(cls.__subclasses__())
+        if "toarray" in vars(cls):
+            monkeypatch.setattr(cls, "toarray",
+                                _refuse_square(cls.toarray, "toarray"))
+    monkeypatch.setattr(hodge.FactorizedInverse, "toarray", None)
+    for kind in ("diag", "whitney"):
+        for pair in ("1,2", "3,4"):
+            for problem in ("darcy", "magneto"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    code = cli.main(["solve", problem, "--mesh", "grid:8",
+                                     "--system", pair, "--kind", kind,
+                                     "--tol", "1e-8"])
+                out = capsys.readouterr().out.splitlines()
+                assert code == 0
+                assert json.loads(out[-1])["pass"] is True

@@ -179,10 +179,17 @@ def cmd_dual(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _dual_for_kind(comp, cfg: RunConfig):
+    """The dual mesh if the Hodge kind reads one, else None."""
+    if cfg.kind in hodge.READS_DUAL:
+        return mesh.build_dual(comp, cfg.rule)
+    return None
+
+
 def _assemble_star(cfg: RunConfig) -> hodge.HodgeOperator:
     comp = resolve_mesh(cfg.mesh)
-    dual = mesh.build_dual(comp, cfg.rule)
-    return hodge.assemble(cfg.kind, comp, dual, cfg.k, cfg.grid)
+    return hodge.assemble(cfg.kind, comp, _dual_for_kind(comp, cfg), cfg.k,
+                          cfg.grid)
 
 
 def _is_symmetric(A) -> bool:
@@ -253,7 +260,7 @@ def _default_load(derivative, seed: int) -> np.ndarray:
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     comp = resolve_mesh(cfg.mesh)
-    dual = mesh.build_dual(comp, cfg.rule)
+    dual = _dual_for_kind(comp, cfg)
     ids = cfg.system
     if not ids:
         raise CliError("--system needs at least one formulation id")
@@ -308,7 +315,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 def cmd_wave(cfg: RunConfig, args) -> int:
     comp = resolve_mesh(cfg.mesh)
-    dual = mesh.build_dual(comp, cfg.rule)
+    dual = _dual_for_kind(comp, cfg)
     M1, M1inv = hodge.hodge_pair(comp, dual, 1, cfg.kind, cfg.grid)
     M2, M2inv = hodge.hodge_pair(comp, dual, 2, cfg.kind, cfg.grid)
     ws = systems.assemble_wave(comp, args.formulation, M1, M2, M1inv, M2inv)
@@ -346,17 +353,11 @@ def cmd_sample_field(cfg: RunConfig, args) -> int:
             + (hi[d] - lo[d]) / (2 * m) for d in range(comp.dim)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     pts = pts.reshape(-1, comp.dim)
-    rows = []
-    for x in pts:
-        try:
-            val = fld(x)
-        except (ValueError, SibsonError):
-            continue
-        val = np.atleast_1d(np.asarray(val, dtype=float))
-        coords = ",".join(f"{c:.17g}" for c in x)
-        comps = ",".join(f"{v:.17g}" for v in val)
-        rows.append(f"{coords},{comps}")
-    ncomp = len(rows[0].split(",")) - comp.dim if rows else 0
+    vals = fld(pts).reshape(len(pts), -1)
+    inside = ~np.isnan(vals).any(axis=1)  # NaN marks points outside the mesh
+    rows = [",".join(f"{c:.17g}" for c in row)
+            for row in np.hstack([pts, vals])[inside]]
+    ncomp = vals.shape[1] if rows else 0
     header = (",".join("xyz"[:comp.dim])
               + "," + ",".join(f"value{i}" for i in range(ncomp)))
     path = cfg.out / "field_samples.csv"

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from .mesh import DualMesh, SimplicialComplex, generate_fig8
 from .whitney import whitney_gram_matrix
 from .sibson import (DualInterpolation, PolyCell, SibsonCell, _ccw_ring,
-                     points_in_polygon)
+                     edge_forms, points_in_polygon)
 
 
 class HodgeError(ValueError):
@@ -112,14 +112,13 @@ def _cell_quadrature(cell, resolution: int):
 
 def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
                           resolution: int = 128,
-                          interpolation: DualInterpolation | None = None,
-                          vertices=None) -> HodgeOperator:
+                          interpolation: DualInterpolation | None = None
+                          ) -> HodgeOperator:
     """Inverse dual Hodge star: Gram matrix of dual Whitney forms.
 
     Entries are integrated by pixel-grid quadrature over the per-vertex dual
-    polygons whose union carries the forms' supports.  `vertices` restricts
-    assembly to contributions from the given dual polygons (used when only a
-    sub-block is needed).
+    polygons whose union carries the forms' supports; on each polygon,
+    `DualInterpolation.forms` evaluates the forms supported there.
     """
     if complex.dim != 2:
         raise HodgeError("dual-inverse assembly is implemented for 2D meshes")
@@ -132,32 +131,15 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
         mat = sp.diags(1.0 / np.array([c.measure for c in di.cells])).tocsr()
         return HodgeOperator(k, "dual_inverse", mat, space)
     rows, cols, vals = [], [], []
-    todo = range(len(complex.vertices)) if vertices is None else vertices
-    for v in todo:
+    for v in range(len(complex.vertices)):
         pts, w = _cell_quadrature(di.cells[v], resolution)
         if len(pts) < 10:
             raise HodgeError(
                 f"quadrature resolution {resolution} leaves fewer than 10 "
                 f"interior samples in the dual polygon of vertex {v}"
             )
-        sc = di.evaluator(v)
-        lookup = di.site_lookup[v]
-        # the forms supported on this polygon, one (q, d) field each
-        if k == n:
-            gens = [g for kind, g in lookup if kind == "c"]
-            fields = sc.coords_batch(pts).T[[lookup["c", g] for g in gens],
-                                            :, None]
-        else:  # k == 1
-            lam, grads = sc.coords_and_gradients_batch(pts)
-            gens, fields = [], []
-            for e in complex.cofaces(0, v).tolist():
-                tag_a, tag_b = di.edge_endpoint_tags(e)
-                if tag_a in lookup and tag_b in lookup:
-                    ia, ib = lookup[tag_a], lookup[tag_b]
-                    gens.append(e)
-                    fields.append(lam[:, ia, None] * grads[:, ib, :]
-                                  - lam[:, ib, None] * grads[:, ia, :])
-            fields = np.reshape(fields, (len(gens), len(pts), 2))
+        gens, fields = di.forms(v, k, pts)
+        fields = fields.reshape(len(gens), len(pts), -1)  # (G, q, d)
         # symmetric by construction: the upper triangle, mirrored
         gram = np.triu(w * np.einsum("aqd,bqd->ab", fields, fields))
         gram += np.triu(gram, 1).T
@@ -172,12 +154,14 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
 
 
 KINDS = ("diag", "whitney", "dual_inverse")
+READS_DUAL = ("diag", "dual_inverse")  # the kinds that read the dual mesh
 
 
-def assemble(kind: str, complex: SimplicialComplex, dual: DualMesh, k: int,
-             resolution: int = 128) -> HodgeOperator:
+def assemble(kind: str, complex: SimplicialComplex, dual: DualMesh | None,
+             k: int, resolution: int = 128) -> HodgeOperator:
     """The Hodge star of one of `KINDS` at degree k: M_k for diag and
-    whitney, its inverse M_k^{-1} for dual_inverse."""
+    whitney, its inverse M_k^{-1} for dual_inverse.  Only the kinds in
+    `READS_DUAL` read `dual`; the others take None."""
     if kind == "diag":
         return assemble_diag(complex, dual, k)
     if kind == "whitney":
@@ -232,7 +216,7 @@ class FactorizedInverse:
         return self @ np.eye(self.shape[0])
 
 
-def hodge_pair(complex: SimplicialComplex, dual: DualMesh, k: int,
+def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
                kind: str, resolution: int = 128):
     """A Hodge matrix and its exact inverse, from a single assembly.
 
@@ -416,9 +400,7 @@ def _fig8_ring_entries(comp: SimplicialComplex, resolution: int):
         vals, grads = sc.coords_and_gradients_batch(pts)
 
         def eta(a, b):
-            ia, ib = idx[a], idx[b]
-            return (vals[:, ia, None] * grads[:, ib, :]
-                    - vals[:, ib, None] * grads[:, ia, :])
+            return edge_forms(vals, grads, [idx[a]], [idx[b]])[0]
 
         return {
             name: w * float(np.einsum("qd,qd->", eta(a, b), eta(c, d)))

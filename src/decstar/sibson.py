@@ -1,28 +1,29 @@
-"""Sibson (natural-neighbor) coordinates on dual cells and dual Whitney forms.
+"""Sibson (natural-neighbor) coordinates and dual Whitney forms in 2D.
 
-2D coordinates are exact and come from one batch kernel: site regions are
+Coordinates are exact and come from one batch kernel: site regions are
 precomputed by half-plane clipping, and the region of an inserted point is one
 half-plane clip of each site region, vectorized over query points.  The same
 pass measures the bisector chord that bounds each overlap, and Sibson's vector
 identity (Sibson 1980; Piper 1993) turns the chord's length and first moment
-into the exact gradient of the overlap area.  One point is a batch of one, with
-the Milbradt-Pick limit on the cell boundary.  3D coordinates are estimated by
-regular-grid sampling of the cell, and their gradients by central differences.
+into the exact gradient of the overlap area.  On the cell boundary the
+coordinates take the Milbradt-Pick limit.
 
-Dual Whitney forms attach interpolants to dual mesh cells: Sibson coordinates
-to dual vertices, antisymmetric gradient pairs to dual edges, a weighted
-primal-2-form partition to dual faces (3D), and normalized characteristic
-functions to top-dimensional dual cells.
+Dual Whitney forms attach interpolants to dual mesh cells: normalized
+characteristic functions to the dual polygons of primal vertices,
+antisymmetric gradient pairs to dual edges and Sibson coordinates to dual
+vertices.  `DualInterpolation.forms` evaluates all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .mesh import DualMesh, SimplicialComplex, vertex_ring
+from .whitney import locate_cell
 
 
 class SibsonError(ValueError):
@@ -133,65 +134,30 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray):
 
 @dataclass(frozen=True)
 class PolyCell:
-    """A polygonal (2D) or polyhedral (3D) cell of the dual mesh.
-
-    2D: `vertices` is the ordered boundary loop (counter-clockwise).
-    3D: `faces` lists boundary loops into `vertices`; inside tests use the
-    star decomposition around `generator`.
-    """
+    """A polygonal cell of the dual mesh; `vertices` is its boundary loop,
+    counter-clockwise."""
 
     vertices: np.ndarray
-    faces: tuple | None = None
-    generator: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices",
                            np.asarray(self.vertices, dtype=float))
 
     @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    @property
     def measure(self) -> float:
-        if self.dim == 2:
-            return abs(polygon_area(self.vertices))
-        return sum(abs(np.linalg.det(t[1:] - t[0])) / 6.0
-                   for t in self._star_tets())
+        return abs(polygon_area(self.vertices))
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         v = self.vertices
-        return float(max(np.linalg.norm(v[i] - v[j])
-                         for i in range(len(v)) for j in range(i + 1, len(v))))
-
-    def _star_tets(self):
-        g = self.generator if self.generator is not None else self.vertices.mean(0)
-        tets = []
-        for face in self.faces:
-            pts = self.vertices[list(face)]
-            for i in range(1, len(pts) - 1):
-                tets.append(np.array([g, pts[0], pts[i], pts[i + 1]]))
-        return tets
+        return float(np.linalg.norm(v[:, None] - v[None], axis=2).max())
 
     def contains(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.dim == 2:
-            return points_in_polygon(self.vertices, pts)
-        inside = np.zeros(len(pts), dtype=bool)
-        for tet in self._star_tets():
-            E = (tet[1:] - tet[0]).T
-            try:
-                coef = np.linalg.solve(E, (pts - tet[0]).T)
-            except np.linalg.LinAlgError:
-                continue
-            lam = np.vstack([1.0 - coef.sum(axis=0), coef])
-            inside |= np.all(lam >= -1e-12, axis=0)
-        return inside
+        return points_in_polygon(self.vertices, pts)
 
     def boundary_distance(self, x):
-        """Distance from x to the cell boundary (2D only); an array for a
-        (q, 2) batch of points, a float for one point."""
+        """Distance from x to the cell boundary; an array for a (q, 2) batch
+        of points, a float for one point."""
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)[:, None, :]
         v = self.vertices
@@ -212,7 +178,7 @@ class SibsonEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# clipped Voronoi measures
+# site regions
 
 
 def is_convex(loop: np.ndarray, tol: float = 1e-12) -> bool:
@@ -242,41 +208,6 @@ def _site_regions_within(loop: np.ndarray, domain: np.ndarray) -> list:
     return regions
 
 
-def clipped_voronoi_measures(cell: PolyCell, x=None, resolution: int = 64):
-    """Grid-sampled measures of a 3D cell's site regions; with an inserted
-    point x, the overlaps D(x) cap C_i instead.
-
-    2D site-region areas are exact and come from `SibsonCell.region_areas`.
-    """
-    if cell.dim != 3:
-        raise SibsonError("sampled measures are for 3D cells; 2D site-region "
-                          "areas are SibsonCell.region_areas")
-    pts, vox = _sample_grid(cell, resolution)
-    sites = cell.vertices
-    d2 = ((pts[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
-    nearest = d2.argmin(axis=1)
-    if x is None:
-        return np.bincount(nearest, minlength=len(sites)) * vox
-    x = np.asarray(x, dtype=float)
-    dx2 = ((pts - x) ** 2).sum(axis=1)
-    taken = dx2 < d2.min(axis=1)
-    counts = np.bincount(nearest[taken], minlength=len(sites))
-    return counts * vox
-
-
-def _sample_grid(cell: PolyCell, resolution: int):
-    lo = cell.vertices.min(axis=0)
-    hi = cell.vertices.max(axis=0)
-    axes = [np.linspace(l, h, resolution, endpoint=False)
-            + (h - l) / (2 * resolution) for l, h in zip(lo, hi)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cell.dim)
-    vox = np.prod((hi - lo) / resolution)
-    inside = cell.contains(grid)
-    if inside.sum() < 10:
-        raise SibsonError("sampling resolution too coarse for this cell")
-    return grid[inside], float(vox)
-
-
 # ---------------------------------------------------------------------------
 # Sibson coordinates
 
@@ -302,25 +233,15 @@ class SibsonCell:
     with exact linear precision; it is the automatic choice on convex cells.
     """
 
-    def __init__(self, cell: PolyCell, resolution: int = 64,
-                 restricted: bool | None = None):
+    def __init__(self, cell: PolyCell, restricted: bool | None = None):
         self.cell = cell
-        self.resolution = resolution
-        if cell.dim == 2:
-            loop = ensure_ccw(cell.vertices)
-            self.sites = loop
-            if restricted is None:
-                restricted = not is_convex(loop)
-            self.restricted = restricted
-            regions = _site_regions_within(loop, loop)
-            self.region_areas = np.array(
-                [abs(polygon_area(r)) if len(r) >= 3 else 0.0 for r in regions]
-            )
-            self.regions = _pad_regions(regions)
-            self._box_cache = {}
-        else:
-            self.sites = cell.vertices
-            self.restricted = True
+        loop = ensure_ccw(cell.vertices)
+        self.sites = loop
+        if restricted is None:
+            restricted = not is_convex(loop)
+        self.restricted = restricted
+        self.regions = _pad_regions(_site_regions_within(loop, loop))
+        self._box_cache = {}
 
     @property
     def n_sites(self) -> int:
@@ -340,7 +261,7 @@ class SibsonCell:
 
     def _site_clips(self, pts: np.ndarray):
         """Overlap areas A_i = |D(x) cap C_i| and their exact gradients at a
-        batch of points (2D).
+        batch of points.
 
         Sibson's identity gives grad A_i = integral over F_i of (y - x) ds
         divided by |v_i - x|, where F_i is the part of the x-v_i bisector
@@ -374,76 +295,66 @@ class SibsonCell:
         return areas, grads
 
     def coords_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Sibson coordinates for a batch of points inside the cell (2D):
-        the overlap areas of `_site_clips` over their sum."""
+        """Sibson coordinates for a batch of points inside the cell: the
+        overlap areas of `_site_clips` over their sum."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         areas, _ = self._site_clips(pts)
         return areas / areas.sum(axis=1)[:, None]
 
     def _boundary_coords(self, x):
         """Milbradt-Pick limit on the cell boundary: coordinates depend only
-        on the vertices of the edge containing x (2D)."""
+        on the site within 1e-12 diam of x, else on the ends of the edge
+        nearest to x."""
         v = self.sites
-        tol = 1e-12 * self.cell.diameter
-        d = np.linalg.norm(v - x, axis=1)
         coords = np.zeros(self.n_sites)
-        j = int(d.argmin())
-        if d[j] <= tol:
-            coords[j] = 1.0
+        d = np.linalg.norm(v - x, axis=1)
+        if d.min() <= 1e-12 * self.cell.diameter:
+            coords[d.argmin()] = 1.0
             return coords
-        w = np.roll(v, -1, axis=0)
-        for i in range(self.n_sites):
-            seg = w[i] - v[i]
-            t = float(np.clip((x - v[i]) @ seg / (seg @ seg), 0.0, 1.0))
-            if np.linalg.norm(v[i] + t * seg - x) <= tol:
-                coords[i] = 1.0 - t
-                coords[(i + 1) % self.n_sites] = t
-                return coords
-        raise SibsonError("point not on the cell boundary")
+        seg = np.roll(v, -1, axis=0) - v
+        t = np.clip(np.einsum("id,id->i", x - v, seg)
+                    / np.einsum("id,id->i", seg, seg), 0.0, 1.0)
+        i = int(np.linalg.norm(v + t[:, None] * seg - x, axis=1).argmin())
+        coords[[i, (i + 1) % self.n_sites]] = 1.0 - t[i], t[i]
+        return coords
+
+    def _on_boundary(self, pts) -> np.ndarray:
+        """Mask of the points of a (q, 2) batch within 1e-12 diam of the cell
+        boundary or of a site, where the Milbradt-Pick limit applies."""
+        tol = 1e-12 * self.cell.diameter
+        near_site = np.linalg.norm(pts[:, None, :] - self.sites, axis=2)
+        return ((self.cell.boundary_distance(pts) <= tol)
+                | (near_site.min(axis=1) <= tol))
+
+    def limit_coords(self, pts, with_gradients: bool = False):
+        """Coordinates (q, n) at a batch of points of the closed cell: the
+        batch kernel, with the Milbradt-Pick limit at points on the boundary.
+
+        With `with_gradients`, also the kernel's gradients (q, n, 2) at every
+        point, boundary points included.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        edge = self._on_boundary(pts)
+        if with_gradients:
+            coords, grads = self.coords_and_gradients_batch(pts)
+        else:
+            coords = np.empty((len(pts), self.n_sites))
+            if not edge.all():
+                coords[~edge] = self.coords_batch(pts[~edge])
+        for i in np.nonzero(edge)[0]:
+            coords[i] = self._boundary_coords(pts[i])
+        return (coords, grads) if with_gradients else coords
 
     def evaluate(self, x) -> SibsonEvaluation:
-        """Coordinates at one point: the batch kernel inside the cell (2D),
-        the Milbradt-Pick limit on its boundary."""
+        """Coordinates at one point of the closed cell, `limit_coords` as a
+        batch of one."""
         x = np.asarray(x, dtype=float)
-        if self.cell.dim == 3:
-            return self._evaluate_sampled(x)
-        tol = 1e-12 * self.cell.diameter
-        on_boundary = (self.cell.boundary_distance(x) <= tol
-                       or np.linalg.norm(self.sites - x, axis=1).min() <= tol)
-        if on_boundary:
-            return SibsonEvaluation(x, self._boundary_coords(x))
-        if not self.cell.contains(x)[0]:
+        if not (self.cell.contains(x)[0] or self._on_boundary(x[None])[0]):
             raise SibsonError("point lies outside the cell")
-        return SibsonEvaluation(x, self.coords_batch(x[None])[0])
-
-    def _evaluate_sampled(self, x):
-        overlaps = clipped_voronoi_measures(self.cell, x, self.resolution)
-        total = float(overlaps.sum())
-        if total == 0.0:
-            raise SibsonError("inserted point captured no samples")
-        return SibsonEvaluation(x, overlaps / total)
-
-    def gradients(self, x) -> np.ndarray:
-        """Gradients of all coordinates at x, one row per site.
-
-        2D gradients are exact (see `coords_and_gradients_batch`).  3D
-        gradients are central differences of the sampled coordinates.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.cell.dim == 2:
-            return self.coords_and_gradients_batch(x[None])[1][0]
-        h = 1e-4 * self.cell.diameter
-        grads = np.zeros((self.n_sites, 3))
-        for d in range(3):
-            e = np.zeros(3)
-            e[d] = h
-            hi = self._evaluate_sampled(x + e).coords
-            lo = self._evaluate_sampled(x - e).coords
-            grads[:, d] = (hi - lo) / (2 * h)
-        return grads
+        return SibsonEvaluation(x, self.limit_coords(x[None])[0])
 
     def coords_and_gradients_batch(self, pts: np.ndarray):
-        """Coordinates (q, n) and gradients (q, n, 2) at a batch of points (2D).
+        """Coordinates (q, n) and gradients (q, n, 2) at a batch of points.
 
         One clip pass per site gives each overlap area A_i and its exact
         gradient (`_site_clips`); the quotient rule on lambda_i = A_i / sum A
@@ -460,15 +371,15 @@ class SibsonCell:
 
 
 # ---------------------------------------------------------------------------
-# dual Whitney forms (2D machinery; 3D dual-face form below)
+# dual Whitney forms
 
 
-@dataclass(frozen=True)
-class DualWhitneyForm:
-    """Interpolant attached to the dual cell of a primal k-simplex."""
-
-    k: int  # primal degree of the generator; the dual cell has dim n-k
-    generator: int
+def edge_forms(lam: np.ndarray, grads: np.ndarray, ia, ib) -> np.ndarray:
+    """Dual edge forms lambda_a grad lambda_b - lambda_b grad lambda_a,
+    (G, q, 2), from the coordinates (q, n) and gradients (q, n, 2) at a
+    batch of points and the site indices a = ia[g], b = ib[g] of each form."""
+    lam, grads = lam.T, grads.transpose(1, 0, 2)
+    return lam[ia, :, None] * grads[ib] - lam[ib, :, None] * grads[ia]
 
 
 class DualInterpolation:
@@ -477,16 +388,14 @@ class DualInterpolation:
     Each primal vertex owns a flat-sided dual polygon whose corners are the
     barycenters of the incident triangles; at the boundary the polygon closes
     through the adjacent boundary-edge midpoints and the vertex itself.
-    These polygons partition the domain, and Sibson coordinates on them are
-    the building blocks of the dual Whitney forms.
+    These polygons partition the domain, and restricted Sibson coordinates
+    on them are the building blocks of the dual Whitney forms.
     """
 
-    def __init__(self, complex: SimplicialComplex, dual: DualMesh,
-                 restricted: bool = True):
+    def __init__(self, complex: SimplicialComplex, dual: DualMesh):
         if complex.dim != 2:
             raise SibsonError("dual interpolation machinery is 2D")
         self.complex = complex
-        self.restricted = restricted
         self.cells = []  # PolyCell per primal vertex
         self.site_tags = []  # per vertex: list of tags matching cell loop
         self.site_lookup = []  # per vertex: dict tag -> local index
@@ -506,8 +415,7 @@ class DualInterpolation:
 
     def evaluator(self, v: int) -> SibsonCell:
         if self._evaluators[v] is None:
-            self._evaluators[v] = SibsonCell(self.cells[v],
-                                             restricted=self.restricted)
+            self._evaluators[v] = SibsonCell(self.cells[v], restricted=True)
         return self._evaluators[v]
 
     def edge_endpoint_tags(self, e: int):
@@ -517,55 +425,69 @@ class DualInterpolation:
             return ("c", int(tris[0])), ("c", int(tris[1]))
         return ("c", int(tris[0])), ("m", e)
 
-    def locate(self, x):
-        """Primal vertex whose dual polygon contains x, or None."""
-        x = np.asarray(x, dtype=float)
-        for v in range(len(self.cells)):
-            if self.cells[v].contains(x)[0]:
-                return v
-        return None
+    def locate(self, pts) -> np.ndarray:
+        """Owner polygon of each point of a (q, 2) batch; -1 outside the mesh.
 
-    # -- form evaluation -----------------------------------------------
+        The owner is the first polygon in vertex order whose even-odd test
+        claims the point; a bounding-box test picks the points to test.  A
+        point on the mesh boundary that no polygon claims goes to the vertex
+        polygon of its triangle with the nearest boundary, where the
+        Milbradt-Pick limit evaluates it.
+        """
+        tri = locate_cell(self.complex, pts)
+        owner = np.where(tri >= 0, -1, -2)  # -2: outside every triangle
+        for v, cell in enumerate(self.cells):
+            box = np.all((pts >= cell.vertices.min(axis=0))
+                         & (pts <= cell.vertices.max(axis=0)), axis=1)
+            sel = np.nonzero((owner == -1) & box)[0]
+            owner[sel[cell.contains(pts[sel])]] = v
+        for i in np.nonzero(owner == -1)[0]:
+            verts = self.complex.simplices[2][tri[i]]
+            gaps = [self.cells[v].boundary_distance(pts[i]) for v in verts]
+            owner[i] = verts[int(np.argmin(gaps))]
+        return np.maximum(owner, -1)
 
-    def eval_form(self, form: DualWhitneyForm, x, cell_vertex: int | None = None):
-        """Dual Whitney form value at x; zero outside its support."""
-        x = np.asarray(x, dtype=float)
-        if cell_vertex is None:
-            cell_vertex = self.locate(x)
-        k = form.k
-        if k == 0:
-            if cell_vertex != form.generator:
-                return 0.0
-            return 1.0 / self.cells[cell_vertex].measure
-        if cell_vertex is None:
-            return 0.0 if k == 2 else np.zeros(2)
-        lookup = self.site_lookup[cell_vertex]
-        if k == 2:
-            tag = ("c", form.generator)
-            if tag not in lookup:
-                return 0.0
-            ev = self.evaluator(cell_vertex).evaluate(x)
-            return float(ev.coords[lookup[tag]])
-        if k == 1:
-            tag_a, tag_b = self.edge_endpoint_tags(form.generator)
-            if tag_a not in lookup or tag_b not in lookup:
-                return np.zeros(2)
-            sc = self.evaluator(cell_vertex)
-            ev = sc.evaluate(x)
-            grads = sc.gradients(x)
-            ia, ib = lookup[tag_a], lookup[tag_b]
-            return (ev.coords[ia] * grads[ib]
-                    - ev.coords[ib] * grads[ia])
-        raise SibsonError(f"unsupported dual form degree {k}")
+    def forms(self, v: int, p: int, pts, limit: bool = False):
+        """The dual forms of primal p-simplices supported on the polygon of
+        vertex v, at a (q, 2) batch of points inside it.
+
+        Returns the generators (G,) and the values, (G, q) for p = 0 and 2
+        and (G, q, 2) for p = 1:
+
+        - p = 0: the polygon's indicator over its area, generator v;
+        - p = 2: the Sibson coordinate of each triangle-center site;
+        - p = 1: the edge form of each incident edge (`edge_forms`) over the
+          sites at the ends of its dual edge.
+
+        With `limit`, coordinates at points on the polygon boundary take the
+        Milbradt-Pick limit (`SibsonCell.limit_coords`).
+        """
+        if p == 0:
+            return np.array([v]), np.full((1, len(pts)),
+                                          1.0 / self.cells[v].measure)
+        sc = self.evaluator(v)
+        lookup = self.site_lookup[v]
+        if p == 2:
+            gens = [g for kind, g in lookup if kind == "c"]
+            lam = sc.limit_coords(pts) if limit else sc.coords_batch(pts)
+            return np.array(gens), lam.T[[lookup["c", g] for g in gens]]
+        lam, grads = (sc.limit_coords(pts, with_gradients=True) if limit
+                      else sc.coords_and_gradients_batch(pts))
+        ends = [(e, *self.edge_endpoint_tags(e))
+                for e in self.complex.cofaces(0, v).tolist()]
+        gens, ia, ib = np.array([(e, lookup[a], lookup[b]) for e, a, b in ends
+                                 if a in lookup and b in lookup],
+                                dtype=int).reshape(-1, 3).T
+        return gens, edge_forms(lam, grads, ia, ib)
 
     def interpolate(self, dual_degree: int, cochain):
         """Interpolant of a dual k-cochain over the dual cell mesh.
 
         The cochain is indexed like the primal (n - k)-simplices whose dual
-        cells carry the degrees of freedom.
+        cells carry the degrees of freedom.  The field takes one point or a
+        (q, 2) batch, and is NaN at points outside the mesh.
         """
-        n = self.complex.dim
-        p = n - dual_degree
+        p = self.complex.dim - dual_degree
         weights = np.asarray(cochain, dtype=float)
         expected = len(self.complex.simplices[p])
         if weights.shape != (expected,):
@@ -575,79 +497,16 @@ class DualInterpolation:
 
         def field(x):
             x = np.asarray(x, dtype=float)
-            v = self.locate(x)
-            if v is None:
-                return 0.0 if p in (0, 2) else np.zeros(2)
-            if p == 0:
-                return weights[v] / self.cells[v].measure
-            lookup = self.site_lookup[v]
-            sc = self.evaluator(v)
-            if p == 2:
-                ev = sc.evaluate(x)
-                total = 0.0
-                for tag, i in lookup.items():
-                    if tag[0] == "c":
-                        total += weights[tag[1]] * ev.coords[i]
-                return total
-            ev = sc.evaluate(x)
-            grads = sc.gradients(x)
-            total = np.zeros(2)
-            for e in self.complex.cofaces(0, v).tolist():
-                tag_a, tag_b = self.edge_endpoint_tags(e)
-                if tag_a in lookup and tag_b in lookup:
-                    ia, ib = lookup[tag_a], lookup[tag_b]
-                    total += weights[e] * (ev.coords[ia] * grads[ib]
-                                           - ev.coords[ib] * grads[ia])
-            return total
+            pts = np.atleast_2d(x)
+            owner = self.locate(pts)
+            out = np.full((len(pts), 2) if p == 1 else len(pts), np.nan)
+            for v in np.unique(owner[owner >= 0]):
+                sel = owner == v
+                gens, vals = self.forms(v, p, pts[sel], limit=True)
+                total = np.zeros(vals.shape[1:])
+                for g, val in zip(gens, vals):
+                    total += weights[g] * val
+                out[sel] = total
+            return out[0] if x.ndim == 1 else out
 
         return field
-
-
-# ---------------------------------------------------------------------------
-# 3D dual-face form
-
-
-@dataclass(frozen=True)
-class DualFacePartition:
-    """Canonical triangle partition of a 3D dual face (the dual of a primal
-    edge): fan triangles tau_i around the vertex centroid, each weighted by
-    its area share and carrying the Whitney 2-form of the tetrahedron it
-    spans with the interior endpoint of the primal edge."""
-
-    ring: np.ndarray  # (m, 3) ordered face vertices
-    centroid: np.ndarray
-    apex: np.ndarray  # endpoint of the primal edge inside the polyhedron
-    weights: np.ndarray  # |tau_i| / |dual face|
-
-    @classmethod
-    def build(cls, ring: np.ndarray, apex: np.ndarray) -> "DualFacePartition":
-        ring = np.asarray(ring, dtype=float)
-        c = ring.mean(axis=0)
-        areas = np.array([
-            0.5 * np.linalg.norm(np.cross(ring[i] - c,
-                                          ring[(i + 1) % len(ring)] - c))
-            for i in range(len(ring))
-        ])
-        return cls(ring, c, np.asarray(apex, dtype=float), areas / areas.sum())
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        m = len(self.ring)
-        for i in range(m):
-            tet = np.array([self.apex, self.centroid, self.ring[i],
-                            self.ring[(i + 1) % m]])
-            lam, grads = _tet_barycentric(tet, x)
-            if np.all(lam >= -1e-12):
-                # Whitney 2-form of the face (centroid, v_i, v_{i+1})
-                val = 2.0 * (lam[1] * np.cross(grads[2], grads[3])
-                             + lam[2] * np.cross(grads[3], grads[1])
-                             + lam[3] * np.cross(grads[1], grads[2]))
-                return self.weights[i] * val
-        return np.zeros(3)
-
-
-def _tet_barycentric(tet: np.ndarray, x):
-    A = np.column_stack([np.ones(4), tet])
-    coeff = np.linalg.inv(A)
-    lam = coeff.T @ np.concatenate([[1.0], x])
-    return lam, coeff[1:].T

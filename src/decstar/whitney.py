@@ -26,24 +26,6 @@ class DegreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BarycentricFrame:
-    """Affine data for barycentric coordinates on one n-simplex.
-
-    lambda_i(x) = offsets[i] + gradients[i] . x, with sum_i lambda_i = 1.
-    """
-
-    cell: int
-    gradients: np.ndarray  # (n+1, n)
-    offsets: np.ndarray  # (n+1,)
-
-    def coords(self, x) -> np.ndarray:
-        return self.offsets + self.gradients @ np.asarray(x, dtype=float)
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        return bool(np.all(self.coords(x) >= -tol))
-
-
 def _barycentric_coefficients(complex: SimplicialComplex, cells) -> np.ndarray:
     """(C, n+1, n+1) stack: column j of each holds (offset, gradient) of
     lambda_j on that cell, from one batched inverse."""
@@ -52,57 +34,62 @@ def _barycentric_coefficients(complex: SimplicialComplex, cells) -> np.ndarray:
     return np.linalg.inv(np.concatenate([ones, pts], axis=-1))
 
 
-def barycentric_frame(complex: SimplicialComplex, cell: int) -> BarycentricFrame:
-    coeff = _barycentric_coefficients(complex, [cell])[0]
-    return BarycentricFrame(cell, coeff[1:].T.copy(), coeff[0].copy())
+LOCATE_CHUNK = 1 << 22  # barycentric coordinates per chunk of points
 
 
 def locate_cell(complex: SimplicialComplex, x, tol: float = 1e-12):
-    """Index of the first n-simplex containing x, or None."""
+    """Index of the first n-simplex containing x, or None.
+
+    For a (q, n) batch of points, an array of indices with -1 for points
+    outside every simplex.  The barycentric coefficients of all cells are
+    formed once, and the points are tested in chunks of at most
+    `LOCATE_CHUNK` coordinates (32 MB).
+    """
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
     coeff = _barycentric_coefficients(complex, slice(None))
-    lam = coeff[:, 0, :] + np.asarray(x, dtype=float) @ coeff[:, 1:, :]
-    inside = np.nonzero((lam >= -tol).all(axis=1))[0]
-    return int(inside[0]) if len(inside) else None
+    C, n = len(coeff), complex.dim
+    offsets = coeff[:, 0, :].T  # (n+1, C), row j for lambda_j
+    grads = coeff[:, 1:, :].transpose(1, 2, 0).reshape(n, -1)
+    found = np.full(len(pts), -1)
+    step = max(1, LOCATE_CHUNK // (C * (n + 1)))
+    for s in range(0, len(pts), step):
+        lam = offsets + (pts[s:s + step] @ grads).reshape(-1, n + 1, C)
+        inside = lam.min(axis=1) >= -tol
+        found[s:s + step] = np.where(inside.any(axis=1),
+                                     inside.argmax(axis=1), -1)
+    if x.ndim == 1:
+        return int(found[0]) if found[0] >= 0 else None
+    return found
 
 
-def eval_whitney(complex: SimplicialComplex, k: int, simplex_id: int, x,
-                 cell: int):
-    """Whitney k-form of a k-simplex evaluated at x inside the given n-simplex.
+def _whitney_values(complex: SimplicialComplex, k: int, cells, pts):
+    """Whitney k-forms of all k-faces of each point's n-simplex, evaluated
+    at a (q, n) batch of points: (q, F) for k = 0 and k = n, (q, F, n)
+    otherwise, with the faces in `_cell_faces` order.
 
-    Scalar for k = 0 and k = n, vector-valued otherwise.  Zero if the simplex
-    is not a face of the cell.  Raises if x lies outside the cell.
+    Raises if a point lies outside its cell by more than 1e-9 in
+    barycentric coordinates.
     """
     n = complex.dim
-    if not 0 <= k <= n:
-        raise DegreeError(f"degree k={k} out of range for n={n}")
-    frame = barycentric_frame(complex, cell)
-    if not frame.contains(x, tol=1e-9):
+    coeff = _barycentric_coefficients(complex, cells)
+    g = np.swapaxes(coeff[:, 1:, :], 1, 2).copy()  # g[:, j] is grad lambda_j
+    lam = coeff[:, 0, :] + (g @ pts[..., None])[..., 0]
+    if not np.all(lam >= -1e-9):
         raise ValueError("evaluation point outside the stated element")
-    # positions of the k-simplex's vertices in the cell, if it is a face
-    cell_verts = complex.simplices[n][cell].tolist()
-    verts = complex.simplices[k][simplex_id].tolist()
-    pos = ([cell_verts.index(v) for v in verts]
-           if set(verts) <= set(cell_verts) else None)
     if k == 0:
-        return float(frame.coords(x)[pos[0]]) if pos else 0.0
+        return lam
     if k == n:
-        if pos is None:
-            return 0.0
-        return 1.0 / complex.measure(n, cell)
-    if pos is None:
-        return np.zeros(n)
-    lam = frame.coords(x)
-    g = frame.gradients
+        return (1.0 / complex.measures[n][cells])[:, None]
+    pos = np.array(list(itertools.combinations(range(n + 1), k + 1))).T
     if k == 1:
         i, j = pos
-        return lam[i] * g[j] - lam[j] * g[i]
+        return lam[:, i, None] * g[:, j] - lam[:, j, None] * g[:, i]
     if k == 2 and n == 3:
         i, j, l = pos
-        return 2.0 * (
-            lam[i] * np.cross(g[j], g[l])
-            + lam[j] * np.cross(g[l], g[i])
-            + lam[l] * np.cross(g[i], g[j])
-        )
+        return 2.0 * (lam[:, i, None] * np.cross(g[:, j], g[:, l])
+                      + lam[:, j, None] * np.cross(g[:, l], g[:, i])
+                      + lam[:, l, None] * np.cross(g[:, i], g[:, j]))
     raise DegreeError(f"unsupported (k, n) = ({k}, {n})")
 
 
@@ -114,19 +101,43 @@ class WhitneyField:
     k: int
     weights: np.ndarray
 
-    def __call__(self, x, cell: int | None = None):
-        if cell is None:
-            cell = locate_cell(self.complex, x)
-            if cell is None:
-                raise ValueError("point not inside any element")
+    def __call__(self, x, cell=None):
+        """The field at one point or a (q, n) batch; NaN at points outside
+        the mesh.  `cell` gives the n-simplex of the point (one index, or one
+        per point) instead of locating it.  Faces of weight 0 are skipped."""
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        cells = (locate_cell(self.complex, pts) if cell is None
+                 else np.broadcast_to(cell, len(pts)))
         n = self.complex.dim
-        scalar = self.k in (0, n)
-        total = 0.0 if scalar else np.zeros(n)
-        for sid in _cell_faces(self.complex, self.k, [cell])[0]:
-            w = self.weights[sid]
-            if w != 0.0:
-                total = total + w * eval_whitney(self.complex, self.k, sid, x, cell)
-        return total
+        out = np.full((len(pts),) + ((n,) if 0 < self.k < n else ()), np.nan)
+        ok = np.nonzero(cells >= 0)[0]
+        if len(ok):
+            vals = _whitney_values(self.complex, self.k, cells[ok], pts[ok])
+            w = self.weights[_cell_faces(self.complex, self.k, cells[ok])]
+            w = w.reshape(w.shape + (1,) * (out.ndim - 1))
+            total = np.zeros(out[ok].shape)
+            for wf, vf in zip(np.swapaxes(w, 0, 1), np.swapaxes(vals, 0, 1)):
+                np.add(total, wf * vf, out=total, where=wf != 0)
+            out[ok] = total
+        return out[0] if x.ndim == 1 else out
+
+
+def eval_whitney(complex: SimplicialComplex, k: int, simplex_id: int, x,
+                 cell: int):
+    """Whitney k-form of a k-simplex evaluated at x inside the given n-simplex:
+    the field of the unit cochain on that simplex, with its cell given.
+
+    Scalar for k = 0 and k = n, vector-valued otherwise.  Zero if the simplex
+    is not a face of the cell.  Raises if x lies outside the cell.
+    """
+    n = complex.dim
+    if not 0 <= k <= n:
+        raise DegreeError(f"degree k={k} out of range for n={n}")
+    unit = np.zeros(len(complex.simplices[k]))
+    unit[simplex_id] = 1.0
+    val = WhitneyField(complex, k, unit)(np.asarray(x, dtype=float), cell)
+    return float(val) if k in (0, n) else val
 
 
 def interpolate(complex: SimplicialComplex, k: int, cochain) -> WhitneyField:
@@ -181,12 +192,6 @@ def _pair_table(n: int, k: int):
     return (np.array(rows, dtype=int).reshape(shape),
             np.array(cols, dtype=int).reshape(shape),
             np.array(weights), np.array(pairs))
-
-
-def whitney_inner_product(complex: SimplicialComplex, k: int,
-                          i: int, j: int) -> float:
-    """Exact L2 inner product of the Whitney k-forms of simplices i and j."""
-    return float(whitney_gram_matrix(complex, k)[i, j])
 
 
 def whitney_gram_matrix(complex: SimplicialComplex, k: int):

@@ -254,6 +254,27 @@ def test_wave_summary(capsys):
     assert len(lines[0]["omega_squared"]) == 3
 
 
+def test_whitney_star_builds_no_dual(tmp_path, monkeypatch, capsys):
+    # the Whitney star never reads the dual mesh, so the commands that
+    # assemble one must not build it
+    out = ["--mesh", "grid:3", "--kind", "whitney", "--out", str(tmp_path)]
+    argvs = [["hodge", *out], ["solve", "darcy", "--system", "1,2", *out],
+             ["wave", *out]]
+
+    def lines_of(argv):
+        code, lines, _ = run(argv, capsys)
+        assert code == 0
+        return [{k: v for k, v in l.items() if k != "seconds"} for l in lines]
+
+    expect = [lines_of(argv) for argv in argvs]
+
+    def no_dual(*args, **kwargs):
+        raise AssertionError("the dual mesh was built")
+
+    monkeypatch.setattr(mesh, "build_dual", no_dual)
+    assert [lines_of(argv) for argv in argvs] == expect
+
+
 def test_sample_field(tmp_path, capsys):
     code, lines, _ = run([
         "sample-field", "--mesh", "grid:3", "--k", "1", "--samples", "6",

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from decstar import mesh
+from decstar import cli, mesh, whitney
 from decstar.sibson import (
-    DualFacePartition,
     DualInterpolation,
-    DualWhitneyForm,
     PolyCell,
     SibsonCell,
     SibsonError,
     _bisector_clip,
     clip_halfplane,
-    clipped_voronoi_measures,
     is_convex,
     polygon_area,
 )
@@ -129,12 +127,10 @@ def test_gradients_reproduce_identity():
     rng = np.random.default_rng(11)
     cell = random_convex_cell(rng)
     sc = SibsonCell(cell)
-    for p in interior_points(cell, rng, 8, margin=0.05):
-        g = sc.gradients(p)
+    pts = interior_points(cell, rng, 8, margin=0.05)
+    for g in sc.coords_and_gradients_batch(pts)[1]:
         J = g.T @ cell.vertices  # d/dx of sum lam_i v_i should be identity
         assert np.abs(J - np.eye(2)).max() < 1e-10
-        batch = sc.coords_and_gradients_batch(p[None])[1][0]
-        assert np.abs(batch - g).max() < 1e-12
 
 
 def central_differences(sc, pts):
@@ -264,32 +260,14 @@ def test_evaluation_rejects_bad_points():
     cell = regular_polygon(5)
     with pytest.raises(SibsonError):
         SibsonCell(cell).evaluate(np.array([3.0, 3.0]))
-    # sampled measures are 3D only; 2D areas come from the exact kernel
-    with pytest.raises(SibsonError):
-        clipped_voronoi_measures(cell, cell.vertices[0])
 
 
 def test_measures_partition_cell():
     cell = regular_polygon(8, phase=0.3)
-    areas = SibsonCell(cell).region_areas
+    areas = np.array([0.0 if r is None else abs(polygon_area(r))
+                      for r in SibsonCell(cell).regions])
     assert areas.sum() == pytest.approx(cell.measure, abs=1e-12)
     assert np.all(areas > 0)
-
-
-def test_3d_sampled_partition_and_sign():
-    tet = PolyCell(
-        np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-        faces=[[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
-    )
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        x = rng.dirichlet(np.ones(4) * 3) @ tet.vertices
-        ov = clipped_voronoi_measures(tet, x, resolution=32)
-        assert np.all(ov >= 0)
-        lam = ov / ov.sum()
-        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(SibsonError):
-        clipped_voronoi_measures(tet, np.array([0.2, 0.2, 0.2]), resolution=2)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +303,20 @@ def test_site_tags_structure(grid_interp):
             assert kinds == ["c"] * n_tris
 
 
+def unit(n, i):
+    out = np.zeros(n)
+    out[i] = 1.0
+    return out
+
+
 def test_dual_vertex_form_is_cell_indicator(grid_interp):
     comp, dual, di = grid_interp
     v = int(np.argmin(np.abs(comp.vertices - comp.vertices.mean(0)).sum(1)))
-    form = DualWhitneyForm(0, v)
+    form = di.interpolate(2, unit(len(comp.vertices), v))
     inside = comp.vertices[v]
-    assert di.eval_form(form, inside) == pytest.approx(
-        1.0 / di.cells[v].measure, abs=1e-12
-    )
+    assert form(inside) == pytest.approx(1.0 / di.cells[v].measure, abs=1e-12)
     other = (v + 1) % len(comp.vertices)
-    assert di.eval_form(form, comp.vertices[other]) == 0.0
+    assert form(comp.vertices[other]) == 0.0
 
 
 def test_dual_zero_form_is_sibson_coordinate(grid_interp):
@@ -347,7 +329,7 @@ def test_dual_zero_form_is_sibson_coordinate(grid_interp):
     for (kind, gen), idx in lookup.items():
         if kind != "c":
             continue
-        val = di.eval_form(DualWhitneyForm(2, gen), x, cell_vertex=v)
+        val = di.interpolate(0, unit(len(comp.simplices[2]), gen))(x)
         assert val == pytest.approx(lam[idx], abs=1e-12)
 
 
@@ -372,7 +354,7 @@ def test_dual_edge_form_line_duality(grid_interp):
     comp, dual, di = grid_interp
     interior = np.nonzero(~comp.boundary_simplices(1))[0]
     e = int(interior[len(interior) // 2])
-    form = DualWhitneyForm(1, e)
+    form = di.interpolate(1, unit(len(comp.simplices[1]), e))
     t1, t2 = (int(t) for t in comp.cofaces(1, e))
 
     def path_integral(edge_id):
@@ -381,8 +363,7 @@ def test_dual_edge_form_line_duality(grid_interp):
         for a, b in zip(pts[:-1], pts[1:]):
             ts = np.linspace(0, 1, 81)[1::2]
             seg = b - a
-            vals = [di.eval_form(form, a + t * seg) @ seg for t in ts]
-            total += np.mean(vals)
+            total += np.mean(form(a + ts[:, None] * seg) @ seg)
         return total
 
     c1 = comp.simplex_points(2, t1).mean(axis=0)
@@ -405,18 +386,124 @@ def test_interpolate_validates_length(grid_interp):
         di.interpolate(0, np.ones(3))
 
 
-def test_dual_face_partition_weights():
-    ring = np.array([
-        [0.3, 0.0, 0.0], [0.0, 0.4, 0.0], [-0.35, 0.0, 0.1],
-        [0.0, -0.3, 0.05],
-    ])
-    apex = np.array([0.0, 0.0, 0.6])
-    part = DualFacePartition.build(ring, apex)
-    assert np.asarray(part.weights).sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.asarray(part.weights) > 0)
-
-
 def test_polygon_helpers():
     sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert polygon_area(sq) == pytest.approx(1.0)
     assert is_convex(sq)
+
+
+# ---------------------------------------------------------------------------
+# The per-point dual sampler that the batched fields replaced, kept as
+# reference.
+
+
+def loop_dual_field(di, p, weights):
+    """Dual interpolant of primal p-simplex weights, one point per call:
+    the first polygon whose even-odd test claims x, Sibson coordinates by
+    `SibsonCell.evaluate`'s rule, gradients from a batch of one, and the
+    forms summed one at a time.  Zero outside every polygon."""
+    def coords(sc, x):
+        tol = 1e-12 * sc.cell.diameter
+        if (sc.cell.boundary_distance(x) <= tol
+                or np.linalg.norm(sc.sites - x, axis=1).min() <= tol):
+            return sc._boundary_coords(x)
+        return sc.coords_batch(x[None])[0]
+
+    def field(x):
+        v = next((v for v, c in enumerate(di.cells) if c.contains(x)[0]), None)
+        if v is None:
+            return np.zeros(2) if p == 1 else 0.0
+        if p == 0:
+            return weights[v] / di.cells[v].measure
+        lookup = di.site_lookup[v]
+        sc = di.evaluator(v)
+        lam = coords(sc, x)
+        if p == 2:
+            total = 0.0
+            for (kind, t), i in lookup.items():
+                if kind == "c":
+                    total += weights[t] * lam[i]
+            return total
+        grads = sc.coords_and_gradients_batch(x[None])[1][0]
+        total = np.zeros(2)
+        for e in di.complex.cofaces(0, v).tolist():
+            tag_a, tag_b = di.edge_endpoint_tags(e)
+            if tag_a in lookup and tag_b in lookup:
+                ia, ib = lookup[tag_a], lookup[tag_b]
+                total += weights[e] * (lam[ia] * grads[ib] - lam[ib] * grads[ia])
+        return total
+
+    return field
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(case=st.tuples(st.integers(3, 25), st.integers(0, 10_000)))
+def test_dual_fields_match_point_loop(relabelled_delaunay, case):
+    """Batched dual fields equal the per-point sampler bit for bit wherever
+    a polygon's even-odd test claims the point, are finite at the other
+    points of the mesh and NaN outside it.  The points are random ones in
+    and around the mesh plus corners and edge midpoints of dual polygons,
+    where polygons meet and the Milbradt-Pick limit applies.  For p = 0
+    the batch multiplies by 1 / |cell| where the loop divides by |cell|, so
+    a random cochain is compared to 2 ulp there and the all-ones cochain
+    exactly."""
+    n_points, seed = case
+    comp = mesh.build_complex(*relabelled_delaunay(n_points, seed, 2))
+    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    rng = np.random.default_rng(seed)
+    lo, hi = comp.vertices.min(axis=0), comp.vertices.max(axis=0)
+    on_edges = np.vstack([np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])
+                          for v in (c.vertices for c in di.cells)])
+    pts = np.vstack([
+        rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (60, 2)),
+        rng.choice(on_edges, 30, replace=False)])
+    outside = whitney.locate_cell(comp, pts) < 0
+    claimed = np.array([any(c.contains(x)[0] for c in di.cells) for x in pts])
+    assert 0 < outside.sum() and not (claimed & outside).any()
+    for p in (0, 1, 2):
+        N = len(comp.simplices[p])
+        for ones, weights in ((True, np.ones(N)),
+                              (False, rng.standard_normal(N))):
+            got = di.interpolate(2 - p, weights)(pts)
+            ref = np.array([loop_dual_field(di, p, weights)(x) for x in pts])
+            assert np.isnan(got[outside]).all()
+            assert np.isfinite(got[~outside]).all()
+            if p == 0 and not ones:
+                np.testing.assert_array_max_ulp(got[claimed], ref[claimed], 2)
+            else:
+                assert np.array_equal(got[claimed], ref[claimed])
+
+
+def test_sample_field_dual_csv_matches_point_loop(tmp_path, capsys):
+    comp = mesh.structured_grid(4)
+    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    axis = (np.arange(8) + 0.5) / 8
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    for k in (0, 1, 2):
+        assert cli.main(["sample-field", "--space", "dual", "--mesh", "grid:4",
+                         "--k", str(k), "--samples", "8",
+                         "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        field = loop_dual_field(di, k, np.ones(len(comp.simplices[k])))
+        rows = [np.concatenate([x, np.atleast_1d(field(x))]) for x in pts]
+        header = "x,y," + ",".join(f"value{i}" for i in range(len(rows[0]) - 2))
+        expect = "\n".join([header] + [",".join(f"{c:.17g}" for c in row)
+                                       for row in rows]) + "\n"
+        assert (tmp_path / "field_samples.csv").read_text() == expect
+
+
+def test_sample_field_spaces_share_points_on_a_skewed_grid(tmp_path, capsys):
+    # grid:4:0.5 is a parallelogram: sample points off the mesh are not
+    # written, and the three on its slanted side are evaluated in a vertex
+    # polygon of their triangle
+    out = {}
+    for space in ("primal", "dual"):
+        assert cli.main(["sample-field", "--space", space, "--mesh",
+                         "grid:4:0.5", "--samples", "8",
+                         "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out
+        rows = (tmp_path / "field_samples.csv").read_text().splitlines()[1:]
+        out[space] = (line.replace(space, ""),
+                      [",".join(r.split(",")[:2]) for r in rows])
+    assert out["primal"] == out["dual"]
+    assert len(out["dual"][1]) == 46

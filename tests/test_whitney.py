@@ -25,9 +25,9 @@ def test_barycentric_partition_of_unity():
     comp = mesh.random_delaunay(25, 1)
     rng = np.random.default_rng(0)
     for cell in range(len(comp.simplices[2])):
-        frame = whitney.barycentric_frame(comp, cell)
         x = rng.dirichlet(np.ones(3)) @ comp.simplex_points(2, cell)
-        lam = frame.coords(x)
+        lam = np.array([whitney.eval_whitney(comp, 0, v, x, cell)
+                        for v in comp.simplices[2][cell]])
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(lam >= -1e-12)
 
@@ -88,19 +88,20 @@ def test_edge_interpolant_reproduces_constants():
 def test_inner_product_matches_quadrature():
     comp = mesh.two_triangle_mesh()
     rng = np.random.default_rng(2)
+    G = whitney.whitney_gram_matrix(comp, 1)
+    eye = np.eye(len(comp.simplices[1]))
     for i in range(len(comp.simplices[1])):
         for j in range(i, len(comp.simplices[1])):
-            exact = whitney.whitney_inner_product(comp, 1, i, j)
+            exact = G[i, j]
             approx = 0.0
             for cell in range(len(comp.simplices[2])):
                 pts = comp.simplex_points(2, cell)
                 area = comp.measure(2, cell)
                 samples = rng.dirichlet(np.ones(3), size=4000) @ pts
-                vals = np.array([
-                    whitney.eval_whitney(comp, 1, i, x, cell)
-                    @ whitney.eval_whitney(comp, 1, j, x, cell)
-                    for x in samples
-                ])
+                vals = np.einsum(
+                    "qd,qd->q",
+                    whitney.interpolate(comp, 1, eye[i])(samples, cell),
+                    whitney.interpolate(comp, 1, eye[j])(samples, cell))
                 approx += area * vals.mean()
             assert approx == pytest.approx(exact, abs=0.02 * max(1, abs(exact)))
 
@@ -111,16 +112,6 @@ def test_gram_matrix_symmetric_positive_definite():
         G = whitney.whitney_gram_matrix(comp, k).toarray()
         assert np.abs(G - G.T).max() < 1e-14
         assert np.linalg.eigvalsh(G).min() > 0
-
-
-def test_gram_matches_pairwise_inner_products():
-    comp = mesh.two_triangle_mesh()
-    G = whitney.whitney_gram_matrix(comp, 1).toarray()
-    for i in range(G.shape[0]):
-        for j in range(G.shape[1]):
-            assert G[i, j] == pytest.approx(
-                whitney.whitney_inner_product(comp, 1, i, j), abs=1e-13
-            )
 
 
 def test_tet_face_whitney_flux_duality():
@@ -135,9 +126,8 @@ def test_tet_face_whitney_flux_duality():
         verts = comp.simplices[2][f]
         normal = np.cross(pts[1] - pts[0], pts[2] - pts[0]) / 2.0
         samples = rng.dirichlet(np.ones(3), size=6000) @ pts
-        vals = np.array([
-            whitney.eval_whitney(comp, 2, f, x, 0) @ normal for x in samples
-        ])
+        unit = np.eye(len(comp.simplices[2]))[f]
+        vals = whitney.interpolate(comp, 2, unit)(samples, 0) @ normal
         # orientation: sorted-tuple convention pairs with the sorted normal
         assert abs(vals.mean()) == pytest.approx(1.0, abs=0.01)
         assert len(verts) == 3
@@ -243,3 +233,76 @@ def test_gram_is_permutation_equivariant(relabelled_delaunay, case):
         H = whitney.whitney_gram_matrix(other, k).toarray()[np.ix_(ids, ids)]
         assert np.abs(H - np.outer(sign, sign) * G).max() \
             <= 1e-10 * np.abs(G).max()
+
+
+# ---------------------------------------------------------------------------
+# The per-point sampler that the batched `WhitneyField` replaced, kept as
+# reference.
+
+
+def loop_whitney_field(comp, k, weights):
+    """Primal interpolant one point per call: the first cell whose
+    barycentric coordinates are all >= -1e-12, then the weighted Whitney
+    forms of its faces summed one at a time.  Raises outside the mesh."""
+    n = comp.dim
+    coeff = whitney._barycentric_coefficients(comp, slice(None))
+
+    def form(sid, x, cell):
+        lam = coeff[cell, 0] + coeff[cell, 1:].T.copy() @ x
+        g = coeff[cell, 1:].T.copy()
+        cell_verts = comp.simplices[n][cell].tolist()
+        verts = comp.simplices[k][sid].tolist()
+        pos = [cell_verts.index(v) for v in verts]
+        if k == 0:
+            return float(lam[pos[0]])
+        if k == n:
+            return 1.0 / comp.measure(n, cell)
+        if k == 1:
+            i, j = pos
+            return lam[i] * g[j] - lam[j] * g[i]
+        i, j, l = pos
+        return 2.0 * (lam[i] * np.cross(g[j], g[l])
+                      + lam[j] * np.cross(g[l], g[i])
+                      + lam[l] * np.cross(g[i], g[j]))
+
+    def field(x):
+        lam = coeff[:, 0, :] + x @ coeff[:, 1:, :]
+        inside = np.nonzero((lam >= -1e-12).all(axis=1))[0]
+        if not len(inside):
+            raise ValueError("point not inside any element")
+        cell = int(inside[0])
+        total = 0.0 if k in (0, n) else np.zeros(n)
+        for sid in whitney._cell_faces(comp, k, [cell])[0]:
+            if weights[sid] != 0.0:
+                total = total + weights[sid] * form(sid, x, cell)
+        return total
+
+    return field
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(case=MESHES)
+def test_fields_match_point_loop(relabelled_delaunay, case):
+    """Batched primal fields agree with the per-point sampler to 1e-12 of
+    the field's size inside the mesh and are NaN outside it."""
+    dim, n_points, seed = case
+    comp = mesh.build_complex(*relabelled_delaunay(n_points, seed, dim))
+    rng = np.random.default_rng(seed)
+    lo, hi = comp.vertices.min(axis=0), comp.vertices.max(axis=0)
+    pts = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (60, dim))
+    for k in range(dim + 1):
+        weights = rng.standard_normal(len(comp.simplices[k]))
+        weights[::4] = 0.0
+        got = whitney.interpolate(comp, k, weights)(pts)
+        ref = loop_whitney_field(comp, k, weights)
+        inside = []
+        for x, val in zip(pts, got):
+            try:
+                expect = ref(x)
+            except ValueError:
+                assert np.isnan(val).all()
+                continue
+            inside.append((val, expect))
+        assert 0 < len(inside) < len(pts)
+        vals, expect = (np.array(a) for a in zip(*inside))
+        assert np.abs(vals - expect).max() <= 1e-12 * np.abs(expect).max()

@@ -111,9 +111,7 @@ def _cell_quadrature(cell, resolution: int):
 
 
 def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
-                          resolution: int = 128,
-                          interpolation: DualInterpolation | None = None
-                          ) -> HodgeOperator:
+                          resolution: int = 128) -> HodgeOperator:
     """Inverse dual Hodge star: Gram matrix of dual Whitney forms.
 
     Entries are integrated by pixel-grid quadrature over the per-vertex dual
@@ -123,7 +121,7 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
     if complex.dim != 2:
         raise HodgeError("dual-inverse assembly is implemented for 2D meshes")
     _check_degree(complex, k)
-    di = interpolation or DualInterpolation(complex, dual)
+    di = DualInterpolation(complex, dual)
     n = complex.dim
     N = len(complex.simplices[k])
     space = f"dual {n - k}-cells of primal {k}-simplices"

@@ -2,12 +2,14 @@
 
 The primal mesh is an n-dimensional simplicial complex (n = 2 or 3) given by
 vertex coordinates and top-dimensional cells.  The dual mesh assigns to every
-primal k-simplex an (n-k)-cell built from barycenters or circumcenters of its
-cofaces, with signed measures accumulated over the elementary subdivision
-simplices.  Dual cells of boundary simplices are clipped to the domain: the
-boundary contributes edge midpoints and the primal vertex itself as dual cell
-vertices, so that vertex dual areas always sum to the mesh volume under the
-barycentric rule.
+primal k-simplex an (n-k)-cell spanned by the barycenters or circumcenters of
+its cofaces, and is held as the two things the Hodge stars read from it: the
+centers of all simplices (the dual vertices) and the signed cell measures,
+accumulated over the elementary subdivision simplices.  Dual cells of
+boundary simplices are clipped to the domain: the boundary contributes edge
+midpoints and the primal vertex itself as dual cell vertices, so that vertex
+dual areas always sum to the mesh volume under the barycentric rule.  In 2D,
+`vertex_ring` lists the dual vertices of a vertex's dual polygon in order.
 
 Assembly works on whole arrays of simplices: faces are enumerated with
 `np.unique` over sorted vertex tuples, measures and centers come from batched
@@ -22,7 +24,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -96,7 +98,6 @@ class SimplicialComplex:
     orientations: list  # list of (N_k,) int arrays
     measures: list  # list of (N_k,) float arrays
     face_indices: list  # face_indices[k]: (N_{k+1}, k+2) int array
-    index: list = field(repr=False)  # list of dict tuple -> int
 
     def simplex_points(self, k: int, i: int) -> np.ndarray:
         return self.vertices[self.simplices[k][i]]
@@ -155,7 +156,8 @@ class SimplicialComplex:
 
     def with_leading_simplices(self, k: int, leading) -> "SimplicialComplex":
         """Return a copy with the given k-simplices enumerated first, in order."""
-        lead_ids = [self.index[k][tuple(sorted(t))] for t in leading]
+        index = {tuple(s): i for i, s in enumerate(self.simplices[k].tolist())}
+        lead_ids = [index[tuple(sorted(t))] for t in leading]
         lead = set(lead_ids)
         perm = np.array(lead_ids + [i for i in range(len(self.simplices[k]))
                                     if i not in lead])
@@ -165,7 +167,6 @@ class SimplicialComplex:
         orientations = list(self.orientations)
         measures = list(self.measures)
         face_indices = list(self.face_indices)
-        index = list(self.index)
         simplices[k] = self.simplices[k][perm]
         orientations[k] = self.orientations[k][perm]
         measures[k] = self.measures[k][perm]
@@ -173,10 +174,9 @@ class SimplicialComplex:
             face_indices[k - 1] = self.face_indices[k - 1][perm]
         if k < self.dim:
             face_indices[k] = inv[self.face_indices[k]]
-        index[k] = {tuple(s): i for i, s in enumerate(simplices[k])}
         return SimplicialComplex(
             self.dim, self.vertices, simplices, orientations, measures,
-            face_indices, index,
+            face_indices,
         )
 
 
@@ -243,14 +243,15 @@ def build_complex(vertices, cells) -> SimplicialComplex:
         faces = simplices[k + 1][:, keep].reshape(-1, k + 1)
         simplices[k], inverse = np.unique(faces, axis=0, return_inverse=True)
         face_indices[k] = inverse.reshape(-1, k + 2)
-    index = [{tuple(s): i for i, s in enumerate(simp.tolist())}
-             for simp in simplices]
-    measures = [simplex_measures(verts[simp]) for simp in simplices]
+    # a cell's measure is |det| / n!, which keeps its relative accuracy on
+    # slivers, where the Gram determinant of `simplex_measures` loses it
+    measures = [simplex_measures(verts[simp]) for simp in simplices[:n]]
+    measures.append(np.abs(det) / math.factorial(n))
     orientations = [np.ones(len(simplices[k]), dtype=int) for k in range(n)]
     orientations.append(np.where(det > 0, 1, -1))
 
     return SimplicialComplex(
-        n, verts, simplices, orientations, measures, face_indices, index
+        n, verts, simplices, orientations, measures, face_indices
     )
 
 
@@ -259,26 +260,16 @@ def build_complex(vertices, cells) -> SimplicialComplex:
 
 
 @dataclass(frozen=True)
-class DualCell:
-    """The (n-k)-dimensional dual cell of a primal k-simplex.
+class DualMesh:
+    """The dual of a complex as its dual vertices and cell measures.
 
-    `points` are the dual vertex coordinates making up the cell.  For 2D the
-    structure is explicit: a point (k=n), a polyline (k=n-1), or a closed
-    polygon loop in order (k=0).  In 3D, k=n gives a point, k=n-1 a polyline,
-    and k=1 and k=0 the centers spanning the cell's elementary simplices.
+    centers[k] holds the (N_k, dim) centers of the primal k-simplices under
+    `rule`, the dual vertices that span the dual cells; measures[k] holds the
+    signed measures |*sigma^k| of the dual cells of the k-simplices.
     """
 
-    degree: int
-    generator: int
-    points: np.ndarray
-    measure: float
-
-
-@dataclass(frozen=True)
-class DualMesh:
     rule: str
-    complex: SimplicialComplex
-    cells: list  # cells[k][i] -> DualCell for primal k-simplex i
+    centers: list  # centers[k]: (N_k, dim) array
     measures: list  # measures[k]: (N_k,) array of |*sigma^k|
 
     def negative_cells(self, k: int):
@@ -307,22 +298,6 @@ def _side_signs(complex: SimplicialComplex, centers: list, k: int) -> np.ndarray
     opposite = complex.vertices[complex.simplices[k]]
     return np.sign(np.einsum("imd,imd->im", residual(query),
                              residual(opposite)))
-
-
-def _first_seen_points(chains: np.ndarray, centers: list, count: int) -> list:
-    """Per k-simplex, the distinct centers along its chains, first-seen
-    order: chain by chain, each from sigma^k up to sigma^n."""
-    n = len(centers) - 1
-    k = n + 1 - chains.shape[1]
-    offsets = np.cumsum([0] + [len(c) for c in centers])
-    keys = (chains[:, ::-1] + offsets[k:n + 1]).ravel()
-    owner = np.repeat(chains[:, -1], chains.shape[1])
-    order = np.argsort(owner, kind="stable")
-    keys, owner = keys[order], owner[order]
-    _, first = np.unique(owner * offsets[-1] + keys, return_index=True)
-    first.sort()
-    split = np.cumsum(np.bincount(owner[first], minlength=count))[:-1]
-    return np.split(np.concatenate(centers)[keys[first]], split)
 
 
 def vertex_ring(complex: SimplicialComplex, v: int) -> list:
@@ -375,42 +350,18 @@ def build_dual(complex: SimplicialComplex, rule: str) -> DualMesh:
     # is the product of the side signs of the steps down.
     chains = np.arange(counts[n])[:, None]
     sign = np.ones(counts[n])
-    measures = [None] * (n + 1)
-    points = [None] * (n + 1)
-    for k in range(n, -1, -1):
-        if k < n:
-            pts = np.stack([centers[n - j][chains[:, j]]
-                            for j in range(n - k + 1)], axis=1)
-            measures[k] = np.bincount(chains[:, -1], minlength=counts[k],
+    measures = [None] * n + [np.ones(counts[n])]
+    for k in range(n, 0, -1):
+        sign = (sign[:, None]
+                * _side_signs(complex, centers, k)[chains[:, -1]]).ravel()
+        chains = np.column_stack([
+            np.repeat(chains, k + 1, axis=0),
+            complex.face_indices[k - 1][chains[:, -1]].ravel()])
+        pts = np.stack([centers[n - j][chains[:, j]]
+                        for j in range(n - k + 2)], axis=1)
+        measures[k - 1] = np.bincount(chains[:, -1], minlength=counts[k - 1],
                                       weights=sign * simplex_measures(pts))
-            if k < n - 1 and not (k == 0 and n == 2):
-                points[k] = _first_seen_points(chains, centers, counts[k])
-        if k > 0:
-            sign = (sign[:, None]
-                    * _side_signs(complex, centers, k)[chains[:, -1]]).ravel()
-            chains = np.column_stack([
-                np.repeat(chains, k + 1, axis=0),
-                complex.face_indices[k - 1][chains[:, -1]].ravel()])
-    measures[n] = np.ones(counts[n])
-
-    cells = [[] for _ in range(n + 1)]
-    for k in range(n + 1):
-        for i in range(counts[k]):
-            if k == n:
-                pts = centers[n][i][None, :]
-            elif k == n - 1:
-                # polyline through the face center from the center of its
-                # first n-cell (if it has two) to that of its last
-                tris = complex.cofaces(k, i)
-                pts = np.concatenate([centers[n][tris[:-1]], centers[k][i:i + 1],
-                                      centers[n][tris[-1:]]])
-            elif k == 0 and n == 2:
-                pts = np.array([centers[{"v": 0, "m": 1, "c": 2}[kind]][j]
-                                for kind, j in vertex_ring(complex, i)])
-            else:
-                pts = points[k][i]
-            cells[k].append(DualCell(k, i, pts, float(measures[k][i])))
-    return DualMesh(rule, complex, cells, measures)
+    return DualMesh(rule, centers, measures)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ vertices.  `DualInterpolation.forms` evaluates all of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -223,6 +222,25 @@ def _pad_regions(regions: list) -> list:
     ]
 
 
+def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray):
+    """Overlap areas (q, n) of the inserted region of each point with each
+    site region, and their gradients (q, n, 2); see `SibsonCell._site_clips`."""
+    areas = np.zeros((len(pts), len(sites)))
+    grads = np.zeros((len(pts), len(sites), 2))
+    for i, region in enumerate(regions):
+        if region is None:
+            continue
+        vi = sites[i]
+        area, length, moment = _bisector_clip(region, vi, pts)
+        areas[:, i] = np.maximum(area, 0.0)
+        # (y - x) = (y - c) + (v_i - x) / 2 with c the bisector midpoint
+        n = vi - pts
+        dist = np.sqrt(n[:, 0] ** 2 + n[:, 1] ** 2)[:, None]
+        grads[:, i] = ((moment + 0.5 * length[:, None] * n)
+                       / np.where(dist == 0.0, 1.0, dist))
+    return areas, grads
+
+
 class SibsonCell:
     """Sibson coordinate evaluator on one cell; precomputes site regions.
 
@@ -247,9 +265,9 @@ class SibsonCell:
     def n_sites(self) -> int:
         return len(self.sites)
 
-    def _boxed_regions(self, half: float):
-        """Site regions clipped to a bounding box, cached by box size."""
-        key = math.ceil(math.log2(max(half / self.cell.diameter, 1.0)))
+    def _boxed_regions(self, key: int):
+        """Site regions clipped to a bounding box of half-width
+        diam * (2**key + 1) about the site centroid, cached by key."""
         if key not in self._box_cache:
             half = self.cell.diameter * 2.0 ** key + self.cell.diameter
             box = self.sites.mean(axis=0) + half * np.array(
@@ -269,29 +287,20 @@ class SibsonCell:
         identity holds for the restricted and the classical variant alike.
         """
         if self.restricted:
-            regions = self.regions
-        else:
-            # the inserted region of a point at distance d from the site hull
-            # can reach roughly diam^2 / (2 d) beyond it; size the box so the
-            # batch's closest point is still covered
-            margin = max(self.cell.boundary_distance(pts).min(),
-                         1e-9 * self.cell.diameter)
-            regions = self._boxed_regions(
-                self.cell.diameter ** 2 / (2.0 * margin) + self.cell.diameter
-            )
+            return _clip_regions(self.regions, self.sites, pts)
+        # the inserted region of a point at distance d from the site hull
+        # can reach roughly diam^2 / (2 d) beyond it; each point is clipped
+        # in the smallest cached box that covers its own reach, so a point's
+        # result does not depend on the rest of its batch
+        diam = self.cell.diameter
+        margin = np.maximum(self.cell.boundary_distance(pts), 1e-9 * diam)
+        keys = np.ceil(np.log2(diam / (2.0 * margin) + 1.0)).astype(int)
         areas = np.zeros((len(pts), self.n_sites))
         grads = np.zeros((len(pts), self.n_sites, 2))
-        for i, region in enumerate(regions):
-            if region is None:
-                continue
-            vi = self.sites[i]
-            area, length, moment = _bisector_clip(region, vi, pts)
-            areas[:, i] = np.maximum(area, 0.0)
-            # (y - x) = (y - c) + (v_i - x) / 2 with c the bisector midpoint
-            n = vi - pts
-            dist = np.sqrt(n[:, 0] ** 2 + n[:, 1] ** 2)[:, None]
-            grads[:, i] = ((moment + 0.5 * length[:, None] * n)
-                           / np.where(dist == 0.0, 1.0, dist))
+        for key in np.unique(keys):
+            sel = keys == key
+            areas[sel], grads[sel] = _clip_regions(
+                self._boxed_regions(int(key)), self.sites, pts[sel])
         return areas, grads
 
     def coords_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -374,6 +383,26 @@ class SibsonCell:
 # dual Whitney forms
 
 
+# the degree of the primal simplex whose center a `vertex_ring` tag names
+_TAG_DEGREE = {"v": 0, "m": 1, "c": 2}
+
+
+def _self_intersects(loop: np.ndarray) -> bool:
+    """Whether two sides of a closed loop cross properly, each one's ends
+    strictly on opposite sides of the other's line.  Sides that only touch,
+    such as neighbours at their shared corner or collinear sides that meet,
+    do not count."""
+    a, b = loop, np.roll(loop, -1, axis=0)
+    d = b - a
+
+    def side(p):  # side[i, j]: sign of point p[j] against the line of side i
+        r = p[None, :, :] - a[:, None, :]
+        return np.sign(d[:, None, 0] * r[..., 1] - d[:, None, 1] * r[..., 0])
+
+    straddles = side(a) * side(b) < 0  # side j's ends straddle line i
+    return bool(np.any(straddles & straddles.T))
+
+
 def edge_forms(lam: np.ndarray, grads: np.ndarray, ia, ib) -> np.ndarray:
     """Dual edge forms lambda_a grad lambda_b - lambda_b grad lambda_a,
     (G, q, 2), from the coordinates (q, n) and gradients (q, n, 2) at a
@@ -386,10 +415,16 @@ class DualInterpolation:
     """Dual-mesh interpolation structure for a 2D complex.
 
     Each primal vertex owns a flat-sided dual polygon whose corners are the
-    barycenters of the incident triangles; at the boundary the polygon closes
-    through the adjacent boundary-edge midpoints and the vertex itself.
-    These polygons partition the domain, and restricted Sibson coordinates
-    on them are the building blocks of the dual Whitney forms.
+    centers of the incident triangles; at the boundary the polygon closes
+    through the adjacent boundary-edge midpoints and the vertex itself.  The
+    corners come from one `vertex_ring` walk per vertex, whose tags name
+    dual vertices in `dual.centers`.  These polygons partition the domain,
+    and restricted Sibson coordinates on them are the building blocks of the
+    dual Whitney forms.
+
+    Raises SibsonError when a polygon intersects itself (two of its sides
+    cross properly), which a strongly non-convex vertex neighbourhood can
+    cause: no interpolant on such a polygon is defined.
     """
 
     def __init__(self, complex: SimplicialComplex, dual: DualMesh):
@@ -401,13 +436,16 @@ class DualInterpolation:
         self.site_lookup = []  # per vertex: dict tag -> local index
         boundary = complex.boundary_simplices(1)
         for v in range(len(complex.vertices)):
-            ring = vertex_ring(complex, v)
             # sites are the ring's triangle centers, boundary-edge midpoints
             # and boundary vertex; interior-edge midpoints are not sites
-            keep = [i for i, (kind, e) in enumerate(ring)
-                    if kind != "m" or boundary[e]]
-            loop, tags = _ccw_ring(dual.cells[0][v].points[keep],
-                                   [ring[i] for i in keep])
+            ring = [(kind, j) for kind, j in vertex_ring(complex, v)
+                    if kind != "m" or boundary[j]]
+            loop = np.array([dual.centers[_TAG_DEGREE[kind]][j]
+                             for kind, j in ring])
+            if _self_intersects(loop):
+                raise SibsonError(f"dual polygon of vertex {v} intersects "
+                                  "itself")
+            loop, tags = _ccw_ring(loop, ring)
             self.cells.append(PolyCell(loop))
             self.site_tags.append(tags)
             self.site_lookup.append({tag: i for i, tag in enumerate(tags)})

@@ -175,23 +175,24 @@ def _pair_table(n: int, k: int):
     For local k-faces I <= J (vertex positions in the cell) the entry is
     (k!)^2 sum_{p,q} (-1)^(p+q) int(lambda_I[p] lambda_J[q]) det G[I-p, J-q]
     with G the Gram matrix of the barycentric gradients and int(lambda_a
-    lambda_b) = |T| (1 + [a = b]) / ((n+1)(n+2)).  Returns each minor's rows
-    and columns and weight (-1)^(p+q) (1 + [I[p] = J[q]]), (k+1)^2 terms per
-    pair of local face indices, and those pairs."""
+    lambda_b) = |T| (1 + [a = b]) / ((n+1)(n+2)).  Returns, per term, the
+    positions of I-p and J-q among the k-subsets of local vertices in
+    `itertools.combinations` order and the weight (-1)^(p+q)
+    (1 + [I[p] = J[q]]), (k+1)^2 terms per pair of local face indices, and
+    those pairs."""
     local = list(itertools.combinations(range(n + 1), k + 1))
+    subsets = {s: i for i, s in
+               enumerate(itertools.combinations(range(n + 1), k))}
     pairs = [(a, b) for a in range(len(local)) for b in range(a, len(local))]
     rows, cols, weights = [], [], []
     for a, b in pairs:
         I, J = local[a], local[b]
         for p in range(k + 1):
             for q in range(k + 1):
-                rows.append(I[:p] + I[p + 1:])
-                cols.append(J[:q] + J[q + 1:])
+                rows.append(subsets[I[:p] + I[p + 1:]])
+                cols.append(subsets[J[:q] + J[q + 1:]])
                 weights.append((-1) ** (p + q) * (2.0 if I[p] == J[q] else 1.0))
-    shape = (len(rows), k)
-    return (np.array(rows, dtype=int).reshape(shape),
-            np.array(cols, dtype=int).reshape(shape),
-            np.array(weights), np.array(pairs))
+    return np.array(rows), np.array(cols), np.array(weights), np.array(pairs)
 
 
 def whitney_gram_matrix(complex: SimplicialComplex, k: int):
@@ -208,9 +209,17 @@ def whitney_gram_matrix(complex: SimplicialComplex, k: int):
     cells = np.arange(len(complex.simplices[n]))
     # column j of grads[c] is the gradient of lambda_j on cell c
     grads = _barycentric_coefficients(complex, cells)[:, 1:, :]
-    gram = np.swapaxes(grads, 1, 2) @ grads
+    # Cauchy-Binet: a k x k minor of the gradient Gram matrix is the sum over
+    # k-sets of axes of products of k x k minors of the gradients, which
+    # keep their accuracy on slivers where the Gram matrix squares the
+    # conditioning.  minors[c, s, m]: axes s, local vertex subset m.
+    axes = np.array(list(itertools.combinations(range(n), k)), dtype=int)
+    subsets = np.array(list(itertools.combinations(range(n + 1), k)),
+                       dtype=int)
+    minors = np.linalg.det(grads[:, axes[:, None, :, None],
+                                 subsets[None, :, None, :]])
     rows, cols, weights, pairs = _pair_table(n, k)
-    dets = np.linalg.det(gram[:, rows[:, :, None], cols[:, None, :]])
+    dets = np.einsum("csr,csr->cr", minors[:, :, rows], minors[:, :, cols])
     vals = (dets * weights).reshape(len(cells), len(pairs), -1).sum(axis=-1)
     vals *= (math.factorial(k) ** 2 / ((n + 1) * (n + 2))
              * complex.measures[n][:, None])

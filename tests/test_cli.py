@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -273,6 +274,34 @@ def test_whitney_star_builds_no_dual(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(mesh, "build_dual", no_dual)
     assert [lines_of(argv) for argv in argvs] == expect
+
+
+def test_dual_inverse_star_walks_each_vertex_ring_once(tmp_path, monkeypatch,
+                                                      capsys):
+    # the dual mesh carries no polygons; the interpolation structure walks
+    # the ring of every vertex, once
+    sibson = importlib.import_module("decstar.sibson")
+    walked = []
+    ring = mesh.vertex_ring
+
+    def counted(comp, v):
+        walked.append(v)
+        return ring(comp, v)
+
+    monkeypatch.setattr(mesh, "vertex_ring", counted)
+    monkeypatch.setattr(sibson, "vertex_ring", counted)
+    code, _, _ = run(["hodge", "--kind", "dual_inverse", "--mesh", "grid:4",
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert sorted(walked) == list(range(25))
+
+
+def test_self_intersecting_dual_polygon_is_one_line(tmp_path, capsys):
+    # the flat-sided dual polygon of vertex 4 of random:21:34 is a bowtie
+    code, lines, err = run(["sample-field", "--space", "dual", "--mesh",
+                            "random:21:34", "--out", str(tmp_path)], capsys)
+    assert code == 1 and lines == []
+    assert err == "error: dual polygon of vertex 4 intersects itself\n"
 
 
 def test_sample_field(tmp_path, capsys):

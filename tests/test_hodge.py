@@ -65,7 +65,7 @@ def test_dual_inverse_vertex_block_is_inverse_areas():
     comp = mesh.structured_grid(3)
     dual = mesh.build_dual(comp, "barycentric")
     di = DualInterpolation(comp, dual)
-    op = hodge.assemble_dual_inverse(comp, dual, 0, interpolation=di)
+    op = hodge.assemble_dual_inverse(comp, dual, 0)
     expect = np.array([1.0 / c.measure for c in di.cells])
     assert np.abs(op.matrix.diagonal() - expect).max() < 1e-14
 
@@ -200,7 +200,7 @@ def test_dual_inverse_matches_per_entry_assembly():
     dual = mesh.build_dual(comp, "barycentric")
     di = DualInterpolation(comp, dual)
     for k in (1, 2):
-        A = hodge.assemble_dual_inverse(comp, dual, k, 32, interpolation=di)
+        A = hodge.assemble_dual_inverse(comp, dual, k, 32)
         ref = loop_dual_inverse(comp, di, k, 32)
         assert A.matrix.nnz == ref.nnz
         assert ((A.matrix != 0) != (ref != 0)).nnz == 0

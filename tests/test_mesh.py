@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from decstar import mesh
 from decstar.mesh import MeshError
-from decstar.sibson import DualInterpolation, polygon_area
+from decstar.sibson import DualInterpolation, SibsonError, polygon_area
+
+
+def ring_points(dual, tags):
+    """The dual vertices named by `mesh.vertex_ring` tags, in order."""
+    return np.array([dual.centers[{"v": 0, "m": 1, "c": 2}[kind]][j]
+                     for kind, j in tags])
 
 
 def test_single_triangle_counts():
@@ -102,21 +108,42 @@ def test_dual_vertex_cells_partition_area():
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(n=st.integers(3, 40), seed=st.integers(0, 10_000))
-def test_vertex_ring_walks_each_element_once(n, seed):
+def test_vertex_ring_walks_each_element_once(crossing_dual_polygons, n, seed):
     comp = mesh.random_delaunay(n, seed)
     dual = mesh.build_dual(comp, "barycentric")
-    di = DualInterpolation(comp, dual)
     boundary = comp.boundary_simplices(1)
+    site_tags = []
     for v in range(len(comp.vertices)):
-        loop = dual.cells[0][v].points
+        ring = mesh.vertex_ring(comp, v)
+        loop = ring_points(dual, ring)
         assert not np.all(loop == np.roll(loop, -1, axis=0), axis=1).any()
         area = polygon_area(loop)
         assert abs(area) == pytest.approx(dual.measures[0][v], rel=1e-12)
         # the interpolation polygon drops the interior-edge midpoints and
         # runs counter-clockwise
-        kept = [t for t in mesh.vertex_ring(comp, v)
-                if t[0] != "m" or boundary[t[1]]]
-        assert di.site_tags[v] == (kept if area > 0 else kept[::-1])
+        kept = [t for t in ring if t[0] != "m" or boundary[t[1]]]
+        site_tags.append(kept if area > 0 else kept[::-1])
+    # ... unless one of those polygons intersects itself
+    crossing = crossing_dual_polygons(comp, dual)
+    if crossing:
+        with pytest.raises(SibsonError, match=f"^dual polygon of vertex "
+                                              f"{crossing[0]} intersects itself$"):
+            DualInterpolation(comp, dual)
+    else:
+        assert DualInterpolation(comp, dual).site_tags == site_tags
+
+
+def test_build_dual_walks_no_vertex_ring(monkeypatch):
+    def no_ring(*args):
+        raise AssertionError("build_dual walked a vertex ring")
+
+    monkeypatch.setattr(mesh, "vertex_ring", no_ring)
+    for comp in (mesh.structured_grid(4), mesh.random_delaunay(20, 1),
+                 mesh.random_delaunay(12, 3, dim=3)):
+        for rule in ("barycentric", "circumcentric"):
+            dual = mesh.build_dual(comp, rule)
+            assert [len(c) for c in dual.centers] \
+                == [len(s) for s in comp.simplices]
 
 
 def test_circumcentric_dual_on_equilateral():
@@ -211,8 +238,8 @@ def loop_build_complex(vertices, cells):
     verts = np.asarray(vertices, dtype=float)
     n = verts.shape[1]
     top = np.sort(np.asarray(cells, dtype=int), axis=1)
-    orient = np.array([1 if np.linalg.det(verts[c[1:]] - verts[c[0]]) > 0
-                       else -1 for c in top])
+    dets = np.array([np.linalg.det(verts[c[1:]] - verts[c[0]]) for c in top])
+    orient = np.where(dets > 0, 1, -1)
     simplices = [None] * n + [top]
     for k in range(n - 1, -1, -1):
         faces = set()
@@ -225,8 +252,9 @@ def loop_build_complex(vertices, cells):
         np.array([[index[k][tuple(s[:m] + s[m + 1:])] for m in range(k + 2)]
                   for s in simplices[k + 1].tolist()])
         for k in range(n)]
+    # a cell's measure is |det| / n!, as in `build_complex`
     measures = [np.array([loop_measure(verts[s]) for s in simp])
-                for simp in simplices]
+                for simp in simplices[:n]] + [np.abs(dets) / math.factorial(n)]
     orientations = [np.ones(len(s), dtype=int) for s in simplices[:n]]
     return simplices, face_indices, orientations + [orient], measures
 
@@ -283,8 +311,9 @@ def loop_vertex_ring(comp, v):
 
 
 def loop_build_dual(comp, rule):
-    """(measures, cell points) by the recursive walk over the chains
-    sigma^k < ... < sigma^n, top-down from each n-simplex."""
+    """(measures, 2D vertex ring points) by the recursive walk over the
+    chains sigma^k < ... < sigma^n, top-down from each n-simplex, and by the
+    scanning ring walk."""
     n = comp.dim
     centers = [np.array([loop_center(comp.simplex_points(k, i), rule)
                          for i in range(len(comp.simplices[k]))])
@@ -304,30 +333,13 @@ def loop_build_dual(comp, rule):
 
     for t in range(len(comp.simplices[n])):
         recurse(n, [t], [centers[n][t]], 1.0)
-    measures, points = [], []
-    for k in range(n + 1):
-        count = len(comp.simplices[k])
-        measures.append(np.array([sum(v for _, v in chains[k][i]) if k < n
-                                  else 1.0 for i in range(count)]))
-        for i in range(count):
-            if k == n:
-                pts = centers[n][i][None, :]
-            elif k == n - 1:
-                tris = scan_cofaces(comp, k, i)
-                pts = (np.array([centers[n][tris[0]], centers[k][i],
-                                 centers[n][tris[1]]]) if len(tris) == 2
-                       else np.array([centers[k][i], centers[n][tris[0]]]))
-            elif k == 0 and n == 2:
-                pts = np.array([centers[{"v": 0, "m": 1, "c": 2}[kind]][j]
-                                for kind, j in loop_vertex_ring(comp, i)])
-            else:
-                uniq = {}
-                for chain, _ in chains[k][i]:
-                    for depth, sid in enumerate(chain):
-                        uniq[(k + depth, sid)] = centers[k + depth][sid]
-                pts = np.array(list(uniq.values()))
-            points.append((k, i, pts))
-    return measures, points
+    measures = [np.array([sum(v for _, v in chains[k][i]) if k < n else 1.0
+                          for i in range(len(comp.simplices[k]))])
+                for k in range(n + 1)]
+    rings = [np.array([centers[{"v": 0, "m": 1, "c": 2}[kind]][j]
+                       for kind, j in loop_vertex_ring(comp, i)])
+             for i in range(len(comp.vertices))] if n == 2 else []
+    return measures, rings
 
 
 MESHES = st.one_of(
@@ -374,7 +386,7 @@ def test_build_dual_matches_loop(relabelled_delaunay, case, rule):
     dim, n_points, seed = case
     comp = mesh.build_complex(*relabelled_delaunay(n_points, seed, dim))
     dual = mesh.build_dual(comp, rule)
-    measures, points = loop_build_dual(comp, rule)
+    measures, rings = loop_build_dual(comp, rule)
     # 3D circumcentric: where a center lies on a face's hull (slivers), the
     # loop's side sign is rounding noise and its chain volume, the square
     # root of a rounding-level Gram determinant, is about 1e-8 of the
@@ -383,5 +395,5 @@ def test_build_dual_matches_loop(relabelled_delaunay, case, rule):
     for k in range(dim + 1):
         assert np.abs(dual.measures[k] - measures[k]).max() \
             <= rtol * np.abs(measures[k]).max()
-    for k, i, pts in points:
-        assert np.array_equal(dual.cells[k][i].points, pts)
+    for v, pts in enumerate(rings):
+        assert np.array_equal(ring_points(dual, mesh.vertex_ring(comp, v)), pts)

@@ -136,17 +136,14 @@ def test_gradients_reproduce_identity():
 def central_differences(sc, pts):
     """Central differences of coords_batch at h = 1e-7 * diam, (q, n, 2).
 
-    One point per call: the classical variant sizes its bounding box by the
-    batch's point nearest the boundary, and a larger box adds rounding that
-    the 1 / h of a difference quotient would magnify.
+    Every point of a batch is clipped in the bounding box that its own
+    distance to the boundary asks for, so the batch gives each point what a
+    batch of one gives it (`test_classical_batch_matches_single_points`).
     """
     h = 1e-7 * sc.cell.diameter
     steps = (np.array([h, 0.0]), np.array([0.0, h]))
-    return np.array([
-        np.stack([(sc.coords_batch(p + e) - sc.coords_batch(p - e))[0] / (2 * h)
-                  for e in steps], axis=1)
-        for p in pts
-    ])
+    return np.stack([(sc.coords_batch(pts + e) - sc.coords_batch(pts - e))
+                     / (2 * h) for e in steps], axis=2)
 
 
 def assert_matches_differences(sc, pts):
@@ -205,13 +202,39 @@ def test_bisector_clip_two_piece_chord():
     assert np.abs(moment[0] - [0.0, 0.6]).max() < 1e-14
 
 
-def test_exact_gradients_on_mesh_dual_polygons():
+def test_exact_gradients_on_mesh_dual_polygons(crossing_dual_polygons):
+    # the dual polygon of vertex 14 of random_delaunay(60, 3) is a bowtie,
+    # on which no interpolant is defined; seed 0 has none
     comp = mesh.random_delaunay(60, 3)
-    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    dual = mesh.build_dual(comp, "barycentric")
+    assert crossing_dual_polygons(comp, dual) == [14]
+    with pytest.raises(SibsonError,
+                       match="^dual polygon of vertex 14 intersects itself$"):
+        DualInterpolation(comp, dual)
+    comp = mesh.random_delaunay(60, 0)
+    dual = mesh.build_dual(comp, "barycentric")
+    assert crossing_dual_polygons(comp, dual) == []
+    di = DualInterpolation(comp, dual)
     rng = np.random.default_rng(22)
     for v, cell in enumerate(di.cells):
         assert_matches_differences(di.evaluator(v),
                                    interior_points(cell, rng, 10, 1e-3))
+
+
+def test_classical_batch_matches_single_points():
+    # every point is clipped in the box its own boundary distance asks for,
+    # so a batch gives each point what a batch of one gives it
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        cell = random_convex_cell(rng)
+        sc = SibsonCell(cell)
+        assert not sc.restricted
+        pts = interior_points(cell, rng, 60, 1e-3)
+        lam, grads = sc.coords_and_gradients_batch(pts)
+        for x, lam_x, grads_x in zip(pts, lam, grads):
+            one_lam, one_grads = sc.coords_and_gradients_batch(x[None])
+            assert np.array_equal(one_lam[0], lam_x)
+            assert np.array_equal(one_grads[0], grads_x)
 
 
 def test_boundary_distance_batch_matches_loop():
@@ -357,8 +380,16 @@ def test_dual_edge_form_line_duality(grid_interp):
     form = di.interpolate(1, unit(len(comp.simplices[1]), e))
     t1, t2 = (int(t) for t in comp.cofaces(1, e))
 
+    def dual_edge(edge_id):
+        # from the center of the edge's first triangle through its midpoint
+        # to the center of its last
+        tris = comp.cofaces(1, edge_id)
+        return np.concatenate([dual.centers[2][tris[:-1]],
+                               dual.centers[1][[edge_id]],
+                               dual.centers[2][tris[-1:]]])
+
     def path_integral(edge_id):
-        pts = dual.cells[1][edge_id].points
+        pts = dual_edge(edge_id)
         total = 0.0
         for a, b in zip(pts[:-1], pts[1:]):
             ts = np.linspace(0, 1, 81)[1::2]
@@ -367,7 +398,7 @@ def test_dual_edge_form_line_duality(grid_interp):
         return total
 
     c1 = comp.simplex_points(2, t1).mean(axis=0)
-    first = dual.cells[1][e].points[0]
+    first = dual_edge(e)[0]
     sign = 1.0 if np.allclose(first, c1) else -1.0
     # the circulation along the form's own dual edge is close to one, not
     # exactly one: the path runs along the boundary between two dual
@@ -438,7 +469,8 @@ def loop_dual_field(di, p, weights):
 
 @settings(derandomize=True, database=None, max_examples=10, deadline=None)
 @given(case=st.tuples(st.integers(3, 25), st.integers(0, 10_000)))
-def test_dual_fields_match_point_loop(relabelled_delaunay, case):
+def test_dual_fields_match_point_loop(relabelled_delaunay,
+                                     crossing_dual_polygons, case):
     """Batched dual fields equal the per-point sampler bit for bit wherever
     a polygon's even-odd test claims the point, are finite at the other
     points of the mesh and NaN outside it.  The points are random ones in
@@ -446,10 +478,18 @@ def test_dual_fields_match_point_loop(relabelled_delaunay, case):
     where polygons meet and the Milbradt-Pick limit applies.  For p = 0
     the batch multiplies by 1 / |cell| where the loop divides by |cell|, so
     a random cochain is compared to 2 ulp there and the all-ones cochain
-    exactly."""
+    exactly.  A mesh with a self-intersecting dual polygon has no dual
+    fields."""
     n_points, seed = case
     comp = mesh.build_complex(*relabelled_delaunay(n_points, seed, 2))
-    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    dual = mesh.build_dual(comp, "barycentric")
+    crossing = crossing_dual_polygons(comp, dual)
+    if crossing:
+        with pytest.raises(SibsonError, match=f"^dual polygon of vertex "
+                                              f"{crossing[0]} intersects itself$"):
+            DualInterpolation(comp, dual)
+        return
+    di = DualInterpolation(comp, dual)
     rng = np.random.default_rng(seed)
     lo, hi = comp.vertices.min(axis=0), comp.vertices.max(axis=0)
     on_edges = np.vstack([np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])

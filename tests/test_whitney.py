@@ -149,15 +149,20 @@ def test_degree_validation():
 
 
 def loop_pair_integral(grads, measure, n, I, J):
-    """Integral over one element of W_I . W_J for local vertex tuples I, J."""
+    """Integral over one element of W_I . W_J for local vertex tuples I, J.
+
+    Row j of `grads` is grad lambda_j.  Each minor of their Gram matrix is
+    summed over sets of axes by Cauchy-Binet, from minors of the gradients
+    themselves."""
     k = len(I) - 1
-    gram = grads @ grads.T
     total = 0.0
     for p in range(k + 1):
         Ip = I[:p] + I[p + 1:]
         for q in range(k + 1):
             Jq = J[:q] + J[q + 1:]
-            det = np.linalg.det(gram[np.ix_(Ip, Jq)]) if k else 1.0
+            det = sum(np.linalg.det(grads[np.ix_(Ip, S)])
+                      * np.linalg.det(grads[np.ix_(Jq, S)])
+                      for S in itertools.combinations(range(n), k)) if k else 1.0
             lam_int = measure * (2.0 if I[p] == J[q] else 1.0) \
                 / ((n + 1) * (n + 2))
             total += (-1.0) ** (p + q) * lam_int * det
@@ -169,11 +174,12 @@ def loop_gram(comp, k):
     N = len(comp.simplices[k])
     G = np.zeros((N, N))
     locals_ = list(itertools.combinations(range(n + 1), k + 1))
+    index = {tuple(s): i for i, s in enumerate(comp.simplices[k].tolist())}
     for cell in range(len(comp.simplices[n])):
         pts = comp.simplex_points(n, cell)
         grads = np.linalg.inv(np.column_stack([np.ones(n + 1), pts]))[1:].T
         verts = comp.simplices[n][cell].tolist()
-        faces = [comp.index[k][combo]
+        faces = [index[combo]
                  for combo in itertools.combinations(verts, k + 1)]
         for (fi, I), (fj, J) in itertools.combinations_with_replacement(
                 zip(faces, locals_), 2):
@@ -226,8 +232,8 @@ def test_gram_is_permutation_equivariant(relabelled_delaunay, case):
     other = mesh.build_complex(moved, perm[cells])
     for k in range(dim + 1):
         image = perm[comp.simplices[k]]
-        ids = np.array([other.index[k][tuple(sorted(s))]
-                        for s in image.tolist()])
+        index = {tuple(s): i for i, s in enumerate(other.simplices[k].tolist())}
+        ids = np.array([index[tuple(sorted(s))] for s in image.tolist()])
         sign = sort_sign(image) if k < dim else np.ones(len(ids))
         G = whitney.whitney_gram_matrix(comp, k).toarray()
         H = whitney.whitney_gram_matrix(other, k).toarray()[np.ix_(ids, ids)]

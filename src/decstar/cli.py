@@ -11,6 +11,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -106,18 +107,38 @@ def write_cochain_csv(values, path: Path, header: str = "id,value") -> None:
 
 
 def read_cochain_csv(path, expected: int) -> np.ndarray:
-    out = np.zeros(expected)
-    with open(path) as fh:
-        for row, line in enumerate(fh):
-            line = line.strip()
-            if not line or (row == 0 and not line[0].isdigit()):
-                continue
+    """A cochain of `expected` values from `id,value` rows, zero where no
+    row gives one.  Line 1 is a header when it does not parse as
+    `int,float`.  A file that is not UTF-8 text, a row that does not parse,
+    a non-finite value and a repeated or out-of-range id are each a
+    `CliError` naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CliError(f"cochain file {path}, line {line}: not UTF-8 text") \
+            from None
+    out = np.full(expected, np.nan)  # NaN until a row gives the value
+    for row, line in enumerate(lines, 1):
+        where = f"cochain file {path}, line {row}"
+        try:
             sid, val = line.split(",")[:2]
-            sid = int(sid)
-            if not 0 <= sid < expected:
-                raise CliError(f"cochain id {sid} out of range 0..{expected - 1}")
-            out[sid] = float(val)
-    return out
+            sid, val = int(sid), float(val)
+        except ValueError:
+            if row == 1 or not line.strip():  # a header or a blank line
+                continue
+            raise CliError(f"{where}: expected 'id,value', got "
+                           f"{line.strip()[:40]!r}") from None
+        if not np.isfinite(val):
+            raise CliError(f"{where}: value {val} is not finite")
+        if not 0 <= sid < expected:
+            raise CliError(f"{where}: cochain id {sid} out of range "
+                           f"0..{expected - 1}")
+        if not np.isnan(out[sid]):
+            raise CliError(f"{where}: cochain id {sid} repeated")
+        out[sid] = val
+    return np.nan_to_num(out, nan=0.0)
 
 
 def _finite_or_null(obj):

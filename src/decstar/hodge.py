@@ -7,6 +7,10 @@ Whitney forms; the dual-inverse star is the Gram matrix of dual Whitney
 forms, assembled directly (its sparsity is the point: the inverse of the
 Whitney star would be dense).  `hodge_pair` therefore never forms that
 inverse; it keeps the sparse LU factors of the assembled star.
+
+The Table 1 study of the two-fan mesh family takes its dual-inverse
+column from one hub cell, whose ring of triangle centers comes from the
+same `vertex_ring` walk as every dual polygon.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DualMesh, SimplicialComplex, generate_fig8
+from .mesh import DualMesh, SimplicialComplex, generate_fig8, vertex_ring
 from .whitney import whitney_gram_matrix
 from .sibson import (DualInterpolation, PolyCell, SibsonCell, _ccw_ring,
                      edge_forms, points_in_polygon)
@@ -360,81 +364,41 @@ class Table1Row:
     seconds: float
 
 
-def _fig8_ring_entries(comp: SimplicialComplex, resolution: int):
-    """Dual-form inner products on the two-fan mesh, patch protocol.
-
-    The two-fan mesh is a neighborhood cut out of a larger triangulation, so
-    the hub vertices' dual cells are treated as interior cells: plain rings
-    of the four incident triangle barycenters, without boundary closure.
-    Returns the inner products (vartheta, zeta, theta_half, kappa) where
-    theta_half is the half of theta carried by the first hub cell; the other
-    half lives on a fan-tip cell that leaves the patch.
-    """
-    centers = {
-        tuple(sorted(t)): comp.simplex_points(2, i).mean(axis=0)
-        for i, t in enumerate(comp.simplices[2].tolist())
-    }
-
-    def center_of(*vs):
-        for t, c in centers.items():
-            if set(vs) <= set(t):
-                return c
-        raise HodgeError("two-fan mesh triangle not found")
-
-    gT123 = center_of(0, 1, 2)
-    gT124 = center_of(0, 1, 3)
-    gEq = {
-        (a, b): next(c for t, c in centers.items()
-                     if {a, b} <= set(t) and max(t) >= 4)
-        for (a, b) in [(0, 2), (0, 3), (1, 2), (1, 3)]
-    }
-
-    def cell_products(ring, pairs):
-        loop, labels = _ccw_ring([p for _, p in ring], [l for l, _ in ring])
-        cell = PolyCell(loop)
-        sc = SibsonCell(cell, restricted=True)
-        idx = {l: i for i, l in enumerate(labels)}
-        pts, w = _cell_quadrature(cell, resolution)
-        vals, grads = sc.coords_and_gradients_batch(pts)
-
-        def eta(a, b):
-            return edge_forms(vals, grads, [idx[a]], [idx[b]])[0]
-
-        return {
-            name: w * float(np.einsum("qd,qd->", eta(a, b), eta(c, d)))
-            for name, (a, b, c, d) in pairs.items()
-        }
-
-    hub1 = [("e13", gEq[(0, 2)]), ("t123", gT123),
-            ("t124", gT124), ("e14", gEq[(0, 3)])]
-    hub2 = [("e23", gEq[(1, 2)]), ("t123", gT123),
-            ("t124", gT124), ("e24", gEq[(1, 3)])]
-    p1 = cell_products(hub1, {
-        "vartheta": ("t123", "t124", "t123", "t124"),
-        "zeta": ("t123", "t124", "t123", "e13"),
-        "theta_half": ("t123", "e13", "t123", "e13"),
-        "kappa": ("t123", "e13", "t124", "e14"),
-    })
-    p2 = cell_products(hub2, {
-        "vartheta": ("t123", "t124", "t123", "t124"),
-    })
-    return (p1["vartheta"] + p2["vartheta"], p1["zeta"],
-            p1["theta_half"], p1["kappa"])
-
-
 def fig8_dual_inverse_block(P: float, resolution: int = 512) -> np.ndarray:
     """The 5x5 dual-inverse block of the two-fan study, with the published
-    patch substitutions.
+    patch substitutions, from one quadrature pass over the first hub's cell.
 
-    Every inner product is integrated over the dual cells of its support
-    that are complete inside the patch; contributions whose cells leave the
-    patch are replaced by their symmetric computable counterparts (theta's
-    fan-tip half by its hub half; the cross term xi by zeta), and the
-    negligible opposite-edge term kappa is set to zero.
+    The two-fan mesh is a neighborhood cut out of a larger triangulation, so
+    the hub cell is the plain ring of the centers of the four triangles at
+    v1 in `vertex_ring` order (fan on v1v3, t123, t124, fan on v1v4),
+    without boundary closure.  With eta12 = eta(t123, t124) and
+    eta13 = eta(t123, fan13) on it:
+
+    - vartheta = 2 <eta12, eta12>: the mirror y -> 1 - y swaps the hubs,
+      so the second hub's cell carries an equal half;
+    - zeta = <eta12, eta13>, which also replaces the cross term xi, whose
+      cells leave the patch;
+    - theta = 2 <eta13, eta13>: its fan-tip half leaves the patch and is
+      replaced by the hub half;
+    - kappa, the negligible opposite-edge term, is zero.
     """
     comp = generate_fig8(P)
-    vartheta, zeta, theta_half, _kappa = _fig8_ring_entries(comp, resolution)
-    theta = 2.0 * theta_half
+    tris = [t for tag, t in vertex_ring(comp, 0) if tag == "c"]
+    centers = comp.vertices[comp.simplices[2][tris]].mean(axis=1)
+    loop, labels = _ccw_ring(centers, tris)
+    cell = PolyCell(loop)
+    pts, w = _cell_quadrature(cell, resolution)
+    vals, grads = SibsonCell(cell, restricted=True).coords_and_gradients_batch(
+        pts)
+    fan13, t123, t124, _ = (labels.index(t) for t in tris)
+    eta12, eta13 = edge_forms(vals, grads, [t123, t123], [t124, fan13])
+
+    def dot(a, b):
+        return w * float(np.einsum("qd,qd->", a, b))
+
+    vartheta = 2.0 * dot(eta12, eta12)
+    zeta = dot(eta12, eta13)
+    theta = 2.0 * dot(eta13, eta13)
     xi = zeta
     kappa = 0.0
     return np.array([
@@ -452,7 +416,8 @@ def table1_experiment(P_values, resolution: int = 512) -> list:
     Diagonal column: ratio of the closed-form extreme diagonal entries.
     Whitney column: eigenvalue ratio of the assembled leading 5x5 block.
     Dual-inverse column: eigenvalue ratio of the quadrature 5x5 block from
-    fig8_dual_inverse_block.
+    fig8_dual_inverse_block, one Sibson pass over the first hub's cell as
+    `vertex_ring` walks it.
     """
     rows = []
     for P in P_values:

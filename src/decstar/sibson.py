@@ -180,12 +180,16 @@ class SibsonEvaluation:
 # site regions
 
 
-def is_convex(loop: np.ndarray, tol: float = 1e-12) -> bool:
+# corners may turn clockwise by cross products up to this share of the area
+CONVEXITY_TOL = 1e-12
+
+
+def is_convex(loop: np.ndarray) -> bool:
     loop = ensure_ccw(np.asarray(loop, dtype=float))
     d = np.roll(loop, -1, axis=0) - loop
     cross = d[:, 0] * np.roll(d, -1, axis=0)[:, 1] - d[:, 1] * np.roll(d, -1, axis=0)[:, 0]
     scale = max(abs(polygon_area(loop)), 1e-300)
-    return bool(np.all(cross >= -tol * scale))
+    return bool(np.all(cross >= -CONVEXITY_TOL * scale))
 
 
 def _site_regions_within(loop: np.ndarray, domain: np.ndarray) -> list:

@@ -135,13 +135,17 @@ def least_squares(D, rhs) -> np.ndarray:
     return lsmr(D, np.asarray(rhs, dtype=float), atol=1e-15, btol=1e-15)[0]
 
 
-def particular_solution(D, rhs, tol: float = 1e-10) -> np.ndarray:
+# compatible loads leave a residual of at most this share of max(|rhs|, 1)
+LOAD_RESIDUAL_TOL = 1e-10
+
+
+def particular_solution(D, rhs) -> np.ndarray:
     """Minimum-norm solution of D x = rhs; rejects incompatible loads."""
     rhs = np.asarray(rhs, dtype=float)
     x = least_squares(D, rhs)
     residual = np.linalg.norm(D @ x - rhs)
     scale = max(np.linalg.norm(rhs), 1.0)
-    if residual > tol * scale:
+    if residual > LOAD_RESIDUAL_TOL * scale:
         raise IncompatibleLoadError(
             f"load is not in the range of the derivative "
             f"(least-squares residual {residual:.3e})"

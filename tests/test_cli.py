@@ -172,13 +172,35 @@ def test_cond_summary(capsys):
 
 def test_table1_golden(tmp_path, capsys):
     code, lines, _ = run([
-        "table1", "--P", "2", "--grid", "64", "--out", str(tmp_path),
+        "table1", "--P", "2,5,10", "--grid", "64", "--out", str(tmp_path),
     ], capsys)
     assert code == 0
-    csv = (tmp_path / "table1.csv").read_text().splitlines()
-    assert csv[0] == "P,cond_diag,cond_whitney,cond_dual_inverse"
-    assert csv[1].startswith("2,6.34")
+    assert (tmp_path / "table1.csv").read_text() == (
+        "P,cond_diag,cond_whitney,cond_dual_inverse\n"
+        "2,6.34129,3.24431,1.43021\n"
+        "5,17.2089,9.93151,1.35549\n"
+        "10,34.5946,21.5704,1.32198\n"
+    )
     assert lines[0]["cond_diag"] == pytest.approx(6.341, abs=1e-3)
+
+
+def test_table1_makes_one_sibson_pass_per_p(tmp_path, monkeypatch, capsys):
+    # the dual-inverse block integrates over one hub cell; the mirror
+    # symmetry of the two-fan mesh gives the other hub's half
+    sibson = importlib.import_module("decstar.sibson")
+    calls = []
+    batch = sibson.SibsonCell.coords_and_gradients_batch
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return batch(self, pts)
+
+    monkeypatch.setattr(sibson.SibsonCell, "coords_and_gradients_batch",
+                        counted)
+    code, _, _ = run(["table1", "--P", "2,5,10", "--grid", "64",
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert len(calls) == 3
 
 
 def test_table1_determinism(tmp_path, capsys):
@@ -488,6 +510,40 @@ def malformed_dir(tmp_path_factory):
         else:
             (root / f"{name}.json").write_bytes(data)
     return root
+
+
+MALFORMED_COCHAINS = {
+    "non_integer_id": b"id,value\n0,1\nx,2\n",
+    "one_field": b"id,value\n5\n",
+    "non_numeric_value": b"id,value\n0,abc\n",
+    "nan_value": b"0,nan\n",
+    "infinite_value": b"id,value\n1,-inf\n",
+    "repeated_id": b"0,1\n0,2\n",
+    "negative_first_id": b"-1,3\n0,1\n",
+    "id_out_of_range": b"id,value\n99999,1\n",
+    "binary": b"0,1\n\xff\xfe\x00\x81\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-field", "--mesh", "grid:2", "--k", "1", "--samples", "4",
+     "--cochain"],
+    ["solve", "darcy", "--mesh", "grid:2", "--system", "1,2", "--load"],
+])
+def test_malformed_cochain_files_fail_cleanly(tmp_path, argv):
+    for name, data in MALFORMED_COCHAINS.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(argv + [str(path), "--out", str(tmp_path)])
+        assert code == 1, name
+        err = stderr.getvalue()
+        assert err.startswith(f"error: cochain file {path}, line "), (name,
+                                                                      err)
+        assert err.count("\n") == 1 and "Traceback" not in err, (name, err)
+        assert stdout.getvalue() == "", name
 
 
 @pytest.mark.parametrize("argv", [["info"], ["dual"],

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from decstar import hodge, mesh, whitney
 from decstar.hodge import HodgeError
-from decstar.sibson import DualInterpolation
+from decstar.sibson import (DualInterpolation, PolyCell, SibsonCell, _ccw_ring,
+                            edge_forms)
 
 
 def test_diag_entries_are_measure_ratios():
@@ -160,6 +161,57 @@ def test_table1_small_resolution_sane():
     csv = hodge.table1_csv(rows)
     assert csv.splitlines()[0] == "P,cond_diag,cond_whitney,cond_dual_inverse"
     assert csv.splitlines()[1].startswith("2,")
+
+
+def fig8_hub_products(comp, hub, resolution):
+    """The two-fan hub protocol on one hub cell, built by hand: the ring of
+    the barycenters of the fan triangle on hub-v3, t123, t124 and the fan
+    triangle on hub-v4, found by vertex sets, and one Sibson pass over it.
+    Returns the ring and <eta12, eta12>, <eta12, eta13>, <eta13, eta13> for
+    eta12 = eta(t123, t124) and eta13 = eta(t123, fan13)."""
+    tri = {frozenset(t): i for i, t in enumerate(comp.simplices[2].tolist())}
+
+    def fan(v):
+        return next(i for t, i in tri.items() if {hub, v} <= t and max(t) >= 4)
+
+    ring = [fan(2), tri[frozenset((0, 1, 2))], tri[frozenset((0, 1, 3))],
+            fan(3)]
+    centers = np.array([comp.simplex_points(2, t).mean(axis=0) for t in ring])
+    loop, labels = _ccw_ring(centers, ring)
+    cell = PolyCell(loop)
+    pts, w = hodge._cell_quadrature(cell, resolution)
+    lam, grads = SibsonCell(cell, restricted=True).coords_and_gradients_batch(
+        pts)
+
+    def eta(a, b):
+        return edge_forms(lam, grads, [labels.index(a)], [labels.index(b)])[0]
+
+    def dot(a, b):
+        return w * float(np.einsum("qd,qd->", a, b))
+
+    eta12, eta13 = eta(ring[1], ring[2]), eta(ring[1], ring[0])
+    return ring, dot(eta12, eta12), dot(eta12, eta13), dot(eta13, eta13)
+
+
+@pytest.mark.parametrize("P", [0.75, 2.0, 5.0, 10.0])
+def test_fig8_block_matches_two_hub_protocol(P):
+    comp = mesh.generate_fig8(P)
+    ring1, vartheta1, zeta, theta_half = fig8_hub_products(comp, 0, 128)
+    ring2, vartheta2, _, _ = fig8_hub_products(comp, 1, 128)
+    # the hand-built rings are the ring walk's triangles, in its order
+    assert (ring1, ring2) == ([2, 0, 1, 4], [3, 0, 1, 5])
+    for hub, ring in ((0, ring1), (1, ring2)):
+        assert [t for tag, t in mesh.vertex_ring(comp, hub)
+                if tag == "c"] == ring
+    # the mirror y -> 1 - y swaps the hubs: the second carries an equal half
+    assert vartheta2 == pytest.approx(vartheta1, rel=1e-14, abs=0)
+    block = hodge.fig8_dual_inverse_block(P, 128)
+    assert block[0, 0] == pytest.approx(vartheta1 + vartheta2, rel=1e-14,
+                                        abs=0)
+    assert block[0, 0] == 2 * vartheta1
+    assert block[0, 1] == zeta and block[1, 3] == zeta
+    assert block[1, 1] == 2 * theta_half
+    assert block[1, 2] == 0
 
 
 def loop_dual_inverse(comp, di, k, resolution):

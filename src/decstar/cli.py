@@ -108,10 +108,11 @@ def write_cochain_csv(values, path: Path, header: str = "id,value") -> None:
 
 def read_cochain_csv(path, expected: int) -> np.ndarray:
     """A cochain of `expected` values from `id,value` rows, zero where no
-    row gives one.  Line 1 is a header when it does not parse as
-    `int,float`.  A file that is not UTF-8 text, a row that does not parse,
-    a non-finite value and a repeated or out-of-range id are each a
-    `CliError` naming the file and line."""
+    row gives one.  Line 1 is a header when its first two fields do not
+    parse as `int,float`.  A file that is not UTF-8 text, a row that does
+    not parse or has other than two fields, a non-finite value and a
+    repeated or out-of-range id are each a `CliError` naming the file and
+    line."""
     data = Path(path).read_bytes()
     try:
         lines = io.StringIO(data.decode("utf-8"), newline=None)
@@ -122,14 +123,17 @@ def read_cochain_csv(path, expected: int) -> np.ndarray:
     out = np.full(expected, np.nan)  # NaN until a row gives the value
     for row, line in enumerate(lines, 1):
         where = f"cochain file {path}, line {row}"
+        fields = line.split(",")
         try:
-            sid, val = line.split(",")[:2]
-            sid, val = int(sid), float(val)
-        except ValueError:
+            sid, val = int(fields[0]), float(fields[1])
+            parsed = len(fields) == 2
+        except (ValueError, IndexError):
             if row == 1 or not line.strip():  # a header or a blank line
                 continue
+            parsed = False
+        if not parsed:
             raise CliError(f"{where}: expected 'id,value', got "
-                           f"{line.strip()[:40]!r}") from None
+                           f"{line.strip()[:40]!r}")
         if not np.isfinite(val):
             raise CliError(f"{where}: value {val} is not finite")
         if not 0 <= sid < expected:

@@ -25,8 +25,8 @@ import scipy.sparse as sp
 
 from .mesh import DualMesh, SimplicialComplex, generate_fig8, vertex_ring
 from .whitney import whitney_gram_matrix
-from .sibson import (DualInterpolation, PolyCell, SibsonCell, _ccw_ring,
-                     edge_forms, points_in_polygon)
+from .sibson import (DualInterpolation, SibsonCell, _ccw_ring, edge_forms,
+                     points_in_polygon)
 
 
 class HodgeError(ValueError):
@@ -386,10 +386,9 @@ def fig8_dual_inverse_block(P: float, resolution: int = 512) -> np.ndarray:
     tris = [t for tag, t in vertex_ring(comp, 0) if tag == "c"]
     centers = comp.vertices[comp.simplices[2][tris]].mean(axis=1)
     loop, labels = _ccw_ring(centers, tris)
-    cell = PolyCell(loop)
+    cell = SibsonCell(loop, restricted=True)
     pts, w = _cell_quadrature(cell, resolution)
-    vals, grads = SibsonCell(cell, restricted=True).coords_and_gradients_batch(
-        pts)
+    vals, grads = cell.coords_and_gradients_batch(pts)
     fan13, t123, t124, _ = (labels.index(t) for t in tris)
     eta12, eta13 = edge_forms(vals, grads, [t123, t123], [t124, fan13])
 

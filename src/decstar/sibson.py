@@ -1,12 +1,13 @@
 """Sibson (natural-neighbor) coordinates and dual Whitney forms in 2D.
 
-Coordinates are exact and come from one batch kernel: site regions are
-precomputed by half-plane clipping, and the region of an inserted point is one
-half-plane clip of each site region, vectorized over query points.  The same
-pass measures the bisector chord that bounds each overlap, and Sibson's vector
-identity (Sibson 1980; Piper 1993) turns the chord's length and first moment
-into the exact gradient of the overlap area.  On the cell boundary the
-coordinates take the Milbradt-Pick limit.
+Each dual polygon is one `SibsonCell`: its corners are its Sibson sites.
+Coordinates are exact and come from one batch kernel: the cell builds its site
+regions by half-plane clipping on first use, and the region of an inserted
+point is one half-plane clip of each site region, vectorized over query
+points.  The same pass measures the bisector chord that bounds each overlap,
+and Sibson's vector identity (Sibson 1980; Piper 1993) turns the chord's
+length and first moment into the exact gradient of the overlap area.  On the
+cell boundary the coordinates take the Milbradt-Pick limit.
 
 Dual Whitney forms attach interpolants to dual mesh cells: normalized
 characteristic functions to the dual polygons of primal vertices,
@@ -16,7 +17,6 @@ vertices.  `DualInterpolation.forms` evaluates all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -128,55 +128,6 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# cells
-
-
-@dataclass(frozen=True)
-class PolyCell:
-    """A polygonal cell of the dual mesh; `vertices` is its boundary loop,
-    counter-clockwise."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices",
-                           np.asarray(self.vertices, dtype=float))
-
-    @property
-    def measure(self) -> float:
-        return abs(polygon_area(self.vertices))
-
-    @cached_property
-    def diameter(self) -> float:
-        v = self.vertices
-        return float(np.linalg.norm(v[:, None] - v[None], axis=2).max())
-
-    def contains(self, pts) -> np.ndarray:
-        return points_in_polygon(self.vertices, pts)
-
-    def boundary_distance(self, x):
-        """Distance from x to the cell boundary; an array for a (q, 2) batch
-        of points, a float for one point."""
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)[:, None, :]
-        v = self.vertices
-        d = np.roll(v, -1, axis=0) - v
-        t = np.clip(np.sum((pts - v) * d, axis=2)
-                    / np.einsum("id,id->i", d, d), 0.0, 1.0)
-        proj = v + t[..., None] * d
-        dist = np.linalg.norm(proj - pts, axis=2).min(axis=1)
-        return float(dist[0]) if x.ndim == 1 else dist
-
-
-@dataclass(frozen=True)
-class SibsonEvaluation:
-    """Sibson coordinates at one point."""
-
-    x: np.ndarray
-    coords: np.ndarray  # lambda-bar per site
-
-
-# ---------------------------------------------------------------------------
 # site regions
 
 
@@ -226,58 +177,99 @@ def _pad_regions(regions: list) -> list:
     ]
 
 
+CLIP_CHUNK = 1 << 14  # query points per pass of `_bisector_clip`
+
+
 def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray):
     """Overlap areas (q, n) of the inserted region of each point with each
-    site region, and their gradients (q, n, 2); see `SibsonCell._site_clips`."""
+    site region, and their gradients (q, n, 2); see `SibsonCell._site_clips`.
+
+    Points are clipped `CLIP_CHUNK` at a time, which bounds the temporaries;
+    each point's result does not depend on its chunk.
+    """
     areas = np.zeros((len(pts), len(sites)))
     grads = np.zeros((len(pts), len(sites), 2))
-    for i, region in enumerate(regions):
-        if region is None:
-            continue
-        vi = sites[i]
-        area, length, moment = _bisector_clip(region, vi, pts)
-        areas[:, i] = np.maximum(area, 0.0)
-        # (y - x) = (y - c) + (v_i - x) / 2 with c the bisector midpoint
-        n = vi - pts
-        dist = np.sqrt(n[:, 0] ** 2 + n[:, 1] ** 2)[:, None]
-        grads[:, i] = ((moment + 0.5 * length[:, None] * n)
-                       / np.where(dist == 0.0, 1.0, dist))
+    for lo in range(0, len(pts), CLIP_CHUNK):
+        chunk = slice(lo, lo + CLIP_CHUNK)
+        q = pts[chunk]
+        for i, region in enumerate(regions):
+            if region is None:
+                continue
+            vi = sites[i]
+            area, length, moment = _bisector_clip(region, vi, q)
+            areas[chunk, i] = np.maximum(area, 0.0)
+            # (y - x) = (y - c) + (v_i - x) / 2 with c the bisector midpoint
+            n = vi - q
+            dist = np.sqrt(n[:, 0] ** 2 + n[:, 1] ** 2)[:, None]
+            grads[chunk, i] = ((moment + 0.5 * length[:, None] * n)
+                               / np.where(dist == 0.0, 1.0, dist))
     return areas, grads
 
 
 class SibsonCell:
-    """Sibson coordinate evaluator on one cell; precomputes site regions.
+    """One polygonal cell of the dual mesh and the Sibson coordinates of its
+    corners, which are its sites.
 
-    Two variants of the area ratios are supported.  `restricted=True`
-    intersects every Voronoi region with the cell itself, which keeps the
-    construction meaningful on non-convex cells.  `restricted=False` uses the
-    classical unrestricted Voronoi diagram of the sites, which is the variant
-    with exact linear precision; it is the automatic choice on convex cells.
+    `vertices` is the boundary loop, counter-clockwise.  Two variants of the
+    area ratios are supported.  `restricted=True` intersects every Voronoi
+    region with the cell itself, which keeps the construction meaningful on
+    non-convex cells.  `restricted=False` uses the classical unrestricted
+    Voronoi diagram of the sites, which is the variant with exact linear
+    precision; it is the automatic choice on convex cells.  Site regions are
+    built on first use, so a cell that is only located or measured builds
+    none.
     """
 
-    def __init__(self, cell: PolyCell, restricted: bool | None = None):
-        self.cell = cell
-        loop = ensure_ccw(cell.vertices)
-        self.sites = loop
+    def __init__(self, loop, restricted: bool | None = None):
+        self.vertices = ensure_ccw(loop)
         if restricted is None:
-            restricted = not is_convex(loop)
+            restricted = not is_convex(self.vertices)
         self.restricted = restricted
-        self.regions = _pad_regions(_site_regions_within(loop, loop))
         self._box_cache = {}
 
     @property
     def n_sites(self) -> int:
-        return len(self.sites)
+        return len(self.vertices)
+
+    @property
+    def measure(self) -> float:
+        return abs(polygon_area(self.vertices))
+
+    @cached_property
+    def diameter(self) -> float:
+        v = self.vertices
+        return float(np.linalg.norm(v[:, None] - v[None], axis=2).max())
+
+    def contains(self, pts) -> np.ndarray:
+        return points_in_polygon(self.vertices, pts)
+
+    def boundary_distance(self, x):
+        """Distance from x to the cell boundary; an array for a (q, 2) batch
+        of points, a float for one point."""
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)[:, None, :]
+        v = self.vertices
+        d = np.roll(v, -1, axis=0) - v
+        t = np.clip(np.sum((pts - v) * d, axis=2)
+                    / np.einsum("id,id->i", d, d), 0.0, 1.0)
+        proj = v + t[..., None] * d
+        dist = np.linalg.norm(proj - pts, axis=2).min(axis=1)
+        return float(dist[0]) if x.ndim == 1 else dist
+
+    @cached_property
+    def regions(self) -> list:
+        """Site regions clipped to the cell: the restricted variant's."""
+        return _pad_regions(_site_regions_within(self.vertices, self.vertices))
 
     def _boxed_regions(self, key: int):
         """Site regions clipped to a bounding box of half-width
         diam * (2**key + 1) about the site centroid, cached by key."""
         if key not in self._box_cache:
-            half = self.cell.diameter * 2.0 ** key + self.cell.diameter
-            box = self.sites.mean(axis=0) + half * np.array(
+            half = self.diameter * 2.0 ** key + self.diameter
+            box = self.vertices.mean(axis=0) + half * np.array(
                 [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
             self._box_cache[key] = _pad_regions(
-                _site_regions_within(self.sites, box)
+                _site_regions_within(self.vertices, box)
             )
         return self._box_cache[key]
 
@@ -291,20 +283,20 @@ class SibsonCell:
         identity holds for the restricted and the classical variant alike.
         """
         if self.restricted:
-            return _clip_regions(self.regions, self.sites, pts)
+            return _clip_regions(self.regions, self.vertices, pts)
         # the inserted region of a point at distance d from the site hull
         # can reach roughly diam^2 / (2 d) beyond it; each point is clipped
         # in the smallest cached box that covers its own reach, so a point's
         # result does not depend on the rest of its batch
-        diam = self.cell.diameter
-        margin = np.maximum(self.cell.boundary_distance(pts), 1e-9 * diam)
+        diam = self.diameter
+        margin = np.maximum(self.boundary_distance(pts), 1e-9 * diam)
         keys = np.ceil(np.log2(diam / (2.0 * margin) + 1.0)).astype(int)
         areas = np.zeros((len(pts), self.n_sites))
         grads = np.zeros((len(pts), self.n_sites, 2))
         for key in np.unique(keys):
             sel = keys == key
             areas[sel], grads[sel] = _clip_regions(
-                self._boxed_regions(int(key)), self.sites, pts[sel])
+                self._boxed_regions(int(key)), self.vertices, pts[sel])
         return areas, grads
 
     def coords_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -318,10 +310,10 @@ class SibsonCell:
         """Milbradt-Pick limit on the cell boundary: coordinates depend only
         on the site within 1e-12 diam of x, else on the ends of the edge
         nearest to x."""
-        v = self.sites
+        v = self.vertices
         coords = np.zeros(self.n_sites)
         d = np.linalg.norm(v - x, axis=1)
-        if d.min() <= 1e-12 * self.cell.diameter:
+        if d.min() <= 1e-12 * self.diameter:
             coords[d.argmin()] = 1.0
             return coords
         seg = np.roll(v, -1, axis=0) - v
@@ -333,11 +325,9 @@ class SibsonCell:
 
     def _on_boundary(self, pts) -> np.ndarray:
         """Mask of the points of a (q, 2) batch within 1e-12 diam of the cell
-        boundary or of a site, where the Milbradt-Pick limit applies."""
-        tol = 1e-12 * self.cell.diameter
-        near_site = np.linalg.norm(pts[:, None, :] - self.sites, axis=2)
-        return ((self.cell.boundary_distance(pts) <= tol)
-                | (near_site.min(axis=1) <= tol))
+        boundary, where the Milbradt-Pick limit applies; the sites are
+        corners of the boundary, so points near a site are among them."""
+        return self.boundary_distance(pts) <= 1e-12 * self.diameter
 
     def limit_coords(self, pts, with_gradients: bool = False):
         """Coordinates (q, n) at a batch of points of the closed cell: the
@@ -357,14 +347,6 @@ class SibsonCell:
         for i in np.nonzero(edge)[0]:
             coords[i] = self._boundary_coords(pts[i])
         return (coords, grads) if with_gradients else coords
-
-    def evaluate(self, x) -> SibsonEvaluation:
-        """Coordinates at one point of the closed cell, `limit_coords` as a
-        batch of one."""
-        x = np.asarray(x, dtype=float)
-        if not (self.cell.contains(x)[0] or self._on_boundary(x[None])[0]):
-            raise SibsonError("point lies outside the cell")
-        return SibsonEvaluation(x, self.limit_coords(x[None])[0])
 
     def coords_and_gradients_batch(self, pts: np.ndarray):
         """Coordinates (q, n) and gradients (q, n, 2) at a batch of points.
@@ -435,7 +417,7 @@ class DualInterpolation:
         if complex.dim != 2:
             raise SibsonError("dual interpolation machinery is 2D")
         self.complex = complex
-        self.cells = []  # PolyCell per primal vertex
+        self.cells = []  # restricted SibsonCell per primal vertex
         self.site_tags = []  # per vertex: list of tags matching cell loop
         self.site_lookup = []  # per vertex: dict tag -> local index
         boundary = complex.boundary_simplices(1)
@@ -450,15 +432,9 @@ class DualInterpolation:
                 raise SibsonError(f"dual polygon of vertex {v} intersects "
                                   "itself")
             loop, tags = _ccw_ring(loop, ring)
-            self.cells.append(PolyCell(loop))
+            self.cells.append(SibsonCell(loop, restricted=True))
             self.site_tags.append(tags)
             self.site_lookup.append({tag: i for i, tag in enumerate(tags)})
-        self._evaluators = [None] * len(self.cells)
-
-    def evaluator(self, v: int) -> SibsonCell:
-        if self._evaluators[v] is None:
-            self._evaluators[v] = SibsonCell(self.cells[v], restricted=True)
-        return self._evaluators[v]
 
     def edge_endpoint_tags(self, e: int):
         """Ordered site-tag pair of the dual edge of primal edge e."""
@@ -507,7 +483,7 @@ class DualInterpolation:
         if p == 0:
             return np.array([v]), np.full((1, len(pts)),
                                           1.0 / self.cells[v].measure)
-        sc = self.evaluator(v)
+        sc = self.cells[v]
         lookup = self.site_lookup[v]
         if p == 2:
             gens = [g for kind, g in lookup if kind == "c"]

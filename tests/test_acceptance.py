@@ -15,7 +15,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from decstar import cli, hodge, mesh, systems, whitney
-from decstar.sibson import PolyCell, SibsonCell
+from decstar.sibson import SibsonCell
 
 PUBLISHED = {
     2.0: (6.3, 3.2, 1.5),
@@ -115,7 +115,7 @@ def _whitney_duality_error(comp):
 
 def _random_convex_cell(rng):
     pts = rng.uniform(-1, 1, size=(12, 2))
-    return PolyCell(pts[ConvexHull(pts).vertices])
+    return SibsonCell(pts[ConvexHull(pts).vertices])
 
 
 def _sampled_coords(cell, pts, resolution=1024):
@@ -164,44 +164,43 @@ def test_criterion_3_structural_suite(acceptance):
     exact_worst = 0.0
     sampled_worst = 0.0
     for trial in range(5):
-        cell = _random_convex_cell(rng)
-        sc = SibsonCell(cell)
-        m = len(cell.vertices)
-        lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
+        sc = _random_convex_cell(rng)
+        m = len(sc.vertices)
+        lo, hi = sc.vertices.min(axis=0), sc.vertices.max(axis=0)
         interior = []
         while len(interior) < 170:
             p = rng.uniform(lo, hi)
-            if cell.contains(p)[0] and \
-                    cell.boundary_distance(p) > 1e-4 * cell.diameter:
+            if sc.contains(p)[0] and \
+                    sc.boundary_distance(p) > 1e-4 * sc.diameter:
                 interior.append(p)
         for p in interior:
-            lam = sc.evaluate(p).coords
+            lam = sc.limit_coords(p)[0]
             exact_worst = max(
                 exact_worst,
                 abs(lam.sum() - 1.0),                       # partition
                 float(max(0.0, -lam.min())),                # nonnegativity
-                float(np.abs(lam @ cell.vertices - p).max()),  # linearity
+                float(np.abs(lam @ sc.vertices - p).max()),  # linearity
             )
-        for i, v in enumerate(cell.vertices):               # Lagrange
-            lam = sc.evaluate(v).coords
+        for i, v in enumerate(sc.vertices):                 # Lagrange
+            lam = sc.limit_coords(v)[0]
             e = np.zeros(m)
             e[i] = 1.0
             exact_worst = max(exact_worst, float(np.abs(lam - e).max()))
         for _ in range(20):                                 # edge linearity
             i = int(rng.integers(m))
             t = float(rng.uniform(0.1, 0.9))
-            p = (1 - t) * cell.vertices[i] + t * cell.vertices[(i + 1) % m]
-            lam = sc.evaluate(p).coords
+            p = (1 - t) * sc.vertices[i] + t * sc.vertices[(i + 1) % m]
+            lam = sc.limit_coords(p)[0]
             e = np.zeros(m)
             e[i], e[(i + 1) % m] = 1 - t, t
             exact_worst = max(exact_worst, float(np.abs(lam - e).max()))
 
         # sampled-quadrature path against the exact restricted ratios
-        src = SibsonCell(cell, restricted=True)
+        src = SibsonCell(sc.vertices, restricted=True)
         far = [p for p in interior
-               if cell.boundary_distance(p) > 0.08 * cell.diameter][:40]
-        sampled = _sampled_coords(cell, far)
-        exact_r = np.array([src.evaluate(p).coords for p in far])
+               if sc.boundary_distance(p) > 0.08 * sc.diameter][:40]
+        sampled = _sampled_coords(sc, far)
+        exact_r = np.array([src.limit_coords(p)[0] for p in far])
         sampled_worst = max(sampled_worst,
                             float(np.abs(sampled - exact_r).max()))
     ok &= exact_worst <= 1e-10 and sampled_worst <= 1e-3

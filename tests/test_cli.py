@@ -318,6 +318,25 @@ def test_dual_inverse_star_walks_each_vertex_ring_once(tmp_path, monkeypatch,
     assert sorted(walked) == list(range(25))
 
 
+def test_dual_inverse_star_builds_each_cell_regions_once(tmp_path,
+                                                        monkeypatch, capsys):
+    # every dual polygon builds its restricted site regions on first use,
+    # once, clipped to itself
+    sibson = importlib.import_module("decstar.sibson")
+    calls = []
+    within = sibson._site_regions_within
+
+    def counted(loop, domain):
+        calls.append(np.array_equal(loop, domain))
+        return within(loop, domain)
+
+    monkeypatch.setattr(sibson, "_site_regions_within", counted)
+    code, _, _ = run(["hodge", "--kind", "dual_inverse", "--k", "1", "--mesh",
+                      "grid:4", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert calls == [True] * 25
+
+
 def test_self_intersecting_dual_polygon_is_one_line(tmp_path, capsys):
     # the flat-sided dual polygon of vertex 4 of random:21:34 is a bowtie
     code, lines, err = run(["sample-field", "--space", "dual", "--mesh",
@@ -522,6 +541,9 @@ MALFORMED_COCHAINS = {
     "negative_first_id": b"-1,3\n0,1\n",
     "id_out_of_range": b"id,value\n99999,1\n",
     "binary": b"0,1\n\xff\xfe\x00\x81\n",
+    "extra_field": b"id,value\n0,1.5,7\n",
+    "trailing_comma_first_line": b"0,1.5,\n1,2\n",
+    "three_columns": b"id,x,y\n0,0.5,0.25\n",
 }
 
 

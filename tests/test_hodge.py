@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from decstar import hodge, mesh, whitney
 from decstar.hodge import HodgeError
-from decstar.sibson import (DualInterpolation, PolyCell, SibsonCell, _ccw_ring,
+from decstar.sibson import (DualInterpolation, SibsonCell, _ccw_ring,
                             edge_forms)
 
 
@@ -178,10 +178,9 @@ def fig8_hub_products(comp, hub, resolution):
             fan(3)]
     centers = np.array([comp.simplex_points(2, t).mean(axis=0) for t in ring])
     loop, labels = _ccw_ring(centers, ring)
-    cell = PolyCell(loop)
+    cell = SibsonCell(loop, restricted=True)
     pts, w = hodge._cell_quadrature(cell, resolution)
-    lam, grads = SibsonCell(cell, restricted=True).coords_and_gradients_batch(
-        pts)
+    lam, grads = cell.coords_and_gradients_batch(pts)
 
     def eta(a, b):
         return edge_forms(lam, grads, [labels.index(a)], [labels.index(b)])[0]
@@ -220,8 +219,8 @@ def loop_dual_inverse(comp, di, k, resolution):
     N = len(comp.simplices[k])
     mat = sp.lil_matrix((N, N))
     for v in range(len(comp.vertices)):
-        pts, w = hodge._cell_quadrature(di.cells[v], resolution)
-        sc = di.evaluator(v)
+        sc = di.cells[v]
+        pts, w = hodge._cell_quadrature(sc, resolution)
         lookup = di.site_lookup[v]
         if k == 2:
             lam = sc.coords_batch(pts)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decstar import cli, mesh, whitney
+from decstar import cli, hodge, mesh, sibson, whitney
 from decstar.sibson import (
     DualInterpolation,
-    PolyCell,
     SibsonCell,
     SibsonError,
     _bisector_clip,
@@ -17,7 +16,7 @@ from decstar.sibson import (
 
 def regular_polygon(n, radius=1.0, phase=0.0):
     ang = phase + 2 * np.pi * np.arange(n) / n
-    return PolyCell(radius * np.column_stack([np.cos(ang), np.sin(ang)]))
+    return SibsonCell(radius * np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
 def random_convex_cell(rng, n_pts=12):
@@ -25,7 +24,7 @@ def random_convex_cell(rng, n_pts=12):
 
     pts = rng.uniform(-1, 1, size=(n_pts, 2))
     hull = ConvexHull(pts)
-    return PolyCell(pts[hull.vertices])
+    return SibsonCell(pts[hull.vertices])
 
 
 def interior_points(cell, rng, count, margin):
@@ -47,9 +46,9 @@ def classical_reference(sc, x):
     box around x, grown until the region stays clear of it, and then cut
     into its overlap with each site's Voronoi region.
     """
-    sites = sc.sites
+    sites = sc.vertices
     corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    half = 4.0 * sc.cell.diameter
+    half = 4.0 * sc.diameter
     for _ in range(50):
         region = x + half * corners
         for v in sites:
@@ -75,39 +74,36 @@ def classical_reference(sc, x):
 def test_properties_on_convex_cells():
     rng = np.random.default_rng(42)
     for trial in range(5):
-        cell = random_convex_cell(rng)
-        sc = SibsonCell(cell)
+        sc = random_convex_cell(rng)
         assert not sc.restricted  # convex cells use the exact classical form
-        pts = interior_points(cell, rng, 40, margin=1e-4)
+        pts = interior_points(sc, rng, 40, margin=1e-4)
         for p in pts:
-            lam = sc.evaluate(p).coords
+            lam = sc.limit_coords(p)[0]
             assert abs(lam.sum() - 1) < 1e-10
             assert lam.min() > -1e-10
-            assert np.abs(lam @ cell.vertices - p).max() < 1e-10
+            assert np.abs(lam @ sc.vertices - p).max() < 1e-10
         batch = sc.coords_batch(pts)
         exact = np.array([classical_reference(sc, p) for p in pts])
         assert np.abs(batch - exact).max() < 1e-7
 
 
 def test_lagrange_property_at_vertices():
-    cell = regular_polygon(7)
-    sc = SibsonCell(cell)
-    for i, v in enumerate(cell.vertices):
-        lam = sc.evaluate(v).coords
-        expect = np.zeros(len(cell.vertices))
+    sc = regular_polygon(7)
+    for i, v in enumerate(sc.vertices):
+        lam = sc.limit_coords(v)[0]
+        expect = np.zeros(len(sc.vertices))
         expect[i] = 1.0
         assert np.abs(lam - expect).max() < 1e-12
 
 
 def test_linearity_on_edges():
-    cell = regular_polygon(6)
-    sc = SibsonCell(cell)
+    sc = regular_polygon(6)
     rng = np.random.default_rng(3)
-    m = len(cell.vertices)
+    m = len(sc.vertices)
     for i in range(m):
-        a, b = cell.vertices[i], cell.vertices[(i + 1) % m]
+        a, b = sc.vertices[i], sc.vertices[(i + 1) % m]
         for t in rng.uniform(0.1, 0.9, 4):
-            lam = sc.evaluate((1 - t) * a + t * b).coords
+            lam = sc.limit_coords((1 - t) * a + t * b)[0]
             expect = np.zeros(m)
             expect[i], expect[(i + 1) % m] = 1 - t, t
             assert np.abs(lam - expect).max() < 1e-12
@@ -115,21 +111,19 @@ def test_linearity_on_edges():
 
 def test_batch_matches_single_point():
     rng = np.random.default_rng(7)
-    cell = random_convex_cell(rng)
-    sc = SibsonCell(cell)
-    pts = interior_points(cell, rng, 20, margin=0.02)
+    sc = random_convex_cell(rng)
+    pts = interior_points(sc, rng, 20, margin=0.02)
     batch = sc.coords_batch(pts)
     for p, row in zip(pts, batch):
-        assert np.abs(sc.evaluate(p).coords - row).max() < 1e-9
+        assert np.abs(sc.limit_coords(p)[0] - row).max() < 1e-9
 
 
 def test_gradients_reproduce_identity():
     rng = np.random.default_rng(11)
-    cell = random_convex_cell(rng)
-    sc = SibsonCell(cell)
-    pts = interior_points(cell, rng, 8, margin=0.05)
+    sc = random_convex_cell(rng)
+    pts = interior_points(sc, rng, 8, margin=0.05)
     for g in sc.coords_and_gradients_batch(pts)[1]:
-        J = g.T @ cell.vertices  # d/dx of sum lam_i v_i should be identity
+        J = g.T @ sc.vertices  # d/dx of sum lam_i v_i should be identity
         assert np.abs(J - np.eye(2)).max() < 1e-10
 
 
@@ -140,7 +134,7 @@ def central_differences(sc, pts):
     distance to the boundary asks for, so the batch gives each point what a
     batch of one gives it (`test_classical_batch_matches_single_points`).
     """
-    h = 1e-7 * sc.cell.diameter
+    h = 1e-7 * sc.diameter
     steps = (np.array([h, 0.0]), np.array([0.0, h]))
     return np.stack([(sc.coords_batch(pts + e) - sc.coords_batch(pts - e))
                      / (2 * h) for e in steps], axis=2)
@@ -158,7 +152,7 @@ def assert_matches_differences(sc, pts):
     """
     lam, grads = sc.coords_and_gradients_batch(pts)
     assert np.abs(lam - sc.coords_batch(pts)).max() < 1e-14
-    diam = sc.cell.diameter
+    diam = sc.diameter
     gap = diam * np.abs(grads - central_differences(sc, pts)).max(axis=(1, 2))
     assert np.median(gap) < 1e-7
     assert gap.max() < 1e-4
@@ -168,10 +162,9 @@ def assert_matches_differences(sc, pts):
 def test_exact_gradients_on_convex_cells():
     rng = np.random.default_rng(20)
     for _ in range(5):
-        cell = random_convex_cell(rng)
-        sc = SibsonCell(cell)
+        sc = random_convex_cell(rng)
         assert not sc.restricted
-        assert_matches_differences(sc, interior_points(cell, rng, 60, 1e-3))
+        assert_matches_differences(sc, interior_points(sc, rng, 60, 1e-3))
 
 
 def test_exact_gradients_on_nonconvex_cells():
@@ -183,10 +176,9 @@ def test_exact_gradients_on_nonconvex_cells():
     ]
     rng = np.random.default_rng(21)
     for loop in cells:
-        cell = PolyCell(np.array(loop, dtype=float))
-        sc = SibsonCell(cell)
+        sc = SibsonCell(np.array(loop, dtype=float))
         assert sc.restricted
-        assert_matches_differences(sc, interior_points(cell, rng, 200, 1e-3))
+        assert_matches_differences(sc, interior_points(sc, rng, 200, 1e-3))
 
 
 def test_bisector_clip_two_piece_chord():
@@ -216,9 +208,8 @@ def test_exact_gradients_on_mesh_dual_polygons(crossing_dual_polygons):
     assert crossing_dual_polygons(comp, dual) == []
     di = DualInterpolation(comp, dual)
     rng = np.random.default_rng(22)
-    for v, cell in enumerate(di.cells):
-        assert_matches_differences(di.evaluator(v),
-                                   interior_points(cell, rng, 10, 1e-3))
+    for sc in di.cells:
+        assert_matches_differences(sc, interior_points(sc, rng, 10, 1e-3))
 
 
 def test_classical_batch_matches_single_points():
@@ -226,10 +217,9 @@ def test_classical_batch_matches_single_points():
     # so a batch gives each point what a batch of one gives it
     rng = np.random.default_rng(24)
     for _ in range(20):
-        cell = random_convex_cell(rng)
-        sc = SibsonCell(cell)
+        sc = random_convex_cell(rng)
         assert not sc.restricted
-        pts = interior_points(cell, rng, 60, 1e-3)
+        pts = interior_points(sc, rng, 60, 1e-3)
         lam, grads = sc.coords_and_gradients_batch(pts)
         for x, lam_x, grads_x in zip(pts, lam, grads):
             one_lam, one_grads = sc.coords_and_gradients_batch(x[None])
@@ -259,10 +249,9 @@ def test_restricted_variant_on_nonconvex_cell():
     loop = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
                      [1.0, 2.0], [0.0, 2.0]])
     assert not is_convex(loop)
-    cell = PolyCell(loop)
-    sc = SibsonCell(cell)
+    sc = SibsonCell(loop)
     assert sc.restricted
-    pts = interior_points(cell, np.random.default_rng(0), 25, margin=0.02)
+    pts = interior_points(sc, np.random.default_rng(0), 25, margin=0.02)
     lam = sc.coords_batch(pts)
     assert np.abs(lam.sum(axis=1) - 1).max() < 1e-10
     assert lam.min() > -1e-10
@@ -271,24 +260,54 @@ def test_restricted_variant_on_nonconvex_cell():
 def test_restricted_loses_linear_precision_near_boundary():
     # the restricted ratios are intentionally different from the classical
     # ones near the boundary; the library must keep both variants distinct
-    cell = PolyCell(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    loop = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     x = np.array([0.5, 0.1])
-    lam_r = SibsonCell(cell, restricted=True).evaluate(x).coords
-    lam_u = SibsonCell(cell, restricted=False).evaluate(x).coords
-    assert np.abs(lam_u @ cell.vertices - x).max() < 1e-10
-    assert np.abs(lam_r @ cell.vertices - x).max() > 1e-3
+    lam_r = SibsonCell(loop, restricted=True).limit_coords(x)[0]
+    lam_u = SibsonCell(loop, restricted=False).limit_coords(x)[0]
+    assert np.abs(lam_u @ loop - x).max() < 1e-10
+    assert np.abs(lam_r @ loop - x).max() > 1e-3
 
 
-def test_evaluation_rejects_bad_points():
-    cell = regular_polygon(5)
-    with pytest.raises(SibsonError):
-        SibsonCell(cell).evaluate(np.array([3.0, 3.0]))
+def counted_site_regions(monkeypatch):
+    """The domains of every `_site_regions_within` call from now on."""
+    domains = []
+    within = sibson._site_regions_within
+
+    def counted(loop, domain):
+        domains.append(domain)
+        return within(loop, domain)
+
+    monkeypatch.setattr(sibson, "_site_regions_within", counted)
+    return domains
+
+
+def test_classical_cell_builds_only_boxed_regions(monkeypatch):
+    domains = counted_site_regions(monkeypatch)
+    sc = random_convex_cell(np.random.default_rng(25))
+    assert not sc.restricted
+    sc.coords_and_gradients_batch(
+        interior_points(sc, np.random.default_rng(26), 30, 1e-3))
+    assert domains
+    assert all(len(d) == 4 and not np.array_equal(d, sc.vertices)
+               for d in domains)
+
+
+def test_locating_and_measuring_build_no_site_regions(monkeypatch):
+    domains = counted_site_regions(monkeypatch)
+    comp = mesh.structured_grid(4)
+    dual = mesh.build_dual(comp, "barycentric")
+    di = DualInterpolation(comp, dual)
+    pts = np.random.default_rng(27).uniform(-0.1, 1.1, (200, 2))
+    assert (di.locate(pts) >= 0).any()
+    di.interpolate(2, np.ones(len(comp.vertices)))(pts)
+    hodge.assemble_dual_inverse(comp, dual, 0)
+    assert domains == []
 
 
 def test_measures_partition_cell():
     cell = regular_polygon(8, phase=0.3)
     areas = np.array([0.0 if r is None else abs(polygon_area(r))
-                      for r in SibsonCell(cell).regions])
+                      for r in cell.regions])
     assert areas.sum() == pytest.approx(cell.measure, abs=1e-12)
     assert np.all(areas > 0)
 
@@ -346,8 +365,7 @@ def test_dual_zero_form_is_sibson_coordinate(grid_interp):
     comp, dual, di = grid_interp
     v = int(np.argmin(np.abs(comp.vertices - comp.vertices.mean(0)).sum(1)))
     x = comp.vertices[v] + np.array([0.03, 0.02])
-    sc = di.evaluator(v)
-    lam = sc.evaluate(x).coords
+    lam = di.cells[v].limit_coords(x)[0]
     lookup = di.site_lookup[v]
     for (kind, gen), idx in lookup.items():
         if kind != "c":
@@ -430,13 +448,14 @@ def test_polygon_helpers():
 
 def loop_dual_field(di, p, weights):
     """Dual interpolant of primal p-simplex weights, one point per call:
-    the first polygon whose even-odd test claims x, Sibson coordinates by
-    `SibsonCell.evaluate`'s rule, gradients from a batch of one, and the
-    forms summed one at a time.  Zero outside every polygon."""
+    the first polygon whose even-odd test claims x, Sibson coordinates with
+    the Milbradt-Pick limit within 1e-12 diam of the boundary or of a site,
+    gradients from a batch of one, and the forms summed one at a time.  Zero
+    outside every polygon."""
     def coords(sc, x):
-        tol = 1e-12 * sc.cell.diameter
-        if (sc.cell.boundary_distance(x) <= tol
-                or np.linalg.norm(sc.sites - x, axis=1).min() <= tol):
+        tol = 1e-12 * sc.diameter
+        if (sc.boundary_distance(x) <= tol
+                or np.linalg.norm(sc.vertices - x, axis=1).min() <= tol):
             return sc._boundary_coords(x)
         return sc.coords_batch(x[None])[0]
 
@@ -447,7 +466,7 @@ def loop_dual_field(di, p, weights):
         if p == 0:
             return weights[v] / di.cells[v].measure
         lookup = di.site_lookup[v]
-        sc = di.evaluator(v)
+        sc = di.cells[v]
         lam = coords(sc, x)
         if p == 2:
             total = 0.0

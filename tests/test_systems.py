@@ -193,6 +193,16 @@ def test_wave_systems():
         systems.assemble_wave(comp, "dual", M1, M2)
 
 
+def test_indefinite_wave_mass_is_rejected_by_the_eigensolve():
+    comp = mesh.structured_grid(3)
+    M2 = hodge.assemble_whitney(comp, 2).matrix
+    M1 = -sp.identity(len(comp.simplices[1]), format="csr")
+    ws = systems.assemble_wave(comp, "primal", M1, M2)
+    with pytest.raises(SystemError,
+                       match="^wave mass matrix is not positive definite$"):
+        ws.eigenpairs()
+
+
 def test_particular_solution_min_norm():
     D = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
     rhs = np.array([1.0, 2.0])

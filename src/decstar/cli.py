@@ -6,6 +6,11 @@ wave eigensystems, and field sampling.  Every subcommand prints one JSON
 summary line per result on stdout; artifacts (Matrix Market matrices, CSV
 tables, JSON meshes) are written to --out.  Identical inputs and flags
 produce byte-identical artifacts.
+
+Each `cmd_*` reads the parsed argparse namespace alone.  `main` checks the
+settings several commands share (an existing --out directory, --grid of at
+least 16, --P values above 1/2) before it dispatches, and turns every
+expected failure into one `error:` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,29 +34,6 @@ from .systems import SystemError
 
 class CliError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings of one CLI invocation."""
-
-    command: str
-    mesh: str | None = None
-    rule: str = "barycentric"
-    kind: str = "diag"
-    k: int = 1
-    grid: int = 128
-    P: list = field(default_factory=list)
-    system: list = field(default_factory=list)
-    tol: float | None = None
-    out: Path = Path(".")
-
-    def __post_init__(self):
-        if self.grid < 16:
-            raise CliError(f"--grid must be at least 16, got {self.grid}")
-        for p in self.P:
-            if p <= 0.5:
-                raise CliError(f"--P values must exceed 1/2, got {p:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +71,7 @@ def resolve_mesh(spec: str) -> mesh.SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# artifact readers and writers
 
 
 def write_matrix_market(matrix, path: Path) -> None:
@@ -106,6 +87,18 @@ def write_cochain_csv(values, path: Path, header: str = "id,value") -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _text_lines(path, what: str) -> io.StringIO:
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 are a
+    `CliError` naming `what`, the file and their line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CliError(f"{what} {path}, line {line}: not UTF-8 text") \
+            from None
+
+
 def read_cochain_csv(path, expected: int) -> np.ndarray:
     """A cochain of `expected` values from `id,value` rows, zero where no
     row gives one.  Line 1 is a header when its first two fields do not
@@ -113,15 +106,8 @@ def read_cochain_csv(path, expected: int) -> np.ndarray:
     not parse or has other than two fields, a non-finite value and a
     repeated or out-of-range id are each a `CliError` naming the file and
     line."""
-    data = Path(path).read_bytes()
-    try:
-        lines = io.StringIO(data.decode("utf-8"), newline=None)
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise CliError(f"cochain file {path}, line {line}: not UTF-8 text") \
-            from None
     out = np.full(expected, np.nan)  # NaN until a row gives the value
-    for row, line in enumerate(lines, 1):
+    for row, line in enumerate(_text_lines(path, "cochain file"), 1):
         where = f"cochain file {path}, line {row}"
         fields = line.split(",")
         try:
@@ -145,6 +131,45 @@ def read_cochain_csv(path, expected: int) -> np.ndarray:
     return np.nan_to_num(out, nan=0.0)
 
 
+def _read_off(path) -> tuple[list, list]:
+    """Vertices and cells of an OFF-style text mesh: an optional `OFF`
+    line, a counts line `nv nc [ne]`, then one line per vertex (2 or 3
+    coordinates, as many on every line) and one per cell (its vertex count,
+    then that many vertex indices).  `#` starts a comment; blank lines are
+    skipped.  A file that is not UTF-8 text, a line that does not parse and
+    a missing or extra line are each a `CliError` naming the file."""
+    rows = [(no, line.split("#")[0].split())
+            for no, line in enumerate(_text_lines(path, "OFF-style mesh"), 1)]
+    rows = [row for row in rows if row[1]]
+    if rows and rows[0][1] == ["OFF"]:
+        del rows[0]
+    if not rows:
+        raise CliError(f"OFF-style mesh {path}: no counts line 'nv nc [ne]'")
+
+    def parse(row, kind, expected, fits):
+        no, tokens = row
+        try:
+            values = [kind(t) for t in tokens]
+        except ValueError:
+            values = None
+        if values is None or not fits(values):
+            raise CliError(f"OFF-style mesh {path}, line {no}: expected "
+                           f"{expected}, got {' '.join(tokens)[:40]!r}")
+        return values
+
+    nv, nc = parse(rows[0], int, "counts 'nv nc [ne]'",
+                   lambda c: len(c) in (2, 3) and min(c) >= 0)[:2]
+    if len(rows) != 1 + nv + nc:
+        raise CliError(f"OFF-style mesh {path}: expected {nv} vertex and "
+                       f"{nc} cell lines after the counts, got {len(rows) - 1}")
+    dim = len(rows[1][1]) if nv else 0
+    verts = [parse(row, float, f"{dim} vertex coordinates",
+                   lambda v: len(v) == dim) for row in rows[1:1 + nv]]
+    cells = [parse(row, int, "a cell 'count i0 i1 ...'",
+                   lambda c: c[0] == len(c) - 1)[1:] for row in rows[1 + nv:]]
+    return verts, cells
+
+
 def _finite_or_null(obj):
     """Replace every non-finite float in a JSON-ready structure by None."""
     if isinstance(obj, float):
@@ -165,15 +190,15 @@ def emit(obj) -> None:
 # subcommand implementations
 
 
-def cmd_info(cfg: RunConfig, args) -> int:
-    comp = resolve_mesh(cfg.mesh)
-    dual = mesh.build_dual(comp, cfg.rule)
+def cmd_info(args) -> int:
+    comp = resolve_mesh(args.mesh)
+    dual = mesh.build_dual(comp, args.rule)
     report = mesh.quality_report(comp, dual)
     emit({
         "command": "info",
         "dimension": comp.dim,
         "counts": {str(k): len(comp.simplices[k]) for k in range(comp.dim + 1)},
-        "rule": cfg.rule,
+        "rule": args.rule,
         "primal_range": report.primal_range,
         "dual_range": report.dual_range,
         "ratio_range": report.ratio_range,
@@ -184,17 +209,17 @@ def cmd_info(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_dual(cfg: RunConfig, args) -> int:
-    comp = resolve_mesh(cfg.mesh)
-    dual = mesh.build_dual(comp, cfg.rule)
+def cmd_dual(args) -> int:
+    comp = resolve_mesh(args.mesh)
+    dual = mesh.build_dual(comp, args.rule)
     paths = {}
     for k in range(comp.dim + 1):
-        path = cfg.out / f"dual_measures_k{k}.csv"
+        path = args.out / f"dual_measures_k{k}.csv"
         write_cochain_csv(dual.measures[k], path, header="simplex,measure")
         paths[str(k)] = str(path)
     emit({
         "command": "dual",
-        "rule": cfg.rule,
+        "rule": args.rule,
         "measure_files": paths,
         "negative_cells": {
             str(k): [int(i) for i in dual.negative_cells(k)]
@@ -204,17 +229,17 @@ def cmd_dual(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _dual_for_kind(comp, cfg: RunConfig):
+def _dual_for_kind(comp, args):
     """The dual mesh if the Hodge kind reads one, else None."""
-    if cfg.kind in hodge.READS_DUAL:
-        return mesh.build_dual(comp, cfg.rule)
+    if args.kind in hodge.READS_DUAL:
+        return mesh.build_dual(comp, args.rule)
     return None
 
 
-def _assemble_star(cfg: RunConfig) -> hodge.HodgeOperator:
-    comp = resolve_mesh(cfg.mesh)
-    return hodge.assemble(cfg.kind, comp, _dual_for_kind(comp, cfg), cfg.k,
-                          cfg.grid)
+def _assemble_star(args) -> hodge.HodgeOperator:
+    comp = resolve_mesh(args.mesh)
+    return hodge.assemble(args.kind, comp, _dual_for_kind(comp, args), args.k,
+                          args.grid)
 
 
 def _is_symmetric(A) -> bool:
@@ -227,15 +252,15 @@ def _is_symmetric(A) -> bool:
     return bool(np.allclose(a, b, atol=1e-12))
 
 
-def cmd_hodge(cfg: RunConfig, args) -> int:
-    op = _assemble_star(cfg)
-    path = cfg.out / f"hodge_{cfg.kind}_k{cfg.k}.mtx"
+def cmd_hodge(args) -> int:
+    op = _assemble_star(args)
+    path = args.out / f"hodge_{args.kind}_k{args.k}.mtx"
     write_matrix_market(op.matrix, path)
     emit({
         "command": "hodge",
-        "kind": cfg.kind,
-        "k": cfg.k,
-        "rule": cfg.rule,
+        "kind": args.kind,
+        "k": args.k,
+        "rule": args.rule,
         "shape": list(op.shape),
         "nnz": int(op.matrix.nnz),
         "symmetric": _is_symmetric(op.matrix),
@@ -244,13 +269,13 @@ def cmd_hodge(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_cond(cfg: RunConfig, args) -> int:
-    est = hodge.condition_estimate(_assemble_star(cfg), args.method,
+def cmd_cond(args) -> int:
+    est = hodge.condition_estimate(_assemble_star(args), args.method,
                                    args.block)
     emit({
         "command": "cond",
-        "kind": cfg.kind,
-        "k": cfg.k,
+        "kind": args.kind,
+        "k": args.k,
         "method": est.method,
         "lambda_max": est.lambda_max,
         "lambda_min": est.lambda_min,
@@ -259,9 +284,9 @@ def cmd_cond(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_table1(cfg: RunConfig, args) -> int:
-    rows = hodge.table1_experiment(cfg.P, cfg.grid)
-    path = cfg.out / "table1.csv"
+def cmd_table1(args) -> int:
+    rows = hodge.table1_experiment(args.P, args.grid)
+    path = args.out / "table1.csv"
     path.write_text(hodge.table1_csv(rows))
     for r in rows:
         emit({
@@ -283,15 +308,18 @@ def _default_load(derivative, seed: int) -> np.ndarray:
     return derivative @ systems.least_squares(derivative, load)
 
 
-def cmd_solve(cfg: RunConfig, args) -> int:
-    comp = resolve_mesh(cfg.mesh)
-    dual = _dual_for_kind(comp, cfg)
-    ids = cfg.system
+def cmd_solve(args) -> int:
+    comp = resolve_mesh(args.mesh)
+    dual = _dual_for_kind(comp, args)
+    ids = args.system
     if not ids:
         raise CliError("--system needs at least one formulation id")
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}")
-    problem = "darcy" if args.problem == "darcy" else "magnetostatics"
+    problem, assemble = {
+        "darcy": ("darcy", systems.assemble_darcy),
+        "magneto": ("magnetostatics", systems.assemble_magnetostatics),
+    }[args.problem]
     rows = [systems._formulation(problem, sid) for sid in ids]
     if len({(row.degree, row.load) for row in rows}) > 1:
         raise CliError(
@@ -299,14 +327,12 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             "share one run; pick systems from a single pair"
         )
     M, Minv = hodge.hodge_pair(comp, dual, rows[0].hodge_degree(comp.dim),
-                               cfg.kind, cfg.grid)
+                               args.kind, args.grid)
     derivative = rows[0].load_derivative(comp)
     if args.load is not None:
         load = read_cochain_csv(args.load, derivative.shape[0])
     else:
         load = _default_load(derivative, args.seed)
-    assemble = (systems.assemble_darcy if args.problem == "darcy"
-                else systems.assemble_magnetostatics)
     reports = []
     for sid in ids:
         system = assemble(comp, sid, load, M, Minv)
@@ -319,11 +345,11 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             "residual": report.residual,
             "gauge": report.gauge_applied,
             "seconds": report.seconds,
-            "kind": cfg.kind,
+            "kind": args.kind,
         }
-        if cfg.out is not None and args.write:
+        if args.write:
             for name, vec in sorted(report.recovered.items()):
-                path = cfg.out / f"{report.system}_{name}.csv"
+                path = args.out / f"{report.system}_{name}.csv"
                 write_cochain_csv(vec, path)
                 out[f"file_{name}"] = str(path)
         emit(out)
@@ -332,45 +358,45 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         diffs = systems.cross_validate(reports, align)
         for (a, b), d in sorted(diffs.items()):
             line = {"command": "solve diff", "pair": [a, b], "diffs": d}
-            if cfg.tol is not None:
-                line["pass"] = bool(max(d.values()) <= cfg.tol)
+            if args.tol is not None:
+                line["pass"] = bool(max(d.values()) <= args.tol)
             emit(line)
     return 0
 
 
-def cmd_wave(cfg: RunConfig, args) -> int:
-    comp = resolve_mesh(cfg.mesh)
-    dual = _dual_for_kind(comp, cfg)
-    M1, M1inv = hodge.hodge_pair(comp, dual, 1, cfg.kind, cfg.grid)
-    M2, M2inv = hodge.hodge_pair(comp, dual, 2, cfg.kind, cfg.grid)
+def cmd_wave(args) -> int:
+    comp = resolve_mesh(args.mesh)
+    dual = _dual_for_kind(comp, args)
+    M1, M1inv = hodge.hodge_pair(comp, dual, 1, args.kind, args.grid)
+    M2, M2inv = hodge.hodge_pair(comp, dual, 2, args.kind, args.grid)
     ws = systems.assemble_wave(comp, args.formulation, M1, M2, M1inv, M2inv)
     vals, _ = ws.eigenpairs(args.count)
     emit({
         "command": "wave",
         "formulation": args.formulation,
-        "kind": cfg.kind,
+        "kind": args.kind,
         "omega_squared": [float(v) for v in vals],
     })
     return 0
 
 
-def cmd_sample_field(cfg: RunConfig, args) -> int:
-    comp = resolve_mesh(cfg.mesh)
-    if not 0 <= cfg.k <= comp.dim:
-        raise CliError(f"degree k={cfg.k} out of range 0..{comp.dim} for a "
+def cmd_sample_field(args) -> int:
+    comp = resolve_mesh(args.mesh)
+    if not 0 <= args.k <= comp.dim:
+        raise CliError(f"degree k={args.k} out of range 0..{comp.dim} for a "
                        f"{comp.dim}D mesh")
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
     if args.cochain is not None:
-        weights = read_cochain_csv(args.cochain, len(comp.simplices[cfg.k]))
+        weights = read_cochain_csv(args.cochain, len(comp.simplices[args.k]))
     else:
-        weights = np.ones(len(comp.simplices[cfg.k]))
+        weights = np.ones(len(comp.simplices[args.k]))
     if args.space == "primal":
-        fld = whitney.interpolate(comp, cfg.k, weights)
+        fld = whitney.interpolate(comp, args.k, weights)
     else:
-        dual = mesh.build_dual(comp, cfg.rule)
+        dual = mesh.build_dual(comp, args.rule)
         di = DualInterpolation(comp, dual)
-        fld = di.interpolate(comp.dim - cfg.k, weights)
+        fld = di.interpolate(comp.dim - args.k, weights)
     lo = comp.vertices.min(axis=0)
     hi = comp.vertices.max(axis=0)
     m = args.samples
@@ -385,67 +411,38 @@ def cmd_sample_field(cfg: RunConfig, args) -> int:
     ncomp = vals.shape[1] if rows else 0
     header = (",".join("xyz"[:comp.dim])
               + "," + ",".join(f"value{i}" for i in range(ncomp)))
-    path = cfg.out / "field_samples.csv"
+    path = args.out / "field_samples.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     emit({
         "command": "sample-field",
         "space": args.space,
-        "k": cfg.k,
+        "k": args.k,
         "samples": len(rows),
         "file": str(path),
     })
     return 0
 
 
-def cmd_fig8(cfg: RunConfig, args) -> int:
-    if len(cfg.P) != 1:
+def cmd_fig8(args) -> int:
+    if len(args.P) != 1:
         raise CliError("fig8 takes exactly one --P value")
-    comp = mesh.generate_fig8(cfg.P[0])
-    path = cfg.out / f"fig8_P{cfg.P[0]:g}.json"
+    comp = mesh.generate_fig8(args.P[0])
+    path = args.out / f"fig8_P{args.P[0]:g}.json"
     mesh.save_mesh(comp, path)
     emit({
         "command": "fig8",
-        "P": cfg.P[0],
+        "P": args.P[0],
         "counts": {str(k): len(comp.simplices[k]) for k in range(3)},
         "file": str(path),
     })
     return 0
 
 
-def cmd_convert(cfg: RunConfig, args) -> int:
-    """Convert a simple OFF-style text mesh to the JSON mesh format."""
-    tokens = []
-    with open(args.input) as fh:
-        for line in fh:
-            line = line.split("#")[0].strip()
-            if line and line != "OFF":
-                tokens.extend(line.split())
-    try:
-        nv, nc = int(tokens[0]), int(tokens[1])
-        pos = 3  # counts line is "nv nc ne"
-        first = pos + 2
-        dim = 2
-        # peek: a vertex line has `dim` floats; detect 3D by the first cell
-        # record position assuming 2D, falling back to 3D on mismatch.
-        for trial_dim in (2, 3):
-            cell_start = pos + nv * trial_dim
-            if (cell_start < len(tokens)
-                    and float(tokens[cell_start]) == int(float(tokens[cell_start]))
-                    and int(float(tokens[cell_start])) == trial_dim + 1):
-                dim = trial_dim
-                break
-        verts = np.array(tokens[pos:pos + nv * dim], dtype=float)
-        verts = verts.reshape(nv, dim)
-        pos += nv * dim
-        cells = []
-        for _ in range(nc):
-            cnt = int(tokens[pos])
-            cells.append([int(t) for t in tokens[pos + 1:pos + 1 + cnt]])
-            pos += 1 + cnt
-    except (IndexError, ValueError) as exc:
-        raise CliError(f"cannot parse OFF-style mesh {args.input}: {exc}") from exc
-    comp = mesh.build_complex(verts, cells)
-    path = cfg.out / (Path(args.input).stem + ".json")
+def cmd_convert(args) -> int:
+    """Convert an OFF-style text mesh (see `_read_off`) to the JSON mesh
+    format."""
+    comp = mesh.build_complex(*_read_off(args.input))
+    path = args.out / (Path(args.input).stem + ".json")
     mesh.save_mesh(comp, path)
     emit({
         "command": "convert",
@@ -476,13 +473,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, needs_mesh=True):
-        if needs_mesh:
-            p.add_argument("--mesh", required=True, help=BUILTIN_HELP)
+    # one declaration per shared flag; the call order keeps each
+    # subcommand's flags (and its usage line) in their documented order
+    def add_out(p):
+        p.add_argument("--out", type=Path, default=Path("."),
+                       help="output directory")
+
+    def add_common(p):
+        p.add_argument("--mesh", required=True, help=BUILTIN_HELP)
         p.add_argument("--rule", default="barycentric",
                        choices=["barycentric", "circumcentric"],
                        help="dual mesh center rule")
-        p.add_argument("--out", default=".", help="output directory")
+        add_out(p)
+
+    def add_star(p):
+        p.add_argument("--kind", default="diag", choices=hodge.KINDS)
+        p.add_argument("--grid", type=int, default=128,
+                       help="quadrature grid resolution")
 
     p = sub.add_parser("info", help="mesh counts and quality report")
     add_common(p)
@@ -495,9 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         add_common(p)
         p.add_argument("--k", type=int, default=1, help="form degree")
-        p.add_argument("--kind", default="diag", choices=hodge.KINDS)
-        p.add_argument("--grid", type=int, default=128,
-                       help="quadrature grid resolution")
+        add_star(p)
         if name == "cond":
             p.add_argument("--method", default="full",
                            choices=["full", "leading-block"])
@@ -508,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=_float_list, default=[2.0, 5.0, 10.0],
                    help="comma-separated P values (> 1/2)")
     p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--out", default=".")
+    add_out(p)
 
     p = sub.add_parser("solve", help="assemble and solve a mixed system")
     p.add_argument("problem", choices=["darcy", "magneto"])
@@ -516,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", type=_int_list, required=True,
                    help="comma-separated formulation ids from one pair "
                         "(1,2 or 3,4)")
-    p.add_argument("--kind", default="diag", choices=hodge.KINDS)
-    p.add_argument("--grid", type=int, default=128)
+    add_star(p)
     p.add_argument("--gauge", default="pin", choices=["pin", "augment"])
     p.add_argument("--load", default=None,
                    help="CSV cochain (id,value) for the source term")
@@ -532,8 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--formulation", default="primal",
                    choices=["primal", "dual"])
-    p.add_argument("--kind", default="diag", choices=hodge.KINDS)
-    p.add_argument("--grid", type=int, default=128)
+    add_star(p)
     p.add_argument("--count", type=int, default=6,
                    help="number of smallest eigenvalues to report")
 
@@ -549,12 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig8", help="generate a two-fan mesh as JSON")
     p.add_argument("--P", type=_float_list, required=True)
-    p.add_argument("--out", default=".")
+    add_out(p)
 
     p = sub.add_parser("convert",
                        help="convert an OFF-style text mesh to JSON")
     p.add_argument("input", help="OFF-style mesh file")
-    p.add_argument("--out", default=".")
+    add_out(p)
 
     return parser
 
@@ -573,30 +576,17 @@ COMMANDS = {
 }
 
 
-def make_config(args) -> RunConfig:
-    out = Path(getattr(args, "out", "."))
-    if not out.is_dir():
-        raise CliError(f"output directory {out} does not exist")
-    return RunConfig(
-        command=args.command,
-        mesh=getattr(args, "mesh", None),
-        rule=getattr(args, "rule", "barycentric"),
-        kind=getattr(args, "kind", "diag"),
-        k=getattr(args, "k", 1),
-        grid=getattr(args, "grid", 128),
-        P=getattr(args, "P", []) or [],
-        system=getattr(args, "system", []) or [],
-        tol=getattr(args, "tol", None),
-        out=out,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = make_config(args)
-        return COMMANDS[args.command](cfg, args)
+        if not args.out.is_dir():
+            raise CliError(f"output directory {args.out} does not exist")
+        if getattr(args, "grid", 16) < 16:
+            raise CliError(f"--grid must be at least 16, got {args.grid}")
+        for p in getattr(args, "P", []):
+            if p <= 0.5:
+                raise CliError(f"--P values must exceed 1/2, got {p:g}")
+        return COMMANDS[args.command](args)
     except (CliError, MeshError, HodgeError, SibsonError, SystemError,
             whitney.DegreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -249,16 +249,17 @@ def condition_estimate(operator: HodgeOperator | sp.spmatrix | np.ndarray,
     """Condition number via dense symmetric eigendecomposition.
 
     method="leading-block" uses the spectrum of the leading block_size x
-    block_size submatrix, the estimate used for the parameterized-mesh study.
+    block_size submatrix, the estimate used for the parameterized-mesh study;
+    a sparse matrix is sliced before it is densified, so only that block is.
     """
-    A = operator.toarray() if hasattr(operator, "toarray") else np.asarray(operator)
-    A = np.asarray(A, dtype=float)
+    A = operator.matrix if isinstance(operator, HodgeOperator) else operator
+    A = sp.csr_matrix(A) if sp.issparse(A) else np.asarray(A, dtype=float)
     if method == "leading-block":
-        if not 1 <= block_size <= len(A):
+        if not 1 <= block_size <= A.shape[0]:
             raise HodgeError(f"leading block size {block_size} out of range "
-                             f"1..{len(A)}")
+                             f"1..{A.shape[0]}")
         A = A[:block_size, :block_size]
-    vals, vecs = np.linalg.eigh(A)
+    vals, vecs = np.linalg.eigh(A.toarray() if sp.issparse(A) else A)
     lmax = float(np.abs(vals).max())
     lmin_idx = int(np.abs(vals).argmin())
     lmin = float(abs(vals[lmin_idx]))

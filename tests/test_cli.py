@@ -151,7 +151,7 @@ def test_symmetry_check_matches_dense_allclose():
 
 
 def test_memory_error_is_one_line(monkeypatch, capsys):
-    def exhaust(cfg, args):
+    def exhaust(args):
         raise MemoryError("Unable to allocate 12.1 GiB for an array")
 
     monkeypatch.setitem(cli.COMMANDS, "info", exhaust)
@@ -159,6 +159,33 @@ def test_memory_error_is_one_line(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: out of memory: Unable to allocate 12.1 GiB for an array\n"
+
+
+def test_cond_leading_block_densifies_only_the_block(monkeypatch, capsys):
+    # the leading 5 x 5 block is sliced from the sparse star; no larger
+    # square is densified
+    comp = mesh.structured_grid(8)
+    block = hodge.assemble_whitney(comp, 1).matrix.toarray()[:5, :5]
+    want = hodge.condition_estimate(block).ratio
+
+    def refuse_square(original):
+        def guarded(a, *args, **kwargs):
+            shape = np.shape(a)
+            if len(shape) == 2 and shape[0] == shape[1] and shape[0] > 5:
+                raise AssertionError(f"toarray on a {shape} matrix")
+            return original(a, *args, **kwargs)
+        return guarded
+
+    classes = [sp._base._spbase]
+    while classes:
+        cls = classes.pop()
+        classes.extend(cls.__subclasses__())
+        if "toarray" in vars(cls):
+            monkeypatch.setattr(cls, "toarray", refuse_square(cls.toarray))
+    code, lines, err = run(["cond", "--mesh", "grid:8", "--kind", "whitney",
+                            "--k", "1", "--method", "leading-block"], capsys)
+    assert code == 0, err
+    assert lines[0]["condition"] == want
 
 
 def test_cond_summary(capsys):
@@ -225,6 +252,51 @@ def test_grid_floor_enforced(capsys):
     code, _, err = run(["table1", "--P", "2", "--grid", "8"], capsys)
     assert code == 1
     assert "16" in err
+
+
+# the settings several subcommands share are checked once, before dispatch:
+# the output directory first, then --grid, then --P
+
+WITH_GRID = {
+    "hodge": ["hodge", "--mesh", "grid:2"],
+    "cond": ["cond", "--mesh", "grid:2"],
+    "solve": ["solve", "darcy", "--mesh", "grid:2", "--system", "1"],
+    "wave": ["wave", "--mesh", "grid:2"],
+    "table1": ["table1", "--P", "2"],
+}
+MINIMAL_ARGV = {
+    **WITH_GRID,
+    "info": ["info", "--mesh", "grid:2"],
+    "dual": ["dual", "--mesh", "grid:2"],
+    "sample-field": ["sample-field", "--mesh", "grid:2"],
+    "fig8": ["fig8", "--P", "2"],
+    "convert": ["convert", "square.off"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITH_GRID))
+def test_grid_floor_on_every_command_with_grid(name, capsys):
+    code, lines, err = run(WITH_GRID[name] + ["--grid", "8"], capsys)
+    assert (code, lines) == (1, [])
+    assert err == "error: --grid must be at least 16, got 8\n"
+
+
+@pytest.mark.parametrize("name", ["table1", "fig8"])
+def test_p_floor_on_every_command_with_p(name, capsys):
+    code, lines, err = run([name, "--P", "0.4"], capsys)
+    assert (code, lines) == (1, [])
+    assert err == "error: --P values must exceed 1/2, got 0.4\n"
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_missing_out_directory_comes_first(name, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    argv = MINIMAL_ARGV[name] + ["--out", str(missing)]
+    if name in WITH_GRID:
+        argv += ["--grid", "8"]
+    code, lines, err = run(argv, capsys)
+    assert (code, lines) == (1, [])
+    assert err == f"error: output directory {missing} does not exist\n"
 
 
 def test_solve_cross_validation(capsys, tmp_path):
@@ -366,6 +438,60 @@ def test_convert_off(tmp_path, capsys):
     code2, lines2, _ = run(["info", "--mesh",
                             str(tmp_path / "square.json")], capsys)
     assert code2 == 0
+
+
+OFF_MESHES = {
+    # the token after 2 * nv coordinates reads "3", the arity of a triangle
+    "tet": ("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 3\n0 0 1\n4 0 1 2 3\n",
+            3, {"0": 4, "1": 6, "2": 4, "3": 1}),
+    # a counts line without the edge count
+    "square": ("4 2\n0 0\n1 0\n1 1\n0 1\n3 0 1 2\n3 0 2 3\n",
+               2, {"0": 4, "1": 5, "2": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_MESHES))
+def test_convert_reads_dimension_from_vertex_lines(tmp_path, capsys, name):
+    text, dim, counts = OFF_MESHES[name]
+    off = tmp_path / f"{name}.off"
+    off.write_text(text)
+    code, lines, err = run(["convert", str(off), "--out", str(tmp_path)],
+                           capsys)
+    assert code == 0, err
+    assert lines[0]["dimension"] == dim and lines[0]["counts"] == counts
+    doc = json.loads((tmp_path / f"{name}.json").read_text())
+    assert len(doc["vertices"][0]) == dim
+
+
+MALFORMED_OFF = {
+    "not_text": b"OFF\n4 2 0\n0 0\n1 \xff0\n",
+    "empty": b"# only a comment\n",
+    "bad_counts": b"OFF\n4 x 0\n",
+    "one_count": b"OFF\n4\n0 0\n",
+    "missing_lines": b"OFF\n4 2 0\n0 0\n1 0\n1 1\n0 1\n3 0 1 2\n",
+    "extra_lines": b"3 1\n0 0\n1 0\n0 1\n3 0 1 2\n3 0 1 2\n",
+    "count_mismatch": b"4 2 0\n0 0\n1 0\n1 1\n0 1\n3 0 1 2\n4 0 2 3\n",
+    "ragged_vertices": b"4 2 0\n0 0\n1 0 0\n1 1\n0 1\n3 0 1 2\n3 0 2 3\n",
+    "text_vertex": b"3 1\n0 0\n1 a\n0 1\n3 0 1 2\n",
+    "float_index": b"3 1\n0 0\n1 0\n0 1\n3 0 1 2.0\n",
+    "no_vertices": b"0 0\n",
+}
+
+
+def test_malformed_off_files_fail_cleanly(tmp_path):
+    for name, data in MALFORMED_OFF.items():
+        path = tmp_path / f"{name}.off"
+        path.write_bytes(data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(["convert", str(path), "--out", str(tmp_path)])
+        assert code == 1, name
+        err = stderr.getvalue()
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        assert "Traceback" not in err, name
+        assert stdout.getvalue() == "", name
+        assert not (tmp_path / f"{name}.json").exists(), name
 
 
 def test_fig8_subcommand(tmp_path, capsys):

@@ -9,8 +9,9 @@ produce byte-identical artifacts.
 
 Each `cmd_*` reads the parsed argparse namespace alone.  `main` checks the
 settings several commands share (an existing --out directory, --grid of at
-least 16, --P values above 1/2) before it dispatches, and turns every
-expected failure into one `error:` line on stderr and exit status 1.
+least 16, --P values above 1/2) before it dispatches, turns every
+expected failure into one `error:` line on stderr and exit status 1, and
+prints every warning as one `warning:` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,13 +303,6 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def _default_load(derivative, seed: int) -> np.ndarray:
-    """Seeded load projected onto the range of `derivative`, so that every
-    formulation of the pair accepts it."""
-    load = np.random.default_rng(seed).standard_normal(derivative.shape[0])
-    return derivative @ systems.least_squares(derivative, load)
-
-
 def cmd_solve(args) -> int:
     comp = resolve_mesh(args.mesh)
     dual = _dual_for_kind(comp, args)
@@ -326,13 +321,13 @@ def cmd_solve(args) -> int:
             "systems 1-2 and 3-4 take loads on different spaces and cannot "
             "share one run; pick systems from a single pair"
         )
+    if args.load is not None:
+        load = read_cochain_csv(args.load,
+                                rows[0].load_derivative(comp).shape[0])
+    else:
+        load = rows[0].default_load(comp, args.seed)
     M, Minv = hodge.hodge_pair(comp, dual, rows[0].hodge_degree(comp.dim),
                                args.kind, args.grid)
-    derivative = rows[0].load_derivative(comp)
-    if args.load is not None:
-        load = read_cochain_csv(args.load, derivative.shape[0])
-    else:
-        load = _default_load(derivative, args.seed)
     reports = []
     for sid in ids:
         system = assemble(comp, sid, load, M, Minv)
@@ -576,24 +571,30 @@ COMMANDS = {
 }
 
 
+def _warn(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if not args.out.is_dir():
-            raise CliError(f"output directory {args.out} does not exist")
-        if getattr(args, "grid", 16) < 16:
-            raise CliError(f"--grid must be at least 16, got {args.grid}")
-        for p in getattr(args, "P", []):
-            if p <= 0.5:
-                raise CliError(f"--P values must exceed 1/2, got {p:g}")
-        return COMMANDS[args.command](args)
-    except (CliError, MeshError, HodgeError, SibsonError, SystemError,
-            whitney.DegreeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn  # one line each, without a listing
+        try:
+            if not args.out.is_dir():
+                raise CliError(f"output directory {args.out} does not exist")
+            if getattr(args, "grid", 16) < 16:
+                raise CliError(f"--grid must be at least 16, got {args.grid}")
+            for p in getattr(args, "P", []):
+                if p <= 0.5:
+                    raise CliError(f"--P values must exceed 1/2, got {p:g}")
+            return COMMANDS[args.command](args)
+        except (CliError, MeshError, HodgeError, SibsonError, SystemError,
+                whitney.DegreeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

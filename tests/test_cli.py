@@ -710,3 +710,36 @@ def test_malformed_mesh_files_fail_cleanly(malformed_dir, argv):
         assert "Traceback" not in err
         for line in stdout.getvalue().splitlines():
             strict_json(line)
+
+
+BARYCENTRIC_DIAG_WARNING = (
+    "warning: diagonal Hodge star with a barycentric dual is uncorrected; "
+    "the circumcentric dual is the intended pairing\n")
+
+
+@pytest.mark.parametrize("argv", [["hodge"], ["cond"], ["wave"],
+                                  ["solve", "darcy", "--system", "1,2"]])
+def test_warnings_print_on_one_line(tmp_path, argv):
+    # a fresh process, so no warning filter of the test run applies
+    proc = subprocess.run(
+        [sys.executable, "-m", "decstar.cli", *argv, "--mesh", "grid:3",
+         "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == BARYCENTRIC_DIAG_WARNING
+    for line in proc.stdout.splitlines():
+        strict_json(line)
+
+
+def test_solve_reads_the_load_before_building_the_star(tmp_path, monkeypatch,
+                                                       capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("star built before the load was read")
+
+    monkeypatch.setattr(hodge, "hodge_pair", refuse)
+    path = tmp_path / "load.csv"
+    path.write_text("id,value\n0,abc\n")
+    code, lines, err = run(["solve", "darcy", "--mesh", "grid:3", "--system",
+                            "1,2", "--load", str(path)], capsys)
+    assert code == 1 and lines == []
+    assert err == (f"error: cochain file {path}, line 2: expected 'id,value', "
+                   f"got '0,abc'\n")

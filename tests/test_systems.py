@@ -210,14 +210,29 @@ def test_particular_solution_min_norm():
     assert np.abs(D @ x - rhs).max() < 1e-12
     # minimum-norm: orthogonal to the kernel (constants)
     assert abs(x.sum()) < 1e-12
+    # D_0 is rank-deficient: the constants border its Gram matrix, D_0^T D_0
+    # in both orientations (tall D_0, wide D_0^T)
+    comp = mesh.structured_grid(4)
+    constants = systems._gauge(comp, 0)
+    D0 = comp.incidence_matrix(0)
+    rng = np.random.default_rng(3)
+    for D in (D0, D0.T):
+        rhs = D @ rng.standard_normal(D.shape[1])
+        x = systems.particular_solution(D, rhs, constants)
+        want = np.linalg.lstsq(D.toarray(), rhs, rcond=None)[0]
+        assert np.abs(x - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+    # a load off the range of D_0^T (a nonzero total) is incompatible
+    with pytest.raises(IncompatibleLoadError):
+        systems.particular_solution(D0.T, np.ones(D0.shape[1]), constants)
 
 
 # ---------------------------------------------------------------------------
 # the dense pipeline that the sparse one replaced, kept as a reference
 
 
-def lstsq_reference(D, rhs, tol=1e-10):
-    """Minimum-norm particular solution by dense least squares."""
+def lstsq_reference(D, rhs, kernel=None, tol=1e-10):
+    """Minimum-norm particular solution by dense least squares; the kernel
+    the sparse solve borders with is not needed here."""
     D = D.toarray() if sp.issparse(D) else np.asarray(D, dtype=float)
     x, *_ = np.linalg.lstsq(D, rhs, rcond=None)
     residual = np.linalg.norm(D @ x - rhs)
@@ -317,7 +332,7 @@ def test_default_load_is_the_lstsq_projection():
         comp = cli.resolve_mesh(spec)
         for row in systems._FORMULATIONS.values():
             D = row.load_derivative(comp)
-            load = cli._default_load(D, seed=7)
+            load = row.default_load(comp, seed=7)
             raw = np.random.default_rng(7).standard_normal(D.shape[0])
             want = D @ np.linalg.lstsq(D.toarray(), raw, rcond=None)[0]
             assert np.abs(load - want).max() <= 1e-10 * np.abs(want).max()
@@ -342,11 +357,14 @@ def test_3d_dual_first_gauge_is_a_spanning_tree(problem, kind, capsys):
 
 
 def test_3d_systems_3_4_fail_in_one_line(capsys):
-    code = cli.main(["solve", "darcy", "--mesh", "random:12:3:3", "--system",
-                     "3,4", "--kind", "whitney"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: saddle system") and err.count("\n") == 1
+    # magnetostatics 3 lifts its load through D_1 with the gradient kernel
+    # first; the saddle system, not that lift, is what fails
+    for problem in ("darcy", "magneto"):
+        code = cli.main(["solve", problem, "--mesh", "random:12:3:3",
+                         "--system", "3,4", "--kind", "whitney"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: saddle system") and err.count("\n") == 1
 
 
 def _refuse_square(original, name):
@@ -381,3 +399,27 @@ def test_solve_forms_no_dense_square_matrix(monkeypatch, capsys):
                 out = capsys.readouterr().out.splitlines()
                 assert code == 0
                 assert json.loads(out[-1])["pass"] is True
+
+
+def test_solve_runs_no_iterative_solver(monkeypatch, capsys):
+    """Default loads, lifts and pressure recovery factor and solve; an
+    iterative least-squares solver is never called."""
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("iterative least-squares solver called")
+
+    for name in ("lsmr", "lsqr"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
+    runs = [(problem, "grid:8", pair) for problem in ("darcy", "magneto")
+            for pair in ("1,2", "3,4")]
+    runs += [(problem, "random:12:3:3", "1,2")
+             for problem in ("darcy", "magneto")]
+    for problem, spec, pair in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code = cli.main(["solve", problem, "--mesh", spec, "--system",
+                             pair, "--tol", "1e-8"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0, (problem, spec, pair)
+        assert json.loads(out[-1])["pass"] is True

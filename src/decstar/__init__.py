@@ -24,7 +24,6 @@ from .hodge import (
 )
 from .systems import (
     MixedSystem,
-    assemble_generic,
     assemble_magnetostatics,
     assemble_darcy,
     assemble_wave,
@@ -40,8 +39,8 @@ __all__ = [
     "HodgeOperator", "assemble_diag", "assemble_whitney",
     "assemble_dual_inverse", "hodge_pair", "condition_estimate",
     "sparsity_audit", "table1_experiment",
-    "MixedSystem", "assemble_generic", "assemble_magnetostatics",
-    "assemble_darcy", "assemble_wave", "solve", "cross_validate",
+    "MixedSystem", "assemble_magnetostatics", "assemble_darcy",
+    "assemble_wave", "solve", "cross_validate",
 ]
 
 __version__ = "0.1.0"

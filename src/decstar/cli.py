@@ -309,6 +309,9 @@ def cmd_solve(args) -> int:
     ids = args.system
     if not ids:
         raise CliError("--system needs at least one formulation id")
+    if len(set(ids)) < len(ids):
+        raise CliError("--system repeats a formulation id: "
+                       + ",".join(map(str, ids)))
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}")
     problem, assemble = {

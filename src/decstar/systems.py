@@ -2,11 +2,12 @@
 
 Each physical problem (magnetostatics, Darcy flow) admits four equivalent
 mixed formulations, two discretizing the flux-like variable on the primal
-mesh and two on the dual mesh.  The eight formulations are rows of one table
-over the two generic layouts of `assemble_generic`: each row names its layout,
-the degree of its Hodge pair, the sign of its Hodge block, the space its load
-lives on (and so the derivative a load is lifted through) and how its
-physical cochains are recovered.
+mesh and two on the dual mesh.  The eight formulations are rows of one
+table, from which `_assemble_formulation` builds each saddle system: a row
+names its layout (primal-first or dual-first), the degree of its Hodge pair,
+the sign of its Hodge block, the space its load lives on (and so the
+derivative a load is lifted through) and how its physical cochains are
+recovered.
 
 All systems are symmetric 2x2 block systems with sparse blocks, and they
 are solved sparse.  A sparse Hodge block is factored together with the whole
@@ -26,7 +27,6 @@ eigensolve is dense.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -79,17 +79,20 @@ class Gauge:
 
 @dataclass
 class MixedSystem:
-    """A 2x2 block saddle-point system with its recovery rules.
+    """The symmetric saddle-point system [[A, B], [B^T, 0]] [u; w] = [f; g]
+    of one formulation, with its recovery rule.
 
-    The recovery callable maps the solved block unknowns (u, w) to the
-    physical pair of cochains the formulation approximates.
+    The recovery callable maps the solved unknowns (u, w) to the physical
+    pair of cochains the formulation approximates.
     """
 
     name: str
-    blocks: tuple  # ((A, B), (B.T, None)); A sparse or a FactorizedInverse
-    rhs: tuple  # (f, g) arrays
-    recover: callable  # (u, w) -> dict of named physical cochains
-    gauge: Gauge | None = None  # kernel of B, for dual-first layouts
+    A: object  # Hodge block: sparse, or a FactorizedInverse
+    B: sp.csr_matrix  # derivative block
+    f: np.ndarray
+    g: np.ndarray
+    recover: Callable  # (u, w) -> dict of named physical cochains
+    gauge: Gauge | None  # kernel of B, for dual-first layouts
 
 
 @dataclass
@@ -120,6 +123,9 @@ class WaveSystem:
         """
         if count is not None and count < 1:
             raise SystemError(f"eigenpair count must be at least 1, got {count}")
+        if count is not None and count > len(self.mass):
+            raise SystemError(f"eigenpair count must be at most "
+                              f"{len(self.mass)}, got {count}")
         try:
             vals, vecs = scipy.linalg.eigh(self.stiffness, self.mass)
         except scipy.linalg.LinAlgError as exc:
@@ -205,75 +211,24 @@ def _gauge(complex: SimplicialComplex, degree: int) -> Gauge:
     return Gauge(1, pins, complex.incidence_matrix(0).tocsc()[:, 1:].tocsr())
 
 
-def _check_load(name, load, expected):
-    load = np.asarray(load, dtype=float)
-    if load.shape != (expected,):
-        raise SystemError(
-            f"{name}: load has length {len(load)}, expected {expected}"
-        )
-    return load
-
-
-# ---------------------------------------------------------------------------
-# generic mixed systems
-
-
-def assemble_generic(complex: SimplicialComplex, k: int, orientation: str,
-                     M, M_inv, f, g) -> MixedSystem:
-    """The two generic mixed layouts for a k-form unknown with an
-    (n-k-1)-form intermediary.
-
-    orientation="primal-first": u is a primal k-cochain and the blocks are
-    ((-M_k, D_k^T), (D_k, 0)).  orientation="dual-first": u is a dual
-    k-cochain, indexed by primal (n-k)-simplices, and the blocks are
-    ((-M_{n-k}^{-1}, D_{n-k-1}), (D_{n-k-1}^T, 0)); M and M_inv are then the
-    Hodge pair for degree n-k.
-    """
-    n = complex.dim
-    if orientation == "primal-first":
-        D = complex.incidence_matrix(k)
-        A = -M
-        B = D.T.tocsr()
-        sizes = (len(complex.simplices[k]), D.shape[0])
-    elif orientation == "dual-first":
-        m = n - k
-        D = complex.incidence_matrix(m - 1)
-        A = -M_inv
-        B = D.tocsr()
-        sizes = (len(complex.simplices[m]), D.shape[1])
-    else:
-        raise SystemError(f"unknown orientation {orientation!r}")
-    f = _check_load("generic f", f, sizes[0])
-    g = _check_load("generic g", g, sizes[1])
-    if A.shape[0] != B.shape[0]:
-        raise SystemError(
-            f"block dimension mismatch: Hodge block {A.shape} vs derivative "
-            f"block {B.shape}"
-        )
-    return MixedSystem(
-        name=f"generic-{orientation}-k{k}",
-        blocks=((A, B), (B.T, None)),
-        rhs=(f, g),
-        recover=lambda u, w: {"u": u, "w": w},
-        gauge=None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the eight formulations
 
 
 class _Formulation(NamedTuple):
-    """One mixed formulation, as a row over `assemble_generic`.
+    """One mixed formulation: a row of `_FORMULATIONS`.
 
     The Hodge pair has degree d = range(n + 1)[degree], so -2 stands for
-    n - 1.  A primal-first layout constrains D_d u on the (d+1)-simplices and
-    a dual-first one D_{d-1}^T u on the (d-1)-simplices.  The load lives on
-    the (d+1)-simplices in the range of D_d (load "up") or on the
+    n - 1.  A primal-first layout has u on the primal d-simplices, Hodge
+    block -sign M_d and B = D_d^T, so it constrains D_d u on the
+    (d+1)-simplices.  A dual-first one has u on the dual cells of the
+    d-simplices, Hodge block -sign M_d^{-1} and B = D_{d-1}, so it
+    constrains D_{d-1}^T u on the (d-1)-simplices.  The load lives on the
+    (d+1)-simplices in the range of D_d (load "up") or on the
     (d-1)-simplices in the range of D_{d-1}^T (load "down").  On the side
-    the layout constrains it is the second right-hand side; otherwise it is
-    lifted through that derivative to a particular solution x0, and -sign x0
-    is the first.  `sign` multiplies the generic layout's Hodge block.
+    the layout constrains it is the second right-hand side g; otherwise it
+    is lifted through that derivative to a particular solution x0, and
+    -sign x0 is the first, f.
     """
 
     orientation: str
@@ -347,25 +302,31 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
                           system: int, load, M, M_inv) -> MixedSystem:
     row = _formulation(problem, system)
     name = f"{problem}-{system}"
-    n = complex.dim
-    d = row.hodge_degree(n)
+    d = row.hodge_degree(complex.dim)
     primal = row.orientation == "primal-first"
     L, kernel = row.load_derivative(complex), row.load_gauge(complex)
-    load = _check_load(name, load, L.shape[0])
-    H = M if primal else M_inv
-    f, g, x0 = np.zeros(len(complex.simplices[d])), load, None
+    load = np.asarray(load, dtype=float)
+    if load.shape != (L.shape[0],):
+        raise SystemError(
+            f"{name}: load has length {len(load)}, expected {L.shape[0]}")
+    if primal:
+        H, B = M, complex.incidence_matrix(d).T.tocsr()
+    else:
+        H, B = M_inv, complex.incidence_matrix(d - 1).tocsr()
+    A = -(row.sign * H)
+    if A.shape[0] != B.shape[0]:
+        raise SystemError(
+            f"block dimension mismatch: Hodge block {A.shape} vs derivative "
+            f"block {B.shape}"
+        )
+    f, g, x0 = np.zeros(B.shape[0]), load, None
     if primal != (row.load == "up"):
         x0 = particular_solution(L, load, kernel)
-        f = -row.sign * x0
-        g = np.zeros(len(complex.simplices[d + 1 if primal else d - 1]))
-    signed = row.sign * H
-    generic = assemble_generic(complex, d if primal else n - d,
-                               row.orientation, signed, signed, f, g)
-    parts = SimpleNamespace(B=generic.blocks[0][1], H=H, L=L, kernel=kernel,
-                            x0=x0)
-    return dataclasses.replace(
-        generic, name=name, gauge=None if primal else _gauge(complex, d - 1),
-        recover=lambda u, w: row.recover(u, w, parts))
+        f, g = -row.sign * x0, np.zeros(B.shape[1])
+    parts = SimpleNamespace(B=B, H=H, L=L, kernel=kernel, x0=x0)
+    return MixedSystem(name, A, B, f, g,
+                       lambda u, w: row.recover(u, w, parts),
+                       None if primal else _gauge(complex, d - 1))
 
 
 def assemble_magnetostatics(complex: SimplicialComplex, system: int, j,
@@ -417,8 +378,7 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
     from scipy.sparse.linalg import splu
 
     t0 = time.perf_counter()
-    (A, B), _ = system.blocks
-    f, g = (np.asarray(v, dtype=float) for v in system.rhs)
+    A, B, f, g = system.A, system.B, system.f, system.g
     n1 = B.shape[1]
     E = sp.csr_matrix((n1, n1))
     applied = None

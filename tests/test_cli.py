@@ -512,11 +512,25 @@ def test_cond_rejects_bad_block(capsys):
 
 
 def test_wave_rejects_bad_count(capsys):
-    for count in ("0", "-1"):
-        code, lines, err = run(["wave", "--mesh", "grid:2", "--count", count,
-                                "--kind", "whitney"], capsys)
-        assert code == 1 and lines == []
-        assert err.startswith("error: eigenpair count") and err.count("\n") == 1
+    # grid:2 has 16 edges (primal unknowns) and 8 triangles (dual unknowns)
+    for formulation, size in (("primal", 16), ("dual", 8)):
+        argv = ["wave", "--mesh", "grid:2", "--kind", "whitney",
+                "--formulation", formulation, "--count"]
+        code, lines, _ = run(argv + [str(size)], capsys)
+        assert code == 0 and len(lines[0]["omega_squared"]) == size
+        for count in ("0", "-1", str(size + 1), "1000"):
+            code, lines, err = run(argv + [count], capsys)
+            assert code == 1 and lines == []
+            assert err.startswith("error: eigenpair count") \
+                and err.count("\n") == 1
+
+
+def test_solve_rejects_repeated_system_ids(capsys):
+    code, lines, err = run(["solve", "darcy", "--mesh", "grid:3", "--kind",
+                            "whitney", "--system", "1,1", "--tol", "1e-8"],
+                           capsys)
+    assert code == 1 and lines == []
+    assert err == "error: --system repeats a formulation id: 1,1\n"
 
 
 def test_solve_rejects_empty_system_list(capsys):

@@ -111,6 +111,11 @@ def test_load_length_validated():
         systems.assemble_darcy(comp, 1, np.ones(3), M, Minv)
     with pytest.raises(SystemError):
         systems.assemble_darcy(comp, 7, np.ones(3), M, Minv)
+    # a star of the wrong degree: vertices against darcy-1's edges
+    M0, M0inv = make_pair(comp, k=0)
+    with pytest.raises(SystemError, match="block dimension mismatch"):
+        systems.assemble_darcy(comp, 1, np.ones(len(comp.simplices[2])),
+                               M0, M0inv)
 
 
 def test_gauge_strategies_agree():
@@ -139,35 +144,47 @@ def test_solve_reports_residual_and_gauge():
     assert report2.gauge_applied == "pin dof 0"
 
 
-def test_generic_layouts_match_specialized():
-    comp = mesh.structured_grid(3)
-    M, Minv = make_pair(comp)
-    phi, *_ = loads(comp, seed=5)
-    n_edges = len(comp.simplices[1])
-    # darcy-1 carries +M in the leading block, the generic layout -M, so
-    # feeding the generic assembler the negated Hodge matrix reproduces it
-    generic = systems.assemble_generic(
-        comp, 1, "primal-first", -M, None, np.zeros(n_edges), phi
-    )
-    darcy1 = systems.assemble_darcy(comp, 1, phi, M, Minv)
-    (A, B), (C, _) = generic.blocks
-    (A1, B1), (C1, _) = darcy1.blocks
-    for X, Y in ((A, A1), (B, B1), (C, C1)):
-        assert X.shape == Y.shape and abs(X - Y).max() == 0
-
-
-def test_generic_dual_first_shapes():
-    comp = mesh.structured_grid(3)
-    M, Minv = make_pair(comp, k=1)
-    n_edges = len(comp.simplices[1])
-    n_verts = len(comp.vertices)
-    sysd = systems.assemble_generic(
-        comp, 1, "dual-first", M, Minv,
-        np.zeros(n_edges), np.zeros(n_verts)
-    )
-    (A, B), (C, _) = sysd.blocks
-    assert A.shape == (n_edges, n_edges)
-    assert B.shape == (n_edges, n_verts) and C.shape == (n_verts, n_edges)
+def test_blocks_follow_the_formulation_table():
+    """Each row's saddle blocks: B is D_d^T (primal-first) or D_{d-1}
+    (dual-first), A is -sign times the Hodge side the layout uses, and the
+    load sits on g when the layout constrains its space, else it is lifted
+    into f."""
+    layouts = [("grid:3", (1, 2, 3, 4)), ("random:12:3:3", (1, 2))]
+    rng = np.random.default_rng(11)
+    factorized_blocks = set()
+    for spec, ids in layouts:
+        comp = cli.resolve_mesh(spec)
+        for (problem, sid), row in systems._FORMULATIONS.items():
+            if sid not in ids:
+                continue
+            d = row.hodge_degree(comp.dim)
+            M, Minv = make_pair(comp, "whitney", k=d)
+            load = row.default_load(comp, seed=sid)
+            system = PROBLEMS[problem](comp, sid, load, M, Minv)
+            primal = row.orientation == "primal-first"
+            want = (comp.incidence_matrix(d).T if primal
+                    else comp.incidence_matrix(d - 1))
+            assert sp.isspmatrix_csr(system.B)
+            assert system.B.shape == want.shape
+            assert (system.B != want).nnz == 0
+            H = M if primal else Minv
+            factorized = isinstance(system.A, hodge.FactorizedInverse)
+            assert factorized or sp.issparse(system.A)
+            factorized_blocks.add(factorized)
+            x = rng.standard_normal(H.shape[1])
+            assert np.array_equal(system.A @ x, -row.sign * (H @ x))
+            assert system.f.shape == (system.B.shape[0],)
+            assert system.g.shape == (system.B.shape[1],)
+            L = row.load_derivative(comp)
+            if primal == (row.load == "up"):
+                assert not system.f.any()
+                assert np.array_equal(system.g, load)
+            else:
+                assert not system.g.any()
+                lifted = L @ (-row.sign * system.f)
+                assert np.abs(lifted - load).max() <= 1e-10 * max(
+                    np.abs(load).max(), 1.0)
+    assert factorized_blocks == {True, False}  # both kinds of Hodge block
 
 
 def test_wave_systems():
@@ -254,9 +271,8 @@ def dense_pair_reference(comp, dual, k, kind, resolution):
 
 def dense_solve_reference(system, gauge):
     """Dense LU of the whole block matrix, pinning or bordering the gauge."""
-    (A, B), _ = system.blocks
-    A, B = A.toarray(), B.toarray()
-    f, g = system.rhs
+    A, B = system.A.toarray(), system.B.toarray()
+    f, g = system.f, system.g
     n0, n1 = B.shape
     K = np.block([[A, B], [B.T, np.zeros((n1, n1))]])
     b = np.concatenate([f, g])

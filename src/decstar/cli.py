@@ -304,8 +304,6 @@ def cmd_table1(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    comp = resolve_mesh(args.mesh)
-    dual = _dual_for_kind(comp, args)
     ids = args.system
     if not ids:
         raise CliError("--system needs at least one formulation id")
@@ -324,6 +322,8 @@ def cmd_solve(args) -> int:
             "systems 1-2 and 3-4 take loads on different spaces and cannot "
             "share one run; pick systems from a single pair"
         )
+    comp = resolve_mesh(args.mesh)
+    dual = _dual_for_kind(comp, args)
     if args.load is not None:
         load = read_cochain_csv(args.load,
                                 rows[0].load_derivative(comp).shape[0])
@@ -351,14 +351,15 @@ def cmd_solve(args) -> int:
                 write_cochain_csv(vec, path)
                 out[f"file_{name}"] = str(path)
         emit(out)
-    if len(reports) > 1:
+    if len(reports) == 2:  # distinct ids from one pair: at most two
+        a, b = reports
         align = ("p",) if args.problem == "darcy" else ()
-        diffs = systems.cross_validate(reports, align)
-        for (a, b), d in sorted(diffs.items()):
-            line = {"command": "solve diff", "pair": [a, b], "diffs": d}
-            if args.tol is not None:
-                line["pass"] = bool(max(d.values()) <= args.tol)
-            emit(line)
+        d = systems.cross_validate(a, b, align)
+        line = {"command": "solve diff", "pair": [a.system, b.system],
+                "diffs": d}
+        if args.tol is not None:
+            line["pass"] = bool(max(d.values()) <= args.tol)
+        emit(line)
     return 0
 
 

@@ -56,7 +56,6 @@ class ConditionEstimate:
     lambda_max: float
     lambda_min: float
     ratio: float
-    null_vector: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +258,11 @@ def condition_estimate(operator: HodgeOperator | sp.spmatrix | np.ndarray,
             raise HodgeError(f"leading block size {block_size} out of range "
                              f"1..{A.shape[0]}")
         A = A[:block_size, :block_size]
-    vals, vecs = np.linalg.eigh(A.toarray() if sp.issparse(A) else A)
-    lmax = float(np.abs(vals).max())
-    lmin_idx = int(np.abs(vals).argmin())
-    lmin = float(abs(vals[lmin_idx]))
+    # eigh, not eigvalsh: the two differ in the last bits of Table 1 blocks
+    vals = np.abs(np.linalg.eigh(A.toarray() if sp.issparse(A) else A)[0])
+    lmax, lmin = float(vals.max()), float(vals.min())
     if lmin <= 1e-12 * max(lmax, 1.0):
-        return ConditionEstimate(method, lmax, lmin, math.inf,
-                                 vecs[:, lmin_idx])
+        return ConditionEstimate(method, lmax, lmin, math.inf)
     return ConditionEstimate(method, lmax, lmin, lmax / lmin)
 
 

@@ -96,15 +96,8 @@ class SimplicialComplex:
     vertices: np.ndarray
     simplices: list  # list of (N_k, k+1) int arrays
     orientations: list  # list of (N_k,) int arrays
-    measures: list  # list of (N_k,) float arrays
+    measures: list  # (N_k,) lengths, areas, volumes; 1 for vertices
     face_indices: list  # face_indices[k]: (N_{k+1}, k+2) int array
-
-    def simplex_points(self, k: int, i: int) -> np.ndarray:
-        return self.vertices[self.simplices[k][i]]
-
-    def measure(self, k: int, i: int) -> float:
-        """Exact length/area/volume of a k-simplex; 1 for vertices."""
-        return float(self.measures[k][i])
 
     @cached_property
     def _coboundary(self) -> list:

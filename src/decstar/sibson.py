@@ -39,11 +39,6 @@ def polygon_area(loop: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def ensure_ccw(loop: np.ndarray) -> np.ndarray:
-    loop = np.asarray(loop, dtype=float)
-    return loop if polygon_area(loop) >= 0 else loop[::-1]
-
-
 def _ccw_ring(loop: np.ndarray, labels: list):
     """A labelled loop turned counter-clockwise, its labels kept in step."""
     loop = np.asarray(loop, dtype=float)
@@ -131,18 +126,6 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray):
 # site regions
 
 
-# corners may turn clockwise by cross products up to this share of the area
-CONVEXITY_TOL = 1e-12
-
-
-def is_convex(loop: np.ndarray) -> bool:
-    loop = ensure_ccw(np.asarray(loop, dtype=float))
-    d = np.roll(loop, -1, axis=0) - loop
-    cross = d[:, 0] * np.roll(d, -1, axis=0)[:, 1] - d[:, 1] * np.roll(d, -1, axis=0)[:, 0]
-    scale = max(abs(polygon_area(loop)), 1e-300)
-    return bool(np.all(cross >= -CONVEXITY_TOL * scale))
-
-
 def _site_regions_within(loop: np.ndarray, domain: np.ndarray) -> list:
     """Voronoi region of each site of `loop`, clipped to `domain`."""
     # np.allclose(vi, vj) for every pair, with its default tolerances
@@ -210,30 +193,27 @@ class SibsonCell:
     """One polygonal cell of the dual mesh and the Sibson coordinates of its
     corners, which are its sites.
 
-    `vertices` is the boundary loop, counter-clockwise.  Two variants of the
-    area ratios are supported.  `restricted=True` intersects every Voronoi
-    region with the cell itself, which keeps the construction meaningful on
-    non-convex cells.  `restricted=False` uses the classical unrestricted
-    Voronoi diagram of the sites, which is the variant with exact linear
-    precision; it is the automatic choice on convex cells.  Site regions are
-    built on first use, so a cell that is only located or measured builds
-    none.
+    `vertices` is the boundary loop, turned counter-clockwise, and `measure`
+    its area.  The caller picks one of two variants of the area ratios.
+    `restricted=True` intersects every Voronoi region with the cell itself,
+    which keeps the construction meaningful on non-convex cells.
+    `restricted=False` uses the classical unrestricted Voronoi diagram of
+    the sites, which is the variant with exact linear precision.  Site
+    regions are built on first use, so a cell that is only located or
+    measured builds none.
     """
 
-    def __init__(self, loop, restricted: bool | None = None):
-        self.vertices = ensure_ccw(loop)
-        if restricted is None:
-            restricted = not is_convex(self.vertices)
+    def __init__(self, loop, restricted: bool):
+        loop = np.asarray(loop, dtype=float)
+        area = polygon_area(loop)
+        self.vertices = loop if area >= 0 else loop[::-1]
+        self.measure = abs(area)
         self.restricted = restricted
         self._box_cache = {}
 
     @property
     def n_sites(self) -> int:
         return len(self.vertices)
-
-    @property
-    def measure(self) -> float:
-        return abs(polygon_area(self.vertices))
 
     @cached_property
     def diameter(self) -> float:
@@ -418,8 +398,7 @@ class DualInterpolation:
             raise SibsonError("dual interpolation machinery is 2D")
         self.complex = complex
         self.cells = []  # restricted SibsonCell per primal vertex
-        self.site_tags = []  # per vertex: list of tags matching cell loop
-        self.site_lookup = []  # per vertex: dict tag -> local index
+        self.site_lookup = []  # per vertex: tag -> local index, loop order
         boundary = complex.boundary_simplices(1)
         for v in range(len(complex.vertices)):
             # sites are the ring's triangle centers, boundary-edge midpoints
@@ -433,7 +412,6 @@ class DualInterpolation:
                                   "itself")
             loop, tags = _ccw_ring(loop, ring)
             self.cells.append(SibsonCell(loop, restricted=True))
-            self.site_tags.append(tags)
             self.site_lookup.append({tag: i for i, tag in enumerate(tags)})
 
     def edge_endpoint_tags(self, e: int):
@@ -505,6 +483,8 @@ class DualInterpolation:
         cells carry the degrees of freedom.  The field takes one point or a
         (q, 2) batch, and is NaN at points outside the mesh.
         """
+        if not 0 <= dual_degree <= 2:
+            raise SibsonError(f"dual degree {dual_degree} out of range 0..2")
         p = self.complex.dim - dual_degree
         weights = np.asarray(cochain, dtype=float)
         expected = len(self.complex.simplices[p])

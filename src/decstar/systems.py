@@ -429,26 +429,21 @@ def align_gauge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b + (a.mean() - b.mean())
 
 
-def cross_validate(reports: list, align: tuple = ("p",)) -> dict:
-    """Pairwise max-norm differences of recovered cochains across reports.
+def cross_validate(a: SolveReport, b: SolveReport, align: tuple) -> dict:
+    """Max-norm differences of the cochains two reports both recover.
 
     Fields named in `align` are compared after constant-shift alignment.
     """
-    out = {}
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            ra, rb = reports[i], reports[j]
-            diffs = {}
-            for key in ra.recovered:
-                if key not in rb.recovered:
-                    continue
-                va = np.asarray(ra.recovered[key])
-                vb = np.asarray(rb.recovered[key])
-                if key in align:
-                    vb = align_gauge(va, vb)
-                diffs[key] = float(np.abs(va - vb).max())
-            out[(ra.system, rb.system)] = diffs
-    return out
+    diffs = {}
+    for key in a.recovered:
+        if key not in b.recovered:
+            continue
+        va = np.asarray(a.recovered[key])
+        vb = np.asarray(b.recovered[key])
+        if key in align:
+            vb = align_gauge(va, vb)
+        diffs[key] = float(np.abs(va - vb).max())
+    return diffs
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +451,7 @@ def cross_validate(reports: list, align: tuple = ("p",)) -> dict:
 
 
 def assemble_wave(complex: SimplicialComplex, formulation: str,
-                  M1, M2, M1_inv=None, M2_inv=None) -> WaveSystem:
+                  M1, M2, M1_inv, M2_inv) -> WaveSystem:
     """Wave eigensystems for the electric (primal) or magnetic (dual) field.
 
     primal: (D_1^T M_2 D_1) e = omega^2 M_1 e.
@@ -466,8 +461,6 @@ def assemble_wave(complex: SimplicialComplex, formulation: str,
     if formulation == "primal":
         A, B = D1.T @ (M2 @ D1), M1
     elif formulation == "dual":
-        if M1_inv is None or M2_inv is None:
-            raise SystemError("dual wave system needs inverse Hodge matrices")
         # factor solves against D_1^T when M_1^{-1} is factorized
         A, B = D1 @ (M1_inv @ D1.T), M2_inv
     else:

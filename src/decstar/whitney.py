@@ -37,16 +37,16 @@ def _barycentric_coefficients(complex: SimplicialComplex, cells) -> np.ndarray:
 LOCATE_CHUNK = 1 << 22  # barycentric coordinates per chunk of points
 
 
-def locate_cell(complex: SimplicialComplex, x, tol: float = 1e-12):
-    """Index of the first n-simplex containing x, or None.
+def locate_cell(complex: SimplicialComplex, pts) -> np.ndarray:
+    """Index of the first n-simplex containing each point of a (q, n) batch,
+    -1 for points outside every simplex.
 
-    For a (q, n) batch of points, an array of indices with -1 for points
-    outside every simplex.  The barycentric coefficients of all cells are
-    formed once, and the points are tested in chunks of at most
-    `LOCATE_CHUNK` coordinates (32 MB).
+    A point is inside when its barycentric coordinates are all >= -1e-12.
+    The barycentric coefficients of all cells are formed once, and the
+    points are tested in chunks of at most `LOCATE_CHUNK` coordinates
+    (32 MB).
     """
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
+    pts = np.asarray(pts, dtype=float)
     coeff = _barycentric_coefficients(complex, slice(None))
     C, n = len(coeff), complex.dim
     offsets = coeff[:, 0, :].T  # (n+1, C), row j for lambda_j
@@ -55,11 +55,9 @@ def locate_cell(complex: SimplicialComplex, x, tol: float = 1e-12):
     step = max(1, LOCATE_CHUNK // (C * (n + 1)))
     for s in range(0, len(pts), step):
         lam = offsets + (pts[s:s + step] @ grads).reshape(-1, n + 1, C)
-        inside = lam.min(axis=1) >= -tol
+        inside = lam.min(axis=1) >= -1e-12
         found[s:s + step] = np.where(inside.any(axis=1),
                                      inside.argmax(axis=1), -1)
-    if x.ndim == 1:
-        return int(found[0]) if found[0] >= 0 else None
     return found
 
 
@@ -67,16 +65,11 @@ def _whitney_values(complex: SimplicialComplex, k: int, cells, pts):
     """Whitney k-forms of all k-faces of each point's n-simplex, evaluated
     at a (q, n) batch of points: (q, F) for k = 0 and k = n, (q, F, n)
     otherwise, with the faces in `_cell_faces` order.
-
-    Raises if a point lies outside its cell by more than 1e-9 in
-    barycentric coordinates.
     """
     n = complex.dim
     coeff = _barycentric_coefficients(complex, cells)
     g = np.swapaxes(coeff[:, 1:, :], 1, 2).copy()  # g[:, j] is grad lambda_j
     lam = coeff[:, 0, :] + (g @ pts[..., None])[..., 0]
-    if not np.all(lam >= -1e-9):
-        raise ValueError("evaluation point outside the stated element")
     if k == 0:
         return lam
     if k == n:
@@ -101,14 +94,13 @@ class WhitneyField:
     k: int
     weights: np.ndarray
 
-    def __call__(self, x, cell=None):
-        """The field at one point or a (q, n) batch; NaN at points outside
-        the mesh.  `cell` gives the n-simplex of the point (one index, or one
-        per point) instead of locating it.  Faces of weight 0 are skipped."""
+    def __call__(self, x):
+        """The field at one point or a (q, n) batch, in the n-simplex that
+        `locate_cell` finds for each point; NaN at points outside the mesh.
+        Faces of weight 0 are skipped."""
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
-        cells = (locate_cell(self.complex, pts) if cell is None
-                 else np.broadcast_to(cell, len(pts)))
+        cells = locate_cell(self.complex, pts)
         n = self.complex.dim
         out = np.full((len(pts),) + ((n,) if 0 < self.k < n else ()), np.nan)
         ok = np.nonzero(cells >= 0)[0]
@@ -123,24 +115,9 @@ class WhitneyField:
         return out[0] if x.ndim == 1 else out
 
 
-def eval_whitney(complex: SimplicialComplex, k: int, simplex_id: int, x,
-                 cell: int):
-    """Whitney k-form of a k-simplex evaluated at x inside the given n-simplex:
-    the field of the unit cochain on that simplex, with its cell given.
-
-    Scalar for k = 0 and k = n, vector-valued otherwise.  Zero if the simplex
-    is not a face of the cell.  Raises if x lies outside the cell.
-    """
-    n = complex.dim
-    if not 0 <= k <= n:
-        raise DegreeError(f"degree k={k} out of range for n={n}")
-    unit = np.zeros(len(complex.simplices[k]))
-    unit[simplex_id] = 1.0
-    val = WhitneyField(complex, k, unit)(np.asarray(x, dtype=float), cell)
-    return float(val) if k in (0, n) else val
-
-
 def interpolate(complex: SimplicialComplex, k: int, cochain) -> WhitneyField:
+    if not 0 <= k <= complex.dim:
+        raise DegreeError(f"degree k={k} out of range for n={complex.dim}")
     weights = np.asarray(cochain, dtype=float)
     if weights.shape != (len(complex.simplices[k]),):
         raise DegreeError(

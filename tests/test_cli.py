@@ -540,6 +540,27 @@ def test_solve_rejects_empty_system_list(capsys):
     assert err.startswith("error: --system") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--system", "1,1"], "--system repeats a formulation id: 1,1"),
+    (["--system", ","], "--system needs at least one formulation id"),
+    (["--system", "1,3"], "systems 1-2 and 3-4 take loads on different "
+                          "spaces and cannot share one run; pick systems "
+                          "from a single pair"),
+    (["--system", "5"], "darcy system id must be 1-4, got 5"),
+    (["--system", "1", "--seed", "-1"], "--seed must be non-negative, got -1"),
+], ids=["repeated", "empty", "mixed-pair", "out-of-range", "seed"])
+def test_solve_checks_its_arguments_before_the_mesh(flags, error, monkeypatch,
+                                                    capsys):
+    def refuse(spec):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(cli, "resolve_mesh", refuse)
+    code, lines, err = run(["solve", "darcy", "--mesh", "grid:256", "--kind",
+                            "whitney", *flags], capsys)
+    assert code == 1 and lines == []
+    assert err == f"error: {error}\n"
+
+
 def test_solve_3d_default_load_is_compatible(capsys):
     # the default current of systems 1-2 is projected onto the range of
     # D_{n-2}^T, which in 3D is not just the mean-zero vectors

@@ -112,7 +112,6 @@ def test_condition_estimate_full_and_block():
     assert est2.ratio == pytest.approx(2.0)
     singular = hodge.condition_estimate(np.zeros((2, 2)))
     assert singular.ratio == np.inf
-    assert singular.null_vector is not None
 
 
 def test_neighborhood_size():
@@ -176,7 +175,7 @@ def fig8_hub_products(comp, hub, resolution):
 
     ring = [fan(2), tri[frozenset((0, 1, 2))], tri[frozenset((0, 1, 3))],
             fan(3)]
-    centers = np.array([comp.simplex_points(2, t).mean(axis=0) for t in ring])
+    centers = comp.vertices[comp.simplices[2][ring]].mean(axis=1)
     loop, labels = _ccw_ring(centers, ring)
     cell = SibsonCell(loop, restricted=True)
     pts, w = hodge._cell_quadrature(cell, resolution)

@@ -130,7 +130,8 @@ def test_vertex_ring_walks_each_element_once(crossing_dual_polygons, n, seed):
                                               f"{crossing[0]} intersects itself$"):
             DualInterpolation(comp, dual)
     else:
-        assert DualInterpolation(comp, dual).site_tags == site_tags
+        lookup = DualInterpolation(comp, dual).site_lookup
+        assert [list(tags) for tags in lookup] == site_tags
 
 
 def test_build_dual_walks_no_vertex_ring(monkeypatch):
@@ -315,7 +316,7 @@ def loop_build_dual(comp, rule):
     chains sigma^k < ... < sigma^n, top-down from each n-simplex, and by the
     scanning ring walk."""
     n = comp.dim
-    centers = [np.array([loop_center(comp.simplex_points(k, i), rule)
+    centers = [np.array([loop_center(comp.vertices[comp.simplices[k][i]], rule)
                          for i in range(len(comp.simplices[k]))])
                for k in range(n + 1)]
     chains = [dict() for _ in range(n + 1)]

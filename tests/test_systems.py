@@ -42,8 +42,8 @@ def test_darcy_primal_pair_equivalence(kind):
         phi, *_ = loads(comp)
         r1 = systems.solve(systems.assemble_darcy(comp, 1, phi, M, Minv))
         r2 = systems.solve(systems.assemble_darcy(comp, 2, phi, M, Minv))
-        diffs = systems.cross_validate([r1, r2], align=("p",))
-        assert max(diffs[("darcy-1", "darcy-2")].values()) < 1e-8
+        diffs = systems.cross_validate(r1, r2, align=("p",))
+        assert max(diffs.values()) < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["diag", "whitney"])
@@ -53,8 +53,8 @@ def test_darcy_dual_pair_equivalence(kind):
         _, phibar, *_ = loads(comp)
         r3 = systems.solve(systems.assemble_darcy(comp, 3, phibar, M, Minv))
         r4 = systems.solve(systems.assemble_darcy(comp, 4, phibar, M, Minv))
-        diffs = systems.cross_validate([r3, r4], align=("p",))
-        assert max(diffs[("darcy-3", "darcy-4")].values()) < 1e-8
+        diffs = systems.cross_validate(r3, r4, align=("p",))
+        assert max(diffs.values()) < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["diag", "whitney"])
@@ -64,12 +64,12 @@ def test_magnetostatics_pair_equivalences(kind):
         _, _, jbar, j = loads(comp)
         r1 = systems.solve(systems.assemble_magnetostatics(comp, 1, jbar, M, Minv))
         r2 = systems.solve(systems.assemble_magnetostatics(comp, 2, jbar, M, Minv))
-        d12 = systems.cross_validate([r1, r2], align=())
-        assert max(d12[("magnetostatics-1", "magnetostatics-2")].values()) < 1e-8
+        d12 = systems.cross_validate(r1, r2, align=())
+        assert max(d12.values()) < 1e-8
         r3 = systems.solve(systems.assemble_magnetostatics(comp, 3, j, M, Minv))
         r4 = systems.solve(systems.assemble_magnetostatics(comp, 4, j, M, Minv))
-        d34 = systems.cross_validate([r3, r4], align=())
-        assert max(d34[("magnetostatics-3", "magnetostatics-4")].values()) < 1e-8
+        d34 = systems.cross_validate(r3, r4, align=())
+        assert max(d34.values()) < 1e-8
 
 
 def test_conservation_laws():
@@ -194,7 +194,7 @@ def test_wave_systems():
         warnings.simplefilter("ignore")
         M1, M1inv = hodge.hodge_pair(comp, dual, 1, "whitney")
         M2, M2inv = hodge.hodge_pair(comp, dual, 2, "whitney")
-    primal = systems.assemble_wave(comp, "primal", M1, M2)
+    primal = systems.assemble_wave(comp, "primal", M1, M2, M1inv, M2inv)
     vals_p, _ = primal.eigenpairs()
     # gradient fields are stationary: kernel dimension is N_vertices - 1
     n_zero = int((np.abs(vals_p) < 1e-9).sum())
@@ -206,15 +206,29 @@ def test_wave_systems():
     # with exact inverse pairs the nonzero spectra coincide
     assert len(pos_d) == len(pos_p)
     assert np.abs(pos_p - pos_d).max() < 1e-8
-    with pytest.raises(SystemError):
-        systems.assemble_wave(comp, "dual", M1, M2)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the dual-"
+                   "inverse star's dual wave spectrum is 0.86 too low on "
+                   "grid:16")
+def test_dual_inverse_dual_wave_matches_the_whitney_star():
+    comp = mesh.structured_grid(16)
+    dual = mesh.build_dual(comp, "barycentric")
+    spectra = []
+    for kind in ("dual_inverse", "whitney"):
+        pairs = [hodge.hodge_pair(comp, dual, k, kind, 32) for k in (1, 2)]
+        ws = systems.assemble_wave(comp, "dual", pairs[0][0], pairs[1][0],
+                                   pairs[0][1], pairs[1][1])
+        spectra.append(ws.eigenpairs(6)[0])
+    dual_inverse, whitney = spectra
+    assert np.abs(dual_inverse / whitney - 1.0).max() <= 0.05
 
 
 def test_indefinite_wave_mass_is_rejected_by_the_eigensolve():
     comp = mesh.structured_grid(3)
-    M2 = hodge.assemble_whitney(comp, 2).matrix
+    M2, M2inv = hodge.hodge_pair(comp, None, 2, "whitney")
     M1 = -sp.identity(len(comp.simplices[1]), format="csr")
-    ws = systems.assemble_wave(comp, "primal", M1, M2)
+    ws = systems.assemble_wave(comp, "primal", M1, M2, M1, M2inv)
     with pytest.raises(SystemError,
                        match="^wave mass matrix is not positive definite$"):
         ws.eigenpairs()

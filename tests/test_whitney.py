@@ -6,83 +6,80 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decstar import mesh, whitney
+from decstar.sibson import DualInterpolation, SibsonError
 from decstar.whitney import DegreeError
 
 
+def unit_field(comp, k, i):
+    """The Whitney field of the unit cochain on k-simplex i."""
+    return whitney.interpolate(comp, k, np.eye(len(comp.simplices[k]))[i])
+
+
 def edge_integral(comp, field, edge_id, quad=3):
-    """Line integral of a vector field along an oriented (sorted) edge."""
-    a, b = comp.simplex_points(1, edge_id)
+    """Line integral of a vector field along an oriented (sorted) edge.  A
+    Whitney field located in either triangle of the edge has the same
+    tangential component along it."""
+    a, b = comp.vertices[comp.simplices[1][edge_id]]
     nodes, weights = np.polynomial.legendre.leggauss(quad)
-    cell = int(comp.cofaces(1, edge_id)[0])
-    total = 0.0
-    for t, w in zip(nodes, weights):
-        x = 0.5 * (a + b) + 0.5 * t * (b - a)
-        total += w * float(field(x, cell) @ (b - a)) * 0.5
-    return total
+    x = 0.5 * (a + b) + 0.5 * nodes[:, None] * (b - a)
+    return 0.5 * float(weights @ (field(x) @ (b - a)))
 
 
 def test_barycentric_partition_of_unity():
     comp = mesh.random_delaunay(25, 1)
     rng = np.random.default_rng(0)
     for cell in range(len(comp.simplices[2])):
-        x = rng.dirichlet(np.ones(3)) @ comp.simplex_points(2, cell)
-        lam = np.array([whitney.eval_whitney(comp, 0, v, x, cell)
-                        for v in comp.simplices[2][cell]])
+        verts = comp.simplices[2][cell]
+        x = rng.dirichlet(np.ones(3)) @ comp.vertices[verts]
+        lam = np.array([unit_field(comp, 0, v)(x) for v in verts])
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(lam >= -1e-12)
 
 
 def test_locate_cell():
     comp = mesh.structured_grid(3)
-    for cell in (0, 5, 11):
-        x = comp.simplex_points(2, cell).mean(axis=0)
-        assert whitney.locate_cell(comp, x) == cell
-    assert whitney.locate_cell(comp, [5.0, 5.0]) is None
+    cells = np.array([0, 5, 11])
+    x = comp.vertices[comp.simplices[2][cells]].mean(axis=1)
+    assert np.array_equal(whitney.locate_cell(comp, x), cells)
+    assert np.array_equal(whitney.locate_cell(comp, [[5.0, 5.0]]), [-1])
 
 
 def test_edge_whitney_cochain_duality():
     comp = mesh.random_delaunay(20, 4)
     n_edges = len(comp.simplices[1])
     for i in range(n_edges):
-        field = whitney.interpolate(comp, 1, np.eye(n_edges)[i])
+        field = unit_field(comp, 1, i)
         for j in list(range(n_edges))[:: max(1, n_edges // 8)] + [i]:
             cells_j = set(comp.cofaces(1, j).tolist())
             cells_i = set(comp.cofaces(1, i).tolist())
             if not cells_i & cells_j and i != j:
                 continue
-
-            def restricted(x, cell, j=j):
-                return whitney.eval_whitney(comp, 1, i, x, cell)
-
-            val = edge_integral(comp, restricted, j)
+            val = edge_integral(comp, field, j)
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
 
 def test_vertex_and_face_duality():
     comp = mesh.two_triangle_mesh()
     for v in range(len(comp.vertices)):
-        cell = int(comp.cofaces(0, v)[0] if comp.dim == 0 else
-                   whitney.locate_cell(comp, comp.vertices[v], tol=1e-9))
-        val = whitney.eval_whitney(comp, 0, v, comp.vertices[v], cell)
+        val = unit_field(comp, 0, v)(comp.vertices[v])
         assert val == pytest.approx(1.0, abs=1e-12)
     for t in range(len(comp.simplices[2])):
-        x = comp.simplex_points(2, t).mean(axis=0)
-        val = whitney.eval_whitney(comp, 2, t, x, t)
-        assert val * comp.measure(2, t) == pytest.approx(1.0, abs=1e-12)
+        x = comp.vertices[comp.simplices[2][t]].mean(axis=0)
+        val = unit_field(comp, 2, t)(x)
+        assert val * comp.measures[2][t] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_edge_interpolant_reproduces_constants():
     comp = mesh.random_delaunay(25, 8)
     u = np.array([0.7, -0.3])
-    coch = np.array([
-        u @ (comp.simplex_points(1, e)[1] - comp.simplex_points(1, e)[0])
-        for e in range(len(comp.simplices[1]))
-    ])
+    ends = comp.vertices[comp.simplices[1]]
+    coch = (ends[:, 1] - ends[:, 0]) @ u
     field = whitney.interpolate(comp, 1, coch)
     rng = np.random.default_rng(5)
     for cell in range(0, len(comp.simplices[2]), 3):
-        x = rng.dirichlet(np.ones(3) * 3) @ comp.simplex_points(2, cell)
-        assert np.allclose(field(x, cell), u, atol=1e-11)
+        pts = comp.vertices[comp.simplices[2][cell]]
+        x = rng.dirichlet(np.ones(3) * 3) @ pts
+        assert np.allclose(field(x), u, atol=1e-11)
 
 
 def test_inner_product_matches_quadrature():
@@ -95,13 +92,13 @@ def test_inner_product_matches_quadrature():
             exact = G[i, j]
             approx = 0.0
             for cell in range(len(comp.simplices[2])):
-                pts = comp.simplex_points(2, cell)
-                area = comp.measure(2, cell)
+                pts = comp.vertices[comp.simplices[2][cell]]
+                area = comp.measures[2][cell]
                 samples = rng.dirichlet(np.ones(3), size=4000) @ pts
                 vals = np.einsum(
                     "qd,qd->q",
-                    whitney.interpolate(comp, 1, eye[i])(samples, cell),
-                    whitney.interpolate(comp, 1, eye[j])(samples, cell))
+                    whitney.interpolate(comp, 1, eye[i])(samples),
+                    whitney.interpolate(comp, 1, eye[j])(samples))
                 approx += area * vals.mean()
             assert approx == pytest.approx(exact, abs=0.02 * max(1, abs(exact)))
 
@@ -122,12 +119,12 @@ def test_tet_face_whitney_flux_duality():
     # the flux of a face's own 2-form through that face is one
     rng = np.random.default_rng(3)
     for f in range(len(comp.simplices[2])):
-        pts = comp.simplex_points(2, f)
+        pts = comp.vertices[comp.simplices[2][f]]
         verts = comp.simplices[2][f]
         normal = np.cross(pts[1] - pts[0], pts[2] - pts[0]) / 2.0
         samples = rng.dirichlet(np.ones(3), size=6000) @ pts
         unit = np.eye(len(comp.simplices[2]))[f]
-        vals = whitney.interpolate(comp, 2, unit)(samples, 0) @ normal
+        vals = whitney.interpolate(comp, 2, unit)(samples) @ normal
         # orientation: sorted-tuple convention pairs with the sorted normal
         assert abs(vals.mean()) == pytest.approx(1.0, abs=0.01)
         assert len(verts) == 3
@@ -137,11 +134,26 @@ def test_degree_validation():
     comp = mesh.two_triangle_mesh()
     with pytest.raises(DegreeError):
         whitney.interpolate(comp, 1, np.ones(2))
-    with pytest.raises(DegreeError):
-        whitney.eval_whitney(comp, 3, 0, [0.2, 0.2], 0)
     for k in (-1, 3):
         with pytest.raises(DegreeError):
             whitney.whitney_gram_matrix(comp, k)
+
+
+@pytest.mark.parametrize("degree", [-1, 3])
+@pytest.mark.parametrize("space", ["primal", "dual"])
+def test_interpolants_reject_out_of_range_degrees(space, degree):
+    """Both library interpolants check the degree when the field is made,
+    not when it is evaluated."""
+    comp = mesh.structured_grid(2)
+    if space == "primal":
+        with pytest.raises(DegreeError, match=f"^degree k={degree} out of "
+                                              f"range for n=2$"):
+            whitney.interpolate(comp, degree, np.ones(3))
+    else:
+        di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+        with pytest.raises(SibsonError, match=f"^dual degree {degree} out "
+                                              f"of range 0..2$"):
+            di.interpolate(degree, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +188,14 @@ def loop_gram(comp, k):
     locals_ = list(itertools.combinations(range(n + 1), k + 1))
     index = {tuple(s): i for i, s in enumerate(comp.simplices[k].tolist())}
     for cell in range(len(comp.simplices[n])):
-        pts = comp.simplex_points(n, cell)
+        pts = comp.vertices[comp.simplices[n][cell]]
         grads = np.linalg.inv(np.column_stack([np.ones(n + 1), pts]))[1:].T
         verts = comp.simplices[n][cell].tolist()
         faces = [index[combo]
                  for combo in itertools.combinations(verts, k + 1)]
         for (fi, I), (fj, J) in itertools.combinations_with_replacement(
                 zip(faces, locals_), 2):
-            val = loop_pair_integral(grads, comp.measure(n, cell), n, I, J)
+            val = loop_pair_integral(grads, comp.measures[n][cell], n, I, J)
             G[fi, fj] += val
             if fi != fj:
                 G[fj, fi] += val
@@ -262,7 +274,7 @@ def loop_whitney_field(comp, k, weights):
         if k == 0:
             return float(lam[pos[0]])
         if k == n:
-            return 1.0 / comp.measure(n, cell)
+            return 1.0 / comp.measures[n][cell]
         if k == 1:
             i, j = pos
             return lam[i] * g[j] - lam[j] * g[i]

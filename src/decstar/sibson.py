@@ -6,8 +6,16 @@ regions by half-plane clipping on first use, and the region of an inserted
 point is one half-plane clip of each site region, vectorized over query
 points.  The same pass measures the bisector chord that bounds each overlap,
 and Sibson's vector identity (Sibson 1980; Piper 1993) turns the chord's
-length and first moment into the exact gradient of the overlap area.  On the
-cell boundary the coordinates take the Milbradt-Pick limit.
+length and first moment into the exact gradient of the overlap area; a
+caller that wants coordinates alone (`coords_batch`) gets an area-only pass
+that skips the chord terms.  On the cell boundary the coordinates take the
+Milbradt-Pick limit.
+
+The kernel works on (region sides, query points) arrays, with the points on
+the contiguous axis, so each numpy call runs over a whole batch at once.  Its
+sums over region sides add one side at a time in loop order, so a point's
+coordinates and gradients are the same bits in any batch, a batch of one
+included.
 
 Dual Whitney forms attach interpolants to dual mesh cells: normalized
 characteristic functions to the dual polygons of primal vertices,
@@ -33,10 +41,17 @@ class SibsonError(ValueError):
 # polygon primitives (2D)
 
 
+def _next_corners(a: np.ndarray) -> np.ndarray:
+    """`a` moved up one place along axis 0, its first entry last: the corner
+    after each corner of a loop."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def polygon_area(loop: np.ndarray) -> float:
     loop = np.asarray(loop, dtype=float)
     x, y = loop[:, 0], loop[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return 0.5 * float(np.dot(x, _next_corners(y))
+                       - np.dot(y, _next_corners(x)))
 
 
 def _ccw_ring(loop: np.ndarray, labels: list):
@@ -48,38 +63,58 @@ def _ccw_ring(loop: np.ndarray, labels: list):
 
 
 def clip_halfplane(loop: np.ndarray, point, normal) -> np.ndarray:
-    """Sutherland-Hodgman clip keeping {y : (y - point) . normal <= 0}."""
+    """Sutherland-Hodgman clip keeping {y : (y - point) . normal <= 0}.
+
+    The signed distances come from one matrix product; the walk over the
+    corners runs on Python floats, whose arithmetic is numpy's."""
     point = np.asarray(point, dtype=float)
     normal = np.asarray(normal, dtype=float)
+    d = ((loop - point) @ normal).tolist()
+    corners = loop.tolist()
     out = []
-    m = len(loop)
-    d = (loop - point) @ normal
+    m = len(corners)
     for i in range(m):
-        a, b = loop[i], loop[(i + 1) % m]
+        (ax, ay), (bx, by) = corners[i], corners[(i + 1) % m]
         da, db = d[i], d[(i + 1) % m]
         if da <= 0:
-            out.append(a)
+            out.append((ax, ay))
         if (da <= 0) != (db <= 0):
             t = da / (da - db)
-            out.append(a + t * (b - a))
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
     return np.array(out) if out else np.empty((0, 2))
 
 
 def points_in_polygon(loop: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test, vectorized over query points."""
+    """Even-odd crossing test, vectorized over query points: (m, q) work
+    arrays, one row per side of the loop."""
     loop = np.asarray(loop, dtype=float)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
-    ax, ay = loop[:, 0][None, :], loop[:, 1][None, :]
-    bx, by = np.roll(loop[:, 0], -1)[None, :], np.roll(loop[:, 1], -1)[None, :]
+    x, y = np.ascontiguousarray(pts.T)
+    ax, ay = loop[:, :1], loop[:, 1:]
+    b = _next_corners(loop)
+    bx, by = b[:, :1], b[:, 1:]
     straddles = (ay > y) != (by > y)
     with np.errstate(divide="ignore", invalid="ignore"):
         xint = ax + (y - ay) * (bx - ax) / (by - ay)
     crossings = straddles & (x < xint)
-    return crossings.sum(axis=1) % 2 == 1
+    return crossings.sum(axis=0) % 2 == 1
 
 
-def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray):
+def _side_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of (m, q) per-side terms over the m sides, added in side order.
+
+    `np.sum(axis=0)` adds a batch of one point pairwise and a larger batch
+    row by row, so a point's bits would depend on its batch.  In order from
+    zero, every point gets the bits of a batch of one, which are also those
+    of `np.sum` over fewer than eight sides along a contiguous axis."""
+    total = np.zeros(terms.shape[1])
+    for row in terms:
+        total += row
+    return total
+
+
+def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray,
+                   chord: bool = True):
     """Clip `region` to the part nearer each query point than `site`.
 
     `region` is a counter-clockwise loop and `pts` a (q, 2) batch.  For every
@@ -96,30 +131,38 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray):
     the loop leaves the half-plane, -1 where it enters), so a chord with
     several pieces on a non-convex region is counted piece by piece.  Edges
     are taken relative to c, where the chord adds nothing to the shoelace
-    sum.
+    sum.  With `chord=False` the pass measures the area alone and returns
+    None for the chord terms.
+
+    Work arrays are (m + 1, q): the query points lie along the contiguous
+    axis and the sums over sides run in order (`_side_sum`).
     """
     closed = np.vstack([region, region[:1]])
-    n = site - pts
-    nrm = np.sqrt(n[:, 0] ** 2 + n[:, 1] ** 2)[:, None]
-    nhat = n / np.where(nrm == 0.0, 1.0, nrm)
-    mid = 0.5 * (pts + site)
-    rx = closed[None, :, 0] - mid[:, :1]
-    ry = closed[None, :, 1] - mid[:, 1:]
-    d = rx * nhat[:, :1] + ry * nhat[:, 1:]
-    s = rx * nhat[:, 1:] - ry * nhat[:, :1]  # coordinate along the bisector
+    cx, cy = closed[:, :1], closed[:, 1:]
+    px, py = np.ascontiguousarray(pts.T)
+    nx, ny = site[0] - px, site[1] - py
+    nrm = np.sqrt(nx ** 2 + ny ** 2)
+    nrm = np.where(nrm == 0.0, 1.0, nrm)
+    hx, hy = nx / nrm, ny / nrm
+    rx = cx - 0.5 * (px + site[0])
+    ry = cy - 0.5 * (py + site[1])
+    d = rx * hx + ry * hy
     out = d > 0
-    da, db = d[:, :-1], d[:, 1:]
-    sign = out[:, 1:].astype(float) - out[:, :-1]
+    da, db = d[:-1], d[1:]
+    sign = out[1:].astype(float) - out[:-1]
     t = da / np.where(sign == 0.0, 1.0, da - db)
-    inside = (~out[:, :-1]) - sign * (1.0 - t)
-    cross = rx[:, :-1] * ry[:, 1:] - ry[:, :-1] * rx[:, 1:]
-    area = 0.5 * np.sum(inside * cross, axis=1)
-    sa = s[:, :-1]
-    crossing = sa + t * (s[:, 1:] - sa)
-    length = np.sum(sign * crossing, axis=1)
-    along = 0.5 * np.sum(sign * crossing ** 2, axis=1)
-    tangent = np.column_stack([nhat[:, 1], -nhat[:, 0]])
-    return area, length, along[:, None] * tangent
+    inside = (~out[:-1]) - sign * (1.0 - t)
+    cross = rx[:-1] * ry[1:] - ry[:-1] * rx[1:]
+    area = 0.5 * _side_sum(inside * cross)
+    if not chord:
+        return area, None, None
+    s = rx * hy - ry * hx  # coordinate along the bisector
+    sa = s[:-1]
+    crossing = sa + t * (s[1:] - sa)
+    signed = sign * crossing
+    length = _side_sum(signed)
+    along = 0.5 * _side_sum(signed * crossing)
+    return area, length, np.column_stack([along * hy, along * -hx])
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +170,24 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray):
 
 
 def _site_regions_within(loop: np.ndarray, domain: np.ndarray) -> list:
-    """Voronoi region of each site of `loop`, clipped to `domain`."""
+    """Voronoi region of each site of `loop`, clipped to `domain`; None for
+    a region with fewer than three corners, which has no area."""
     # np.allclose(vi, vj) for every pair, with its default tolerances
     close = np.all(np.abs(loop[:, None] - loop[None])
                    <= 1e-8 + 1e-5 * np.abs(loop[None]), axis=2)
+    # bisector of sites i and j: its midpoint and the normal v_j - v_i
+    mids = 0.5 * (loop[:, None] + loop[None])
+    normals = loop[None] - loop[:, None]
     regions = []
-    for i, vi in enumerate(loop):
+    for i in range(len(loop)):
         region = domain
-        for j, vj in enumerate(loop):
+        for j in range(len(loop)):
             if j == i or close[i, j]:
                 continue
-            mid = 0.5 * (vi + vj)
-            region = clip_halfplane(region, mid, vj - vi)
+            region = clip_halfplane(region, mids[i, j], normals[i, j])
             if len(region) == 0:
                 break
-        regions.append(region)
+        regions.append(region if len(region) >= 3 else None)
     return regions
 
 
@@ -149,29 +195,20 @@ def _site_regions_within(loop: np.ndarray, domain: np.ndarray) -> list:
 # Sibson coordinates
 
 
-def _pad_regions(regions: list) -> list:
-    """Pad region loops to a common length by repeating the last vertex;
-    repeated vertices do not change clipped areas."""
-    maxlen = max(len(r) for r in regions)
-    return [
-        np.vstack([r, np.repeat(r[-1:], maxlen - len(r), axis=0)])
-        if len(r) >= 3 else None
-        for r in regions
-    ]
-
-
 CLIP_CHUNK = 1 << 14  # query points per pass of `_bisector_clip`
 
 
-def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray):
+def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray,
+                  gradients: bool):
     """Overlap areas (q, n) of the inserted region of each point with each
-    site region, and their gradients (q, n, 2); see `SibsonCell._site_clips`.
+    site region, and with `gradients` their gradients (q, n, 2), else None;
+    see `SibsonCell._site_clips`.
 
     Points are clipped `CLIP_CHUNK` at a time, which bounds the temporaries;
     each point's result does not depend on its chunk.
     """
     areas = np.zeros((len(pts), len(sites)))
-    grads = np.zeros((len(pts), len(sites), 2))
+    grads = np.zeros((len(pts), len(sites), 2)) if gradients else None
     for lo in range(0, len(pts), CLIP_CHUNK):
         chunk = slice(lo, lo + CLIP_CHUNK)
         q = pts[chunk]
@@ -179,8 +216,11 @@ def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray):
             if region is None:
                 continue
             vi = sites[i]
-            area, length, moment = _bisector_clip(region, vi, q)
+            area, length, moment = _bisector_clip(region, vi, q,
+                                                  chord=gradients)
             areas[chunk, i] = np.maximum(area, 0.0)
+            if not gradients:
+                continue
             # (y - x) = (y - c) + (v_i - x) / 2 with c the bisector midpoint
             n = vi - q
             dist = np.sqrt(n[:, 0] ** 2 + n[:, 1] ** 2)[:, None]
@@ -206,7 +246,12 @@ class SibsonCell:
     def __init__(self, loop, restricted: bool):
         loop = np.asarray(loop, dtype=float)
         area = polygon_area(loop)
-        self.vertices = loop if area >= 0 else loop[::-1]
+        if area < 0:
+            # measured again: the reversed shoelace sum can differ from the
+            # negated one in its last bit
+            loop = loop[::-1]
+            area = polygon_area(loop)
+        self.vertices = loop
         self.measure = abs(area)
         self.restricted = restricted
         self._box_cache = {}
@@ -229,7 +274,7 @@ class SibsonCell:
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)[:, None, :]
         v = self.vertices
-        d = np.roll(v, -1, axis=0) - v
+        d = _next_corners(v) - v
         t = np.clip(np.sum((pts - v) * d, axis=2)
                     / np.einsum("id,id->i", d, d), 0.0, 1.0)
         proj = v + t[..., None] * d
@@ -239,7 +284,7 @@ class SibsonCell:
     @cached_property
     def regions(self) -> list:
         """Site regions clipped to the cell: the restricted variant's."""
-        return _pad_regions(_site_regions_within(self.vertices, self.vertices))
+        return _site_regions_within(self.vertices, self.vertices)
 
     def _boxed_regions(self, key: int):
         """Site regions clipped to a bounding box of half-width
@@ -248,14 +293,12 @@ class SibsonCell:
             half = self.diameter * 2.0 ** key + self.diameter
             box = self.vertices.mean(axis=0) + half * np.array(
                 [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-            self._box_cache[key] = _pad_regions(
-                _site_regions_within(self.vertices, box)
-            )
+            self._box_cache[key] = _site_regions_within(self.vertices, box)
         return self._box_cache[key]
 
-    def _site_clips(self, pts: np.ndarray):
-        """Overlap areas A_i = |D(x) cap C_i| and their exact gradients at a
-        batch of points.
+    def _site_clips(self, pts: np.ndarray, gradients: bool):
+        """Overlap areas A_i = |D(x) cap C_i| at a batch of points and, with
+        `gradients`, their exact gradients (else None).
 
         Sibson's identity gives grad A_i = integral over F_i of (y - x) ds
         divided by |v_i - x|, where F_i is the part of the x-v_i bisector
@@ -263,7 +306,7 @@ class SibsonCell:
         identity holds for the restricted and the classical variant alike.
         """
         if self.restricted:
-            return _clip_regions(self.regions, self.vertices, pts)
+            return _clip_regions(self.regions, self.vertices, pts, gradients)
         # the inserted region of a point at distance d from the site hull
         # can reach roughly diam^2 / (2 d) beyond it; each point is clipped
         # in the smallest cached box that covers its own reach, so a point's
@@ -272,18 +315,21 @@ class SibsonCell:
         margin = np.maximum(self.boundary_distance(pts), 1e-9 * diam)
         keys = np.ceil(np.log2(diam / (2.0 * margin) + 1.0)).astype(int)
         areas = np.zeros((len(pts), self.n_sites))
-        grads = np.zeros((len(pts), self.n_sites, 2))
+        grads = np.zeros((len(pts), self.n_sites, 2)) if gradients else None
         for key in np.unique(keys):
             sel = keys == key
-            areas[sel], grads[sel] = _clip_regions(
-                self._boxed_regions(int(key)), self.vertices, pts[sel])
+            areas[sel], key_grads = _clip_regions(
+                self._boxed_regions(int(key)), self.vertices, pts[sel],
+                gradients)
+            if gradients:
+                grads[sel] = key_grads
         return areas, grads
 
     def coords_batch(self, pts: np.ndarray) -> np.ndarray:
         """Sibson coordinates for a batch of points inside the cell: the
         overlap areas of `_site_clips` over their sum."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        areas, _ = self._site_clips(pts)
+        areas, _ = self._site_clips(pts, gradients=False)
         return areas / areas.sum(axis=1)[:, None]
 
     def _boundary_coords(self, x):
@@ -296,7 +342,7 @@ class SibsonCell:
         if d.min() <= 1e-12 * self.diameter:
             coords[d.argmin()] = 1.0
             return coords
-        seg = np.roll(v, -1, axis=0) - v
+        seg = _next_corners(v) - v
         t = np.clip(np.einsum("id,id->i", x - v, seg)
                     / np.einsum("id,id->i", seg, seg), 0.0, 1.0)
         i = int(np.linalg.norm(v + t[:, None] * seg - x, axis=1).argmin())
@@ -337,7 +383,7 @@ class SibsonCell:
         / sum_j A_j.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        areas, area_grads = self._site_clips(pts)
+        areas, area_grads = self._site_clips(pts, gradients=True)
         total = areas.sum(axis=1)[:, None]
         coords = areas / total
         grads = (area_grads - coords[..., None]
@@ -358,7 +404,7 @@ def _self_intersects(loop: np.ndarray) -> bool:
     strictly on opposite sides of the other's line.  Sides that only touch,
     such as neighbours at their shared corner or collinear sides that meet,
     do not count."""
-    a, b = loop, np.roll(loop, -1, axis=0)
+    a, b = loop, _next_corners(loop)
     d = b - a
 
     def side(p):  # side[i, j]: sign of point p[j] against the line of side i
@@ -410,9 +456,11 @@ class DualInterpolation:
             if _self_intersects(loop):
                 raise SibsonError(f"dual polygon of vertex {v} intersects "
                                   "itself")
-            loop, tags = _ccw_ring(loop, ring)
-            self.cells.append(SibsonCell(loop, restricted=True))
-            self.site_lookup.append({tag: i for i, tag in enumerate(tags)})
+            cell = SibsonCell(loop, restricted=True)
+            if cell.vertices is not loop:  # turned counter-clockwise
+                ring = ring[::-1]
+            self.cells.append(cell)
+            self.site_lookup.append({tag: i for i, tag in enumerate(ring)})
 
     def edge_endpoint_tags(self, e: int):
         """Ordered site-tag pair of the dual edge of primal edge e."""

@@ -194,6 +194,53 @@ def test_bisector_clip_two_piece_chord():
     assert np.abs(moment[0] - [0.0, 0.6]).max() < 1e-14
 
 
+# cells whose widest restricted site region has fewer than 8 corners (the
+# 9-gon) or 8 and more: numpy sums 8 or more terms along a contiguous axis
+# pairwise, so the last two pin the order of the kernel's sums over sides
+KERNEL_CELLS = {
+    "9-gon": [[np.cos(a), np.sin(a)] for a in 2 * np.pi * np.arange(9) / 9],
+    "12-gon": [[np.cos(a), np.sin(a)] for a in 2 * np.pi * np.arange(12) / 12],
+    "non-convex 10-gon": [[0, 0], [4, 0], [4, 1], [2, 1.5], [4, 2], [4, 3],
+                          [0, 3], [0, 2], [1, 1.5], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CELLS)
+@pytest.mark.parametrize("restricted", [True, False])
+def test_kernel_gives_each_point_its_one_point_bits(monkeypatch, name,
+                                                    restricted):
+    """A point's coordinates and gradients do not depend on the batch it is
+    in or on how the batch is split into clip passes."""
+    sc = SibsonCell(np.array(KERNEL_CELLS[name], dtype=float), restricted)
+    pts = interior_points(sc, np.random.default_rng(28), 40, 1e-3)
+    lam, grads = sc.coords_and_gradients_batch(pts)
+    if restricted:
+        widest = max(len(r) for r in sc.regions if r is not None)
+        assert (widest >= 8) == (name != "9-gon")
+    for x, lam_x, grads_x in zip(pts, lam, grads):
+        one_lam, one_grads = sc.coords_and_gradients_batch(x[None])
+        assert np.array_equal(one_lam[0], lam_x)
+        assert np.array_equal(one_grads[0], grads_x)
+    assert np.array_equal(sc.coords_batch(pts), lam)
+    monkeypatch.setattr(sibson, "CLIP_CHUNK", 7)
+    split_lam, split_grads = sc.coords_and_gradients_batch(pts)
+    assert np.array_equal(split_lam, lam)
+    assert np.array_equal(split_grads, grads)
+    assert np.array_equal(sc.coords_batch(pts), lam)
+
+
+@pytest.mark.parametrize("name", KERNEL_CELLS)
+def test_area_only_clip_matches_full_clip(name):
+    sc = SibsonCell(np.array(KERNEL_CELLS[name], dtype=float), True)
+    pts = interior_points(sc, np.random.default_rng(29), 40, 1e-3)
+    for region, site in zip(sc.regions, sc.vertices):
+        if region is None:
+            continue
+        area, length, moment = _bisector_clip(region, site, pts, chord=False)
+        assert length is None and moment is None
+        assert np.array_equal(area, _bisector_clip(region, site, pts)[0])
+
+
 def test_exact_gradients_on_mesh_dual_polygons(crossing_dual_polygons):
     # the dual polygon of vertex 14 of random_delaunay(60, 3) is a bowtie,
     # on which no interpolant is defined; seed 0 has none

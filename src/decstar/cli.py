@@ -369,7 +369,7 @@ def cmd_wave(args) -> int:
     M1, M1inv = hodge.hodge_pair(comp, dual, 1, args.kind, args.grid)
     M2, M2inv = hodge.hodge_pair(comp, dual, 2, args.kind, args.grid)
     ws = systems.assemble_wave(comp, args.formulation, M1, M2, M1inv, M2inv)
-    vals, _ = ws.eigenpairs(args.count)
+    vals = ws.eigenpairs(args.count)
     emit({
         "command": "wave",
         "formulation": args.formulation,

@@ -43,14 +43,22 @@ class MeshError(ValueError):
 def simplex_measures(points) -> np.ndarray:
     """Unsigned k-volumes of a stack of k-simplices, points shaped (..., k+1, d).
 
-    Uses the Gram determinant, so it works for k-simplices embedded in any
-    ambient dimension.  A single point has measure 1 by convention.
+    A full-dimensional simplex (k = d) takes |det(edges)| / k!, which keeps
+    its relative accuracy on slivers; in 2D that is the cross product, which
+    has no LU division and so is exact on short dyadic edges.  Lower
+    dimensions take the Gram determinant, which squares the conditioning but
+    works in any ambient dimension.  A point has measure 1 by convention.
     """
     pts = np.asarray(points, dtype=float)
     k = pts.shape[-2] - 1
     if k == 0:
         return np.ones(pts.shape[:-2])
     edges = pts[..., 1:, :] - pts[..., :1, :]
+    if k == pts.shape[-1] == 2:
+        (ax, ay), (bx, by) = np.moveaxis(edges, (-2, -1), (0, 1))
+        return np.abs(ax * by - ay * bx) / 2.0
+    if k == pts.shape[-1]:
+        return np.abs(np.linalg.det(edges)) / math.factorial(k)
     det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
     return np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
 
@@ -237,7 +245,7 @@ def build_complex(vertices, cells) -> SimplicialComplex:
         simplices[k], inverse = np.unique(faces, axis=0, return_inverse=True)
         face_indices[k] = inverse.reshape(-1, k + 2)
     # a cell's measure is |det| / n!, which keeps its relative accuracy on
-    # slivers, where the Gram determinant of `simplex_measures` loses it
+    # slivers
     measures = [simplex_measures(verts[simp]) for simp in simplices[:n]]
     measures.append(np.abs(det) / math.factorial(n))
     orientations = [np.ones(len(simplices[k]), dtype=int) for k in range(n)]

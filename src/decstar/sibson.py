@@ -113,18 +113,19 @@ def _side_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray,
-                   chord: bool = True):
+def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
+                   py: np.ndarray, chord: bool = True):
     """Clip `region` to the part nearer each query point than `site`.
 
-    `region` is a counter-clockwise loop and `pts` a (q, 2) batch.  For every
-    point x this is one pass over the loop's edges against the bisector half-
-    plane {y : |y - x| <= |y - site|}, returning
+    `region` is a counter-clockwise loop and `px`, `py` the coordinates of a
+    batch of q points, each a contiguous 1-D array.  For every point x this
+    is one pass over the loop's edges against the bisector half-plane
+    {y : |y - x| <= |y - site|}, returning
 
     - the clipped area,
     - the length L of the chord F (the bisector inside `region`),
     - the first moment of F about the bisector midpoint c = (x + site) / 2,
-      i.e. the integral of (y - c) over F.
+      i.e. the integral of (y - c) over F, as its x and y components.
 
     An edge contributes the inside fraction of its shoelace term.  The chord
     terms are signed sums over the edges that cross the bisector (+1 where
@@ -134,12 +135,11 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray,
     sum.  With `chord=False` the pass measures the area alone and returns
     None for the chord terms.
 
-    Work arrays are (m + 1, q): the query points lie along the contiguous
-    axis and the sums over sides run in order (`_side_sum`).
+    Work arrays are (m + 1, q) or (q,): the query points lie along the
+    contiguous axis and the sums over sides run in order (`_side_sum`).
     """
     closed = np.vstack([region, region[:1]])
     cx, cy = closed[:, :1], closed[:, 1:]
-    px, py = np.ascontiguousarray(pts.T)
     nx, ny = site[0] - px, site[1] - py
     nrm = np.sqrt(nx ** 2 + ny ** 2)
     nrm = np.where(nrm == 0.0, 1.0, nrm)
@@ -162,7 +162,7 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, pts: np.ndarray,
     signed = sign * crossing
     length = _side_sum(signed)
     along = 0.5 * _side_sum(signed * crossing)
-    return area, length, np.column_stack([along * hy, along * -hx])
+    return area, length, (along * hy, along * -hx)
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +211,24 @@ def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray,
     grads = np.zeros((len(pts), len(sites), 2)) if gradients else None
     for lo in range(0, len(pts), CLIP_CHUNK):
         chunk = slice(lo, lo + CLIP_CHUNK)
-        q = pts[chunk]
+        qx, qy = np.ascontiguousarray(pts[chunk].T)
         for i, region in enumerate(regions):
             if region is None:
                 continue
             vi = sites[i]
-            area, length, moment = _bisector_clip(region, vi, q,
+            area, length, moment = _bisector_clip(region, vi, qx, qy,
                                                   chord=gradients)
             areas[chunk, i] = np.maximum(area, 0.0)
             if not gradients:
                 continue
+            mx, my = moment
             # (y - x) = (y - c) + (v_i - x) / 2 with c the bisector midpoint
-            n = vi - q
-            dist = np.sqrt(n[:, 0] ** 2 + n[:, 1] ** 2)[:, None]
-            grads[chunk, i] = ((moment + 0.5 * length[:, None] * n)
-                               / np.where(dist == 0.0, 1.0, dist))
+            nx, ny = vi[0] - qx, vi[1] - qy
+            dist = np.sqrt(nx ** 2 + ny ** 2)
+            dist = np.where(dist == 0.0, 1.0, dist)
+            half = 0.5 * length
+            grads[chunk, i, 0] = (mx + half * nx) / dist
+            grads[chunk, i, 1] = (my + half * ny) / dist
     return areas, grads
 
 

@@ -22,7 +22,9 @@ Particular solutions and default loads are minimum-norm least-squares
 solutions from one sparse LU of a Gram matrix of the derivative, bordered
 with the same kernel bases where the derivative is rank-deficient (Bjorck,
 Numerical Methods for Least Squares Problems, 1996).  Only the wave
-eigensolve is dense.
+eigensolve is dense: `WaveSystem` keeps its operands as assembled and
+densifies them only for `eigh`, which returns the lowest eigenvalues and no
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -108,32 +110,51 @@ class SolveReport:
 
 @dataclass
 class WaveSystem:
+    """The pencil (stiffness, mass) of one wave formulation, each operand as
+    assembled: a sparse matrix, a `FactorizedInverse` or an array."""
+
     formulation: str  # "primal" | "dual"
-    stiffness: np.ndarray
-    mass: np.ndarray
+    stiffness: object
+    mass: object
 
-    def eigenpairs(self, count: int | None = None):
-        """Generalized eigenpairs (omega^2, mode), ascending; the `count`
-        smallest when given.
+    def eigenpairs(self, count: int | None = None) -> np.ndarray:
+        """Generalized eigenvalues omega^2, ascending; the `count` smallest
+        when given.  No eigenvectors are computed.
 
-        The solve is dense.  The primal spectrum is wanted past its V - 1
-        dimensional kernel, 201 of 533 pairs on a 196-vertex mesh; there,
-        on one core, a dense `eigh` took 52 ms, its `subset_by_index` 57 ms
-        and a shift-invert `eigsh` 345 ms (agreeing only to 2e-8).
+        The solve is dense, on symmetrized copies of the operands that
+        `eigh` overwrites.  The primal spectrum is wanted past its V - 1
+        dimensional kernel: the lowest 201 of 533 values on a 196-vertex
+        mesh, which took 44-48 ms on one core, against 72-80 ms for every
+        value with its eigenvector.
         """
+        n = self.mass.shape[0]
         if count is not None and count < 1:
             raise SystemError(f"eigenpair count must be at least 1, got {count}")
-        if count is not None and count > len(self.mass):
-            raise SystemError(f"eigenpair count must be at most "
-                              f"{len(self.mass)}, got {count}")
+        if count is not None and count > n:
+            raise SystemError(f"eigenpair count must be at most {n}, "
+                              f"got {count}")
+        subset = None if count is None else [0, count - 1]
         try:
-            vals, vecs = scipy.linalg.eigh(self.stiffness, self.mass)
+            return scipy.linalg.eigh(
+                _dense_symmetric(self.stiffness), _dense_symmetric(self.mass),
+                eigvals_only=True, subset_by_index=subset,
+                overwrite_a=True, overwrite_b=True)
         except scipy.linalg.LinAlgError as exc:
             raise SystemError("wave mass matrix is not positive definite") \
                 from exc
-        if count is not None:
-            vals, vecs = vals[:count], vecs[:, :count]
-        return vals, vecs
+
+
+def _dense_symmetric(X) -> np.ndarray:
+    """A fresh dense array holding (X + X^T) / 2, in the Fortran order that
+    LAPACK takes without a copy: S or S^T, which are the same matrix."""
+    if sp.issparse(X):
+        S = (0.5 * (X + X.T)).toarray()
+    else:
+        S = X.toarray() if isinstance(X, FactorizedInverse) else np.array(
+            X, dtype=float)
+        S += S.T
+        S *= 0.5
+    return S if S.flags.f_contiguous else S.T
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +486,4 @@ def assemble_wave(complex: SimplicialComplex, formulation: str,
         A, B = D1 @ (M1_inv @ D1.T), M2_inv
     else:
         raise SystemError(f"unknown wave formulation {formulation!r}")
-    A, B = (X.toarray() if hasattr(X, "toarray") else np.asarray(X, float)
-            for X in (A, B))
-    A = 0.5 * (A + A.T)
-    B = 0.5 * (B + B.T)
     return WaveSystem(formulation, A, B)

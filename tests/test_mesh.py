@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +105,28 @@ def test_dual_vertex_cells_partition_area():
     dual = mesh.build_dual(comp, "barycentric")
     assert dual.measures[0].sum() == pytest.approx(comp.measures[2].sum(),
                                                    abs=1e-12)
+
+
+def test_vertex_dual_measures_are_exact_sums_of_elementary_triangles():
+    # the Gram determinant put these 1.1e-13 relative off on this mesh
+    comp = mesh.random_delaunay(5, 90)
+    dual = mesh.build_dual(comp, "barycentric")
+    exact = [Fraction(0)] * len(comp.vertices)
+    for t, edges in enumerate(comp.face_indices[1]):
+        a = [Fraction(x) for x in dual.centers[2][t]]
+        for e in edges:
+            b = [Fraction(x) for x in dual.centers[1][e]]
+            for v in comp.simplices[1][e]:
+                p = [Fraction(x) for x in comp.vertices[v]]
+                exact[v] += abs((b[0] - a[0]) * (p[1] - a[1])
+                                - (b[1] - a[1]) * (p[0] - a[0])) / 2
+    exact = np.array([float(x) for x in exact])
+    assert np.abs(dual.measures[0] / exact - 1.0).max() <= 1e-15
+
+
+def test_dyadic_grid_dual_measures_are_exact():
+    dual = mesh.build_dual(mesh.structured_grid(4), "circumcentric")
+    assert set(dual.measures[0]) == {1 / 16, 1 / 32, 1 / 64}
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)

@@ -195,17 +195,67 @@ def test_wave_systems():
         M1, M1inv = hodge.hodge_pair(comp, dual, 1, "whitney")
         M2, M2inv = hodge.hodge_pair(comp, dual, 2, "whitney")
     primal = systems.assemble_wave(comp, "primal", M1, M2, M1inv, M2inv)
-    vals_p, _ = primal.eigenpairs()
+    vals_p = primal.eigenpairs()
     # gradient fields are stationary: kernel dimension is N_vertices - 1
     n_zero = int((np.abs(vals_p) < 1e-9).sum())
     assert n_zero == len(comp.vertices) - 1
     dual_sys = systems.assemble_wave(comp, "dual", M1, M2, M1inv, M2inv)
-    vals_d, _ = dual_sys.eigenpairs()
+    vals_d = dual_sys.eigenpairs()
     pos_p = np.sort(vals_p[np.abs(vals_p) > 1e-9])
     pos_d = np.sort(vals_d[np.abs(vals_d) > 1e-9])
     # with exact inverse pairs the nonzero spectra coincide
     assert len(pos_d) == len(pos_p)
     assert np.abs(pos_p - pos_d).max() < 1e-8
+
+
+def wave_systems(comp, kind, resolution=32):
+    """The primal and dual wave systems of `comp` with one star kind."""
+    dual = mesh.build_dual(comp, "barycentric")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (M1, M1inv), (M2, M2inv) = (
+            hodge.hodge_pair(comp, dual, k, kind, resolution) for k in (1, 2))
+    return {f: systems.assemble_wave(comp, f, M1, M2, M1inv, M2inv)
+            for f in ("primal", "dual")}
+
+
+def dense(X):
+    return X.toarray() if hasattr(X, "toarray") else np.array(X, dtype=float)
+
+
+@pytest.mark.parametrize("kind", ["diag", "whitney", "dual_inverse"])
+def test_wave_eigenvalues_match_a_full_eigh_with_vectors(kind):
+    for ws in wave_systems(mesh.structured_grid(4, 0.3), kind).values():
+        K, M = dense(ws.stiffness), dense(ws.mass)
+        full = scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (M + M.T))[0]
+        for count in (1, 10):
+            vals = ws.eigenpairs(count)
+            assert len(vals) == count
+            assert np.abs(vals - full[:count]).max() <= \
+                1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("kind", ["diag", "whitney", "dual_inverse"])
+def test_wave_eigensolve_leaves_its_operands_unchanged(kind):
+    for ws in wave_systems(mesh.structured_grid(3), kind).values():
+        before = dense(ws.stiffness), dense(ws.mass)
+        first = ws.eigenpairs(5)
+        assert np.array_equal(ws.eigenpairs(5), first)
+        assert np.array_equal(dense(ws.stiffness), before[0])
+        assert np.array_equal(dense(ws.mass), before[1])
+        everything = ws.eigenpairs()
+        assert len(everything) == ws.mass.shape[0]
+        assert np.all(np.diff(everything) >= 0)
+
+
+def test_primal_wave_spectrum_past_its_kernel_is_the_dual_one():
+    comp = mesh.structured_grid(8, 0.3)
+    waves = wave_systems(comp, "whitney")
+    null = len(comp.vertices) - 1
+    primal = waves["primal"].eigenpairs(null + 6)
+    dual = waves["dual"].eigenpairs(6)
+    assert int((np.abs(primal) < 1e-8 * np.abs(primal).max()).sum()) == null
+    assert np.abs(primal[null:] / dual - 1.0).max() <= 1e-8
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the dual-"
@@ -219,7 +269,7 @@ def test_dual_inverse_dual_wave_matches_the_whitney_star():
         pairs = [hodge.hodge_pair(comp, dual, k, kind, 32) for k in (1, 2)]
         ws = systems.assemble_wave(comp, "dual", pairs[0][0], pairs[1][0],
                                    pairs[0][1], pairs[1][1])
-        spectra.append(ws.eigenpairs(6)[0])
+        spectra.append(ws.eigenpairs(6))
     dual_inverse, whitney = spectra
     assert np.abs(dual_inverse / whitney - 1.0).max() <= 0.05
 

@@ -173,23 +173,21 @@ def assemble(kind: str, complex: SimplicialComplex, dual: DualMesh | None,
 
 
 class FactorizedInverse:
-    """scale * G^{-1} for a sparse nonsingular Hodge matrix G, applied by
-    solves with the sparse LU factors of G.
+    """G^{-1} for a sparse nonsingular Hodge matrix G, applied by solves
+    with the sparse LU factors of G.
 
     It is what a mixed system needs from the inverse side of a Hodge pair:
-    products `self @ x` with arrays or sparse matrices, scalar multiples
-    and the shape.  `nnz` is the fill of the factors, the storage this
-    operator costs; `toarray` forms the dense inverse, and only callers
-    that need one call it.
+    products `self @ x` with arrays or sparse matrices, and the shape.
+    `nnz` is the fill of the factors, the storage this operator costs;
+    `toarray` forms the dense inverse, and only callers that need one call
+    it.
     """
 
-    def __init__(self, G, scale: float = 1.0, lu=None):
+    def __init__(self, G):
         from scipy.sparse.linalg import splu  # on first use, see `systems`
 
         self.G = sp.csc_matrix(G)
-        self.scale = float(scale)
-        self.lu = lu if lu is not None else splu(
-            self.G, permc_spec="MMD_AT_PLUS_A")
+        self.lu = splu(self.G, permc_spec="MMD_AT_PLUS_A")
 
     @property
     def shape(self):
@@ -201,17 +199,7 @@ class FactorizedInverse:
 
     def __matmul__(self, x):
         x = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
-        return self.scale * self.lu.solve(x)
-
-    def __mul__(self, c):
-        if not np.isscalar(c):
-            return NotImplemented
-        return FactorizedInverse(self.G, self.scale * c, self.lu)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
+        return self.lu.solve(x)
 
     def toarray(self) -> np.ndarray:
         return self @ np.eye(self.shape[0])

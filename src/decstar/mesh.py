@@ -195,10 +195,11 @@ def _numeric_array(values, name: str, kinds: str) -> np.ndarray:
 def build_complex(vertices, cells) -> SimplicialComplex:
     """Build the full complex from top-dimensional cells.
 
-    Rejects degenerate cells (zero measure), duplicate cells, and vertex
-    indices out of range.  Cell orientation is recorded as the sign of the
-    cell's determinant for the sorted vertex tuple; lower simplices carry +1
-    and are identified with their sorted tuples.
+    Rejects degenerate cells (zero measure), duplicate cells, vertex
+    indices out of range and vertices in no cell.  Cell orientation is
+    recorded as the sign of the cell's determinant for the sorted vertex
+    tuple; lower simplices carry +1 and are identified with their sorted
+    tuples.
     """
     verts = _numeric_array(vertices, "vertices", "iuf")
     if verts.ndim != 2 or verts.shape[1] not in (2, 3):
@@ -234,6 +235,9 @@ def build_complex(vertices, cells) -> SimplicialComplex:
         if duplicate[ci]:
             raise MeshError(f"duplicate cell {ci}: {key}")
         raise MeshError(f"degenerate cell {ci}: {key}")
+    uses = np.bincount(sorted_cells.ravel(), minlength=len(verts))
+    if not uses.all():
+        raise MeshError(f"vertex {int(np.argmin(uses))} is in no cell")
 
     # Enumerate every lower-dimensional face exactly once, lexicographically:
     # column m of `faces` deletes vertex position m of each (k+1)-simplex.
@@ -338,8 +342,6 @@ def build_dual(complex: SimplicialComplex, rule: str) -> DualMesh:
     with the circumcentric rule on obtuse configurations individual cells can
     come out nonpositive, which `DualMesh.negative_cells` reports.
     """
-    if rule not in (BARYCENTRIC, CIRCUMCENTRIC):
-        raise MeshError(f"unknown center rule {rule!r}")
     n = complex.dim
     counts = [len(s) for s in complex.simplices]
     centers = [simplex_centers(complex.vertices[s], rule)

@@ -520,11 +520,11 @@ class DualInterpolation:
             return np.array(gens), lam.T[[lookup["c", g] for g in gens]]
         lam, grads = (sc.limit_coords(pts, with_gradients=True) if limit
                       else sc.coords_and_gradients_batch(pts))
-        ends = [(e, *self.edge_endpoint_tags(e))
-                for e in self.complex.cofaces(0, v).tolist()]
-        gens, ia, ib = np.array([(e, lookup[a], lookup[b]) for e, a, b in ends
-                                 if a in lookup and b in lookup],
-                                dtype=int).reshape(-1, 3).T
+        # both ends of the dual edge of an edge at v are sites of v's
+        # polygon: its triangles' centers, or a boundary edge's midpoint
+        gens = self.complex.cofaces(0, v)
+        ia, ib = np.array([[lookup[t] for t in self.edge_endpoint_tags(e)]
+                           for e in gens.tolist()], dtype=int).T
         return gens, edge_forms(lam, grads, ia, ib)
 
     def interpolate(self, dual_degree: int, cochain):

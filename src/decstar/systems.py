@@ -81,7 +81,7 @@ class Gauge:
 
 @dataclass
 class MixedSystem:
-    """The symmetric saddle-point system [[A, B], [B^T, 0]] [u; w] = [f; g]
+    """The symmetric saddle-point system [[c H, B], [B^T, 0]] [u; w] = [f; g]
     of one formulation, with its recovery rule.
 
     The recovery callable maps the solved unknowns (u, w) to the physical
@@ -89,7 +89,8 @@ class MixedSystem:
     """
 
     name: str
-    A: object  # Hodge block: sparse, or a FactorizedInverse
+    H: object  # Hodge matrix M_d or M_d^{-1}: sparse, or a FactorizedInverse
+    c: float  # -sign of the formulation's row, +1 or -1
     B: sp.csr_matrix  # derivative block
     f: np.ndarray
     g: np.ndarray
@@ -334,10 +335,9 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
         H, B = M, complex.incidence_matrix(d).T.tocsr()
     else:
         H, B = M_inv, complex.incidence_matrix(d - 1).tocsr()
-    A = -(row.sign * H)
-    if A.shape[0] != B.shape[0]:
+    if H.shape[0] != B.shape[0]:
         raise SystemError(
-            f"block dimension mismatch: Hodge block {A.shape} vs derivative "
+            f"block dimension mismatch: Hodge block {H.shape} vs derivative "
             f"block {B.shape}"
         )
     f, g, x0 = np.zeros(B.shape[0]), load, None
@@ -345,7 +345,7 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
         x0 = particular_solution(L, load, kernel)
         f, g = -row.sign * x0, np.zeros(B.shape[1])
     parts = SimpleNamespace(B=B, H=H, L=L, kernel=kernel, x0=x0)
-    return MixedSystem(name, A, B, f, g,
+    return MixedSystem(name, H, -row.sign, B, f, g,
                        lambda u, w: row.recover(u, w, parts),
                        None if primal else _gauge(complex, d - 1))
 
@@ -386,12 +386,12 @@ def assemble_darcy(complex: SimplicialComplex, system: int, phi,
 def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
     """Sparse solve of a mixed system with gauge handling.
 
-    The gauged system is [[A, Bg], [Bg^T, E]] [u; y] = [f; g].
+    The gauged system is [[c H, Bg], [Bg^T, E]] [u; y] = [f; g].
     gauge="pin" zeroes the gauge dofs: Bg is B without their columns, E the
     identity on them, y = w.  gauge="augment" borders the system with the
     kernel basis Z of B: Bg = [B, 0], E = [[0, Z], [Z^T, 0]],
     y = [w; multipliers], so w is orthogonal to the kernel.  A sparse
-    Hodge block A is factored with the whole system; A = c G^{-1} is
+    Hodge matrix H is factored with the whole system; H = G^{-1} is
     eliminated, (Bg^T G Bg - c E) y = Bg^T G f - c g and
     u = G (f - Bg y) / c.  The residual is that of the gauged system.  Rank
     deficiency beyond the declared gauge is an error.
@@ -399,7 +399,7 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
     from scipy.sparse.linalg import splu
 
     t0 = time.perf_counter()
-    A, B, f, g = system.A, system.B, system.f, system.g
+    H, c, B, f, g = system.H, system.c, system.B, system.f, system.g
     n1 = B.shape[1]
     E = sp.csr_matrix((n1, n1))
     applied = None
@@ -420,18 +420,18 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
         applied = system.gauge.label(gauge)
     B, E = B.tocsr(), E.tocsr()
     try:
-        if isinstance(A, FactorizedInverse):
-            G, c = A.G, A.scale
+        if isinstance(H, FactorizedInverse):
+            G = H.G
             S = (B.T @ G @ B - c * E).tocsc()
             y = splu(S).solve(B.T @ (G @ f) - c * g)
             u = G @ (f - B @ y) / c
         else:
-            K = sp.bmat([[A, B], [B.T, E]], format="csc")
+            K = sp.bmat([[c * H, B], [B.T, E]], format="csc")
             x = splu(K).solve(np.concatenate([f, g]))
             u, y = x[:len(f)], x[len(f):]
     except RuntimeError as exc:
         raise SystemError(f"saddle system singular: {exc}") from exc
-    r = np.concatenate([A @ u + B @ y - f, B.T @ u + E @ y - g])
+    r = np.concatenate([c * (H @ u) + B @ y - f, B.T @ u + E @ y - g])
     residual = np.linalg.norm(r) / max(np.linalg.norm(np.concatenate([f, g])),
                                        1.0)
     if not (np.isfinite(u).all() and np.isfinite(y).all()) or residual > 1e-6:

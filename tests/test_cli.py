@@ -475,6 +475,7 @@ MALFORMED_OFF = {
     "text_vertex": b"3 1\n0 0\n1 a\n0 1\n3 0 1 2\n",
     "float_index": b"3 1\n0 0\n1 0\n0 1\n3 0 1 2.0\n",
     "no_vertices": b"0 0\n",
+    "unused_vertex": b"5 2 0\n0 0\n1 0\n1 1\n0 1\n0.5 2\n3 0 1 2\n3 0 2 3\n",
 }
 
 
@@ -668,14 +669,15 @@ MALFORMED_MESHES = {
     "float_cells": f'{{"dimension": 2, {SQUARE}, '
                    f'"cells": [[0, 1, 2.5]]}}'.encode(),
     "wrong_dimension": f'{{"dimension": 3, {SQUARE}, '
-                       f'"cells": [[0, 1, 2]]}}'.encode(),
+                       f'"cells": [[0, 1, 2], [0, 2, 3]]}}'.encode(),
     "dimension_4": f'{{"dimension": 4, {SQUARE}, '
                    f'"cells": [[0, 1, 2]]}}'.encode(),
     "text_vertices": b'{"dimension": 2, "vertices": [["a", "b"], [1, 0], '
                      b'[0, 1]], "cells": [[0, 1, 2]]}',
     "nan_vertices": b'{"dimension": 2, "vertices": [[NaN, 0], [1, 0], '
                     b'[0, 1]], "cells": [[0, 1, 2]]}',
-    "order_not_a_map": f'{{"dimension": 2, {SQUARE}, "cells": [[0, 1, 2]], '
+    "order_not_a_map": f'{{"dimension": 2, {SQUARE}, '
+                       f'"cells": [[0, 1, 2], [0, 2, 3]], '
                        f'"simplex_order": [[0, 1]]}}'.encode(),
     "directory": None,
 }
@@ -745,6 +747,22 @@ def test_malformed_mesh_files_fail_cleanly(malformed_dir, argv):
         assert "Traceback" not in err
         for line in stdout.getvalue().splitlines():
             strict_json(line)
+
+
+@pytest.mark.parametrize("argv", [
+    ["info"], ["hodge", "--kind", "dual_inverse"],
+    ["sample-field", "--space", "dual"],
+    ["solve", "darcy", "--system", "3,4", "--kind", "whitney"]])
+def test_vertex_in_no_cell_fails(tmp_path, capsys, argv):
+    """A vertex that no cell uses is an error of the mesh, not of the
+    command that trips over it later."""
+    path = tmp_path / "unused.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 2]],
+        "cells": [[0, 1, 2], [0, 2, 3]]}))
+    code, lines, err = run(argv + ["--mesh", str(path), "--out",
+                                   str(tmp_path)], capsys)
+    assert (code, lines, err) == (1, [], "error: vertex 4 is in no cell\n")
 
 
 BARYCENTRIC_DIAG_WARNING = (

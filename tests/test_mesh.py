@@ -180,7 +180,7 @@ def test_circumcentric_dual_on_equilateral():
 
 def test_dual_rule_validation():
     comp = mesh.two_triangle_mesh()
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="unknown center rule 'midpoint'"):
         mesh.build_dual(comp, "midpoint")
 
 

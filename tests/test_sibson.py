@@ -606,6 +606,26 @@ def test_dual_fields_match_point_loop(relabelled_delaunay,
                 assert np.array_equal(got[claimed], ref[claimed])
 
 
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(case=st.tuples(st.integers(3, 39), st.integers(0, 10_000)))
+def test_dual_edge_ends_are_sites_of_each_edge_vertex(relabelled_delaunay,
+                                                     crossing_dual_polygons,
+                                                     case):
+    """Both ends of the dual edge of every edge at v, its triangles' centers
+    or a boundary edge's midpoint, are sites of v's polygon, so
+    `DualInterpolation.forms` has a form for every edge at v.  The sites
+    are tags of the ring, so the barycentric rule stands for both."""
+    n_points, seed = case
+    comp = mesh.build_complex(*relabelled_delaunay(n_points, seed, 2))
+    dual = mesh.build_dual(comp, "barycentric")
+    if crossing_dual_polygons(comp, dual):
+        return  # no DualInterpolation, so no forms
+    di = DualInterpolation(comp, dual)
+    for v, lookup in enumerate(di.site_lookup):
+        for e in comp.cofaces(0, v).tolist():
+            assert set(di.edge_endpoint_tags(e)) <= set(lookup), (v, e)
+
+
 def test_sample_field_dual_csv_matches_point_loop(tmp_path, capsys):
     comp = mesh.structured_grid(4)
     di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))

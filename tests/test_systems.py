@@ -146,11 +146,10 @@ def test_solve_reports_residual_and_gauge():
 
 def test_blocks_follow_the_formulation_table():
     """Each row's saddle blocks: B is D_d^T (primal-first) or D_{d-1}
-    (dual-first), A is -sign times the Hodge side the layout uses, and the
-    load sits on g when the layout constrains its space, else it is lifted
-    into f."""
+    (dual-first), the Hodge block is -sign times the Hodge side the layout
+    uses, and the load sits on g when the layout constrains its space, else
+    it is lifted into f."""
     layouts = [("grid:3", (1, 2, 3, 4)), ("random:12:3:3", (1, 2))]
-    rng = np.random.default_rng(11)
     factorized_blocks = set()
     for spec, ids in layouts:
         comp = cli.resolve_mesh(spec)
@@ -168,11 +167,9 @@ def test_blocks_follow_the_formulation_table():
             assert system.B.shape == want.shape
             assert (system.B != want).nnz == 0
             H = M if primal else Minv
-            factorized = isinstance(system.A, hodge.FactorizedInverse)
-            assert factorized or sp.issparse(system.A)
-            factorized_blocks.add(factorized)
-            x = rng.standard_normal(H.shape[1])
-            assert np.array_equal(system.A @ x, -row.sign * (H @ x))
+            assert system.H is H
+            assert system.c == -row.sign
+            factorized_blocks.add(isinstance(H, hodge.FactorizedInverse))
             assert system.f.shape == (system.B.shape[0],)
             assert system.g.shape == (system.B.shape[1],)
             L = row.load_derivative(comp)
@@ -335,7 +332,7 @@ def dense_pair_reference(comp, dual, k, kind, resolution):
 
 def dense_solve_reference(system, gauge):
     """Dense LU of the whole block matrix, pinning or bordering the gauge."""
-    A, B = system.A.toarray(), system.B.toarray()
+    A, B = system.c * system.H.toarray(), system.B.toarray()
     f, g = system.f, system.g
     n0, n1 = B.shape
     K = np.block([[A, B], [B.T, np.zeros((n1, n1))]])

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .mesh import DualMesh, SimplicialComplex, generate_fig8, vertex_ring
 from .whitney import whitney_gram_matrix
-from .sibson import (DualInterpolation, SibsonCell, _ccw_ring, edge_forms,
+from .sibson import (DualInterpolation, SibsonCell, edge_forms,
                      points_in_polygon)
 
 
@@ -302,8 +302,11 @@ def fig8_diag_entries(P: float):
 
 
 def fig8_diag_condition(P: float) -> float:
+    """Condition number of the diagonal block diag(lead, rho, rho, rho,
+    rho): its largest entry over its smallest.  lead is the larger entry
+    for P above about 0.9038, rho below."""
     lead, rho = fig8_diag_entries(P)
-    return lead / rho
+    return max(lead, rho) / min(lead, rho)
 
 
 def fig8_whitney_entries(P: float):
@@ -371,8 +374,8 @@ def fig8_dual_inverse_block(P: float, resolution: int = 512) -> np.ndarray:
     comp = generate_fig8(P)
     tris = [t for tag, t in vertex_ring(comp, 0) if tag == "c"]
     centers = comp.vertices[comp.simplices[2][tris]].mean(axis=1)
-    loop, labels = _ccw_ring(centers, tris)
-    cell = SibsonCell(loop, restricted=True)
+    cell = SibsonCell(centers, restricted=True)
+    labels = tris if cell.vertices is centers else tris[::-1]
     pts, w = _cell_quadrature(cell, resolution)
     vals, grads = cell.coords_and_gradients_batch(pts)
     fan13, t123, t124, _ = (labels.index(t) for t in tris)

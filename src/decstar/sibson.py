@@ -4,12 +4,12 @@ Each dual polygon is one `SibsonCell`: its corners are its Sibson sites.
 Coordinates are exact and come from one batch kernel: the cell builds its site
 regions by half-plane clipping on first use, and the region of an inserted
 point is one half-plane clip of each site region, vectorized over query
-points.  The same pass measures the bisector chord that bounds each overlap,
-and Sibson's vector identity (Sibson 1980; Piper 1993) turns the chord's
-length and first moment into the exact gradient of the overlap area; a
-caller that wants coordinates alone (`coords_batch`) gets an area-only pass
-that skips the chord terms.  On the cell boundary the coordinates take the
-Milbradt-Pick limit.
+points.  The same pass measures the bisector chord that bounds each overlap
+and returns, by Sibson's vector identity (Sibson 1980; Piper 1993), the
+exact gradient of the overlap area; a caller that wants coordinates alone
+(`coords_batch`) gets an area-only pass that skips the chord terms.  On the
+cell boundary the coordinates take the Milbradt-Pick limit, from the same
+nearest-side projection that measures the boundary distance.
 
 The kernel works on (region sides, query points) arrays, with the points on
 the contiguous axis, so each numpy call runs over a whole batch at once.  Its
@@ -52,14 +52,6 @@ def polygon_area(loop: np.ndarray) -> float:
     x, y = loop[:, 0], loop[:, 1]
     return 0.5 * float(np.dot(x, _next_corners(y))
                        - np.dot(y, _next_corners(x)))
-
-
-def _ccw_ring(loop: np.ndarray, labels: list):
-    """A labelled loop turned counter-clockwise, its labels kept in step."""
-    loop = np.asarray(loop, dtype=float)
-    if polygon_area(loop) >= 0:
-        return loop, list(labels)
-    return loop[::-1], list(labels)[::-1]
 
 
 def clip_halfplane(loop: np.ndarray, point, normal) -> np.ndarray:
@@ -120,20 +112,20 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
     `region` is a counter-clockwise loop and `px`, `py` the coordinates of a
     batch of q points, each a contiguous 1-D array.  For every point x this
     is one pass over the loop's edges against the bisector half-plane
-    {y : |y - x| <= |y - site|}, returning
+    {y : |y - x| <= |y - site|}, returning the clipped area and the x and
+    y components of its gradient with respect to x.
 
-    - the clipped area,
-    - the length L of the chord F (the bisector inside `region`),
-    - the first moment of F about the bisector midpoint c = (x + site) / 2,
-      i.e. the integral of (y - c) over F, as its x and y components.
-
-    An edge contributes the inside fraction of its shoelace term.  The chord
-    terms are signed sums over the edges that cross the bisector (+1 where
-    the loop leaves the half-plane, -1 where it enters), so a chord with
-    several pieces on a non-convex region is counted piece by piece.  Edges
-    are taken relative to c, where the chord adds nothing to the shoelace
-    sum.  With `chord=False` the pass measures the area alone and returns
-    None for the chord terms.
+    An edge contributes the inside fraction of its shoelace term.  The
+    gradient is Sibson's identity: the integral of (y - x) over the chord F
+    (the bisector inside `region`) divided by |site - x|.  With c = (x +
+    site) / 2 the bisector midpoint, (y - x) = (y - c) + (site - x) / 2, so
+    the integral is F's first moment about c plus half its length L times
+    (site - x).  L and the moment are signed sums over the edges that cross
+    the bisector (+1 where the loop leaves the half-plane, -1 where it
+    enters), so a chord with several pieces on a non-convex region is
+    counted piece by piece.  Edges are taken relative to c, where the chord
+    adds nothing to the shoelace sum.  With `chord=False` the pass measures
+    the area alone and returns None for the gradient.
 
     Work arrays are (m + 1, q) or (q,): the query points lie along the
     contiguous axis and the sums over sides run in order (`_side_sum`).
@@ -160,9 +152,10 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
     sa = s[:-1]
     crossing = sa + t * (s[1:] - sa)
     signed = sign * crossing
-    length = _side_sum(signed)
-    along = 0.5 * _side_sum(signed * crossing)
-    return area, length, (along * hy, along * -hx)
+    half = 0.5 * _side_sum(signed)  # L / 2
+    along = 0.5 * _side_sum(signed * crossing)  # the moment, along F
+    return (area, (along * hy + half * nx) / nrm,
+            (along * -hx + half * ny) / nrm)
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +208,12 @@ def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray,
         for i, region in enumerate(regions):
             if region is None:
                 continue
-            vi = sites[i]
-            area, length, moment = _bisector_clip(region, vi, qx, qy,
-                                                  chord=gradients)
+            area, gx, gy = _bisector_clip(region, sites[i], qx, qy,
+                                          chord=gradients)
             areas[chunk, i] = np.maximum(area, 0.0)
-            if not gradients:
-                continue
-            mx, my = moment
-            # (y - x) = (y - c) + (v_i - x) / 2 with c the bisector midpoint
-            nx, ny = vi[0] - qx, vi[1] - qy
-            dist = np.sqrt(nx ** 2 + ny ** 2)
-            dist = np.where(dist == 0.0, 1.0, dist)
-            half = 0.5 * length
-            grads[chunk, i, 0] = (mx + half * nx) / dist
-            grads[chunk, i, 1] = (my + half * ny) / dist
+            if gradients:
+                grads[chunk, i, 0] = gx
+                grads[chunk, i, 1] = gy
     return areas, grads
 
 
@@ -271,17 +256,26 @@ class SibsonCell:
     def contains(self, pts) -> np.ndarray:
         return points_in_polygon(self.vertices, pts)
 
-    def boundary_distance(self, x):
-        """Distance from x to the cell boundary; an array for a (q, 2) batch
-        of points, a float for one point."""
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)[:, None, :]
+    def _nearest_sides(self, pts: np.ndarray):
+        """For each point of a (q, 2) batch, the side i (from corner i to
+        corner i + 1) nearest to it, the parameter t in [0, 1] of its
+        projection on that side, and its distance to the boundary."""
+        pts = pts[:, None, :]
         v = self.vertices
         d = _next_corners(v) - v
         t = np.clip(np.sum((pts - v) * d, axis=2)
                     / np.einsum("id,id->i", d, d), 0.0, 1.0)
         proj = v + t[..., None] * d
-        dist = np.linalg.norm(proj - pts, axis=2).min(axis=1)
+        dist = np.linalg.norm(proj - pts, axis=2)
+        side = dist.argmin(axis=1)
+        rows = np.arange(len(side))
+        return side, t[rows, side], dist[rows, side]
+
+    def boundary_distance(self, x):
+        """Distance from x to the cell boundary; an array for a (q, 2) batch
+        of points, a float for one point."""
+        x = np.asarray(x, dtype=float)
+        dist = self._nearest_sides(np.atleast_2d(x))[2]
         return float(dist[0]) if x.ndim == 1 else dist
 
     @cached_property
@@ -335,46 +329,36 @@ class SibsonCell:
         areas, _ = self._site_clips(pts, gradients=False)
         return areas / areas.sum(axis=1)[:, None]
 
-    def _boundary_coords(self, x):
-        """Milbradt-Pick limit on the cell boundary: coordinates depend only
-        on the site within 1e-12 diam of x, else on the ends of the edge
-        nearest to x."""
-        v = self.vertices
-        coords = np.zeros(self.n_sites)
-        d = np.linalg.norm(v - x, axis=1)
-        if d.min() <= 1e-12 * self.diameter:
-            coords[d.argmin()] = 1.0
-            return coords
-        seg = _next_corners(v) - v
-        t = np.clip(np.einsum("id,id->i", x - v, seg)
-                    / np.einsum("id,id->i", seg, seg), 0.0, 1.0)
-        i = int(np.linalg.norm(v + t[:, None] * seg - x, axis=1).argmin())
-        coords[[i, (i + 1) % self.n_sites]] = 1.0 - t[i], t[i]
-        return coords
-
-    def _on_boundary(self, pts) -> np.ndarray:
-        """Mask of the points of a (q, 2) batch within 1e-12 diam of the cell
-        boundary, where the Milbradt-Pick limit applies; the sites are
-        corners of the boundary, so points near a site are among them."""
-        return self.boundary_distance(pts) <= 1e-12 * self.diameter
-
     def limit_coords(self, pts, with_gradients: bool = False):
         """Coordinates (q, n) at a batch of points of the closed cell: the
-        batch kernel, with the Milbradt-Pick limit at points on the boundary.
+        batch kernel, with the Milbradt-Pick limit at points within 1e-12
+        diam of the boundary.  There a point's coordinates are 1 at a site
+        within 1e-12 diam of it, else 1 - t and t at the two ends of its
+        nearest side, t being its projection's parameter along that side
+        (`_nearest_sides`).  The sites are corners of the boundary, so a
+        point near a site is near the boundary too.
 
         With `with_gradients`, also the kernel's gradients (q, n, 2) at every
         point, boundary points included.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        edge = self._on_boundary(pts)
+        side, t, dist = self._nearest_sides(pts)
+        tol = 1e-12 * self.diameter
+        edge = dist <= tol
         if with_gradients:
             coords, grads = self.coords_and_gradients_batch(pts)
         else:
             coords = np.empty((len(pts), self.n_sites))
             if not edge.all():
                 coords[~edge] = self.coords_batch(pts[~edge])
-        for i in np.nonzero(edge)[0]:
-            coords[i] = self._boundary_coords(pts[i])
+        rows = np.nonzero(edge)[0]
+        near = np.linalg.norm(self.vertices - pts[rows, None], axis=2)
+        at_site = near.min(axis=1) <= tol
+        coords[rows] = 0.0
+        coords[rows[at_site], near[at_site].argmin(axis=1)] = 1.0
+        rows = rows[~at_site]
+        coords[rows, side[rows]] = 1.0 - t[rows]
+        coords[rows, (side[rows] + 1) % self.n_sites] = t[rows]
         return (coords, grads) if with_gradients else coords
 
     def coords_and_gradients_batch(self, pts: np.ndarray):

@@ -6,8 +6,7 @@ import scipy.sparse as sp
 
 from decstar import hodge, mesh, whitney
 from decstar.hodge import HodgeError
-from decstar.sibson import (DualInterpolation, SibsonCell, _ccw_ring,
-                            edge_forms)
+from decstar.sibson import DualInterpolation, SibsonCell, edge_forms
 
 
 def test_diag_entries_are_measure_ratios():
@@ -136,6 +135,17 @@ def test_fig8_diag_closed_forms():
                                                              abs=1e-12)
 
 
+@pytest.mark.parametrize("P", [0.6, 0.8])
+def test_fig8_diag_condition_below_the_crossover(P):
+    # below P ~ 0.9038 the four rho entries are the larger ones
+    lead, rho = hodge.fig8_diag_entries(P)
+    assert lead < rho
+    eig = np.linalg.eigvalsh(np.diag([lead, rho, rho, rho, rho]))
+    cond = hodge.fig8_diag_condition(P)
+    assert cond >= 1.0
+    assert cond == pytest.approx(eig[-1] / eig[0], rel=1e-14)
+
+
 def test_fig8_whitney_block_matches_assembly():
     for P in (2.0, 5.0):
         comp = mesh.generate_fig8(P)
@@ -176,8 +186,8 @@ def fig8_hub_products(comp, hub, resolution):
     ring = [fan(2), tri[frozenset((0, 1, 2))], tri[frozenset((0, 1, 3))],
             fan(3)]
     centers = comp.vertices[comp.simplices[2][ring]].mean(axis=1)
-    loop, labels = _ccw_ring(centers, ring)
-    cell = SibsonCell(loop, restricted=True)
+    cell = SibsonCell(centers, restricted=True)
+    labels = ring if cell.vertices is centers else ring[::-1]
     pts, w = hodge._cell_quadrature(cell, resolution)
     lam, grads = cell.coords_and_gradients_batch(pts)
 

@@ -8,7 +8,6 @@ from decstar.sibson import (
     SibsonCell,
     SibsonError,
     _bisector_clip,
-    _ccw_ring,
     clip_halfplane,
     polygon_area,
 )
@@ -186,12 +185,12 @@ def test_bisector_clip_two_piece_chord():
     # C, leaving chord pieces {2} x [0, 1] and {2} x [2, 3]
     loop = np.array([[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 3],
                      [0, 3]], dtype=float)
-    area, length, (mx, my) = _bisector_clip(loop, np.array([3.0, 1.2]),
-                                            np.array([1.0]), np.array([1.2]))
+    area, gx, gy = _bisector_clip(loop, np.array([3.0, 1.2]),
+                                  np.array([1.0]), np.array([1.2]))
     assert area[0] == pytest.approx(5.0, abs=1e-14)
-    assert length[0] == pytest.approx(2.0, abs=1e-14)
-    # integral of (y - (2, 1.2)) over both pieces: (0, -0.7 + 1.3)
-    assert np.abs([mx[0], my[0] - 0.6]).max() < 1e-14
+    # chord length 2; integral of (y - (2, 1.2)) over both pieces is
+    # (0, -0.7 + 1.3); gradient ((0, 0.6) + (2 / 2) (2, 0)) / |(2, 0)|
+    assert np.abs([gx[0] - 1.0, gy[0] - 0.3]).max() < 1e-14
 
 
 # cells whose widest restricted site region has fewer than 8 corners (the
@@ -237,9 +236,8 @@ def test_area_only_clip_matches_full_clip(name):
     for region, site in zip(sc.regions, sc.vertices):
         if region is None:
             continue
-        area, length, moment = _bisector_clip(region, site, px, py,
-                                              chord=False)
-        assert length is None and moment is None
+        area, gx, gy = _bisector_clip(region, site, px, py, chord=False)
+        assert gx is None and gy is None
         assert np.array_equal(area, _bisector_clip(region, site, px, py)[0])
 
 
@@ -508,10 +506,66 @@ def test_interpolate_validates_length(grid_interp):
 
 
 def test_polygon_helpers():
+    # a cell keeps a counter-clockwise loop as given and reverses a
+    # clockwise one, which is how its callers know to reverse their labels
     sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert polygon_area(sq) == pytest.approx(1.0)
-    loop, labels = _ccw_ring(sq[::-1], list("abcd"))
-    assert np.array_equal(loop, sq) and labels == list("dcba")
+    assert SibsonCell(sq, restricted=True).vertices is sq
+    cw = sq[::-1]
+    cell = SibsonCell(cw, restricted=True)
+    assert cell.vertices is not cw and np.array_equal(cell.vertices, sq)
+    assert cell.measure == pytest.approx(1.0)
+
+
+def milbradt_pick(sc, x):
+    """The Milbradt-Pick limit at one point x on the boundary of cell sc,
+    as a reference: 1 at a site within 1e-12 diam of x, else 1 - t and t at
+    the ends of the side nearest to x, t the parameter of x's projection."""
+    v = sc.vertices
+    coords = np.zeros(sc.n_sites)
+    d = np.linalg.norm(v - x, axis=1)
+    if d.min() <= 1e-12 * sc.diameter:
+        coords[d.argmin()] = 1.0
+        return coords
+    seg = np.roll(v, -1, axis=0) - v
+    t = np.clip(np.einsum("id,id->i", x - v, seg)
+                / np.einsum("id,id->i", seg, seg), 0.0, 1.0)
+    i = int(np.linalg.norm(v + t[:, None] * seg - x, axis=1).argmin())
+    coords[[i, (i + 1) % sc.n_sites]] = 1.0 - t[i], t[i]
+    return coords
+
+
+def test_batched_limit_matches_point_formula():
+    """`limit_coords` gives a shuffled batch of side, site and interior
+    points of grid:16 dual polygons the per-point Milbradt-Pick limit on
+    the boundary and the kernel inside, bit for bit, with and without
+    gradients."""
+    comp = mesh.structured_grid(16)
+    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    rng = np.random.default_rng(31)
+    rows = 0
+    for v in (0, 5, 17, 144):  # corner, boundary and interior polygons
+        sc = di.cells[v]
+        a, b = sc.vertices, np.roll(sc.vertices, -1, axis=0)
+        t = rng.uniform(0.0, 1.0, (3, sc.n_sites, 1))
+        jitter = 1e-14 * sc.diameter * rng.standard_normal(a.shape)
+        edge = np.vstack([a, a + jitter, *((1 - t) * a + t * b)])
+        pts = np.vstack([edge, interior_points(sc, rng, 20, 1e-3)])
+        order = rng.permutation(len(pts))
+        pts, on_edge = pts[order], (order < len(edge))
+        rows += on_edge.sum()
+        ref = np.array([milbradt_pick(sc, x) for x in pts[on_edge]])
+        lam = sc.limit_coords(pts)
+        assert np.array_equal(lam[on_edge], ref)
+        assert np.array_equal(lam[~on_edge], sc.coords_batch(pts[~on_edge]))
+        # the kernel's gradients are NaN at a jittered site outside the
+        # cell, where every overlap is 0
+        with np.errstate(invalid="ignore"):
+            lam_g, grads = sc.limit_coords(pts, with_gradients=True)
+            kernel = sc.coords_and_gradients_batch(pts)[1]
+        assert np.array_equal(lam_g, lam)
+        assert np.array_equal(grads, kernel, equal_nan=True)
+    assert rows > 100
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +583,7 @@ def loop_dual_field(di, p, weights):
         tol = 1e-12 * sc.diameter
         if (sc.boundary_distance(x) <= tol
                 or np.linalg.norm(sc.vertices - x, axis=1).min() <= tol):
-            return sc._boundary_coords(x)
+            return milbradt_pick(sc, x)
         return sc.coords_batch(x[None])[0]
 
     def field(x):

@@ -17,6 +17,7 @@ prints every warning as one `warning:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -366,8 +367,12 @@ def cmd_solve(args) -> int:
 def cmd_wave(args) -> int:
     comp = resolve_mesh(args.mesh)
     dual = _dual_for_kind(comp, args)
-    M1, M1inv = hodge.hodge_pair(comp, dual, 1, args.kind, args.grid)
-    M2, M2inv = hodge.hodge_pair(comp, dual, 2, args.kind, args.grid)
+    # one interpolation for both degrees, so each polygon's regions are
+    # built once; on a 3D mesh the assembly reports its own error
+    interp = (DualInterpolation(comp, dual)
+              if args.kind == "dual_inverse" and comp.dim == 2 else None)
+    M1, M1inv = hodge.hodge_pair(comp, dual, 1, args.kind, args.grid, interp)
+    M2, M2inv = hodge.hodge_pair(comp, dual, 2, args.kind, args.grid, interp)
     ws = systems.assemble_wave(comp, args.formulation, M1, M2, M1inv, M2inv)
     vals = ws.eigenpairs(args.count)
     emit({
@@ -464,7 +469,10 @@ def _int_list(text: str):
     return [int(t) for t in text.split(",") if t]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every `main`
+    call; parsing leaves it unchanged and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="decstar",
         description="Discrete exterior calculus meshes, Hodge stars, and "
@@ -509,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1",
                        help="condition-number study on the two-fan family")
-    p.add_argument("--P", type=_float_list, default=[2.0, 5.0, 10.0],
+    p.add_argument("--P", type=_float_list, default=(2.0, 5.0, 10.0),
                    help="comma-separated P values (> 1/2)")
     p.add_argument("--grid", type=int, default=512)
     add_out(p)

@@ -114,23 +114,30 @@ def _cell_quadrature(cell, resolution: int):
 
 
 def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
-                          resolution: int = 128) -> HodgeOperator:
+                          resolution: int = 128,
+                          interp: DualInterpolation | None = None
+                          ) -> HodgeOperator:
     """Inverse dual Hodge star: Gram matrix of dual Whitney forms.
 
     Entries are integrated by pixel-grid quadrature over the per-vertex dual
     polygons whose union carries the forms' supports; on each polygon,
-    `DualInterpolation.forms` evaluates the forms supported there.
+    `DualInterpolation.forms` evaluates the forms supported there.  The
+    polygons' site regions are built in one batched pass before the first
+    polygon.  `interp` is the mesh's `DualInterpolation`, built here when
+    None; a caller that assembles several degrees passes one, so each
+    polygon's regions are built once.
     """
     if complex.dim != 2:
         raise HodgeError("dual-inverse assembly is implemented for 2D meshes")
     _check_degree(complex, k)
-    di = DualInterpolation(complex, dual)
+    di = DualInterpolation(complex, dual) if interp is None else interp
     n = complex.dim
     N = len(complex.simplices[k])
     space = f"dual {n - k}-cells of primal {k}-simplices"
     if k == 0:
         mat = sp.diags(1.0 / np.array([c.measure for c in di.cells])).tocsr()
         return HodgeOperator(k, "dual_inverse", mat, space)
+    di.build_regions()
     rows, cols, vals = [], [], []
     for v in range(len(complex.vertices)):
         pts, w = _cell_quadrature(di.cells[v], resolution)
@@ -159,16 +166,18 @@ READS_DUAL = ("diag", "dual_inverse")  # the kinds that read the dual mesh
 
 
 def assemble(kind: str, complex: SimplicialComplex, dual: DualMesh | None,
-             k: int, resolution: int = 128) -> HodgeOperator:
+             k: int, resolution: int = 128,
+             interp: DualInterpolation | None = None) -> HodgeOperator:
     """The Hodge star of one of `KINDS` at degree k: M_k for diag and
     whitney, its inverse M_k^{-1} for dual_inverse.  Only the kinds in
-    `READS_DUAL` read `dual`; the others take None."""
+    `READS_DUAL` read `dual`; the others take None.  Only dual_inverse reads
+    `interp` (see `assemble_dual_inverse`)."""
     if kind == "diag":
         return assemble_diag(complex, dual, k)
     if kind == "whitney":
         return assemble_whitney(complex, k)
     if kind == "dual_inverse":
-        return assemble_dual_inverse(complex, dual, k, resolution)
+        return assemble_dual_inverse(complex, dual, k, resolution, interp)
     raise HodgeError(f"unknown Hodge kind {kind!r}")
 
 
@@ -206,15 +215,17 @@ class FactorizedInverse:
 
 
 def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
-               kind: str, resolution: int = 128):
+               kind: str, resolution: int = 128,
+               interp: DualInterpolation | None = None):
     """A Hodge matrix and its exact inverse, from a single assembly.
 
     The mixed-system equivalences hold only when M and M^{-1} are exact
     inverse pairs.  The assembled side is returned as its sparse matrix; a
     diagonal star is inverted entrywise, and any other star's inverse is a
     `FactorizedInverse` over the LU factors of the assembled side.
+    `interp` is passed on to `assemble`.
     """
-    A = assemble(kind, complex, dual, k, resolution).matrix
+    A = assemble(kind, complex, dual, k, resolution, interp).matrix
     if A.nnz == np.count_nonzero(A.diagonal()):  # diagonal: entrywise
         inv = sp.diags(1.0 / A.diagonal()).tocsr()
     else:

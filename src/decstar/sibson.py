@@ -1,15 +1,18 @@
 """Sibson (natural-neighbor) coordinates and dual Whitney forms in 2D.
 
 Each dual polygon is one `SibsonCell`: its corners are its Sibson sites.
-Coordinates are exact and come from one batch kernel: the cell builds its site
-regions by half-plane clipping on first use, and the region of an inserted
-point is one half-plane clip of each site region, vectorized over query
-points.  The same pass measures the bisector chord that bounds each overlap
-and returns, by Sibson's vector identity (Sibson 1980; Piper 1993), the
-exact gradient of the overlap area; a caller that wants coordinates alone
-(`coords_batch`) gets an area-only pass that skips the chord terms.  On the
-cell boundary the coordinates take the Milbradt-Pick limit, from the same
-nearest-side projection that measures the boundary distance.
+Coordinates are exact and come from one batch kernel.  Site regions come
+from one batched Sutherland-Hodgman pass (`_site_regions`) over every site
+of every polygon it is given: `DualInterpolation.build_regions` builds those
+of all dual polygons at once, and a cell used on its own builds its own on
+first use.  The region of an inserted point is one half-plane clip of each
+site region, vectorized over query points.  The same pass measures the
+bisector chord that bounds each overlap and returns, by Sibson's vector
+identity (Sibson 1980; Piper 1993), the exact gradient of the overlap area;
+a caller that wants coordinates alone (`coords_batch`) gets an area-only
+pass that skips the chord terms.  On the cell boundary the coordinates take
+the Milbradt-Pick limit, from the same nearest-side projection that
+measures the boundary distance.
 
 The kernel works on (region sides, query points) arrays, with the points on
 the contiguous axis, so each numpy call runs over a whole batch at once.  Its
@@ -52,28 +55,6 @@ def polygon_area(loop: np.ndarray) -> float:
     x, y = loop[:, 0], loop[:, 1]
     return 0.5 * float(np.dot(x, _next_corners(y))
                        - np.dot(y, _next_corners(x)))
-
-
-def clip_halfplane(loop: np.ndarray, point, normal) -> np.ndarray:
-    """Sutherland-Hodgman clip keeping {y : (y - point) . normal <= 0}.
-
-    The signed distances come from one matrix product; the walk over the
-    corners runs on Python floats, whose arithmetic is numpy's."""
-    point = np.asarray(point, dtype=float)
-    normal = np.asarray(normal, dtype=float)
-    d = ((loop - point) @ normal).tolist()
-    corners = loop.tolist()
-    out = []
-    m = len(corners)
-    for i in range(m):
-        (ax, ay), (bx, by) = corners[i], corners[(i + 1) % m]
-        da, db = d[i], d[(i + 1) % m]
-        if da <= 0:
-            out.append((ax, ay))
-        if (da <= 0) != (db <= 0):
-            t = da / (da - db)
-            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    return np.array(out) if out else np.empty((0, 2))
 
 
 def points_in_polygon(loop: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -162,26 +143,107 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
 # site regions
 
 
-def _site_regions_within(loop: np.ndarray, domain: np.ndarray) -> list:
-    """Voronoi region of each site of `loop`, clipped to `domain`; None for
-    a region with fewer than three corners, which has no area."""
-    # np.allclose(vi, vj) for every pair, with its default tolerances
-    close = np.all(np.abs(loop[:, None] - loop[None])
-                   <= 1e-8 + 1e-5 * np.abs(loop[None]), axis=2)
-    # bisector of sites i and j: its midpoint and the normal v_j - v_i
-    mids = 0.5 * (loop[:, None] + loop[None])
-    normals = loop[None] - loop[:, None]
-    regions = []
-    for i in range(len(loop)):
-        region = domain
-        for j in range(len(loop)):
-            if j == i or close[i, j]:
+REGION_CHUNK = 1 << 11  # site regions per batched clip pass
+
+
+def _padded(loops: list):
+    """The loops as one zero-padded (len(loops), longest, 2) array, and the
+    length of each."""
+    counts = np.array([len(loop) for loop in loops], dtype=int)
+    out = np.zeros((len(loops), counts.max(initial=0), 2))
+    for row, loop in zip(out, loops):
+        row[:len(loop)] = loop
+    return out, counts
+
+
+def _clip_step(corners: np.ndarray, count: np.ndarray, point: np.ndarray,
+               normal: np.ndarray):
+    """One Sutherland-Hodgman step on a batch of padded loops: row r, its
+    first count[r] corners, keeps {y : (y - point[r]) . normal[r] <= 0}.
+
+    Returns the clipped loops, padded, and their corner counts.  Each corner
+    a passes on itself if it is inside and then, if its side a -> b crosses
+    the line, the crossing a + t (b - a), t = d_a / (d_a - d_b); the kept
+    points are packed in that order.  The signed distances d come from one
+    stacked matrix product, which gives each row of two or more corners the
+    bits of `(loop - point) @ normal` over that row's loop alone, padding
+    included."""
+    d = np.matmul(corners - point[:, None], normal[:, :, None])[..., 0]
+    index = np.arange(corners.shape[1])
+    valid = index < count[:, None]
+    after = np.where(index + 1 < count[:, None], index + 1, 0)
+    ahead = np.take_along_axis(corners, after[..., None], axis=1)
+    d_ahead = np.take_along_axis(d, after, axis=1)
+    inside = d <= 0
+    crosses = (inside != (d_ahead <= 0)) & valid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = d / (d - d_ahead)  # read only where the side crosses
+        crossing = corners + t[..., None] * (ahead - corners)
+    points = np.stack([corners, crossing], axis=2).reshape(len(corners),
+                                                           -1, 2)
+    kept = np.stack([inside & valid, crosses], axis=2).reshape(len(corners),
+                                                               -1)
+    count = kept.sum(axis=1)
+    out = np.zeros((len(corners), count.max(initial=0), 2))
+    rows, cols = np.nonzero(kept)
+    out[rows, np.cumsum(kept, axis=1)[rows, cols] - 1] = points[rows, cols]
+    return out, count
+
+
+def _site_regions(pairs: list) -> list:
+    """For each (loop, domain) pair, the Voronoi region of each site of
+    `loop` clipped to `domain`, as a list; None for a region with fewer than
+    three corners, which has no area.
+
+    Every region of every pair comes from one batched Sutherland-Hodgman
+    pass (Sutherland & Hodgman 1974): one row per site, starting from its
+    pair's domain, and one `_clip_step` per site index j against the
+    bisector of the row's site and site j.  A row skips step j when its pair
+    has no site j, when site j is np.allclose to the row's site (its own
+    site included), or when its region has fewer than two corners left,
+    which no clip can turn into an area.  Rows go `REGION_CHUNK` at a time,
+    which bounds the temporaries; a row's result does not depend on its
+    chunk.
+    """
+    sites, n_sites = _padded([loop for loop, _ in pairs])
+    domains, n_corners = _padded([domain for _, domain in pairs])
+    first = np.cumsum(n_sites) - n_sites  # each pair's first row
+    pair = np.repeat(np.arange(len(pairs)), n_sites)
+    own = np.arange(len(pair)) - first[pair]  # the row's site in its pair
+    flat, counts = [], []
+    for lo in range(0, len(pair), REGION_CHUNK):
+        p = pair[lo:lo + REGION_CHUNK]  # the pair of each row of the chunk
+        width = n_sites[p].max()
+        others = sites[p, :width]
+        site = others[np.arange(len(p)), own[lo:lo + REGION_CHUNK]]
+        # np.allclose(site, others[:, j]) with its default tolerances
+        skip = np.all(np.abs(site[:, None] - others)
+                      <= 1e-8 + 1e-5 * np.abs(others), axis=2)
+        skip |= np.arange(width) >= n_sites[p, None]
+        corners = domains[p, :n_corners[p].max()]
+        count = n_corners[p]
+        for j in range(width):
+            act = np.nonzero(~skip[:, j] & (count >= 2))[0]
+            if len(act) == 0:
                 continue
-            region = clip_halfplane(region, mids[i, j], normals[i, j])
-            if len(region) == 0:
-                break
-        regions.append(region if len(region) >= 3 else None)
-    return regions
+            # the bisector of the row's site and site j: its midpoint and
+            # the normal from the site to site j
+            other = others[act, j]
+            clipped, kept = _clip_step(corners[act, :count[act].max()],
+                                       count[act], 0.5 * (site[act] + other),
+                                       other - site[act])
+            count[act] = kept
+            grow = clipped.shape[1] - corners.shape[1]
+            if grow > 0:
+                corners = np.pad(corners, ((0, 0), (0, grow), (0, 0)))
+            corners[act, :clipped.shape[1]] = clipped
+        flat.append(corners[np.arange(corners.shape[1]) < count[:, None]])
+        counts.append(count)
+    flat = np.concatenate(flat)
+    ends = np.cumsum(np.concatenate(counts)).tolist()
+    regions = [flat[a:b] if b - a >= 3 else None
+               for a, b in zip([0] + ends[:-1], ends)]
+    return [regions[f:f + n] for f, n in zip(first, n_sites)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +289,9 @@ class SibsonCell:
     which keeps the construction meaningful on non-convex cells.
     `restricted=False` uses the classical unrestricted Voronoi diagram of
     the sites, which is the variant with exact linear precision.  Site
-    regions are built on first use, so a cell that is only located or
-    measured builds none.
+    regions are built on first use, unless `DualInterpolation.build_regions`
+    built them first, so a cell that is only located or measured builds
+    none.
     """
 
     def __init__(self, loop, restricted: bool):
@@ -280,8 +343,10 @@ class SibsonCell:
 
     @cached_property
     def regions(self) -> list:
-        """Site regions clipped to the cell: the restricted variant's."""
-        return _site_regions_within(self.vertices, self.vertices)
+        """Site regions clipped to the cell: the restricted variant's.
+        `DualInterpolation.build_regions` fills this for many cells at
+        once."""
+        return _site_regions([(self.vertices, self.vertices)])[0]
 
     def _boxed_regions(self, key: int):
         """Site regions clipped to a bounding box of half-width
@@ -290,7 +355,7 @@ class SibsonCell:
             half = self.diameter * 2.0 ** key + self.diameter
             box = self.vertices.mean(axis=0) + half * np.array(
                 [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-            self._box_cache[key] = _site_regions_within(self.vertices, box)
+            self._box_cache[key] = _site_regions([(self.vertices, box)])[0]
         return self._box_cache[key]
 
     def _site_clips(self, pts: np.ndarray, gradients: bool):
@@ -448,6 +513,16 @@ class DualInterpolation:
                 ring = ring[::-1]
             self.cells.append(cell)
             self.site_lookup.append({tag: i for i, tag in enumerate(ring)})
+
+    def build_regions(self) -> None:
+        """Build the site regions of every cell that has none yet in one
+        batched pass (`_site_regions`), the same regions each cell would
+        build on its own first use."""
+        todo = [cell for cell in self.cells if "regions" not in vars(cell)]
+        if todo:
+            pairs = [(cell.vertices, cell.vertices) for cell in todo]
+            for cell, regions in zip(todo, _site_regions(pairs)):
+                cell.regions = regions  # the `cached_property` value
 
     def edge_endpoint_tags(self, e: int):
         """Ordered site-tag pair of the dual edge of primal edge e."""

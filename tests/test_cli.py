@@ -390,23 +390,65 @@ def test_dual_inverse_star_walks_each_vertex_ring_once(tmp_path, monkeypatch,
     assert sorted(walked) == list(range(25))
 
 
-def test_dual_inverse_star_builds_each_cell_regions_once(tmp_path,
-                                                        monkeypatch, capsys):
-    # every dual polygon builds its restricted site regions on first use,
-    # once, clipped to itself
+def counted_region_builds(monkeypatch):
+    """Per `sibson._site_regions` call from now on, whether each of its
+    (loop, domain) pairs clips a loop to itself."""
     sibson = importlib.import_module("decstar.sibson")
     calls = []
-    within = sibson._site_regions_within
+    build = sibson._site_regions
 
-    def counted(loop, domain):
-        calls.append(np.array_equal(loop, domain))
-        return within(loop, domain)
+    def counted(pairs):
+        calls.append([np.array_equal(loop, domain) for loop, domain in pairs])
+        return build(pairs)
 
-    monkeypatch.setattr(sibson, "_site_regions_within", counted)
+    monkeypatch.setattr(sibson, "_site_regions", counted)
+    return calls
+
+
+def test_dual_inverse_star_builds_each_cell_regions_once(tmp_path,
+                                                        monkeypatch, capsys):
+    # every dual polygon builds its restricted site regions once, clipped
+    # to itself, all in one batched call
+    calls = counted_region_builds(monkeypatch)
     code, _, _ = run(["hodge", "--kind", "dual_inverse", "--k", "1", "--mesh",
                       "grid:4", "--out", str(tmp_path)], capsys)
     assert code == 0
-    assert calls == [True] * 25
+    assert calls == [[True] * 25]
+
+
+def test_dual_wave_builds_each_cell_regions_once(tmp_path, monkeypatch,
+                                                  capsys):
+    # the star's two degrees share one interpolation: 81 polygons on
+    # grid:8, one build each
+    calls = counted_region_builds(monkeypatch)
+    code, lines, _ = run(["wave", "--mesh", "grid:8", "--grid", "32",
+                          "--formulation", "dual", "--kind", "dual_inverse",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 0 and len(lines[0]["omega_squared"]) == 6
+    assert calls == [[True] * 81]
+
+
+def test_main_calls_in_a_row_match_fresh_processes(tmp_path, capsys):
+    # every `main` call in a process parses with one shared parser; each
+    # still prints what a fresh process prints, timings aside
+    def untimed(text):
+        rows = [json.loads(l) for l in text.splitlines() if l.strip()]
+        return [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
+
+    for argv in (["table1", "--grid", "16"],
+                 ["hodge", "--mesh", "grid:3", "--kind", "whitney"],
+                 ["cond", "--mesh", "grid:3", "--k", "2"],
+                 ["hodge", "--mesh", "grid:3", "--grid", "8"],
+                 ["table1", "--grid", "16", "--P", "3"],
+                 ["table1", "--grid", "16"]):
+        argv = [*argv, "--out", str(tmp_path)]
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "decstar.cli", *argv],
+                              capture_output=True, text=True)
+        assert code == proc.returncode
+        assert untimed(out.out) == untimed(proc.stdout)
+        assert out.err == proc.stderr
 
 
 def test_self_intersecting_dual_polygon_is_one_line(tmp_path, capsys):

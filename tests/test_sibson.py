@@ -8,9 +8,51 @@ from decstar.sibson import (
     SibsonCell,
     SibsonError,
     _bisector_clip,
-    clip_halfplane,
     polygon_area,
 )
+
+
+def clip_halfplane(loop: np.ndarray, point, normal) -> np.ndarray:
+    """Sutherland-Hodgman clip keeping {y : (y - point) . normal <= 0}, one
+    loop at a time: the reference that `sibson._site_regions` must match.
+
+    The signed distances come from one matrix product; the walk over the
+    corners runs on Python floats, whose arithmetic is numpy's."""
+    point = np.asarray(point, dtype=float)
+    normal = np.asarray(normal, dtype=float)
+    d = ((loop - point) @ normal).tolist()
+    corners = loop.tolist()
+    out = []
+    m = len(corners)
+    for i in range(m):
+        (ax, ay), (bx, by) = corners[i], corners[(i + 1) % m]
+        da, db = d[i], d[(i + 1) % m]
+        if da <= 0:
+            out.append((ax, ay))
+        if (da <= 0) != (db <= 0):
+            t = da / (da - db)
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def site_regions_reference(loop: np.ndarray, domain: np.ndarray) -> list:
+    """Voronoi region of each site of `loop` clipped to `domain`, one
+    `clip_halfplane` per pair of sites; None for a region with fewer than
+    three corners."""
+    # np.allclose(vi, vj) for every pair, with its default tolerances
+    close = np.all(np.abs(loop[:, None] - loop[None])
+                   <= 1e-8 + 1e-5 * np.abs(loop[None]), axis=2)
+    regions = []
+    for i, vi in enumerate(loop):
+        region = domain
+        for j, vj in enumerate(loop):
+            if j == i or close[i, j]:
+                continue
+            region = clip_halfplane(region, 0.5 * (vi + vj), vj - vi)
+            if len(region) == 0:
+                break
+        regions.append(region if len(region) >= 3 else None)
+    return regions
 
 
 def regular_polygon(n, radius=1.0, phase=0.0):
@@ -314,15 +356,16 @@ def test_restricted_loses_linear_precision_near_boundary():
 
 
 def counted_site_regions(monkeypatch):
-    """The domains of every `_site_regions_within` call from now on."""
+    """The domain of every (loop, domain) pair that `_site_regions` builds
+    regions for from now on."""
     domains = []
-    within = sibson._site_regions_within
+    build = sibson._site_regions
 
-    def counted(loop, domain):
-        domains.append(domain)
-        return within(loop, domain)
+    def counted(pairs):
+        domains.extend(domain for _, domain in pairs)
+        return build(pairs)
 
-    monkeypatch.setattr(sibson, "_site_regions_within", counted)
+    monkeypatch.setattr(sibson, "_site_regions", counted)
     return domains
 
 
@@ -347,6 +390,73 @@ def test_locating_and_measuring_build_no_site_regions(monkeypatch):
     di.interpolate(2, np.ones(len(comp.vertices)))(pts)
     hodge.assemble_dual_inverse(comp, dual, 0)
     assert domains == []
+
+
+@st.composite
+def region_pairs(draw):
+    """A (loop, domain) pair for `_site_regions`: a convex or star-shaped
+    non-convex loop, maybe with a near-duplicate site, and as its domain the
+    loop itself, a box about its centroid (the classical variant's) or a
+    small box at one site, outside which most regions vanish."""
+    n = draw(st.integers(3, 11))
+    angles = np.sort(draw(st.lists(
+        st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=n, max_size=n,
+        unique=True)))
+    convex = draw(st.booleans())
+    radii = np.ones(n) if convex else np.array(draw(st.lists(
+        st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    center = np.array(draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5))))
+    loop = center + radii[:, None] * np.column_stack([np.cos(angles),
+                                                      np.sin(angles)])
+    if draw(st.booleans()):  # a site np.allclose to its neighbour
+        i = draw(st.integers(0, n - 1))
+        twin = loop[i] + draw(st.floats(-1e-9, 1e-9))
+        loop = np.insert(loop, i + 1, twin, axis=0)
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    domain = draw(st.sampled_from(["cell", "box", "site box"]))
+    if domain == "cell":
+        return loop, loop
+    if domain == "box":
+        return loop, loop.mean(axis=0) + draw(st.floats(1.0, 8.0)) * corners
+    at = loop[draw(st.integers(0, len(loop) - 1))]
+    return loop, at + draw(st.floats(0.01, 0.5)) * corners
+
+
+def assert_regions_match_reference(pairs):
+    for built, (loop, domain) in zip(sibson._site_regions(pairs), pairs):
+        reference = site_regions_reference(loop, domain)
+        assert len(built) == len(reference) == len(loop)
+        for region, ref in zip(built, reference):
+            if ref is None:
+                assert region is None
+            else:
+                assert region.shape == ref.shape
+                assert np.array_equal(region, ref)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(pairs=st.lists(region_pairs(), min_size=1, max_size=4))
+def test_batched_site_regions_match_per_pair_clips(pairs):
+    # pairs of mixed lengths share one batch, padded; each region has the
+    # bits of the per-pair Sutherland-Hodgman reference
+    assert_regions_match_reference(pairs)
+
+
+def test_batched_site_regions_cover_vanishing_and_twin_sites(monkeypatch):
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    twins = np.insert(square, 1, square[0] + 1e-10, axis=0)
+    box = square[0] + 0.1 * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+                                      [-1.0, 1.0]])
+    pairs = [(square, square), (twins, twins), (square, box),
+             (regular_polygon(9).vertices, 3.0 * square - 1.5)]
+    built = sibson._site_regions(pairs)
+    # only the site at the small box's center keeps a region there; the
+    # twins skip each other, so each gets their shared region
+    assert [r is None for r in built[2]] == [False, True, True, True]
+    assert np.allclose(built[1][0], built[1][1], rtol=0, atol=1e-9)
+    assert_regions_match_reference(pairs)
+    monkeypatch.setattr(sibson, "REGION_CHUNK", 3)  # chunks split pairs
+    assert_regions_match_reference(pairs)
 
 
 def test_measures_partition_cell():

@@ -25,7 +25,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from . import hodge, mesh, systems, whitney
@@ -43,10 +42,11 @@ class CliError(ValueError):
 # mesh ingestion: a file path or a builtin generator spec
 
 
-BUILTIN_HELP = (
-    "a JSON mesh file, or a builtin spec: two_triangle | fig8:P | "
-    "grid:m[:skew] | equilateral:m | random:n:seed[:dim]"
-)
+# each builtin's fields after its name; a bracketed field may be left out
+BUILTIN_FIELDS = {"two_triangle": "", "fig8": ":P", "grid": ":m[:skew]",
+                  "equilateral": ":m", "random": ":n:seed[:dim]"}
+BUILTIN_HELP = ("a JSON mesh file, or a builtin spec: "
+                + " | ".join(map("".join, BUILTIN_FIELDS.items())))
 
 
 def resolve_mesh(spec: str) -> mesh.SimplicialComplex:
@@ -54,6 +54,13 @@ def resolve_mesh(spec: str) -> mesh.SimplicialComplex:
         return mesh.load_mesh(spec)
     name, _, rest = spec.partition(":")
     args = rest.split(":") if rest else []
+    fields = BUILTIN_FIELDS.get(name)
+    if fields is None:
+        raise CliError(f"mesh {spec!r} is neither a file nor a builtin spec "
+                       f"({BUILTIN_HELP})")
+    most = fields.count(":")
+    if not most - fields.count("[") <= len(args) <= most:
+        raise CliError(f"bad mesh spec {spec!r}: expected {name}{fields}")
     try:
         if name == "two_triangle":
             return mesh.two_triangle_mesh()
@@ -64,13 +71,10 @@ def resolve_mesh(spec: str) -> mesh.SimplicialComplex:
             return mesh.structured_grid(int(args[0]), skew)
         if name == "equilateral":
             return mesh.equilateral_grid(int(args[0]))
-        if name == "random":
-            dim = int(args[2]) if len(args) > 2 else 2
-            return mesh.random_delaunay(int(args[0]), int(args[1]), dim)
-    except (IndexError, ValueError) as exc:
+        dim = int(args[2]) if len(args) > 2 else 2
+        return mesh.random_delaunay(int(args[0]), int(args[1]), dim)
+    except ValueError as exc:
         raise CliError(f"bad mesh spec {spec!r}: {exc}") from exc
-    raise CliError(f"mesh {spec!r} is neither a file nor a builtin spec "
-                   f"({BUILTIN_HELP})")
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +82,9 @@ def resolve_mesh(spec: str) -> mesh.SimplicialComplex:
 
 
 def write_matrix_market(matrix, path: Path) -> None:
-    matrix = sp.coo_matrix(matrix)
-    scipy.io.mmwrite(str(path), matrix, symmetry="general")
+    import scipy.io  # on first use, see `systems`
+
+    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix), symmetry="general")
 
 
 def write_cochain_csv(values, path: Path, header: str = "id,value") -> None:
@@ -264,7 +269,7 @@ def cmd_hodge(args) -> int:
         "kind": args.kind,
         "k": args.k,
         "rule": args.rule,
-        "shape": list(op.shape),
+        "shape": list(op.matrix.shape),
         "nnz": int(op.matrix.nnz),
         "symmetric": _is_symmetric(op.matrix),
         "file": str(path),

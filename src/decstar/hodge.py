@@ -42,10 +42,6 @@ class HodgeOperator:
     matrix: sp.csr_matrix
     space: str  # index space description
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 

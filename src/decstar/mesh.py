@@ -216,9 +216,14 @@ def build_complex(vertices, cells) -> SimplicialComplex:
     if cells.min() < 0 or cells.max() >= len(verts):
         raise MeshError("cell vertex index out of range")
 
+    # the degeneracy threshold, of order scale**n, must be a finite float
+    scale = float(np.ptp(verts, axis=0).max()) or 1.0
+    limit = np.finfo(float).max ** (1 / n)
+    if not scale < limit:
+        raise MeshError(f"vertex coordinates span {scale:.3g}; a {n}D mesh "
+                        f"must span less than {limit:.3g}")
     # The first cell failing a check names the error: repeated vertices,
     # then an earlier identical cell, then a vanishing determinant.
-    scale = float(np.ptp(verts, axis=0).max()) or 1.0
     sorted_cells = np.sort(cells.astype(int), axis=1)
     _, first, inverse = np.unique(sorted_cells, axis=0, return_index=True,
                                   return_inverse=True)
@@ -229,7 +234,7 @@ def build_complex(vertices, cells) -> SimplicialComplex:
     bad = np.nonzero(repeated | duplicate | degenerate)[0]
     if len(bad):
         ci = int(bad[0])
-        key = tuple(sorted_cells[ci])
+        key = tuple(sorted_cells[ci].tolist())
         if repeated[ci]:
             raise MeshError(f"cell {ci} has repeated vertices")
         if duplicate[ci]:
@@ -503,6 +508,8 @@ def equilateral_grid(m: int) -> SimplicialComplex:
 
 def random_delaunay(n_points: int, seed: int, dim: int = 2) -> SimplicialComplex:
     """Delaunay triangulation of random points plus the unit-box corners."""
+    if dim not in (2, 3):
+        raise MeshError(f"dimension must be 2 or 3, got {dim}")
     from scipy.spatial import Delaunay
 
     rng = np.random.default_rng(seed)

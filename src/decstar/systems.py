@@ -25,6 +25,10 @@ Numerical Methods for Least Squares Problems, 1996).  Only the wave
 eigensolve is dense: `WaveSystem` keeps its operands as assembled and
 densifies them only for `eigh`, which returns the lowest eigenvalues and no
 eigenvectors.
+
+Throughout the package, scipy.linalg, scipy.io, scipy.sparse.linalg and
+scipy.sparse.csgraph are imported inside the functions that use them: they
+add to the start of every CLI command, and most commands use none of them.
 """
 
 from __future__ import annotations
@@ -35,15 +39,10 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .hodge import FactorizedInverse
 from .mesh import SimplicialComplex
-
-# scipy.sparse.linalg and scipy.sparse.csgraph are imported inside the
-# functions that use them: together they add 30-40 ms and 3 MB to the
-# start of every CLI command, and most commands solve nothing.
 
 
 class SystemError(ValueError):
@@ -128,6 +127,8 @@ class WaveSystem:
         mesh, which took 44-48 ms on one core, against 72-80 ms for every
         value with its eigenvector.
         """
+        import scipy.linalg
+
         n = self.mass.shape[0]
         if count is not None and count < 1:
             raise SystemError(f"eigenpair count must be at least 1, got {count}")

@@ -60,7 +60,7 @@ def test_criterion_2_closed_form_spot_checks(acceptance):
         rho_ref = 1.0 / (4.0 * P ** 4) + P / math.sqrt(3.0 + 12.0 * P ** 2)
         worst_diag = max(worst_diag,
                          abs(hodge.fig8_diag_entries(P)[1] - rho_ref))
-        block = hodge.assemble_whitney(comp, 1).toarray()[:5, :5]
+        block = hodge.assemble_whitney(comp, 1).matrix.toarray()[:5, :5]
         closed = hodge.fig8_whitney_block(P)
         worst_whit = max(
             worst_whit,
@@ -290,7 +290,7 @@ def test_criterion_5_sparse_inverse(acceptance):
         hodge.simplex_neighborhood_size(comp, k, i)
         for i in range(len(comp.simplices[k]))
     )
-    eigs = np.linalg.eigvalsh(op.toarray())
+    eigs = np.linalg.eigvalsh(op.matrix.toarray())
     ok = bool(counts.max() <= bound and eigs.min() > 0)
     passed = acceptance(
         5, "sparse positive-definite inverse star",

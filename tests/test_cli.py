@@ -51,6 +51,24 @@ def test_top_level_help():
         assert name in proc.stdout
 
 
+@pytest.mark.parametrize("module, unused", [
+    ("decstar.mesh", ["scipy"]),
+    ("decstar.cli", ["scipy.linalg", "scipy.io", "scipy.sparse.linalg",
+                     "scipy.sparse.csgraph"]),
+])
+def test_import_loads_no_unused_scipy_module(module, unused):
+    """scipy modules that few commands use load inside the functions that
+    use them, so a fresh interpreter's import of `module` loads none of
+    `unused` or their submodules."""
+    script = (f"import json, sys, {module}\n"
+              f"print(json.dumps(sorted(m for m in sys.modules for u in "
+              f"{unused!r} if m == u or m.startswith(u + '.'))))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_info_summary(capsys):
     code, lines, _ = run(["info", "--mesh", "two_triangle"], capsys)
     assert code == 0
@@ -90,6 +108,52 @@ def test_bad_mesh_spec_fails(capsys):
     code, lines, err = run(["info", "--mesh", "nonsense:1"], capsys)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("grid:4:0:1", "expected grid:m[:skew]"),
+    ("two_triangle:3", "expected two_triangle"),
+    ("fig8:2:1", "expected fig8:P"),
+    ("fig8", "expected fig8:P"),
+    ("equilateral:3:1", "expected equilateral:m"),
+    ("random:5:1:2:0", "expected random:n:seed[:dim]"),
+    ("random:5", "expected random:n:seed[:dim]"),
+    ("random:5:1:1", "dimension must be 2 or 3, got 1"),
+])
+def test_mesh_spec_field_counts(spec, message, capsys):
+    code, lines, err = run(["info", "--mesh", spec], capsys)
+    assert (code, lines, err) == (
+        1, [], f"error: bad mesh spec {spec!r}: {message}\n")
+
+
+SPAN = "vertex coordinates span {}; a 2D mesh must span less than 1.34e+154"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["info", "--mesh", "huge.json"], SPAN.format("1e+200")),
+    (["convert", "huge.off"], SPAN.format("1e+200")),
+    (["info", "--mesh", "fig8:1e300"],
+     "bad mesh spec 'fig8:1e300': " + SPAN.format("2e+300")),
+    (["table1", "--P", "1e300", "--grid", "16"], SPAN.format("2e+300")),
+    (["fig8", "--P", "1e160"], SPAN.format("2e+160")),
+    (["info", "--mesh", "duplicate.json"], "duplicate cell 1: (0, 1, 2)"),
+])
+def test_huge_coordinates_fail_cleanly(tmp_path, monkeypatch, capsys, argv,
+                                       message):
+    monkeypatch.chdir(tmp_path)
+    huge = [[0, 0], [1e200, 0], [0, 1e200]]
+    (tmp_path / "huge.json").write_text(json.dumps(
+        {"dimension": 2, "vertices": huge, "cells": [[0, 1, 2]]}))
+    (tmp_path / "huge.off").write_text(
+        "OFF\n3 1\n" + "".join(f"{x!r} {y!r}\n" for x, y in huge)
+        + "3 0 1 2\n")
+    (tmp_path / "duplicate.json").write_text(json.dumps(
+        {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+         "cells": [[0, 1, 2], [2, 1, 0]]}))
+    code, lines, err = run(argv, capsys)
+    assert (code, lines, err) == (1, [], f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "duplicate.json", "huge.json", "huge.off"]
 
 
 def test_degenerate_mesh_fails(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_dual_inverse_symmetric_pd_and_sparse():
     dual = mesh.build_dual(comp, "barycentric")
     for k in (0, 1, 2):
         op = hodge.assemble_dual_inverse(comp, dual, k, resolution=48)
-        A = op.toarray()
+        A = op.matrix.toarray()
         assert np.abs(A - A.T).max() < 1e-12
         assert np.linalg.eigvalsh(A).min() > 0
         report = hodge.sparsity_audit(op, comp)
@@ -149,7 +149,7 @@ def test_fig8_diag_condition_below_the_crossover(P):
 def test_fig8_whitney_block_matches_assembly():
     for P in (2.0, 5.0):
         comp = mesh.generate_fig8(P)
-        block = hodge.assemble_whitney(comp, 1).toarray()[:5, :5]
+        block = hodge.assemble_whitney(comp, 1).matrix.toarray()[:5, :5]
         closed = hodge.fig8_whitney_block(P)
         assert np.abs(np.abs(block) - np.abs(closed)).max() < 1e-12
         assert np.abs(np.linalg.eigvalsh(block)

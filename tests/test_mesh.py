@@ -50,15 +50,47 @@ def test_fig8_requires_large_p():
 
 
 def test_degenerate_cell_rejected():
-    with pytest.raises(MeshError, match="cell 0"):
+    with pytest.raises(MeshError) as exc:
         mesh.build_complex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]])
+    assert str(exc.value) == "degenerate cell 0: (0, 1, 2)"
 
 
 def test_duplicate_cell_rejected():
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError) as exc:
         mesh.build_complex(
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2], [2, 1, 0]]
         )
+    assert str(exc.value) == "duplicate cell 1: (0, 1, 2)"
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([[0, 0], [1e200, 0], [0, 1e200]],
+     "vertex coordinates span 1e+200; a 2D mesh must span less than "
+     "1.34e+154"),
+    ([[0, 0, 0], [1e103, 0, 0], [0, 1, 0], [0, 0, 1]],
+     "vertex coordinates span 1e+103; a 3D mesh must span less than "
+     "5.64e+102"),
+])
+def test_extent_whose_measures_overflow_rejected(vertices, message):
+    with pytest.raises(MeshError) as exc:
+        mesh.build_complex(vertices, [list(range(len(vertices)))])
+    assert str(exc.value) == message
+
+
+def test_extent_below_the_overflow_limit_builds():
+    for dim, extent in [(2, 1e150), (3, 1e70)]:
+        vertices = np.vstack([np.zeros(dim), extent * np.eye(dim)])
+        comp = mesh.build_complex(vertices, [list(range(dim + 1))])
+        assert all(np.isfinite(m).all() for m in comp.measures)
+        assert comp.measures[dim][0] == pytest.approx(
+            extent ** dim / math.factorial(dim), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 4])
+def test_random_delaunay_dimension_checked(dim):
+    with pytest.raises(MeshError) as exc:
+        mesh.random_delaunay(5, 1, dim)
+    assert str(exc.value) == f"dimension must be 2 or 3, got {dim}"
 
 
 def test_out_of_range_index_rejected():

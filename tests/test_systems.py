@@ -378,7 +378,7 @@ def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
             d = row.hodge_degree(dim)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                star = hodge.assemble(kind, comp, dual, d, 16).toarray()
+                star = hodge.assemble(kind, comp, dual, d, 16).matrix.toarray()
                 try:
                     pair = hodge.hodge_pair(comp, dual, d, kind, 16)
                 except hodge.HodgeError:

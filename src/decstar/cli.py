@@ -406,13 +406,8 @@ def cmd_sample_field(args) -> int:
         dual = mesh.build_dual(comp, args.rule)
         di = DualInterpolation(comp, dual)
         fld = di.interpolate(comp.dim - args.k, weights)
-    lo = comp.vertices.min(axis=0)
-    hi = comp.vertices.max(axis=0)
-    m = args.samples
-    axes = [np.linspace(lo[d], hi[d], m, endpoint=False)
-            + (hi[d] - lo[d]) / (2 * m) for d in range(comp.dim)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    pts = pts.reshape(-1, comp.dim)
+    pts = mesh.pixel_centers(comp.vertices.min(axis=0),
+                             comp.vertices.max(axis=0), args.samples)
     vals = fld(pts).reshape(len(pts), -1)
     inside = ~np.isnan(vals).any(axis=1)  # NaN marks points outside the mesh
     rows = [",".join(f"{c:.17g}" for c in row)

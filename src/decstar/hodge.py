@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DualMesh, SimplicialComplex, generate_fig8, vertex_ring
+from .mesh import (DualMesh, SimplicialComplex, generate_fig8, pixel_centers,
+                   vertex_ring)
 from .whitney import whitney_gram_matrix
-from .sibson import (DualInterpolation, SibsonCell, edge_forms,
-                     points_in_polygon)
+from .sibson import DualInterpolation, SibsonCell, edge_forms
 
 
 class HodgeError(ValueError):
@@ -97,16 +97,9 @@ def assemble_whitney(complex: SimplicialComplex, k: int) -> HodgeOperator:
 
 def _cell_quadrature(cell, resolution: int):
     """Pixel-center quadrature nodes and weight over a polygon's bbox."""
-    lo = cell.vertices.min(axis=0)
-    hi = cell.vertices.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], resolution, endpoint=False) \
-        + (hi[0] - lo[0]) / (2 * resolution)
-    ys = np.linspace(lo[1], hi[1], resolution, endpoint=False) \
-        + (hi[1] - lo[1]) / (2 * resolution)
-    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    inside = points_in_polygon(cell.vertices, pts)
-    w = (hi[0] - lo[0]) * (hi[1] - lo[1]) / resolution ** 2
-    return pts[inside], w
+    lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
+    pts = pixel_centers(lo, hi, resolution)
+    return pts[cell.contains(pts)], np.prod(hi - lo) / resolution ** 2
 
 
 def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
@@ -117,8 +110,8 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
 
     Entries are integrated by pixel-grid quadrature over the per-vertex dual
     polygons whose union carries the forms' supports; on each polygon,
-    `DualInterpolation.forms` evaluates the forms supported there.  The
-    polygons' site regions are built in one batched pass before the first
+    `DualInterpolation.forms` evaluates the forms supported there.  Every
+    polygon's site regions are built in one batched pass before the first
     polygon.  `interp` is the mesh's `DualInterpolation`, built here when
     None; a caller that assembles several degrees passes one, so each
     polygon's regions are built once.
@@ -133,7 +126,7 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
     if k == 0:
         mat = sp.diags(1.0 / np.array([c.measure for c in di.cells])).tocsr()
         return HodgeOperator(k, "dual_inverse", mat, space)
-    di.build_regions()
+    di.build_regions(range(len(di.cells)))
     rows, cols, vals = [], [], []
     for v in range(len(complex.vertices)):
         pts, w = _cell_quadrature(di.cells[v], resolution)

@@ -209,19 +209,20 @@ def build_complex(vertices, cells) -> SimplicialComplex:
         raise MeshError("vertex coordinates must be finite")
     n = verts.shape[1]
     cells = _numeric_array(cells, "cells", "iu")
-    if cells.ndim != 2 or cells.shape[1] != n + 1:
-        raise MeshError(f"cells must have {n + 1} vertices each")
     if len(cells) == 0:
         raise MeshError("mesh has no cells")
+    if cells.ndim != 2 or cells.shape[1] != n + 1:
+        raise MeshError(f"cells must have {n + 1} vertices each")
     if cells.min() < 0 or cells.max() >= len(verts):
         raise MeshError("cell vertex index out of range")
 
-    # the degeneracy threshold, of order scale**n, must be a finite float
+    # the largest power of the extent formed downstream, a simplex's edge
+    # Gram determinant in `simplex_centers`, is at most (2 n scale**2)**n
     scale = float(np.ptp(verts, axis=0).max()) or 1.0
-    limit = np.finfo(float).max ** (1 / n)
+    limit = math.sqrt(np.finfo(float).max ** (1 / n) / (2 * n))
     if not scale < limit:
-        raise MeshError(f"vertex coordinates span {scale:.3g}; a {n}D mesh "
-                        f"must span less than {limit:.3g}")
+        raise MeshError(f"vertex coordinates span {scale:.4g}; a {n}D mesh "
+                        f"must span less than {limit:.4g}")
     # The first cell failing a check names the error: repeated vertices,
     # then an earlier identical cell, then a vanishing determinant.
     sorted_cells = np.sort(cells.astype(int), axis=1)
@@ -263,6 +264,15 @@ def build_complex(vertices, cells) -> SimplicialComplex:
     return SimplicialComplex(
         n, verts, simplices, orientations, measures, face_indices
     )
+
+
+def pixel_centers(lo, hi, m: int) -> np.ndarray:
+    """The centers of the m**d equal cells of a grid over the box from
+    corner `lo` to corner `hi`, one row each, the first axis slowest."""
+    axes = [np.linspace(a, b, m, endpoint=False) + (b - a) / (2 * m)
+            for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, len(axes))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,17 @@
 Each dual polygon is one `SibsonCell`: its corners are its Sibson sites.
 Coordinates are exact and come from one batch kernel.  Site regions come
 from one batched Sutherland-Hodgman pass (`_site_regions`) over every site
-of every polygon it is given: `DualInterpolation.build_regions` builds those
-of all dual polygons at once, and a cell used on its own builds its own on
-first use.  The region of an inserted point is one half-plane clip of each
-site region, vectorized over query points.  The same pass measures the
-bisector chord that bounds each overlap and returns, by Sibson's vector
-identity (Sibson 1980; Piper 1993), the exact gradient of the overlap area;
-a caller that wants coordinates alone (`coords_batch`) gets an area-only
-pass that skips the chord terms.  On the cell boundary the coordinates take
-the Milbradt-Pick limit, from the same nearest-side projection that
-measures the boundary distance.
+of every polygon it is given: the dual-inverse star and a dual field each
+build the regions of the polygons they evaluate in one
+`DualInterpolation.build_regions` call, and only a cell used on its own
+builds its own on first use.  The region of an inserted point is one
+half-plane clip of each site region, vectorized over query points.  The
+same pass measures the bisector chord that bounds each overlap and
+returns, by Sibson's vector identity (Sibson 1980; Piper 1993), the exact
+gradient of the overlap area; a caller that wants coordinates alone
+(`coords_batch`) gets an area-only pass that skips the chord terms.  On
+the cell boundary the coordinates take the Milbradt-Pick limit, from the
+same nearest-side projection that measures the boundary distance.
 
 The kernel works on (region sides, query points) arrays, with the points on
 the contiguous axis, so each numpy call runs over a whole batch at once.  Its
@@ -55,22 +56,6 @@ def polygon_area(loop: np.ndarray) -> float:
     x, y = loop[:, 0], loop[:, 1]
     return 0.5 * float(np.dot(x, _next_corners(y))
                        - np.dot(y, _next_corners(x)))
-
-
-def points_in_polygon(loop: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test, vectorized over query points: (m, q) work
-    arrays, one row per side of the loop."""
-    loop = np.asarray(loop, dtype=float)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    x, y = np.ascontiguousarray(pts.T)
-    ax, ay = loop[:, :1], loop[:, 1:]
-    b = _next_corners(loop)
-    bx, by = b[:, :1], b[:, 1:]
-    straddles = (ay > y) != (by > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = ax + (y - ay) * (bx - ax) / (by - ay)
-    crossings = straddles & (x < xint)
-    return crossings.sum(axis=0) % 2 == 1
 
 
 def _side_sum(terms: np.ndarray) -> np.ndarray:
@@ -317,7 +302,16 @@ class SibsonCell:
         return float(np.linalg.norm(v[:, None] - v[None], axis=2).max())
 
     def contains(self, pts) -> np.ndarray:
-        return points_in_polygon(self.vertices, pts)
+        """Even-odd crossing test of a (q, 2) batch of points: (m, q) work
+        arrays, one row per side of the loop."""
+        x, y = np.ascontiguousarray(np.atleast_2d(pts).T, dtype=float)
+        ax, ay = self.vertices[:, :1], self.vertices[:, 1:]
+        b = _next_corners(self.vertices)
+        bx, by = b[:, :1], b[:, 1:]
+        straddles = (ay > y) != (by > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = ax + (y - ay) * (bx - ax) / (by - ay)
+        return (straddles & (x < xint)).sum(axis=0) % 2 == 1
 
     def _nearest_sides(self, pts: np.ndarray):
         """For each point of a (q, 2) batch, the side i (from corner i to
@@ -514,11 +508,12 @@ class DualInterpolation:
             self.cells.append(cell)
             self.site_lookup.append({tag: i for i, tag in enumerate(ring)})
 
-    def build_regions(self) -> None:
-        """Build the site regions of every cell that has none yet in one
-        batched pass (`_site_regions`), the same regions each cell would
-        build on its own first use."""
-        todo = [cell for cell in self.cells if "regions" not in vars(cell)]
+    def build_regions(self, vertices) -> None:
+        """Build the site regions of the polygons of `vertices` that have
+        none yet in one batched pass (`_site_regions`), the same regions each
+        cell would build on its own first use; no pass when none is left."""
+        todo = [self.cells[v] for v in vertices
+                if "regions" not in vars(self.cells[v])]
         if todo:
             pairs = [(cell.vertices, cell.vertices) for cell in todo]
             for cell, regions in zip(todo, _site_regions(pairs)):
@@ -591,7 +586,8 @@ class DualInterpolation:
 
         The cochain is indexed like the primal (n - k)-simplices whose dual
         cells carry the degrees of freedom.  The field takes one point or a
-        (q, 2) batch, and is NaN at points outside the mesh.
+        (q, 2) batch, and is NaN at points outside the mesh.  For p >= 1 it
+        builds the site regions of its points' polygons in one pass.
         """
         if not 0 <= dual_degree <= 2:
             raise SibsonError(f"dual degree {dual_degree} out of range 0..2")
@@ -607,8 +603,11 @@ class DualInterpolation:
             x = np.asarray(x, dtype=float)
             pts = np.atleast_2d(x)
             owner = self.locate(pts)
+            owners = np.unique(owner[owner >= 0])
+            if p >= 1:
+                self.build_regions(owners)
             out = np.full((len(pts), 2) if p == 1 else len(pts), np.nan)
-            for v in np.unique(owner[owner >= 0]):
+            for v in owners:
                 sel = owner == v
                 gens, vals = self.forms(v, p, pts[sel], limit=True)
                 total = np.zeros(vals.shape[1:])

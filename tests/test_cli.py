@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from decstar import cli, hodge, mesh
+from decstar.sibson import DualInterpolation
 
 SUBCOMMANDS = ["info", "dual", "hodge", "cond", "table1", "solve", "wave",
                "sample-field", "fig8", "convert"]
@@ -126,7 +127,46 @@ def test_mesh_spec_field_counts(spec, message, capsys):
         1, [], f"error: bad mesh spec {spec!r}: {message}\n")
 
 
-SPAN = "vertex coordinates span {}; a 2D mesh must span less than 1.34e+154"
+SPAN = "vertex coordinates span {}; a 2D mesh must span less than 5.79e+76"
+SPAN_3D = "vertex coordinates span {}; a 3D mesh must span less than 9.699e+50"
+
+
+UNIT_MESHES = {  # the unit square as two triangles, the unit tetrahedron
+    2: ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]),
+    3: ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2, 3]]),
+}
+
+
+def scaled_mesh(dim, side):
+    """The JSON unit mesh of dimension `dim`, scaled by `side`."""
+    vertices, cells = UNIT_MESHES[dim]
+    return json.dumps({"dimension": dim, "cells": cells,
+                       "vertices": (side * np.array(vertices)).tolist()})
+
+
+def triangle_mesh(cells):
+    return json.dumps({"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+                       "cells": cells})
+
+
+HUGE = [[0, 0], [1e200, 0], [0, 1e200]]
+BAD_MESH_FILES = {
+    "huge.json": json.dumps({"dimension": 2, "vertices": HUGE,
+                             "cells": [[0, 1, 2]]}),
+    "huge.off": "OFF\n3 1\n" + "".join(f"{x!r} {y!r}\n" for x, y in HUGE)
+                + "3 0 1 2\n",
+    "duplicate.json": triangle_mesh([[0, 1, 2], [2, 1, 0]]),
+    # past the extent limit a simplex's edge Gram determinant can overflow,
+    # and then wave gives all-zero spectra and info a wrong degenerate simplex
+    "square1e100.json": scaled_mesh(2, 1e100),
+    "tet1e90.json": scaled_mesh(3, 1e90),
+    "square1e77.json": scaled_mesh(2, 1e77),
+    "tet1e52.json": scaled_mesh(3, 1e52),
+    "no_cells.json": triangle_mesh([]),
+    "no_cells.off": "OFF\n3 0 0\n0 0\n1 0\n0 1\n",
+    "edge_cell.json": triangle_mesh([[0, 1]]),
+    "repeated.json": triangle_mesh([[0, 1, 2], [0, 0, 1]]),
+}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -137,23 +177,48 @@ SPAN = "vertex coordinates span {}; a 2D mesh must span less than 1.34e+154"
     (["table1", "--P", "1e300", "--grid", "16"], SPAN.format("2e+300")),
     (["fig8", "--P", "1e160"], SPAN.format("2e+160")),
     (["info", "--mesh", "duplicate.json"], "duplicate cell 1: (0, 1, 2)"),
+    (["wave", "--kind", "whitney", "--count", "5", "--mesh",
+      "square1e100.json"], SPAN.format("1e+100")),
+    (["wave", "--kind", "whitney", "--count", "6", "--mesh", "tet1e90.json"],
+     SPAN_3D.format("1e+90")),
+    (["info", "--mesh", "square1e77.json"], SPAN.format("1e+77")),
+    (["info", "--mesh", "tet1e52.json"], SPAN_3D.format("1e+52")),
+    (["info", "--mesh", "no_cells.json"], "mesh has no cells"),
+    (["convert", "no_cells.off"], "mesh has no cells"),
+    (["info", "--mesh", "edge_cell.json"], "cells must have 3 vertices each"),
+    (["info", "--mesh", "repeated.json"], "cell 1 has repeated vertices"),
 ])
 def test_huge_coordinates_fail_cleanly(tmp_path, monkeypatch, capsys, argv,
                                        message):
+    # every mesh error a file can reach is one error line, and no file
     monkeypatch.chdir(tmp_path)
-    huge = [[0, 0], [1e200, 0], [0, 1e200]]
-    (tmp_path / "huge.json").write_text(json.dumps(
-        {"dimension": 2, "vertices": huge, "cells": [[0, 1, 2]]}))
-    (tmp_path / "huge.off").write_text(
-        "OFF\n3 1\n" + "".join(f"{x!r} {y!r}\n" for x, y in huge)
-        + "3 0 1 2\n")
-    (tmp_path / "duplicate.json").write_text(json.dumps(
-        {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
-         "cells": [[0, 1, 2], [2, 1, 0]]}))
+    for name, text in BAD_MESH_FILES.items():
+        (tmp_path / name).write_text(text)
     code, lines, err = run(argv, capsys)
     assert (code, lines, err) == (1, [], f"error: {message}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "duplicate.json", "huge.json", "huge.off"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        BAD_MESH_FILES)
+
+
+@pytest.mark.parametrize("dim, side, count", [(2, 5.78e76, 5),
+                                              (3, 9.69e50, 6)])
+def test_spectra_just_below_the_extent_limit_scale_with_side(
+        tmp_path, capsys, dim, side, count):
+    # omega^2 scales as 1 / side^2, so side^2 omega^2 is the unit mesh's
+    spectra = []
+    for scale in (1.0, side):
+        path = tmp_path / f"scaled{scale:g}.json"
+        path.write_text(scaled_mesh(dim, scale))
+        code, lines, err = run(["info", "--mesh", str(path)], capsys)
+        assert (code, err) == (0, "")
+        code, lines, err = run(["wave", "--kind", "whitney", "--count",
+                                str(count), "--mesh", str(path),
+                                "--out", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        spectra.append(scale ** 2 * np.array(lines[0]["omega_squared"]))
+    unit, scaled = spectra
+    np.testing.assert_allclose(scaled, unit, rtol=1e-10,
+                               atol=1e-10 * unit.max())
 
 
 def test_degenerate_mesh_fails(tmp_path, capsys):
@@ -490,6 +555,26 @@ def test_dual_wave_builds_each_cell_regions_once(tmp_path, monkeypatch,
                           "--out", str(tmp_path)], capsys)
     assert code == 0 and len(lines[0]["omega_squared"]) == 6
     assert calls == [[True] * 81]
+
+
+@pytest.mark.parametrize("samples", [4, 16])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dual_field_builds_the_sampled_polygons_regions_once(
+        tmp_path, monkeypatch, capsys, k, samples):
+    # the field builds the regions of the polygons that own its points, each
+    # clipped to itself, in one batched call; at k = 0 it reads only their
+    # measures and builds none
+    comp = mesh.structured_grid(8)
+    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    owner = di.locate(mesh.pixel_centers(comp.vertices.min(axis=0),
+                                         comp.vertices.max(axis=0), samples))
+    sampled = len(np.unique(owner[owner >= 0]))
+    calls = counted_region_builds(monkeypatch)
+    code, lines, _ = run(["sample-field", "--space", "dual", "--mesh",
+                          "grid:8", "--k", str(k), "--samples", str(samples),
+                          "--out", str(tmp_path)], capsys)
+    assert code == 0 and lines[0]["samples"] == samples ** 2
+    assert calls == ([] if k == 0 else [[True] * sampled])
 
 
 def test_main_calls_in_a_row_match_fresh_processes(tmp_path, capsys):

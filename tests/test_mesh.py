@@ -66,10 +66,16 @@ def test_duplicate_cell_rejected():
 @pytest.mark.parametrize("vertices, message", [
     ([[0, 0], [1e200, 0], [0, 1e200]],
      "vertex coordinates span 1e+200; a 2D mesh must span less than "
-     "1.34e+154"),
+     "5.79e+76"),
     ([[0, 0, 0], [1e103, 0, 0], [0, 1, 0], [0, 0, 1]],
      "vertex coordinates span 1e+103; a 3D mesh must span less than "
-     "5.64e+102"),
+     "9.699e+50"),
+    ([[0, 0], [5.8e76, 0], [0, 1]],
+     "vertex coordinates span 5.8e+76; a 2D mesh must span less than "
+     "5.79e+76"),
+    ([[0, 0, 0], [9.7e50, 0, 0], [0, 1, 0], [0, 0, 1]],
+     "vertex coordinates span 9.7e+50; a 3D mesh must span less than "
+     "9.699e+50"),
 ])
 def test_extent_whose_measures_overflow_rejected(vertices, message):
     with pytest.raises(MeshError) as exc:
@@ -78,9 +84,18 @@ def test_extent_whose_measures_overflow_rejected(vertices, message):
 
 
 def test_extent_below_the_overflow_limit_builds():
-    for dim, extent in [(2, 1e150), (3, 1e70)]:
+    # the limit is sqrt(max ** (1/n) / (2n)), where (2 n extent**2)**n, the
+    # bound of the largest Gram determinant the pipeline forms, reaches the
+    # largest float; the float just below it builds
+    for dim in (2, 3):
+        limit = math.sqrt(np.finfo(float).max ** (1 / dim) / (2 * dim))
+        cell = [list(range(dim + 1))]
+        with pytest.raises(MeshError, match="must span less than"):
+            mesh.build_complex(np.vstack([np.zeros(dim), limit * np.eye(dim)]),
+                               cell)
+        extent = np.nextafter(limit, 0.0)
         vertices = np.vstack([np.zeros(dim), extent * np.eye(dim)])
-        comp = mesh.build_complex(vertices, [list(range(dim + 1))])
+        comp = mesh.build_complex(vertices, cell)
         assert all(np.isfinite(m).all() for m in comp.measures)
         assert comp.measures[dim][0] == pytest.approx(
             extent ** dim / math.factorial(dim), rel=1e-12)

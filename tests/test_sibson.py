@@ -770,6 +770,32 @@ def test_dual_fields_match_point_loop(relabelled_delaunay,
                 assert np.array_equal(got[claimed], ref[claimed])
 
 
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(case=st.tuples(st.integers(3, 40), st.integers(0, 10_000)))
+def test_dual_fields_do_not_depend_on_how_regions_were_built(
+        crossing_dual_polygons, case):
+    """A dual field gives the same bits whether every polygon first built
+    its own site regions, one at a time on first use, or the field built
+    those of its points' polygons in its one batched pass.  The points are
+    a pixel grid over the mesh and every polygon corner."""
+    comp = mesh.random_delaunay(*case)
+    dual = mesh.build_dual(comp, "barycentric")
+    if crossing_dual_polygons(comp, dual):
+        return  # no DualInterpolation, so no dual fields
+    rng = np.random.default_rng(case[1])
+    for p in (0, 1, 2):
+        weights = rng.standard_normal(len(comp.simplices[p]))
+        alone, batched = (DualInterpolation(comp, dual) for _ in range(2))
+        for cell in alone.cells:
+            cell.regions  # built by the cell itself
+        pts = np.vstack([mesh.pixel_centers(comp.vertices.min(axis=0),
+                                            comp.vertices.max(axis=0), 20)]
+                        + [cell.vertices for cell in alone.cells])
+        assert np.array_equal(alone.interpolate(2 - p, weights)(pts),
+                              batched.interpolate(2 - p, weights)(pts),
+                              equal_nan=True)
+
+
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(case=st.tuples(st.integers(3, 39), st.integers(0, 10_000)))
 def test_dual_edge_ends_are_sites_of_each_edge_vertex(relabelled_delaunay,

@@ -278,7 +278,7 @@ def cmd_hodge(args) -> int:
 
 
 def cmd_cond(args) -> int:
-    est = hodge.condition_estimate(_assemble_star(args), args.method,
+    est = hodge.condition_estimate(_assemble_star(args).matrix, args.method,
                                    args.block)
     emit({
         "command": "cond",

@@ -230,8 +230,7 @@ def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
 # diagnostics
 
 
-def condition_estimate(operator: HodgeOperator | sp.spmatrix | np.ndarray,
-                       method: str = "full",
+def condition_estimate(A: sp.spmatrix | np.ndarray, method: str = "full",
                        block_size: int = 5) -> ConditionEstimate:
     """Condition number via dense symmetric eigendecomposition.
 
@@ -239,7 +238,6 @@ def condition_estimate(operator: HodgeOperator | sp.spmatrix | np.ndarray,
     block_size submatrix, the estimate used for the parameterized-mesh study;
     a sparse matrix is sliced before it is densified, so only that block is.
     """
-    A = operator.matrix if isinstance(operator, HodgeOperator) else operator
     A = sp.csr_matrix(A) if sp.issparse(A) else np.asarray(A, dtype=float)
     if method == "leading-block":
         if not 1 <= block_size <= A.shape[0]:
@@ -254,17 +252,18 @@ def condition_estimate(operator: HodgeOperator | sp.spmatrix | np.ndarray,
     return ConditionEstimate(method, lmax, lmin, lmax / lmin)
 
 
-def simplex_neighborhood_size(complex: SimplicialComplex, k: int,
-                              simplex_id: int) -> int:
-    """Number of n-simplices incident on at least one vertex of the simplex."""
-    n = complex.dim
-    cells = set()
-    for v in complex.simplices[k][simplex_id]:
-        ids = {int(v)}
-        for kk in range(0, n):
-            ids = {int(c) for s in ids for c in complex.cofaces(kk, s)}
-        cells |= ids
-    return len(cells)
+def neighborhood_sizes(complex: SimplicialComplex, k: int) -> np.ndarray:
+    """Per k-simplex, the number of n-simplices incident on at least one of
+    its vertices: the row counts of (k-simplex x vertex)(vertex x cell)."""
+    def vertices_of(simplices):  # one row per simplex, a 1 per vertex
+        return sp.csr_matrix((np.ones(simplices.size), simplices.ravel(),
+                              np.arange(0, simplices.size + 1,
+                                        simplices.shape[1])),
+                             shape=(len(simplices), len(complex.vertices)))
+
+    touch = (vertices_of(complex.simplices[k])
+             @ vertices_of(complex.simplices[complex.dim]).T)
+    return np.diff(touch.tocsr().indptr)
 
 
 @dataclass
@@ -279,14 +278,8 @@ def sparsity_audit(operator: HodgeOperator,
     """Check row-wise nonzero counts against the adjacency bound
     C(n+1, k+1) * A(sigma^k), with A the vertex-incident n-simplex count."""
     k = operator.degree
-    n = complex.dim
-    csr = operator.matrix.tocsr()
-    counts = np.diff(csr.indptr)
-    coef = math.comb(n + 1, k + 1)
-    bounds = np.array([
-        coef * simplex_neighborhood_size(complex, k, i)
-        for i in range(csr.shape[0])
-    ])
+    counts = np.diff(operator.matrix.tocsr().indptr)
+    bounds = math.comb(complex.dim + 1, k + 1) * neighborhood_sizes(complex, k)
     return SparsityReport(counts, bounds, bool(np.all(counts <= bounds)))
 
 
@@ -413,7 +406,7 @@ def table1_experiment(P_values, resolution: int = 512) -> list:
         comp = generate_fig8(P)
         cond_diag = fig8_diag_condition(P)
 
-        whit = assemble_whitney(comp, 1)
+        whit = assemble_whitney(comp, 1).matrix
         cond_whit = condition_estimate(whit, "leading-block", 5).ratio
 
         block = fig8_dual_inverse_block(P, resolution)

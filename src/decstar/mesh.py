@@ -13,9 +13,9 @@ dual areas always sum to the mesh volume under the barycentric rule.  In 2D,
 
 Assembly works on whole arrays of simplices: faces are enumerated with
 `np.unique` over sorted vertex tuples, measures and centers come from batched
-determinants and solves, and `cofaces` reads a coboundary table in CSR form
-(the cofaces of every k-simplex, ascending) that each complex derives once
-from its `face_indices`.
+determinants and solves, and adjacency is read off the incidence matrices:
+`cofaces` and `boundary_simplices` take the column structure of each D_k,
+converted to CSC once per complex.
 """
 
 from __future__ import annotations
@@ -109,30 +109,27 @@ class SimplicialComplex:
 
     @cached_property
     def _coboundary(self) -> list:
-        """Per k < dim, (indptr, rows): the (k+1)-simplices containing
-        k-simplex i are rows[indptr[i]:indptr[i+1]], ascending."""
+        """Per k < dim, D_k in CSC form: the (k+1)-simplices containing
+        k-simplex i are the rows of its column i, ascending."""
         table = []
-        for k, fi in enumerate(self.face_indices):
-            faces = fi.ravel()
-            rows = np.argsort(faces, kind="stable") // fi.shape[1]
-            rows.flags.writeable = False
-            counts = np.bincount(faces, minlength=len(self.simplices[k]))
-            table.append((np.concatenate([[0], np.cumsum(counts)]), rows))
+        for k in range(self.dim):
+            csc = self.incidence_matrix(k).tocsc()
+            csc.indices.flags.writeable = False
+            table.append(csc)
         return table
 
     def cofaces(self, k: int, i: int) -> np.ndarray:
         """Indices of the (k+1)-simplices containing k-simplex i."""
         if k >= self.dim:
             return np.empty(0, dtype=int)
-        indptr, rows = self._coboundary[k]
-        return rows[indptr[i]:indptr[i + 1]]
+        csc = self._coboundary[k]
+        return csc.indices[csc.indptr[i]:csc.indptr[i + 1]]
 
     def boundary_simplices(self, k: int) -> np.ndarray:
         """Boolean mask of k-simplices lying on the domain boundary: the
         (n-1)-simplices with one coface, and their faces."""
         n = self.dim
-        counts = np.bincount(self.face_indices[n - 1].ravel(),
-                             minlength=len(self.simplices[n - 1]))
+        counts = np.diff(self._coboundary[n - 1].indptr)
         ids = np.nonzero(counts == 1)[0] if k < n else []
         for level in range(n - 2, k - 1, -1):
             ids = self.face_indices[level][ids].ravel()
@@ -452,6 +449,8 @@ def generate_fig8(P: float) -> SimplicialComplex:
     """
     if not P > 0.5:
         raise MeshError("fig8 mesh requires P > 1/2")
+    if not math.isfinite(P):
+        raise MeshError(f"fig8 mesh requires a finite P, got {P:g}")
     v1 = np.array([0.0, 0.0])
     v2 = np.array([0.0, 1.0])
     v3 = np.array([P, 0.5])
@@ -481,6 +480,8 @@ def two_triangle_mesh() -> SimplicialComplex:
 
 def structured_grid(m: int, skew: float = 0.0) -> SimplicialComplex:
     """m x m unit-square grid of right triangles (2*m*m cells)."""
+    if not math.isfinite(skew):
+        raise MeshError(f"grid skew must be finite, got {skew:g}")
     xs = np.linspace(0.0, 1.0, m + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     verts = np.column_stack([(X + skew * Y).ravel(), Y.ravel()])

@@ -286,10 +286,7 @@ def test_criterion_5_sparse_inverse(acceptance):
     counts = np.diff(op.matrix.tocsr().indptr)
     n = comp.dim
     k = 1
-    bound = math.comb(n + 1, k + 1) * max(
-        hodge.simplex_neighborhood_size(comp, k, i)
-        for i in range(len(comp.simplices[k]))
-    )
+    bound = math.comb(n + 1, k + 1) * hodge.neighborhood_sizes(comp, k).max()
     eigs = np.linalg.eigvalsh(op.matrix.toarray())
     ok = bool(counts.max() <= bound and eigs.min() > 0)
     passed = acceptance(

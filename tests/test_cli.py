@@ -187,6 +187,16 @@ BAD_MESH_FILES = {
     (["convert", "no_cells.off"], "mesh has no cells"),
     (["info", "--mesh", "edge_cell.json"], "cells must have 3 vertices each"),
     (["info", "--mesh", "repeated.json"], "cell 1 has repeated vertices"),
+    # a non-finite generator parameter is rejected before any coordinate is
+    # computed, so no floating-point warning comes first
+    (["fig8", "--P", "inf"], "fig8 mesh requires a finite P, got inf"),
+    (["table1", "--P", "inf", "--grid", "16"],
+     "fig8 mesh requires a finite P, got inf"),
+    (["info", "--mesh", "fig8:inf"],
+     "bad mesh spec 'fig8:inf': fig8 mesh requires a finite P, got inf"),
+    (["info", "--mesh", "grid:2:inf"],
+     "bad mesh spec 'grid:2:inf': grid skew must be finite, got inf"),
+    (["fig8", "--P", "nan"], "fig8 mesh requires P > 1/2"),
 ])
 def test_huge_coordinates_fail_cleanly(tmp_path, monkeypatch, capsys, argv,
                                        message):

@@ -120,7 +120,7 @@ def test_neighborhood_size():
         i for i, e in enumerate(comp.simplices[1].tolist())
         if len(comp.cofaces(1, i)) == 2
     )
-    assert hodge.simplex_neighborhood_size(comp, 1, diag_edge) == 2
+    assert hodge.neighborhood_sizes(comp, 1)[diag_edge] == 2
 
 
 def test_fig8_diag_closed_forms():

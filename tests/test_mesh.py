@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decstar import mesh
+from decstar import hodge, mesh
 from decstar.mesh import MeshError
 from decstar.sibson import DualInterpolation, SibsonError, polygon_area
 
@@ -291,7 +291,8 @@ def test_with_leading_simplices_reorders():
 
 # ---------------------------------------------------------------------------
 # The per-simplex loops that the array kernels of `build_complex`,
-# `build_dual` and `cofaces` replaced, kept as references.
+# `build_dual` and the incidence-matrix adjacency replaced, kept as
+# references.
 
 
 def loop_measure(points):
@@ -435,11 +436,30 @@ def test_build_complex_matches_loop(relabelled_delaunay, case):
         assert np.array_equal(comp.face_indices[k], face_indices[k])
 
 
+def walk_boundary(comp, k):
+    """k-simplices inside an (n-1)-simplex with one coface, by scanning."""
+    n = comp.dim
+    facets = [set(f) for i, f in enumerate(comp.simplices[n - 1].tolist())
+              if len(scan_cofaces(comp, n - 1, i)) == 1]
+    return np.array([any(set(s) <= f for f in facets)
+                     for s in comp.simplices[k].tolist()], dtype=bool)
+
+
+def walk_neighborhood(comp, k):
+    """Per k-simplex, the n-simplices sharing a vertex with it, by scanning."""
+    cells = [set(c) for c in comp.simplices[comp.dim].tolist()]
+    return np.array([sum(1 for c in cells if c & set(s))
+                     for s in comp.simplices[k].tolist()])
+
+
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(case=MESHES)
-def test_cofaces_match_scan(relabelled_delaunay, case):
+def test_adjacency_matches_reference_walks(relabelled_delaunay, case):
+    # cofaces, the boundary mask and the neighbourhood sizes all come from
+    # the incidence matrices; each matches its own scan
     dim, n_points, seed = case
-    comps = [mesh.build_complex(*relabelled_delaunay(n_points, seed, dim))]
+    comps = [mesh.build_complex(*relabelled_delaunay(n_points, seed, dim)),
+             mesh.random_delaunay(n_points, seed, dim)]
     fig8 = mesh.generate_fig8(2.0)
     comps += [fig8, fig8.with_leading_simplices(0, [(5,), (2,)]),
               fig8.with_leading_simplices(1, [(3, 7), (0, 2)]),
@@ -449,6 +469,10 @@ def test_cofaces_match_scan(relabelled_delaunay, case):
             for i in range(len(comp.simplices[k])):
                 assert np.array_equal(comp.cofaces(k, i),
                                       scan_cofaces(comp, k, i))
+            assert np.array_equal(comp.boundary_simplices(k),
+                                  walk_boundary(comp, k))
+            assert np.array_equal(hodge.neighborhood_sizes(comp, k),
+                                  walk_neighborhood(comp, k))
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)

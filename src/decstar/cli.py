@@ -88,11 +88,8 @@ def write_matrix_market(matrix, path: Path) -> None:
 
 
 def write_cochain_csv(values, path: Path, header: str = "id,value") -> None:
-    lines = [header]
-    values = np.asarray(values)
-    for i, v in enumerate(values):
-        lines.append(f"{i},{v:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+    lines = [f"{i},{v:.17g}" for i, v in enumerate(np.asarray(values))]
+    path.write_text("\n".join([header, *lines]) + "\n")
 
 
 def _text_lines(path, what: str) -> io.StringIO:
@@ -201,18 +198,12 @@ def emit(obj) -> None:
 def cmd_info(args) -> int:
     comp = resolve_mesh(args.mesh)
     dual = mesh.build_dual(comp, args.rule)
-    report = mesh.quality_report(comp, dual)
     emit({
         "command": "info",
         "dimension": comp.dim,
         "counts": {str(k): len(comp.simplices[k]) for k in range(comp.dim + 1)},
         "rule": args.rule,
-        "primal_range": report.primal_range,
-        "dual_range": report.dual_range,
-        "ratio_range": report.ratio_range,
-        "primal_gradation": report.primal_gradation,
-        "dual_gradation": report.dual_gradation,
-        "worst_aspect_ratio": report.worst_aspect_ratio,
+        **mesh.quality_report(comp, dual),
     })
     return 0
 
@@ -280,32 +271,18 @@ def cmd_hodge(args) -> int:
 def cmd_cond(args) -> int:
     est = hodge.condition_estimate(_assemble_star(args).matrix, args.method,
                                    args.block)
-    emit({
-        "command": "cond",
-        "kind": args.kind,
-        "k": args.k,
-        "method": est.method,
-        "lambda_max": est.lambda_max,
-        "lambda_min": est.lambda_min,
-        "condition": est.ratio,
-    })
+    emit({"command": "cond", "kind": args.kind, "k": args.k, **est})
     return 0
 
 
 def cmd_table1(args) -> int:
+    if not args.P:
+        raise CliError("--P needs at least one value")
     rows = hodge.table1_experiment(args.P, args.grid)
     path = args.out / "table1.csv"
     path.write_text(hodge.table1_csv(rows))
     for r in rows:
-        emit({
-            "command": "table1",
-            "P": r.P,
-            "cond_diag": r.cond_diag,
-            "cond_whitney": r.cond_whitney,
-            "cond_dual_inverse": r.cond_dual_inverse,
-            "seconds": r.seconds,
-            "file": str(path),
-        })
+        emit({"command": "table1", **r, "file": str(path)})
     return 0
 
 

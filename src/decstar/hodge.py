@@ -46,14 +46,6 @@ class HodgeOperator:
         return self.matrix.toarray()
 
 
-@dataclass
-class ConditionEstimate:
-    method: str  # "full" | "leading-block"
-    lambda_max: float
-    lambda_min: float
-    ratio: float
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -231,8 +223,11 @@ def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
 
 
 def condition_estimate(A: sp.spmatrix | np.ndarray, method: str = "full",
-                       block_size: int = 5) -> ConditionEstimate:
-    """Condition number via dense symmetric eigendecomposition.
+                       block_size: int = 5) -> dict:
+    """Condition number via dense symmetric eigendecomposition, keyed as
+    `cond` prints it: `method`, the largest and smallest eigenvalue
+    magnitudes `lambda_max` and `lambda_min`, and their ratio `condition`,
+    infinite when `lambda_min` is at most 1e-12 max(`lambda_max`, 1).
 
     method="leading-block" uses the spectrum of the leading block_size x
     block_size submatrix, the estimate used for the parameterized-mesh study;
@@ -247,9 +242,9 @@ def condition_estimate(A: sp.spmatrix | np.ndarray, method: str = "full",
     # eigh, not eigvalsh: the two differ in the last bits of Table 1 blocks
     vals = np.abs(np.linalg.eigh(A.toarray() if sp.issparse(A) else A)[0])
     lmax, lmin = float(vals.max()), float(vals.min())
-    if lmin <= 1e-12 * max(lmax, 1.0):
-        return ConditionEstimate(method, lmax, lmin, math.inf)
-    return ConditionEstimate(method, lmax, lmin, lmax / lmin)
+    singular = lmin <= 1e-12 * max(lmax, 1.0)
+    return {"method": method, "lambda_max": lmax, "lambda_min": lmin,
+            "condition": math.inf if singular else lmax / lmin}
 
 
 def neighborhood_sizes(complex: SimplicialComplex, k: int) -> np.ndarray:
@@ -316,14 +311,13 @@ def fig8_whitney_block(P: float) -> np.ndarray:
     with the sign induced by sorted-vertex edge orientations, which matches
     the published magnitudes; the spectrum is orientation-independent."""
     a, b, g, d = fig8_whitney_entries(P)
-    M = np.array([
+    return np.array([
         [a, b, b, b, b],
         [b, g, 0, d, 0],
         [b, 0, g, 0, d],
         [b, d, 0, g, 0],
         [b, 0, d, 0, g],
     ])
-    return M
 
 
 def fig8_whitney_condition(P: float) -> float:
@@ -335,15 +329,6 @@ def fig8_whitney_condition(P: float) -> float:
 
 # ---------------------------------------------------------------------------
 # condition-number experiment
-
-
-@dataclass
-class Table1Row:
-    P: float
-    cond_diag: float
-    cond_whitney: float
-    cond_dual_inverse: float
-    seconds: float
 
 
 def fig8_dual_inverse_block(P: float, resolution: int = 512) -> np.ndarray:
@@ -392,7 +377,9 @@ def fig8_dual_inverse_block(P: float, resolution: int = 512) -> np.ndarray:
 
 
 def table1_experiment(P_values, resolution: int = 512) -> list:
-    """Condition numbers of the three Hodge stars on the two-fan mesh family.
+    """Condition numbers of the three Hodge stars on the two-fan mesh family,
+    one dict per P keyed as `table1` prints it: `P`, `cond_diag`,
+    `cond_whitney`, `cond_dual_inverse` and the row's wall time `seconds`.
 
     Diagonal column: ratio of the closed-form extreme diagonal entries.
     Whitney column: eigenvalue ratio of the assembled leading 5x5 block.
@@ -403,22 +390,21 @@ def table1_experiment(P_values, resolution: int = 512) -> list:
     rows = []
     for P in P_values:
         t0 = time.perf_counter()
-        comp = generate_fig8(P)
-        cond_diag = fig8_diag_condition(P)
-
-        whit = assemble_whitney(comp, 1).matrix
-        cond_whit = condition_estimate(whit, "leading-block", 5).ratio
-
+        whit = assemble_whitney(generate_fig8(P), 1).matrix
         block = fig8_dual_inverse_block(P, resolution)
-        cond_dual = condition_estimate(block, "full").ratio
-        rows.append(Table1Row(P, cond_diag, cond_whit, cond_dual,
-                              time.perf_counter() - t0))
+        rows.append({
+            "P": P, "cond_diag": fig8_diag_condition(P),
+            "cond_whitney": condition_estimate(whit, "leading-block",
+                                               5)["condition"],
+            "cond_dual_inverse": condition_estimate(block)["condition"],
+            "seconds": time.perf_counter() - t0,
+        })
     return rows
 
 
 def table1_csv(rows) -> str:
     lines = ["P,cond_diag,cond_whitney,cond_dual_inverse"]
     for r in rows:
-        lines.append(f"{r.P:g},{r.cond_diag:.6g},{r.cond_whitney:.6g},"
-                     f"{r.cond_dual_inverse:.6g}")
+        lines.append(f"{r['P']:g},{r['cond_diag']:.6g},"
+                     f"{r['cond_whitney']:.6g},{r['cond_dual_inverse']:.6g}")
     return "\n".join(lines) + "\n"

@@ -11,11 +11,11 @@ midpoints and the primal vertex itself as dual cell vertices, so that vertex
 dual areas always sum to the mesh volume under the barycentric rule.  In 2D,
 `vertex_ring` lists the dual vertices of a vertex's dual polygon in order.
 
-Assembly works on whole arrays of simplices: faces are enumerated with
-`np.unique` over sorted vertex tuples, measures and centers come from batched
-determinants and solves, and adjacency is read off the incidence matrices:
-`cofaces` and `boundary_simplices` take the column structure of each D_k,
-converted to CSC once per complex.
+Assembly works on whole arrays of simplices: faces are enumerated by one
+stable lexsort of their sorted vertex tuples (`_unique_rows`), measures
+and centers come from batched determinants and solves, and adjacency is
+read off the incidence matrices: `cofaces` and `boundary_simplices` take
+the column structure of each D_k, converted to CSC once per complex.
 """
 
 from __future__ import annotations
@@ -189,6 +189,20 @@ def _numeric_array(values, name: str, kinds: str) -> np.ndarray:
     return arr
 
 
+def _unique_rows(rows: np.ndarray):
+    """`np.unique(rows, axis=0, return_index=True, return_inverse=True)` of
+    a 2D integer array from one stable lexsort: the distinct rows in
+    lexicographic order, the index of each one's first occurrence, and the
+    index of each row among the distinct ones."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
+
+
 def build_complex(vertices, cells) -> SimplicialComplex:
     """Build the full complex from top-dimensional cells.
 
@@ -223,11 +237,10 @@ def build_complex(vertices, cells) -> SimplicialComplex:
     # The first cell failing a check names the error: repeated vertices,
     # then an earlier identical cell, then a vanishing determinant.
     sorted_cells = np.sort(cells.astype(int), axis=1)
-    _, first, inverse = np.unique(sorted_cells, axis=0, return_index=True,
-                                  return_inverse=True)
+    _, first, inverse = _unique_rows(sorted_cells)
     det = np.linalg.det(verts[sorted_cells[:, 1:]] - verts[sorted_cells[:, :1]])
     repeated = (np.diff(sorted_cells, axis=1) == 0).any(axis=1)
-    duplicate = first[inverse.ravel()] != np.arange(len(cells))
+    duplicate = first[inverse] != np.arange(len(cells))
     degenerate = np.abs(det) <= DEGENERACY_RTOL * scale**n
     bad = np.nonzero(repeated | duplicate | degenerate)[0]
     if len(bad):
@@ -249,7 +262,7 @@ def build_complex(vertices, cells) -> SimplicialComplex:
     for k in range(n - 1, -1, -1):
         keep = [[j for j in range(k + 2) if j != m] for m in range(k + 2)]
         faces = simplices[k + 1][:, keep].reshape(-1, k + 1)
-        simplices[k], inverse = np.unique(faces, axis=0, return_inverse=True)
+        simplices[k], _, inverse = _unique_rows(faces)
         face_indices[k] = inverse.reshape(-1, k + 2)
     # a cell's measure is |det| / n!, which keeps its relative accuracy on
     # slivers
@@ -383,43 +396,34 @@ def build_dual(complex: SimplicialComplex, rule: str) -> DualMesh:
 # Quality report
 
 
-@dataclass(frozen=True)
-class QualityReport:
-    primal_range: list  # per k: (min |sigma^k|, max |sigma^k|)
-    dual_range: list  # per k: (min |*sigma^k|, max |*sigma^k|)
-    ratio_range: list  # per k: (min, max) of |*sigma^k| / |sigma^k|
-    primal_gradation: list  # per k: max/min of |sigma^k|
-    dual_gradation: list  # per k: max/min of |*sigma^k|
-    worst_aspect_ratio: float
-
-
 def _gradation(measures: np.ndarray) -> float:
     """max/min of the measures; infinite when the smallest one is zero."""
     lo = measures.min()
     return float(measures.max() / lo) if lo != 0 else math.inf
 
 
-def quality_report(complex: SimplicialComplex, dual: DualMesh) -> QualityReport:
-    n = complex.dim
-    primal_range, dual_range, ratio_range = [], [], []
-    primal_grad, dual_grad = [], []
-    for k in range(n + 1):
-        pm = complex.measures[k]
-        dm = dual.measures[k]
-        primal_range.append((float(pm.min()), float(pm.max())))
-        dual_range.append((float(dm.min()), float(dm.max())))
-        ratio = dm / pm
-        ratio_range.append((float(ratio.min()), float(ratio.max())))
-        primal_grad.append(_gradation(pm))
-        dual_grad.append(_gradation(dm))
-    # aspect ratio: circumradius over n times the inradius n |T| / |dT|,
-    # 1 for the regular simplex
+def quality_report(complex: SimplicialComplex, dual: DualMesh) -> dict:
+    """Mesh quality, keyed as `info` prints it.  Each list has one entry per
+    degree k: `primal_range` and `dual_range` are the (min, max) of
+    |sigma^k| and |*sigma^k|, `ratio_range` that of |*sigma^k| / |sigma^k|,
+    and `primal_gradation` and `dual_gradation` the max/min of |sigma^k|
+    and |*sigma^k|.  `worst_aspect_ratio` is the largest circumradius over
+    n times the inradius, 1 for the regular simplex."""
+    def span(m):
+        return float(m.min()), float(m.max())
+
+    n, pm, dm = complex.dim, complex.measures, dual.measures
+    # the inradius is n |T| / |dT|
     pts = complex.vertices[complex.simplices[n]]
     R = np.linalg.norm(simplex_centers(pts, CIRCUMCENTRIC) - pts[:, 0], axis=1)
-    surf = complex.measures[n - 1][complex.face_indices[n - 1]].sum(axis=1)
-    worst = (R / (n * (n * complex.measures[n] / surf))).max()
-    return QualityReport(primal_range, dual_range, ratio_range,
-                         primal_grad, dual_grad, float(worst))
+    surf = pm[n - 1][complex.face_indices[n - 1]].sum(axis=1)
+    worst = (R / (n * (n * pm[n] / surf))).max()
+    return {"primal_range": [span(m) for m in pm],
+            "dual_range": [span(m) for m in dm],
+            "ratio_range": [span(d / p) for p, d in zip(pm, dm)],
+            "primal_gradation": [_gradation(m) for m in pm],
+            "dual_gradation": [_gradation(m) for m in dm],
+            "worst_aspect_ratio": float(worst)}
 
 
 # ---------------------------------------------------------------------------

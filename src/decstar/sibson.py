@@ -530,23 +530,25 @@ class DualInterpolation:
         """Owner polygon of each point of a (q, 2) batch; -1 outside the mesh.
 
         The owner is the first polygon in vertex order whose even-odd test
-        claims the point; a bounding-box test picks the points to test.  A
-        point on the mesh boundary that no polygon claims goes to the vertex
-        polygon of its triangle with the nearest boundary, where the
-        Milbradt-Pick limit evaluates it.
+        claims the point; a bounding-box test picks the points to test.
+        Only unclaimed points are located among the triangles: outside
+        every triangle, they are outside the mesh; inside one, on the mesh
+        boundary, they go to its vertex polygon with the nearest boundary,
+        where the Milbradt-Pick limit evaluates them.
         """
-        tri = locate_cell(self.complex, pts)
-        owner = np.where(tri >= 0, -1, -2)  # -2: outside every triangle
+        owner = np.full(len(pts), -1)
         for v, cell in enumerate(self.cells):
             box = np.all((pts >= cell.vertices.min(axis=0))
                          & (pts <= cell.vertices.max(axis=0)), axis=1)
             sel = np.nonzero((owner == -1) & box)[0]
             owner[sel[cell.contains(pts[sel])]] = v
-        for i in np.nonzero(owner == -1)[0]:
-            verts = self.complex.simplices[2][tri[i]]
+        left = np.nonzero(owner == -1)[0]
+        tri = locate_cell(self.complex, pts[left])
+        for i, t in zip(left[tri >= 0], tri[tri >= 0]):
+            verts = self.complex.simplices[2][t]
             gaps = [self.cells[v].boundary_distance(pts[i]) for v in verts]
             owner[i] = verts[int(np.argmin(gaps))]
-        return np.maximum(owner, -1)
+        return owner
 
     def forms(self, v: int, p: int, pts, limit: bool = False):
         """The dual forms of primal p-simplices supported on the polygon of

@@ -305,7 +305,7 @@ def test_cond_leading_block_densifies_only_the_block(monkeypatch, capsys):
     # square is densified
     comp = mesh.structured_grid(8)
     block = hodge.assemble_whitney(comp, 1).matrix.toarray()[:5, :5]
-    want = hodge.condition_estimate(block).ratio
+    want = hodge.condition_estimate(block)["condition"]
 
     def refuse_square(original):
         def guarded(a, *args, **kwargs):
@@ -379,6 +379,38 @@ def test_table1_determinism(tmp_path, capsys):
         assert code == 0
         texts.append((d / "table1.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("values", [",", ""])
+def test_table1_rejects_an_empty_p_list(values, tmp_path, capsys):
+    code, lines, err = run(["table1", "--P", values, "--grid", "16",
+                            "--out", str(tmp_path)], capsys)
+    assert (code, lines, err) == (1, [], "error: --P needs at least one value\n")
+    assert not (tmp_path / "table1.csv").exists()
+
+
+# each summary line carries the command's own fields and its computation's
+# record (`quality_report`, `condition_estimate`, a `table1_experiment` row)
+SUMMARY_KEYS = {
+    "info": ({"command", "dimension", "counts", "rule", "primal_range",
+              "dual_range", "ratio_range", "primal_gradation",
+              "dual_gradation", "worst_aspect_ratio"},
+             ["info", "--mesh", "grid:4"]),
+    "cond": ({"command", "kind", "k", "method", "lambda_max", "lambda_min",
+              "condition"},
+             ["cond", "--mesh", "grid:8", "--kind", "whitney", "--k", "1"]),
+    "table1": ({"command", "P", "cond_diag", "cond_whitney",
+                "cond_dual_inverse", "seconds", "file"},
+               ["table1", "--P", "2", "--grid", "16"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_KEYS))
+def test_summary_keys(name, tmp_path, capsys):
+    keys, argv = SUMMARY_KEYS[name]
+    code, lines, err = run(argv + ["--out", str(tmp_path)], capsys)
+    assert (code, err, len(lines)) == (0, "", 1)
+    assert set(lines[0]) == keys and lines[0]["command"] == name
 
 
 def test_table1_rejects_small_p(capsys):

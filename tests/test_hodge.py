@@ -106,11 +106,11 @@ def test_hodge_pair_exact_inverses():
 def test_condition_estimate_full_and_block():
     A = np.diag([4.0, 2.0, 1.0])
     est = hodge.condition_estimate(A)
-    assert est.ratio == pytest.approx(4.0)
+    assert est["condition"] == pytest.approx(4.0)
     est2 = hodge.condition_estimate(A, "leading-block", 2)
-    assert est2.ratio == pytest.approx(2.0)
+    assert est2["condition"] == pytest.approx(2.0)
     singular = hodge.condition_estimate(np.zeros((2, 2)))
-    assert singular.ratio == np.inf
+    assert singular["condition"] == np.inf
 
 
 def test_neighborhood_size():
@@ -155,18 +155,18 @@ def test_fig8_whitney_block_matches_assembly():
         assert np.abs(np.linalg.eigvalsh(block)
                       - np.linalg.eigvalsh(closed)).max() < 1e-12
         assert hodge.fig8_whitney_condition(P) == pytest.approx(
-            hodge.condition_estimate(block).ratio, abs=1e-10
+            hodge.condition_estimate(block)["condition"], abs=1e-10
         )
 
 
 def test_table1_small_resolution_sane():
     rows = hodge.table1_experiment([2.0], resolution=96)
     row = rows[0]
-    assert row.cond_diag == pytest.approx(hodge.fig8_diag_condition(2.0))
-    assert row.cond_whitney == pytest.approx(
+    assert row["cond_diag"] == pytest.approx(hodge.fig8_diag_condition(2.0))
+    assert row["cond_whitney"] == pytest.approx(
         hodge.fig8_whitney_condition(2.0), rel=1e-8
     )
-    assert 1.0 < row.cond_dual_inverse < 2.0
+    assert 1.0 < row["cond_dual_inverse"] < 2.0
     csv = hodge.table1_csv(rows)
     assert csv.splitlines()[0] == "P,cond_diag,cond_whitney,cond_dual_inverse"
     assert csv.splitlines()[1].startswith("2,")

@@ -272,11 +272,11 @@ def test_quality_report_finite():
     comp = mesh.random_delaunay(30, 13)
     dual = mesh.build_dual(comp, "barycentric")
     rep = mesh.quality_report(comp, dual)
-    assert rep.worst_aspect_ratio >= 1.0 - 1e-12
+    assert rep["worst_aspect_ratio"] >= 1.0 - 1e-12
     for k in range(comp.dim + 1):
-        assert rep.primal_range[k][0] > 0
-        assert rep.dual_range[k][0] > 0
-        assert np.isfinite(rep.ratio_range[k]).all()
+        assert rep["primal_range"][k][0] > 0
+        assert rep["dual_range"][k][0] > 0
+        assert np.isfinite(rep["ratio_range"][k]).all()
 
 
 def test_with_leading_simplices_reorders():
@@ -434,6 +434,29 @@ def test_build_complex_matches_loop(relabelled_delaunay, case):
             <= 1e-14 * np.abs(measures[k]).max()
     for k in range(dim):
         assert np.array_equal(comp.face_indices[k], face_indices[k])
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(case=MESHES)
+def test_unique_rows_match_numpy_unique(relabelled_delaunay, case):
+    """`_unique_rows` gives the rows, first indices and inverse of
+    `np.unique(rows, axis=0)`, dtypes included, on the rows `build_complex`
+    ranks: the sorted cells, here twice in a shuffled order so that every
+    cell repeats, and the faces of each degree, of a relabelled random mesh
+    and of grid:16."""
+    dim, n_points, seed = case
+    rng = np.random.default_rng(seed)
+    for comp in (mesh.build_complex(*relabelled_delaunay(n_points, seed, dim)),
+                 mesh.structured_grid(16)):
+        cells = comp.simplices[comp.dim]
+        rows = [np.vstack([cells, cells])[rng.permutation(2 * len(cells))]]
+        for k in range(comp.dim):
+            keep = [[j for j in range(k + 2) if j != m] for m in range(k + 2)]
+            rows.append(comp.simplices[k + 1][:, keep].reshape(-1, k + 1))
+        for r in rows:
+            want = np.unique(r, axis=0, return_index=True, return_inverse=True)
+            for got, ref in zip(mesh._unique_rows(r), want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def walk_boundary(comp, k):

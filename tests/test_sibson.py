@@ -816,6 +816,92 @@ def test_dual_edge_ends_are_sites_of_each_edge_vertex(relabelled_delaunay,
             assert set(di.edge_endpoint_tags(e)) <= set(lookup), (v, e)
 
 
+def locate_reference(di, pts):
+    """Owner polygons by the triangle-first rule: every point is located
+    among the triangles, only the points inside one are tested against the
+    polygons, in vertex order within each polygon's box, and a point inside
+    a triangle that no polygon claims goes to that triangle's vertex polygon
+    with the nearest boundary."""
+    tri = whitney.locate_cell(di.complex, pts)
+    owner = np.where(tri >= 0, -1, -2)  # -2: outside every triangle
+    for v, cell in enumerate(di.cells):
+        box = np.all((pts >= cell.vertices.min(axis=0))
+                     & (pts <= cell.vertices.max(axis=0)), axis=1)
+        sel = np.nonzero((owner == -1) & box)[0]
+        owner[sel[cell.contains(pts[sel])]] = v
+    for i in np.nonzero(owner == -1)[0]:
+        verts = di.complex.simplices[2][tri[i]]
+        gaps = [di.cells[v].boundary_distance(pts[i]) for v in verts]
+        owner[i] = verts[int(np.argmin(gaps))]
+    return np.maximum(owner, -1)
+
+
+def l_shaped_delaunay(n_points, seed):
+    """Delaunay triangulation of the L [0, 1]^2 minus (1/2, 1]^2: its
+    corners, its re-entrant sides split every 1/8, and random points at
+    least 1/16 from those sides, so that each piece of them is a Delaunay
+    edge; the triangles whose centroid lies in the removed square are
+    dropped.  None unless the rest tile the L."""
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(seed)
+    pts = rng.random((4 * n_points, 2))
+    steps = np.arange(5) / 8
+    pts = np.vstack([[[0, 0], [1, 0], [0, 1]],
+                     np.column_stack([0.5 + steps, np.full(5, 0.5)]),
+                     np.column_stack([np.full(4, 0.5), 0.5 + steps[1:]]),
+                     pts[(pts <= 7 / 16).any(axis=1)][:n_points]])
+    cells = Delaunay(pts).simplices
+    vol = np.abs(np.linalg.det(pts[cells[:, 1:]] - pts[cells[:, :1]]))
+    keep = (vol > 1e-10) & (pts[cells].mean(axis=1) <= 0.5).any(axis=1)
+    try:
+        comp = mesh.build_complex(pts, cells[keep])
+    except mesh.MeshError:
+        return None
+    return comp if abs(comp.measures[2].sum() - 0.75) < 1e-12 else None
+
+
+def assert_locate_matches_reference(comp, seed):
+    """`locate` gives the triangle-first rule's owners at pixel grids of 7,
+    16 and 33 per axis, every polygon corner and side midpoint, the mesh
+    vertices and 200 random points in a box 20% larger than the mesh."""
+    dual = mesh.build_dual(comp, "barycentric")
+    try:
+        di = DualInterpolation(comp, dual)
+    except SibsonError:
+        return  # a self-intersecting dual polygon: nothing to locate in
+    lo, hi = comp.vertices.min(axis=0), comp.vertices.max(axis=0)
+    rng = np.random.default_rng(seed)
+    pts = np.vstack(
+        [mesh.pixel_centers(lo, hi, m) for m in (7, 16, 33)]
+        + [np.vstack([c.vertices, (c.vertices + np.roll(c.vertices, -1, 0)) / 2])
+           for c in di.cells]
+        + [comp.vertices, rng.uniform(lo - (hi - lo) / 10,
+                                      hi + (hi - lo) / 10, (200, 2))])
+    owner = di.locate(pts)
+    assert (owner == -1).any() and np.array_equal(owner,
+                                                  locate_reference(di, pts))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=st.tuples(st.booleans(), st.integers(3, 40),
+                      st.integers(0, 10_000)))
+def test_locate_matches_the_triangle_first_rule(case):
+    """The polygon pass runs first and only unclaimed points meet the
+    triangles, on convex and L-shaped random meshes alike: a polygon that
+    reached outside the L would claim points the reference leaves at -1."""
+    l_shaped, n_points, seed = case
+    comp = (l_shaped_delaunay if l_shaped else mesh.random_delaunay)(
+        n_points, seed)
+    if comp is not None:
+        assert_locate_matches_reference(comp, seed)
+
+
+@pytest.mark.parametrize("P", [0.55, 0.8, 2.0, 10.0])
+def test_locate_matches_the_triangle_first_rule_on_fig8(P):
+    assert_locate_matches_reference(mesh.generate_fig8(P), 0)
+
+
 def test_sample_field_dual_csv_matches_point_loop(tmp_path, capsys):
     comp = mesh.structured_grid(4)
     di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))

@@ -191,6 +191,11 @@ def emit(obj) -> None:
     print(json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False))
 
 
+def _simplex_counts(comp: mesh.SimplicialComplex) -> dict:
+    """The number of k-simplices for each degree k, keyed by str(k)."""
+    return {str(k): len(s) for k, s in enumerate(comp.simplices)}
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -201,7 +206,7 @@ def cmd_info(args) -> int:
     emit({
         "command": "info",
         "dimension": comp.dim,
-        "counts": {str(k): len(comp.simplices[k]) for k in range(comp.dim + 1)},
+        "counts": _simplex_counts(comp),
         "rule": args.rule,
         **mesh.quality_report(comp, dual),
     })
@@ -413,7 +418,7 @@ def cmd_fig8(args) -> int:
     emit({
         "command": "fig8",
         "P": args.P[0],
-        "counts": {str(k): len(comp.simplices[k]) for k in range(3)},
+        "counts": _simplex_counts(comp),
         "file": str(path),
     })
     return 0
@@ -428,7 +433,7 @@ def cmd_convert(args) -> int:
     emit({
         "command": "convert",
         "dimension": comp.dim,
-        "counts": {str(k): len(comp.simplices[k]) for k in range(comp.dim + 1)},
+        "counts": _simplex_counts(comp),
         "file": str(path),
     })
     return 0

@@ -167,10 +167,8 @@ class FactorizedInverse:
     with the sparse LU factors of G.
 
     It is what a mixed system needs from the inverse side of a Hodge pair:
-    products `self @ x` with arrays or sparse matrices, and the shape.
-    `nnz` is the fill of the factors, the storage this operator costs;
-    `toarray` forms the dense inverse, and only callers that need one call
-    it.
+    products `self @ x` with arrays, and the shape.  `nnz` is the fill of
+    the factors, the storage this operator costs.
     """
 
     def __init__(self, G):
@@ -188,11 +186,7 @@ class FactorizedInverse:
         return int(self.lu.L.nnz + self.lu.U.nnz)
 
     def __matmul__(self, x):
-        x = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
-        return self.lu.solve(x)
-
-    def toarray(self) -> np.ndarray:
-        return self @ np.eye(self.shape[0])
+        return self.lu.solve(np.asarray(x, dtype=float))
 
 
 def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,

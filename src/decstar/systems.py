@@ -21,10 +21,13 @@ gradients.  It is pinned at one vertex or on the edges of a spanning tree
 Particular solutions and default loads are minimum-norm least-squares
 solutions from one sparse LU of a Gram matrix of the derivative, bordered
 with the same kernel bases where the derivative is rank-deficient (Bjorck,
-Numerical Methods for Least Squares Problems, 1996).  Only the wave
-eigensolve is dense: `WaveSystem` keeps its operands as assembled and
-densifies them only for `eigh`, which returns the lowest eigenvalues and no
-eigenvectors.
+Numerical Methods for Least Squares Problems, 1996).
+
+A wave pencil (C^T H C, M) keeps its Hodge factors as assembled.  Its
+gradient-type kernel range(Z) is reported as exact zeros, and the physical
+eigenvalues past it come from shift-invert Lanczos, whose solves are one
+sparse LU of a block system with an extra unknown per inverse factor.  Only
+requests too small or too full for ARPACK densify the pencil, for LAPACK.
 
 Throughout the package, scipy.linalg, scipy.io, scipy.sparse.linalg and
 scipy.sparse.csgraph are imported inside the functions that use them: they
@@ -74,8 +77,7 @@ class Gauge:
         """[[G, Z], [Z^T, 0]] for the kernel basis Z.  Solutions [x; y]
         have x orthogonal to Z; when Z spans the kernel of a symmetric G the
         bordered matrix is nonsingular."""
-        Z = self.kernel
-        return sp.bmat([[G, Z], [Z.T, None]], format="csc")
+        return _bordered(G, [(self.kernel, None)])
 
 
 @dataclass
@@ -110,53 +112,198 @@ class SolveReport:
 
 @dataclass
 class WaveSystem:
-    """The pencil (stiffness, mass) of one wave formulation, each operand as
-    assembled: a sparse matrix, a `FactorizedInverse` or an array."""
+    """The pencil (K, M) of one wave formulation, K = C^T H C, with the
+    Hodge factors H and M as assembled: each a sparse matrix or a
+    `FactorizedInverse`.  `kernel` is a basis Z (full column rank) of the
+    pencil's gradient-type kernel range(Z), or None when it has none, and
+    `shift` the Lanczos shift sigma = -1 / diam^2 for the diagonal diam of
+    the mesh's bounding box: omega^2 scales as sigma does."""
 
     formulation: str  # "primal" | "dual"
-    stiffness: object
-    mass: object
+    derivative: sp.csr_matrix  # C
+    hodge: object  # H
+    mass: object  # M
+    kernel: sp.csr_matrix | None  # Z
+    shift: float  # sigma
+
+    @property
+    def stiffness(self):
+        """K = C^T H C as a `LinearOperator`, never formed."""
+        from scipy.sparse.linalg import LinearOperator
+
+        C, H = self.derivative, self.hodge
+        n = C.shape[1]
+
+        def product(X):
+            return C.T @ (H @ (C @ X))
+
+        return LinearOperator((n, n), matvec=product, matmat=product,
+                              dtype=float)
+
+    @property
+    def nullity(self) -> int:
+        return 0 if self.kernel is None else self.kernel.shape[1]
 
     def eigenpairs(self, count: int | None = None) -> np.ndarray:
         """Generalized eigenvalues omega^2, ascending; the `count` smallest
         when given.  No eigenvectors are computed.
 
-        The solve is dense, on symmetrized copies of the operands that
-        `eigh` overwrites.  The primal spectrum is wanted past its V - 1
-        dimensional kernel: the lowest 201 of 533 values on a 196-vertex
-        mesh, which took 44-48 ms on one core, against 72-80 ms for every
-        value with its eigenvector.
+        The kernel range(Z) is reported as `nullity` exact zeros, and the
+        physical values past it are the lowest of the pencil deflated by the
+        M-orthogonal projector P = I - Z (Z^T M Z)^{-1} Z^T M.  They come
+        from shift-invert Lanczos (ARPACK, Lehoucq, Sorensen & Yang 1998)
+        at `shift`, with P applied after each solve with K - sigma M
+        (applying P to ARPACK's input as well gives wrong values).  A
+        request ARPACK cannot serve, max(2k + 1, 20) >= n - nullity Lanczos
+        vectors for k physical values, is solved by LAPACK `eigh` on the
+        dense pencil; that includes every value (`count` None).  Either way
+        the mass must be positive definite.
         """
-        import scipy.linalg
-
         n = self.mass.shape[0]
         if count is not None and count < 1:
             raise SystemError(f"eigenpair count must be at least 1, got {count}")
         if count is not None and count > n:
             raise SystemError(f"eigenpair count must be at most {n}, "
                               f"got {count}")
-        subset = None if count is None else [0, count - 1]
+        count = n if count is None else count
+        M = self.mass
+        if not _positive_definite(M.G if isinstance(M, FactorizedInverse)
+                                  else M):
+            raise SystemError("wave mass matrix is not positive definite")
+        zeros = np.zeros(min(count, self.nullity))
+        k = count - len(zeros)
+        if k == 0:
+            return zeros
+        if max(2 * k + 1, 20) >= n - self.nullity:
+            vals = self._dense_eigenvalues(k)
+        else:
+            vals = self._lanczos_eigenvalues(k)
+        return np.sort(np.concatenate([zeros, vals]))
+
+    def _dense_eigenvalues(self, k: int) -> np.ndarray:
+        """The k lowest values past the kernel, by LAPACK `eigh` on the
+        dense pencil; doubling both operands to symmetrize them leaves the
+        values unchanged."""
+        import scipy.linalg
+
+        n = self.mass.shape[0]
+        K, M = (X @ np.eye(n) for X in (self.stiffness, self.mass))
         try:
             return scipy.linalg.eigh(
-                _dense_symmetric(self.stiffness), _dense_symmetric(self.mass),
-                eigvals_only=True, subset_by_index=subset,
-                overwrite_a=True, overwrite_b=True)
+                K + K.T, M + M.T, eigvals_only=True,
+                subset_by_index=[self.nullity, self.nullity + k - 1])
         except scipy.linalg.LinAlgError as exc:
             raise SystemError("wave mass matrix is not positive definite") \
                 from exc
 
+    def _lanczos_eigenvalues(self, k: int) -> np.ndarray:
+        """The k lowest values past the kernel, by shift-invert Lanczos.
 
-def _dense_symmetric(X) -> np.ndarray:
-    """A fresh dense array holding (X + X^T) / 2, in the Fortran order that
-    LAPACK takes without a copy: S or S^T, which are the same matrix."""
-    if sp.issparse(X):
-        S = (0.5 * (X + X.T)).toarray()
-    else:
-        S = X.toarray() if isinstance(X, FactorizedInverse) else np.array(
-            X, dtype=float)
-        S += S.T
-        S *= 0.5
-    return S if S.flags.f_contiguous else S.T
+        Each solve with K - sigma M is one sparse LU of a block system in
+        which every inverse factor is an extra unknown: H = G^{-1} adds
+        s with G s = C y, and M = F^{-1} adds t with F t = y, so that
+
+            [[C^T H C - sigma M,  C^T,  -sigma I],   [y]   [b]
+             [C,                  -G,          0], . [s] = [0]
+             [-sigma I,            0,    sigma F]]   [t]   [0]
+
+        keeps only the terms of the factors present and is symmetric.
+        """
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+        C, H, M, sigma = self.derivative, self.hodge, self.mass, self.shift
+        n = C.shape[1]
+        A, borders = sp.csr_matrix((n, n)), []
+        if isinstance(H, FactorizedInverse):
+            borders.append((C.T, -H.G))
+        else:
+            A = A + C.T @ H @ C
+        if isinstance(M, FactorizedInverse):
+            borders.append((-sigma * sp.identity(n), sigma * M.G))
+        else:
+            A = A - sigma * M
+        try:
+            lu = _symmetric_lu(_bordered(A, borders))
+        except RuntimeError as exc:
+            raise SystemError(f"wave shifted system singular: {exc}") \
+                from exc
+        project = self._kernel_projector()
+        pad = np.zeros(lu.shape[0] - n)
+
+        def operator(matvec):
+            return LinearOperator((n, n), matvec=matvec, dtype=float)
+
+        def solve(b):
+            return project(lu.solve(np.concatenate([b, pad]))[:n])
+
+        v0 = np.random.default_rng(0).standard_normal(n)
+        try:
+            return eigsh(self.stiffness, k, operator(lambda x: M @ x),
+                         sigma=sigma, OPinv=operator(solve), v0=v0, rng=0,
+                         return_eigenvectors=False)
+        except ArpackError as exc:
+            raise SystemError(f"wave eigensolve failed: {exc}") from exc
+
+    def _kernel_projector(self) -> Callable:
+        """x -> P x, P = I - Z (Z^T M Z)^{-1} Z^T M.  Z^T M Z is factored
+        when M is sparse; for M = F^{-1} the bordered system
+        [[F, Z], [Z^T, 0]] [w; c] = [x; 0] gives c = (Z^T M Z)^{-1} Z^T M x
+        in one solve."""
+        Z, M = self.kernel, self.mass
+        if Z is None:
+            return lambda x: x
+        if isinstance(M, FactorizedInverse):
+            n = Z.shape[0]
+            lu = _symmetric_lu(_bordered(M.G, [(Z, None)]))
+            pad = np.zeros(Z.shape[1])
+            return lambda x: x - Z @ lu.solve(np.concatenate([x, pad]))[n:]
+        ZM = (Z.T @ M).tocsr()
+        lu = _symmetric_lu(ZM @ Z)
+        return lambda x: x - Z @ lu.solve(ZM @ x)
+
+
+def _bordered(A, borders) -> sp.csc_matrix:
+    """The symmetric block matrix with A in the corner, each border B_i
+    beside and below it, and E_i (None: zero) on the diagonal past it:
+    [[A, B_1, B_2], [B_1^T, E_1, 0], [B_2^T, 0, E_2]] for two borders."""
+    rows = [[A, *(B for B, _ in borders)]]
+    for i, (B, E) in enumerate(borders):
+        rows.append([B.T, *(E if j == i else None
+                            for j in range(len(borders)))])
+    return sp.bmat(rows, format="csc")
+
+
+def _symmetric_lu(A, ordering: str | None = None,
+                  diag_pivot_thresh: float = 1e-3):
+    """Sparse LU of a symmetric matrix in SuperLU's symmetric mode: one
+    `ordering` for rows and columns, and diagonal pivots while they are at
+    least `diag_pivot_thresh` of their column.
+
+    By default the ordering is the minimum degree of A + A^T when A has no
+    zero on its diagonal, so that its pivots can stay there, and COLAMD
+    otherwise: on the grid:32 dual-inverse primal wave system, whose first
+    diagonal block is zero, minimum degree had 15 times the fill of COLAMD
+    and took 200 times as long."""
+    from scipy.sparse.linalg import splu
+
+    A = sp.csc_matrix(A)
+    if ordering is None:
+        ordering = "MMD_AT_PLUS_A" if A.diagonal().all() else "COLAMD"
+    return splu(A, permc_spec=ordering,
+                diag_pivot_thresh=diag_pivot_thresh,
+                options={"SymmetricMode": True})
+
+
+def _positive_definite(F) -> bool:
+    """Whether the symmetric sparse F is positive definite: its LU with
+    diagonal pivots only is a congruence, so by Sylvester's law of inertia
+    its pivots are all positive exactly then."""
+    try:
+        lu = _symmetric_lu(F, diag_pivot_thresh=0.0)
+    except RuntimeError:  # an exactly singular pivot
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c)
+                and (lu.U.diagonal() > 0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +317,11 @@ def least_squares(D, rhs, kernel: Gauge | None = None) -> np.ndarray:
     `kernel` basis spans ker D or (without one) D is taller than wide; else
     D D^T, with G z = rhs and x = D^T z.  A rank-deficient D needs that
     `Gauge`, whose basis then spans ker G; G is bordered with it, which
-    keeps x, or z, orthogonal to it.  SuperLU's symmetric mode (diagonal
-    pivots down to 1e-3 of their column) keeps the dense border of
-    constants from tripling the fill: 2 s against 5 s for D_0^T D_0 on
-    grid:256, on one core.
+    keeps x, or z, orthogonal to it.  `_symmetric_lu` with the minimum
+    degree ordering, even for the zero block of the border, keeps the dense
+    border of constants from tripling the fill: 2 s against 5 s for
+    D_0^T D_0 on grid:256, on one core.
     """
-    from scipy.sparse.linalg import splu
-
     D = sp.csr_matrix(D)
     rhs = np.asarray(rhs, dtype=float)
     if kernel is None:
@@ -189,8 +334,7 @@ def least_squares(D, rhs, kernel: Gauge | None = None) -> np.ndarray:
     if kernel is not None:
         G, b = kernel.border(G), np.concatenate([b, np.zeros(Z.shape[1])])
     try:
-        lu = splu(sp.csc_matrix(G), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=1e-3, options={"SymmetricMode": True})
+        lu = _symmetric_lu(G, "MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SystemError(f"least-squares Gram matrix singular: {exc}") \
             from exc
@@ -231,7 +375,19 @@ def _gauge(complex: SimplicialComplex, degree: int) -> Gauge:
                          (edges[:, 0], edges[:, 1])), shape=(n, n))
     tree = minimum_spanning_tree(ids)  # the lowest edge ids
     pins = np.sort(tree.data.astype(int) - 1)
-    return Gauge(1, pins, complex.incidence_matrix(0).tocsc()[:, 1:].tocsr())
+    return Gauge(1, pins, _gradients(complex))
+
+
+def _gradients(complex: SimplicialComplex) -> sp.csr_matrix:
+    """A basis of the gradients range(D_0): the columns of D_0 but that of
+    the first vertex of each connected component, V - components many."""
+    from scipy.sparse.csgraph import connected_components
+
+    D0 = complex.incidence_matrix(0).tocsc()
+    _, labels = connected_components(D0.T @ D0, directed=False)
+    keep = np.ones(D0.shape[1], dtype=bool)
+    keep[np.unique(labels, return_index=True)[1]] = False
+    return D0[:, keep].tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +632,19 @@ def assemble_wave(complex: SimplicialComplex, formulation: str,
                   M1, M2, M1_inv, M2_inv) -> WaveSystem:
     """Wave eigensystems for the electric (primal) or magnetic (dual) field.
 
-    primal: (D_1^T M_2 D_1) e = omega^2 M_1 e.
-    dual:   (D_1 M_1^{-1} D_1^T) h = omega^2 M_2^{-1} h.
+    primal: (D_1^T M_2 D_1) e = omega^2 M_1 e, with kernel the gradients
+            range(D_0).
+    dual:   (D_1 M_1^{-1} D_1^T) h = omega^2 M_2^{-1} h, with kernel
+            range(D_2^T) in 3D and none in 2D.
     """
     D1 = complex.incidence_matrix(1).tocsr()
     if formulation == "primal":
-        A, B = D1.T @ (M2 @ D1), M1
+        C, H, M, Z = D1, M2, M1, _gradients(complex)
     elif formulation == "dual":
-        # factor solves against D_1^T when M_1^{-1} is factorized
-        A, B = D1 @ (M1_inv @ D1.T), M2_inv
+        C, H, M = D1.T.tocsr(), M1_inv, M2_inv
+        Z = complex.incidence_matrix(2).T.tocsr() if complex.dim == 3 \
+            else None
     else:
         raise SystemError(f"unknown wave formulation {formulation!r}")
-    return WaveSystem(formulation, A, B)
+    extent = complex.vertices.max(axis=0) - complex.vertices.min(axis=0)
+    return WaveSystem(formulation, C, H, M, Z, -1.0 / float(extent @ extent))

@@ -217,7 +217,8 @@ def wave_systems(comp, kind, resolution=32):
 
 
 def dense(X):
-    return X.toarray() if hasattr(X, "toarray") else np.array(X, dtype=float)
+    """A sparse matrix, `FactorizedInverse` or `LinearOperator` as an array."""
+    return X @ np.eye(X.shape[0])
 
 
 @pytest.mark.parametrize("kind", ["diag", "whitney", "dual_inverse"])
@@ -279,6 +280,91 @@ def test_indefinite_wave_mass_is_rejected_by_the_eigensolve():
     with pytest.raises(SystemError,
                        match="^wave mass matrix is not positive definite$"):
         ws.eigenpairs()
+
+
+def dense_wave_reference(ws, count):
+    """The `count` lowest values of the pencil by LAPACK on dense copies."""
+    K, M = dense(ws.stiffness), dense(ws.mass)
+    return scipy.linalg.eigh(K + K.T, M + M.T, eigvals_only=True,
+                             subset_by_index=[0, count - 1])
+
+
+def assert_lanczos_matches_dense(ws, modes=6):
+    """The sparse spectrum through `modes` physical values: exact zeros on
+    the kernel, then the dense values to 1e-10 relative.  The request must
+    take the Lanczos branch: ARPACK's 20 vectors fit past the kernel."""
+    n = ws.mass.shape[0]
+    assert max(2 * modes + 1, 20) < n - ws.nullity
+    vals = ws.eigenpairs(ws.nullity + modes)
+    ref = dense_wave_reference(ws, ws.nullity + modes)
+    assert not vals[:ws.nullity].any()
+    assert np.abs(ref[:ws.nullity]).max(initial=0.0) <= 1e-10 * ref.max()
+    rel = np.abs(vals[ws.nullity:] / ref[ws.nullity:] - 1.0)
+    assert rel.max() <= 1e-10, (ws.formulation, rel.max())
+
+
+WAVE_MESHES = st.one_of(
+    st.tuples(st.just("random"), st.integers(25, 80), st.integers(0, 10_000)),
+    st.tuples(st.just("grid"), st.integers(4, 10),
+              st.floats(-0.3, 0.3, allow_subnormal=False)))
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(case=WAVE_MESHES)
+def test_lanczos_wave_spectra_match_dense_eigh(case):
+    """Diag and Whitney stars in both formulations, and the dual-inverse
+    star on grids, where it is nonsingular."""
+    name, size, param = case
+    if name == "random":
+        comp, kinds = mesh.random_delaunay(size, param), ("diag", "whitney")
+    else:
+        comp = mesh.structured_grid(size, param)
+        kinds = ("diag", "whitney", "dual_inverse")
+    for kind in kinds:
+        for ws in wave_systems(comp, kind, 16).values():
+            assert ws.nullity == (len(comp.vertices) - 1
+                                  if ws.formulation == "primal" else 0)
+            assert_lanczos_matches_dense(ws)
+
+
+@pytest.mark.parametrize("kind", ["diag", "whitney"])
+def test_3d_lanczos_wave_spectra_match_dense_eigh(kind):
+    """In 3D the dual pencil has the kernel range(D_2^T), one dimension
+    per tetrahedron."""
+    comp = mesh.random_delaunay(30, 2, 3)
+    waves = wave_systems(comp, kind)
+    assert waves["primal"].nullity == len(comp.vertices) - 1
+    assert waves["dual"].nullity == len(comp.simplices[3])
+    for ws in waves.values():
+        assert_lanczos_matches_dense(ws)
+
+
+def crossed_grid(m):
+    """The unit square in m x m squares, each cut into four triangles at
+    its center: symmetric under quarter turns, so modes pair up exactly."""
+    x = np.linspace(0.0, 1.0, m + 1)
+    corners = np.array([(a, b) for b in x for a in x])
+    centers = np.array([(a, b) for b in x[:-1] + 0.5 / m
+                        for a in x[:-1] + 0.5 / m])
+    cells = []
+    for j in range(m):
+        for i in range(m):
+            a, b = j * (m + 1) + i, j * (m + 1) + i + 1
+            c, d = b + m + 1, a + m + 1
+            e = len(corners) + j * m + i
+            cells += [[a, b, e], [b, c, e], [c, d, e], [d, a, e]]
+    return mesh.build_complex(np.vstack([corners, centers]), np.array(cells))
+
+
+@pytest.mark.parametrize("kind", ["diag", "whitney"])
+def test_lanczos_keeps_double_eigenvalues(kind):
+    """A single-vector Lanczos run could return one copy of a double
+    eigenvalue; on the quarter-turn symmetric crossed grid it must return
+    both, as dense `eigh` does."""
+    for ws in wave_systems(crossed_grid(6), kind).values():
+        assert_lanczos_matches_dense(ws, modes=8)
+        phys = ws.eigenpairs(ws.nullity + 8)[ws.nullity:]
+        assert np.sum(np.diff(phys) <= 1e-10 * phys[1:]) == 3
 
 
 def test_particular_solution_min_norm():
@@ -453,10 +539,12 @@ def _refuse_square(original, name):
     return guarded
 
 
-def test_solve_forms_no_dense_square_matrix(monkeypatch, capsys):
-    """No N x N inverse or densified matrix on the diag and Whitney solve
-    paths; a 2-D array above the 4 x 4 of a simplex frame counts as N x N."""
+def _refuse_dense_squares(monkeypatch):
+    """Make an N x N inverse, densified sparse matrix or dense `eigh` an
+    error; a 2-D array above the 4 x 4 of a simplex frame counts as N x N."""
     monkeypatch.setattr(np.linalg, "inv", _refuse_square(np.linalg.inv, "inv"))
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        _refuse_square(scipy.linalg.eigh, "eigh"))
     classes = [sp._base._spbase]
     while classes:
         cls = classes.pop()
@@ -464,7 +552,12 @@ def test_solve_forms_no_dense_square_matrix(monkeypatch, capsys):
         if "toarray" in vars(cls):
             monkeypatch.setattr(cls, "toarray",
                                 _refuse_square(cls.toarray, "toarray"))
-    monkeypatch.setattr(hodge.FactorizedInverse, "toarray", None)
+
+
+def test_solve_forms_no_dense_square_matrix(monkeypatch, capsys):
+    """No N x N inverse or densified matrix on the diag and Whitney solve
+    paths."""
+    _refuse_dense_squares(monkeypatch)
     for kind in ("diag", "whitney"):
         for pair in ("1,2", "3,4"):
             for problem in ("darcy", "magneto"):
@@ -476,6 +569,63 @@ def test_solve_forms_no_dense_square_matrix(monkeypatch, capsys):
                 out = capsys.readouterr().out.splitlines()
                 assert code == 0
                 assert json.loads(out[-1])["pass"] is True
+
+
+@pytest.mark.parametrize("kind", ["diag", "whitney", "dual_inverse"])
+@pytest.mark.parametrize("formulation", ["primal", "dual"])
+def test_wave_forms_no_dense_square_matrix(monkeypatch, capsys, kind,
+                                           formulation):
+    """`wave --count 6` at grid:8 needs no dense operand: the primal values
+    are kernel zeros, and the dual ones come from Lanczos."""
+    _refuse_dense_squares(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = cli.main(["wave", "--mesh", "grid:8", "--kind", kind,
+                         "--grid", "32", "--formulation", formulation,
+                         "--count", "6"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    vals = json.loads(out[0])["omega_squared"]
+    assert len(vals) == 6 and (vals[0] == 0.0) == (formulation == "primal")
+
+
+def _lanczos_wave(argv_tail, capsys):
+    """Run a grid:8 Whitney `wave` past the primal kernel, so that Lanczos
+    serves it, and return its exit status, stdout and stderr."""
+    code = cli.main(["wave", "--mesh", "grid:8", "--kind", "whitney",
+                     *argv_tail])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("formulation, count", [("primal", 86),
+                                                ("dual", 6)])
+def test_nonconverging_lanczos_is_one_error_line(monkeypatch, capsys,
+                                                 formulation, count):
+    import scipy.sparse.linalg
+
+    eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *a, **kw: eigsh(*a, **kw, maxiter=1))
+    code, out, err = _lanczos_wave(["--formulation", formulation,
+                                    "--count", str(count)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: wave eigensolve failed: ARPACK") \
+        and err.count("\n") == 1
+
+
+def test_indefinite_mass_on_the_lanczos_branch_is_one_error_line(
+        monkeypatch, capsys):
+    pair = hodge.hodge_pair
+
+    def negated_mass(comp, dual, k, *args):
+        M, M_inv = pair(comp, dual, k, *args)
+        return (-M, M_inv) if k == 1 else (M, M_inv)
+
+    monkeypatch.setattr(hodge, "hodge_pair", negated_mass)
+    code, out, err = _lanczos_wave(["--count", "86"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: wave mass matrix is not positive definite\n"
 
 
 def test_solve_runs_no_iterative_solver(monkeypatch, capsys):

@@ -341,8 +341,11 @@ def cmd_solve(args) -> int:
         emit(out)
     if len(reports) == 2:  # distinct ids from one pair: at most two
         a, b = reports
-        align = ("p",) if args.problem == "darcy" else ()
-        d = systems.cross_validate(a, b, align)
+        # Darcy's pressure is unique on top cells (systems 1-2) and fixed up
+        # to a constant per component on vertices (3-4)
+        labels = comp.vertex_components if rows[0].load == "down" else None
+        d = systems.cross_validate(
+            a, b, {"p": labels} if args.problem == "darcy" else {})
         line = {"command": "solve diff", "pair": [a.system, b.system],
                 "diffs": d}
         if args.tol is not None:

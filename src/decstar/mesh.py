@@ -118,6 +118,15 @@ class SimplicialComplex:
             table.append(csc)
         return table
 
+    @cached_property
+    def vertex_components(self) -> np.ndarray:
+        """The connected component of each vertex, in the column order of
+        D_0, numbered in the order of the components' first vertices."""
+        from scipy.sparse.csgraph import connected_components
+
+        D0 = self._coboundary[0]
+        return connected_components(D0.T @ D0, directed=False)[1]
+
     def cofaces(self, k: int, i: int) -> np.ndarray:
         """Indices of the (k+1)-simplices containing k-simplex i."""
         if k >= self.dim:
@@ -220,7 +229,7 @@ def build_complex(vertices, cells) -> SimplicialComplex:
         raise MeshError("vertex coordinates must be finite")
     n = verts.shape[1]
     cells = _numeric_array(cells, "cells", "iu")
-    if len(cells) == 0:
+    if cells.ndim and len(cells) == 0:
         raise MeshError("mesh has no cells")
     if cells.ndim != 2 or cells.shape[1] != n + 1:
         raise MeshError(f"cells must have {n + 1} vertices each")

@@ -14,14 +14,20 @@ are solved sparse.  A sparse Hodge block is factored together with the whole
 block system by sparse LU.  An inverse Hodge block c G^{-1}, which
 `hodge.hodge_pair` keeps as the LU factors of G, is eliminated instead: what
 remains is the sparse second-order operator B^T G B of the formulation
-equivalences.  The gauge of a dual-first layout is the kernel of its
-derivative block, the constants on vertices or (3D, unknown on edges) the
-gradients.  It is pinned at one vertex or on the edges of a spanning tree
-(Albanese & Rubinacci 1988), or bordered with a basis of that kernel.
-Particular solutions and default loads are minimum-norm least-squares
-solutions from one sparse LU of a Gram matrix of the derivative, bordered
-with the same kernel bases where the derivative is rank-deficient (Bjorck,
-Numerical Methods for Least Squares Problems, 1996).
+equivalences.  Particular solutions and default loads are minimum-norm
+least-squares solutions from one sparse LU of a Gram matrix of the
+derivative (Bjorck, Numerical Methods for Least Squares Problems, 1996).
+
+Every kernel, of a derivative block in either layout, of a Gram matrix or
+of a wave pencil, comes from one rule, `_gauge`: a sparse basis and the
+dofs that pin it, read off a spanning forest of the vertex graph (edges
+join vertices; each component is rooted at its first vertex) or of the cell
+graph (faces join top cells, and boundary faces the exterior, its one
+root).  On a mesh without holes or cavities ker D_0 is the constants on
+each component, pinned at its root; ker D_1 = range(D_0) is spanned by D_0
+less its root columns, pinned on the forest's edges (Albanese & Rubinacci
+1988); ker D_{n-2}^T = range(D_{n-1}^T) by D_{n-1}^T, pinned on the tree's
+faces (Manges & Cendes 1995); and ker D_{n-1}^T is trivial.
 
 A wave pencil (C^T H C, M) keeps its Hodge factors as assembled.  Its
 gradient-type kernel range(Z) is reported as exact zeros, and the physical
@@ -58,26 +64,13 @@ class IncompatibleLoadError(SystemError):
 
 @dataclass
 class Gauge:
-    """The kernel of D_degree: the dofs that pin it and a sparse basis of it
-    (columns).  It gauges a dual-first layout's derivative block and the
-    least squares of a load through D_degree or its transpose."""
+    """The kernel of a derivative from `_gauge`: a sparse basis Z of it
+    (columns), the dofs that pin it and how `solve` reports each strategy;
+    [[G, Z], [Z^T, 0]] is nonsingular for symmetric G with ker G = range(Z)."""
 
-    degree: int  # 0: constants on vertices; 1: gradients on edges
-    pins: np.ndarray
     kernel: sp.csr_matrix
-
-    def label(self, strategy: str) -> str:
-        if strategy == "pin":
-            return (f"pin dof {self.pins[0]}" if self.degree == 0
-                    else f"pin tree of {len(self.pins)} edges")
-        return ("mean-zero augmentation" if self.degree == 0
-                else f"augmentation by {self.kernel.shape[1]} gradients")
-
-    def border(self, G) -> sp.csc_matrix:
-        """[[G, Z], [Z^T, 0]] for the kernel basis Z.  Solutions [x; y]
-        have x orthogonal to Z; when Z spans the kernel of a symmetric G the
-        bordered matrix is nonsingular."""
-        return _bordered(G, [(self.kernel, None)])
+    labels: dict  # strategy -> report
+    pins: Callable[[], np.ndarray]  # found on demand
 
 
 @dataclass
@@ -96,7 +89,7 @@ class MixedSystem:
     f: np.ndarray
     g: np.ndarray
     recover: Callable  # (u, w) -> dict of named physical cochains
-    gauge: Gauge | None  # kernel of B, for dual-first layouts
+    gauge: Gauge | None  # kernel of B, None when it is trivial
 
 
 @dataclass
@@ -324,15 +317,13 @@ def least_squares(D, rhs, kernel: Gauge | None = None) -> np.ndarray:
     """
     D = sp.csr_matrix(D)
     rhs = np.asarray(rhs, dtype=float)
-    if kernel is None:
-        tall = D.shape[0] > D.shape[1]
-    else:
-        Z = kernel.kernel  # D Z = 0 tells a square D_j from D_j^T
-        tall = Z.shape[0] == D.shape[1] and not (D @ Z).count_nonzero()
+    Z = None if kernel is None else kernel.kernel
+    tall = (D.shape[0] > D.shape[1] if Z is None  # else D Z = 0 picks D_j
+            else Z.shape[0] == D.shape[1] and not (D @ Z).count_nonzero())
     G, b = (D.T @ D, D.T @ rhs) if tall else (D @ D.T, rhs)
     size = len(b)
-    if kernel is not None:
-        G, b = kernel.border(G), np.concatenate([b, np.zeros(Z.shape[1])])
+    if Z is not None:
+        G, b = _bordered(G, [(Z, None)]), np.append(b, np.zeros(Z.shape[1]))
     try:
         lu = _symmetric_lu(G, "MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -361,33 +352,49 @@ def particular_solution(D, rhs, kernel: Gauge | None = None) -> np.ndarray:
     return x
 
 
-def _gauge(complex: SimplicialComplex, degree: int) -> Gauge:
-    """The kernel of D_degree (degree 0 or 1) and the dofs that pin it: one
-    vertex, or the edges of a spanning tree, whose values fix a gradient."""
-    if degree == 0:
-        ones = sp.csr_matrix(np.ones((len(complex.vertices), 1)))
-        return Gauge(0, np.array([0]), ones)
+def _gauge(complex: SimplicialComplex, j: int,
+           transposed: bool = False) -> Gauge | None:
+    """The kernel of D_j (transposed: of D_j^T) by the module's one rule,
+    on the vertex graph or (transposed) the cell graph; None if trivial."""
+    n = complex.dim
+    if (n - 1 - j if transposed else j) not in (0, 1):
+        raise SystemError(f"no gauge rule for D_{j}" + "^T" * transposed)
+    if transposed and j == n - 1:
+        return None
+    if transposed:  # one component, rooted at the exterior: no column
+        A, roots, links, columns = (complex.incidence_matrix(n - 1).T, [],
+                                    "faces", "cell boundaries")
+    else:
+        labels = complex.vertex_components
+        roots = np.unique(labels, return_index=True)[1]
+        if j == 0:
+            Z = sp.identity(len(roots), format="csr")[labels]
+            return Gauge(Z, {"pin": "pin dof " + ", ".join(map(str, roots)),
+                             "augment": "mean-zero augmentation"},
+                         lambda: roots)
+        A, links, columns = complex.incidence_matrix(0), "edges", "gradients"
+    A = A.tocsc()
+    Z = A[:, np.delete(np.arange(A.shape[1]), roots)].tocsr()
+    m = Z.shape[1]
+    return Gauge(Z, {"pin": f"pin tree of {m} {links}",
+                     "augment": f"augmentation by {m} {columns}"},
+                 lambda: _spanning_forest(A))
+
+
+def _spanning_forest(A) -> np.ndarray:
+    """The links (rows) of the spanning forest with the lowest ids of the
+    graph with incidence A, ascending.  A link with one end joins it to an
+    extra root node; of parallel links only the lowest counts."""
     from scipy.sparse.csgraph import minimum_spanning_tree
 
-    edges = complex.simplices[1]
-    n = len(complex.vertices)
-    ids = sp.coo_matrix((np.arange(1.0, len(edges) + 1),
-                         (edges[:, 0], edges[:, 1])), shape=(n, n))
-    tree = minimum_spanning_tree(ids)  # the lowest edge ids
-    pins = np.sort(tree.data.astype(int) - 1)
-    return Gauge(1, pins, _gradients(complex))
-
-
-def _gradients(complex: SimplicialComplex) -> sp.csr_matrix:
-    """A basis of the gradients range(D_0): the columns of D_0 but that of
-    the first vertex of each connected component, V - components many."""
-    from scipy.sparse.csgraph import connected_components
-
-    D0 = complex.incidence_matrix(0).tocsc()
-    _, labels = connected_components(D0.T @ D0, directed=False)
-    keep = np.ones(D0.shape[1], dtype=bool)
-    keep[np.unique(labels, return_index=True)[1]] = False
-    return D0[:, keep].tocsr()
+    A = sp.csr_matrix(A)
+    ends = np.array([np.minimum.reduceat(A.indices, A.indptr[:-1]),
+                     np.maximum.reduceat(A.indices, A.indptr[:-1])])
+    ends[1, np.diff(A.indptr) == 1] = A.shape[1]
+    ids = np.unique(ends, axis=1, return_index=True)[1]
+    weights = sp.coo_matrix((ids + 1.0, tuple(ends[:, ids])),
+                            shape=(A.shape[1] + 1,) * 2)
+    return np.sort(minimum_spanning_tree(weights).data.astype(int) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +434,11 @@ class _Formulation(NamedTuple):
         return complex.incidence_matrix(d - 1).T
 
     def load_gauge(self, complex: SimplicialComplex) -> Gauge | None:
-        """The kernel of `load_derivative`, D_j or D_j^T, for its least
-        squares: none when j = n - 1, else `_gauge(complex, j)`; for a load
-        "down" that is the dual-first layout's own gauge."""
+        """The kernel of the Gram matrix of `load_derivative`, D_j or D_j^T:
+        ker D_j for D_j^T D_j, but ker D_j^T (trivial) for j = n - 1, whose
+        Gram is on the top cells."""
         j = self.hodge_degree(complex.dim) - (self.load == "down")
-        return _gauge(complex, j) if j + 1 < complex.dim else None
+        return _gauge(complex, j, j == complex.dim - 1)
 
     def default_load(self, complex: SimplicialComplex, seed: int):
         """A seeded load projected onto the range of `load_derivative`, so
@@ -488,10 +495,9 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
     if load.shape != (L.shape[0],):
         raise SystemError(
             f"{name}: load has length {len(load)}, expected {L.shape[0]}")
-    if primal:
-        H, B = M, complex.incidence_matrix(d).T.tocsr()
-    else:
-        H, B = M_inv, complex.incidence_matrix(d - 1).tocsr()
+    H, j = (M, d) if primal else (M_inv, d - 1)  # B = D_d^T or D_{d-1}
+    B = (complex.incidence_matrix(j).T if primal
+         else complex.incidence_matrix(j)).tocsr()
     if H.shape[0] != B.shape[0]:
         raise SystemError(
             f"block dimension mismatch: Hodge block {H.shape} vs derivative "
@@ -504,7 +510,7 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
     parts = SimpleNamespace(B=B, H=H, L=L, kernel=kernel, x0=x0)
     return MixedSystem(name, H, -row.sign, B, f, g,
                        lambda u, w: row.recover(u, w, parts),
-                       None if primal else _gauge(complex, d - 1))
+                       _gauge(complex, j, primal))
 
 
 def assemble_magnetostatics(complex: SimplicialComplex, system: int, j,
@@ -541,7 +547,7 @@ def assemble_darcy(complex: SimplicialComplex, system: int, phi,
 
 
 def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
-    """Sparse solve of a mixed system with gauge handling.
+    """Sparse solve of a mixed system, gauged by `_gauge`'s kernel of B.
 
     The gauged system is [[c H, Bg], [Bg^T, E]] [u; y] = [f; g].
     gauge="pin" zeroes the gauge dofs: Bg is B without their columns, E the
@@ -563,18 +569,18 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
     if system.gauge is not None:
         if gauge == "pin":
             free = np.ones(n1)
-            free[system.gauge.pins] = 0.0
+            free[system.gauge.pins()] = 0.0
             B = B @ sp.diags(free)
             E = sp.diags(1.0 - free)
             g = g * free
         elif gauge == "augment":
             extra = system.gauge.kernel.shape[1]
             B = sp.hstack([B, sp.csr_matrix((B.shape[0], extra))])
-            E = system.gauge.border(E)
+            E = _bordered(E, [(system.gauge.kernel, None)])
             g = np.concatenate([g, np.zeros(extra)])
         else:
             raise SystemError(f"unknown gauge strategy {gauge!r}")
-        applied = system.gauge.label(gauge)
+        applied = system.gauge.labels[gauge]
     B, E = B.tocsr(), E.tocsr()
     try:
         if isinstance(H, FactorizedInverse):
@@ -602,15 +608,22 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
                        applied, time.perf_counter() - t0)
 
 
-def align_gauge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shift b by a constant so its mean matches a's (pressure alignment)."""
-    return b + (a.mean() - b.mean())
+def align_gauge(a: np.ndarray, b: np.ndarray, components=None) -> np.ndarray:
+    """Shift b by a constant on each component (labels `components`; None:
+    one) so that its mean there matches a's (pressure alignment)."""
+    components = np.zeros(len(b)) if components is None else components
+    b = np.array(b, dtype=float)
+    for c in np.unique(components):
+        on = components == c
+        b[on] += a[on].mean() - b[on].mean()
+    return b
 
 
-def cross_validate(a: SolveReport, b: SolveReport, align: tuple) -> dict:
+def cross_validate(a: SolveReport, b: SolveReport, align: dict) -> dict:
     """Max-norm differences of the cochains two reports both recover.
 
-    Fields named in `align` are compared after constant-shift alignment.
+    Fields named in `align` are compared after `align_gauge` with the
+    component labels (or None) that it maps them to.
     """
     diffs = {}
     for key in a.recovered:
@@ -619,7 +632,7 @@ def cross_validate(a: SolveReport, b: SolveReport, align: tuple) -> dict:
         va = np.asarray(a.recovered[key])
         vb = np.asarray(b.recovered[key])
         if key in align:
-            vb = align_gauge(va, vb)
+            vb = align_gauge(va, vb, align[key])
         diffs[key] = float(np.abs(va - vb).max())
     return diffs
 
@@ -632,19 +645,19 @@ def assemble_wave(complex: SimplicialComplex, formulation: str,
                   M1, M2, M1_inv, M2_inv) -> WaveSystem:
     """Wave eigensystems for the electric (primal) or magnetic (dual) field.
 
-    primal: (D_1^T M_2 D_1) e = omega^2 M_1 e, with kernel the gradients
-            range(D_0).
+    primal: (D_1^T M_2 D_1) e = omega^2 M_1 e, with kernel ker D_1, the
+            gradients range(D_0).
     dual:   (D_1 M_1^{-1} D_1^T) h = omega^2 M_2^{-1} h, with kernel
-            range(D_2^T) in 3D and none in 2D.
+            ker D_1^T: range(D_2^T) in 3D, none in 2D.
     """
     D1 = complex.incidence_matrix(1).tocsr()
     if formulation == "primal":
-        C, H, M, Z = D1, M2, M1, _gradients(complex)
+        C, H, M = D1, M2, M1
     elif formulation == "dual":
         C, H, M = D1.T.tocsr(), M1_inv, M2_inv
-        Z = complex.incidence_matrix(2).T.tocsr() if complex.dim == 3 \
-            else None
     else:
         raise SystemError(f"unknown wave formulation {formulation!r}")
+    kernel = _gauge(complex, 1, formulation == "dual")
+    Z = None if kernel is None else kernel.kernel
     extent = complex.vertices.max(axis=0) - complex.vertices.min(axis=0)
     return WaveSystem(formulation, C, H, M, Z, -1.0 / float(extent @ extent))

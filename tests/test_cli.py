@@ -912,6 +912,9 @@ MALFORMED_MESHES = {
     "order_not_a_map": f'{{"dimension": 2, {SQUARE}, '
                        f'"cells": [[0, 1, 2], [0, 2, 3]], '
                        f'"simplex_order": [[0, 1]]}}'.encode(),
+    "scalar_cells": f'{{"dimension": 2, {SQUARE}, "cells": 1}}'.encode(),
+    "negative_scalar_cells": f'{{"dimension": 2, {SQUARE}, '
+                             f'"cells": -1}}'.encode(),
     "directory": None,
 }
 
@@ -996,6 +999,130 @@ def test_vertex_in_no_cell_fails(tmp_path, capsys, argv):
     code, lines, err = run(argv + ["--mesh", str(path), "--out",
                                    str(tmp_path)], capsys)
     assert (code, lines, err) == (1, [], "error: vertex 4 is in no cell\n")
+
+
+def _assert_runs_cleanly(argv, case):
+    """Run the CLI in-process: exit status 0 or 1, strict-JSON stdout, no
+    traceback, and on failure exactly one `error:` line on stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("ignore")
+        code = cli.main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1), (case, code, err)
+    assert "Traceback" not in err, case
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+    for line in stdout.getvalue().splitlines():
+        strict_json(line)
+
+
+VALID_JSON_MESH = {
+    "dimension": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+    "cells": [[0, 1, 2], [0, 2, 3]],
+    "simplex_order": {"1": [[0, 2], [0, 1], [0, 3], [1, 2], [2, 3]]}}
+JSON_SCALARS = (st.integers(-3, 9), st.floats(allow_nan=True), st.booleans(),
+                st.none(), st.text(max_size=3), st.just(2 ** 70),
+                st.just(float("nan")))
+JSON_VALUES = st.one_of(
+    *JSON_SCALARS,
+    st.lists(st.lists(st.one_of(*JSON_SCALARS), max_size=4), max_size=3),
+    st.sampled_from([{"1": [[0, 1]]}, {"x": [[0, 2]]}, {"0": [[0], [1]]},
+                     {"2": [[0, 1, 2], [0, 2, 3]]}, {"1": [[0, 1, 2]]},
+                     {"-1": []}, {}, [[0, 1]], {"1": "01"},
+                     {"1": [[0.5, 1]]}]))
+
+
+@st.composite
+def mutated_json_meshes(draw):
+    """`VALID_JSON_MESH` with one to three values replaced or removed, each
+    found by a walk from the root that stops at each level half the time."""
+    doc = json.loads(json.dumps(VALID_JSON_MESH))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = doc, draw(st.sampled_from(sorted(doc)))
+        while (isinstance(parent[key], (list, dict)) and parent[key]
+               and draw(st.booleans())):
+            parent = parent[key]
+            key = draw(st.sampled_from(sorted(parent) if isinstance(
+                parent, dict) else range(len(parent))))
+        if isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
+            del parent[key]
+        else:  # a copy: the sampled values are shared between examples
+            parent[key] = json.loads(json.dumps(draw(JSON_VALUES)))
+        if not doc:
+            break
+    return json.dumps(doc)
+
+
+VALID_OFF = "OFF\n4 2 0\n0 0\n1 0\n1 1\n0 1\n3 0 1 2\n3 0 2 3\n"
+OFF_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "2.5", "1e400",
+                              "nan", "x", "OFF", "#", "99999999999999999999"])
+
+
+@st.composite
+def mutated_off_meshes(draw):
+    """`VALID_OFF` with one to three tokens replaced, inserted or deleted."""
+    lines = [line.split() for line in VALID_OFF.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        row = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(row)))
+        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if action == "insert" or not row:
+            row.insert(at, draw(OFF_TOKENS))
+        elif action == "replace":
+            row[min(at, len(row) - 1)] = draw(OFF_TOKENS)
+        else:
+            del row[min(at, len(row) - 1)]
+    return "".join(" ".join(row) + "\n" for row in lines)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(text=mutated_json_meshes())
+def test_fuzzed_json_mesh_fields_fail_cleanly(fuzz_out, text):
+    """`info` on a JSON mesh with some field values replaced or removed
+    succeeds or ends in one error line, never a traceback."""
+    path = fuzz_out / "fuzzed_mesh.json"
+    path.write_text(text)
+    _assert_runs_cleanly(["info", "--mesh", str(path), "--out", str(fuzz_out)],
+                         text)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(text=mutated_off_meshes())
+def test_fuzzed_off_mesh_tokens_fail_cleanly(fuzz_out, text):
+    """`convert` on an OFF file with tokens replaced, inserted or deleted
+    succeeds or ends in one error line, never a traceback."""
+    path = fuzz_out / "fuzzed.off"
+    path.write_text(text)
+    _assert_runs_cleanly(["convert", str(path), "--out", str(fuzz_out)], text)
+
+
+TWO_SQUARES = {
+    "dimension": 2,
+    "vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [3, 0], [4, 0], [3, 1],
+                 [4, 1]],
+    "cells": [[0, 1, 2], [1, 3, 2], [4, 5, 6], [5, 7, 6]]}
+
+
+def test_two_component_mesh_solves_every_pair(tmp_path, capsys):
+    """On two disjoint squares each kernel has a constant, or a root, per
+    component, and Darcy's pressure is aligned per component."""
+    path = tmp_path / "two_squares.json"
+    path.write_text(json.dumps(TWO_SQUARES))
+    labels = {"pin": "pin dof 0, 4", "augment": "mean-zero augmentation"}
+    for problem in ("darcy", "magneto"):
+        for pair in ("1,2", "3,4"):
+            for gauge, label in labels.items():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    code, lines, err = run(
+                        ["solve", problem, "--mesh", str(path), "--system",
+                         pair, "--gauge", gauge, "--tol", "1e-8"], capsys)
+                case = (problem, pair, gauge)
+                assert code == 0, (case, err)
+                assert label in (lines[0]["gauge"], lines[1]["gauge"]), case
+                assert lines[2]["pass"] is True, (case, lines[2])
 
 
 BARYCENTRIC_DIAG_WARNING = (

@@ -42,7 +42,7 @@ def test_darcy_primal_pair_equivalence(kind):
         phi, *_ = loads(comp)
         r1 = systems.solve(systems.assemble_darcy(comp, 1, phi, M, Minv))
         r2 = systems.solve(systems.assemble_darcy(comp, 2, phi, M, Minv))
-        diffs = systems.cross_validate(r1, r2, align=("p",))
+        diffs = systems.cross_validate(r1, r2, align={"p": None})
         assert max(diffs.values()) < 1e-8
 
 
@@ -53,7 +53,7 @@ def test_darcy_dual_pair_equivalence(kind):
         _, phibar, *_ = loads(comp)
         r3 = systems.solve(systems.assemble_darcy(comp, 3, phibar, M, Minv))
         r4 = systems.solve(systems.assemble_darcy(comp, 4, phibar, M, Minv))
-        diffs = systems.cross_validate(r3, r4, align=("p",))
+        diffs = systems.cross_validate(r3, r4, align={"p": None})
         assert max(diffs.values()) < 1e-8
 
 
@@ -64,11 +64,11 @@ def test_magnetostatics_pair_equivalences(kind):
         _, _, jbar, j = loads(comp)
         r1 = systems.solve(systems.assemble_magnetostatics(comp, 1, jbar, M, Minv))
         r2 = systems.solve(systems.assemble_magnetostatics(comp, 2, jbar, M, Minv))
-        d12 = systems.cross_validate(r1, r2, align=())
+        d12 = systems.cross_validate(r1, r2, align={})
         assert max(d12.values()) < 1e-8
         r3 = systems.solve(systems.assemble_magnetostatics(comp, 3, j, M, Minv))
         r4 = systems.solve(systems.assemble_magnetostatics(comp, 4, j, M, Minv))
-        d34 = systems.cross_validate(r3, r4, align=())
+        d34 = systems.cross_validate(r3, r4, align={})
         assert max(d34.values()) < 1e-8
 
 
@@ -424,7 +424,7 @@ def dense_solve_reference(system, gauge):
     K = np.block([[A, B], [B.T, np.zeros((n1, n1))]])
     b = np.concatenate([f, g])
     if system.gauge is not None and gauge == "pin":
-        for gi in n0 + system.gauge.pins:
+        for gi in n0 + system.gauge.pins():
             K[gi, :] = K[:, gi] = 0.0
             K[gi, gi] = 1.0
             b[gi] = 0.0
@@ -437,8 +437,7 @@ def dense_solve_reference(system, gauge):
     return x[:n0], x[n0:n0 + n1]
 
 
-# every formulation the code supports: all four of each problem in 2D; in 3D
-# systems 3-4 need a cotree gauge on faces, so only 1-2
+# every formulation of both problems, in 2D and 3D
 PROBLEMS = {"darcy": systems.assemble_darcy,
             "magnetostatics": systems.assemble_magnetostatics}
 FORMULATION_MESHES = st.one_of(
@@ -459,8 +458,6 @@ def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
                                                                  "whitney")
     for kind in kinds:
         for (problem, sid), row in systems._FORMULATIONS.items():
-            if dim == 3 and sid > 2:
-                continue
             d = row.hodge_degree(dim)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -519,15 +516,83 @@ def test_3d_dual_first_gauge_is_a_spanning_tree(problem, kind, capsys):
         assert lines[2]["pass"] is True
 
 
-def test_3d_systems_3_4_fail_in_one_line(capsys):
-    # magnetostatics 3 lifts its load through D_1 with the gradient kernel
-    # first; the saddle system, not that lift, is what fails
-    for problem in ("darcy", "magneto"):
-        code = cli.main(["solve", problem, "--mesh", "random:12:3:3",
-                         "--system", "3,4", "--kind", "whitney"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: saddle system") and err.count("\n") == 1
+def test_3d_systems_solve_every_pair(capsys):
+    """All eight 3D formulations agree pairwise under either gauge; system
+    4's derivative D_1^T has the kernel range(D_2^T), one dimension per
+    tetrahedron, pinned on a tree of the cell graph."""
+    for spec in ("random:30:2:3", "random:60:4:3"):
+        tets = len(cli.resolve_mesh(spec).simplices[3])
+        labels = {"pin": f"pin tree of {tets} faces",
+                  "augment": f"augmentation by {tets} cell boundaries"}
+        for problem in ("darcy", "magneto"):
+            for pair in ("1,2", "3,4"):
+                for kind in ("diag", "whitney"):
+                    for gauge, label in labels.items():
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", UserWarning)
+                            code = cli.main(
+                                ["solve", problem, "--mesh", spec, "--system",
+                                 pair, "--kind", kind, "--gauge", gauge,
+                                 "--tol", "1e-8"])
+                        out = capsys.readouterr().out.splitlines()
+                        lines = [json.loads(l) for l in out]
+                        case = (spec, problem, pair, kind, gauge)
+                        assert code == 0, case
+                        assert lines[2]["pass"] is True, (case, lines[2])
+                        if pair == "3,4":
+                            assert lines[1]["gauge"] == label, case
+
+
+def two_component_union(relabelled_delaunay, a, b):
+    """The disjoint union of two relabelled Delaunay meshes, given as
+    (n_points, seed, dim), the second shifted clear of the first."""
+    (va, ca), (vb, cb) = (relabelled_delaunay(*case) for case in (a, b))
+    return mesh.build_complex(np.vstack([va, vb + 2.0]),
+                              np.vstack([ca, cb + len(va)]))
+
+
+GAUGE_MESHES = st.one_of(
+    st.tuples(st.sampled_from([2, 3]), st.integers(3, 14),
+              st.integers(0, 10_000), st.booleans()),
+    st.tuples(st.just("grid"), st.integers(1, 6)), st.just(("tet",)))
+
+
+@settings(derandomize=True, database=None, max_examples=16, deadline=None)
+@given(case=GAUGE_MESHES)
+def test_gauge_spans_and_pins_the_kernel(relabelled_delaunay, case):
+    """For every derivative whose kernel a solve asks `_gauge` for, D_0,
+    D_1, D_{n-2}^T and D_{n-1}^T: the basis Z is annihilated, has as many
+    columns as the derivative's rank deficiency, and Z[pins] is square and
+    nonsingular.  Meshes with two components need one root each; grid
+    corners and a lone tetrahedron have cells with several boundary
+    faces."""
+    if case[0] == "grid":
+        comp = mesh.structured_grid(case[1])
+    elif case[0] == "tet":
+        comp = mesh.build_complex(np.vstack([np.zeros(3), np.eye(3)]),
+                                  [[0, 1, 2, 3]])
+    elif case[3]:
+        dim, n_points, seed = case[:3]
+        comp = two_component_union(relabelled_delaunay, (n_points, seed, dim),
+                                   (n_points + 2, seed + 1, dim))
+    else:
+        comp = mesh.build_complex(*relabelled_delaunay(*case[1:3], case[0]))
+    dim = comp.dim
+    for j, transposed in ((0, False), (1, False), (dim - 2, True),
+                          (dim - 1, True)):
+        D = comp.incidence_matrix(j)
+        D = (D.T if transposed else D).toarray()
+        deficiency = D.shape[1] - np.linalg.matrix_rank(D)
+        gauge = systems._gauge(comp, j, transposed)
+        if gauge is None:
+            assert deficiency == 0, (j, transposed)
+            continue
+        Z = gauge.kernel.toarray()
+        assert not (D @ Z).any(), (j, transposed)
+        assert Z.shape[1] == deficiency, (j, transposed)
+        square = Z[gauge.pins()]
+        assert square.shape == (deficiency, deficiency), (j, transposed)
+        assert np.linalg.matrix_rank(square) == deficiency, (j, transposed)
 
 
 def _refuse_square(original, name):

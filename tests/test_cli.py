@@ -70,6 +70,29 @@ def test_import_loads_no_unused_scipy_module(module, unused):
     assert json.loads(proc.stdout) == []
 
 
+def test_first_main_call_freezes_the_heap_once(tmp_path):
+    """Importing the CLI freezes nothing; the first `main` moves the heap to
+    the collector's permanent generation and a second `main` adds nothing,
+    so each later call's cycles stay collectable.  Both print the same."""
+    script = ("import gc, json, sys\n"
+              "import decstar.cli\n"
+              "counts = [gc.get_freeze_count()]\n"
+              "for _ in range(2):\n"
+              "    assert decstar.cli.main(sys.argv[1:]) == 0\n"
+              "    counts.append(gc.get_freeze_count())\n"
+              "print(json.dumps(counts))")
+    argv = ["info", "--mesh", "grid:2", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    first, second, counts = proc.stdout.splitlines()
+    assert first == second
+    imported, after_first, after_second = json.loads(counts)
+    assert imported == 0
+    assert after_first > 10_000
+    assert after_second == after_first
+
+
 def test_info_summary(capsys):
     code, lines, _ = run(["info", "--mesh", "two_triangle"], capsys)
     assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decstar import hodge, mesh
 from decstar.mesh import MeshError
@@ -121,12 +121,19 @@ def test_incidence_rows_sum_structure():
     assert np.all(D0.sum(axis=1) == 0)
 
 
-def test_boundary_of_boundary_is_zero():
-    for spec in (mesh.structured_grid(4), mesh.random_delaunay(30, 7),
-                 mesh.random_delaunay(18, 3, dim=3)):
-        for k in range(spec.dim - 1):
-            prod = spec.incidence_matrix(k + 1) @ spec.incidence_matrix(k)
-            assert abs(prod).max() == 0
+DELAUNAY_3D = st.builds(lambda n, seed: mesh.random_delaunay(n, seed, dim=3),
+                        st.integers(4, 30), st.integers(0, 10_000))
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(spec=DELAUNAY_3D)
+@example(spec=mesh.structured_grid(4))
+@example(spec=mesh.random_delaunay(30, 7))
+@example(spec=mesh.random_delaunay(18, 3, dim=3))
+def test_boundary_of_boundary_is_zero(spec):
+    for k in range(spec.dim - 1):
+        prod = spec.incidence_matrix(k + 1) @ spec.incidence_matrix(k)
+        assert abs(prod).max() == 0
 
 
 def test_measures_positive_and_vertex_unit():

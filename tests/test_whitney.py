@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from decstar import mesh, whitney
+from decstar import mesh, systems, whitney
 from decstar.sibson import DualInterpolation, SibsonError
 from decstar.whitney import DegreeError
 
@@ -103,12 +103,19 @@ def test_inner_product_matches_quadrature():
             assert approx == pytest.approx(exact, abs=0.02 * max(1, abs(exact)))
 
 
-def test_gram_matrix_symmetric_positive_definite():
-    comp = mesh.random_delaunay(20, 6)
+DELAUNAY_3D = st.builds(lambda n, seed: mesh.random_delaunay(n, seed, dim=3),
+                        st.integers(4, 30), st.integers(0, 10_000))
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(comp=DELAUNAY_3D)
+@example(comp=mesh.random_delaunay(20, 6))
+def test_gram_matrix_symmetric_positive_definite(comp):
     for k in range(comp.dim + 1):
-        G = whitney.whitney_gram_matrix(comp, k).toarray()
-        assert np.abs(G - G.T).max() < 1e-14
-        assert np.linalg.eigvalsh(G).min() > 0
+        G = whitney.whitney_gram_matrix(comp, k)
+        assert abs(G - G.T).max() < 1e-14
+        assert systems._positive_definite(G)
+        assert np.linalg.eigvalsh(G.toarray()).min() > 0
 
 
 def test_tet_face_whitney_flux_duality():

@@ -10,11 +10,12 @@ produce byte-identical artifacts.
 Each `cmd_*` reads the parsed argparse namespace alone.  `main` checks the
 settings several commands share (an existing --out directory, --grid of at
 least 16, --P values above 1/2) before it dispatches, turns every
-expected failure into one `error:` line on stderr and exit status 1, and
-prints every warning as one `warning:` line on stderr.  Its first call in a
-process, and only that one, runs `gc.freeze()`: the ~40k objects left tracked
-by importing numpy and scipy move to a permanent generation, so no command
-pays a full collection over them (a 13-23 ms pause on a 2-core host).
+rejected input (a `decstar.Error`), `OSError` and `MemoryError` into one
+`error:` line on stderr and exit status 1, and prints every warning as one
+`warning:` line on stderr.  Its first call in a process, and only that one,
+runs `gc.freeze()`: the ~40k objects left tracked by importing numpy and
+scipy move to a permanent generation, so no command pays a full collection
+over them (a 13-23 ms pause on a 2-core host).
 """
 
 from __future__ import annotations
@@ -31,15 +32,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from . import hodge, mesh, systems, whitney
-from .hodge import HodgeError
-from .mesh import MeshError
-from .sibson import DualInterpolation, SibsonError
-from .systems import SystemError
-
-
-class CliError(ValueError):
-    pass
+from . import Error, hodge, mesh, systems, whitney
+from .sibson import DualInterpolation
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +54,11 @@ def resolve_mesh(spec: str) -> mesh.SimplicialComplex:
     args = rest.split(":") if rest else []
     fields = BUILTIN_FIELDS.get(name)
     if fields is None:
-        raise CliError(f"mesh {spec!r} is neither a file nor a builtin spec "
-                       f"({BUILTIN_HELP})")
+        raise Error(f"mesh {spec!r} is neither a file nor a builtin spec "
+                    f"({BUILTIN_HELP})")
     most = fields.count(":")
     if not most - fields.count("[") <= len(args) <= most:
-        raise CliError(f"bad mesh spec {spec!r}: expected {name}{fields}")
+        raise Error(f"bad mesh spec {spec!r}: expected {name}{fields}")
     try:
         if name == "two_triangle":
             return mesh.two_triangle_mesh()
@@ -78,7 +72,7 @@ def resolve_mesh(spec: str) -> mesh.SimplicialComplex:
         dim = int(args[2]) if len(args) > 2 else 2
         return mesh.random_delaunay(int(args[0]), int(args[1]), dim)
     except ValueError as exc:
-        raise CliError(f"bad mesh spec {spec!r}: {exc}") from exc
+        raise Error(f"bad mesh spec {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +91,14 @@ def write_cochain_csv(values, path: Path, header: str = "id,value") -> None:
 
 
 def _text_lines(path, what: str) -> io.StringIO:
-    """The lines of a UTF-8 text file; bytes that are not UTF-8 are a
-    `CliError` naming `what`, the file and their line."""
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 are an
+    `Error` naming `what`, the file and their line."""
     data = Path(path).read_bytes()
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise CliError(f"{what} {path}, line {line}: not UTF-8 text") \
-            from None
+        raise Error(f"{what} {path}, line {line}: not UTF-8 text") from None
 
 
 def read_cochain_csv(path, expected: int) -> np.ndarray:
@@ -113,7 +106,7 @@ def read_cochain_csv(path, expected: int) -> np.ndarray:
     row gives one.  Line 1 is a header when its first two fields do not
     parse as `int,float`.  A file that is not UTF-8 text, a row that does
     not parse or has other than two fields, a non-finite value and a
-    repeated or out-of-range id are each a `CliError` naming the file and
+    repeated or out-of-range id are each an `Error` naming the file and
     line."""
     out = np.full(expected, np.nan)  # NaN until a row gives the value
     for row, line in enumerate(_text_lines(path, "cochain file"), 1):
@@ -127,15 +120,15 @@ def read_cochain_csv(path, expected: int) -> np.ndarray:
                 continue
             parsed = False
         if not parsed:
-            raise CliError(f"{where}: expected 'id,value', got "
-                           f"{line.strip()[:40]!r}")
+            raise Error(f"{where}: expected 'id,value', got "
+                        f"{line.strip()[:40]!r}")
         if not np.isfinite(val):
-            raise CliError(f"{where}: value {val} is not finite")
+            raise Error(f"{where}: value {val} is not finite")
         if not 0 <= sid < expected:
-            raise CliError(f"{where}: cochain id {sid} out of range "
-                           f"0..{expected - 1}")
+            raise Error(f"{where}: cochain id {sid} out of range "
+                        f"0..{expected - 1}")
         if not np.isnan(out[sid]):
-            raise CliError(f"{where}: cochain id {sid} repeated")
+            raise Error(f"{where}: cochain id {sid} repeated")
         out[sid] = val
     return np.nan_to_num(out, nan=0.0)
 
@@ -146,14 +139,14 @@ def _read_off(path) -> tuple[list, list]:
     coordinates, as many on every line) and one per cell (its vertex count,
     then that many vertex indices).  `#` starts a comment; blank lines are
     skipped.  A file that is not UTF-8 text, a line that does not parse and
-    a missing or extra line are each a `CliError` naming the file."""
+    a missing or extra line are each an `Error` naming the file."""
     rows = [(no, line.split("#")[0].split())
             for no, line in enumerate(_text_lines(path, "OFF-style mesh"), 1)]
     rows = [row for row in rows if row[1]]
     if rows and rows[0][1] == ["OFF"]:
         del rows[0]
     if not rows:
-        raise CliError(f"OFF-style mesh {path}: no counts line 'nv nc [ne]'")
+        raise Error(f"OFF-style mesh {path}: no counts line 'nv nc [ne]'")
 
     def parse(row, kind, expected, fits):
         no, tokens = row
@@ -162,15 +155,15 @@ def _read_off(path) -> tuple[list, list]:
         except ValueError:
             values = None
         if values is None or not fits(values):
-            raise CliError(f"OFF-style mesh {path}, line {no}: expected "
-                           f"{expected}, got {' '.join(tokens)[:40]!r}")
+            raise Error(f"OFF-style mesh {path}, line {no}: expected "
+                        f"{expected}, got {' '.join(tokens)[:40]!r}")
         return values
 
     nv, nc = parse(rows[0], int, "counts 'nv nc [ne]'",
                    lambda c: len(c) in (2, 3) and min(c) >= 0)[:2]
     if len(rows) != 1 + nv + nc:
-        raise CliError(f"OFF-style mesh {path}: expected {nv} vertex and "
-                       f"{nc} cell lines after the counts, got {len(rows) - 1}")
+        raise Error(f"OFF-style mesh {path}: expected {nv} vertex and "
+                    f"{nc} cell lines after the counts, got {len(rows) - 1}")
     dim = len(rows[1][1]) if nv else 0
     verts = [parse(row, float, f"{dim} vertex coordinates",
                    lambda v: len(v) == dim) for row in rows[1:1 + nv]]
@@ -286,7 +279,7 @@ def cmd_cond(args) -> int:
 
 def cmd_table1(args) -> int:
     if not args.P:
-        raise CliError("--P needs at least one value")
+        raise Error("--P needs at least one value")
     rows = hodge.table1_experiment(args.P, args.grid)
     path = args.out / "table1.csv"
     path.write_text(hodge.table1_csv(rows))
@@ -298,22 +291,22 @@ def cmd_table1(args) -> int:
 def cmd_solve(args) -> int:
     ids = args.system
     if not ids:
-        raise CliError("--system needs at least one formulation id")
+        raise Error("--system needs at least one formulation id")
     if len(set(ids)) < len(ids):
-        raise CliError("--system repeats a formulation id: "
-                       + ",".join(map(str, ids)))
+        raise Error("--system repeats a formulation id: "
+                    + ",".join(map(str, ids)))
     if args.seed < 0:
-        raise CliError(f"--seed must be non-negative, got {args.seed}")
+        raise Error(f"--seed must be non-negative, got {args.seed}")
+    if args.tol is not None and not 0 <= args.tol < np.inf:
+        raise Error(f"--tol must be finite and non-negative, got {args.tol:g}")
     problem, assemble = {
         "darcy": ("darcy", systems.assemble_darcy),
         "magneto": ("magnetostatics", systems.assemble_magnetostatics),
     }[args.problem]
     rows = [systems._formulation(problem, sid) for sid in ids]
     if len({(row.degree, row.load) for row in rows}) > 1:
-        raise CliError(
-            "systems 1-2 and 3-4 take loads on different spaces and cannot "
-            "share one run; pick systems from a single pair"
-        )
+        raise Error("systems 1-2 and 3-4 take loads on different spaces and "
+                    "cannot share one run; pick systems from a single pair")
     comp = resolve_mesh(args.mesh)
     dual = _dual_for_kind(comp, args)
     if args.load is not None:
@@ -380,11 +373,9 @@ def cmd_wave(args) -> int:
 
 def cmd_sample_field(args) -> int:
     comp = resolve_mesh(args.mesh)
-    if not 0 <= args.k <= comp.dim:
-        raise CliError(f"degree k={args.k} out of range 0..{comp.dim} for a "
-                       f"{comp.dim}D mesh")
+    mesh.check_degree(comp, args.k)
     if args.samples < 1:
-        raise CliError(f"--samples must be at least 1, got {args.samples}")
+        raise Error(f"--samples must be at least 1, got {args.samples}")
     if args.cochain is not None:
         weights = read_cochain_csv(args.cochain, len(comp.simplices[args.k]))
     else:
@@ -418,7 +409,7 @@ def cmd_sample_field(args) -> int:
 
 def cmd_fig8(args) -> int:
     if len(args.P) != 1:
-        raise CliError("fig8 takes exactly one --P value")
+        raise Error("fig8 takes exactly one --P value")
     comp = mesh.generate_fig8(args.P[0])
     path = args.out / f"fig8_P{args.P[0]:g}.json"
     mesh.save_mesh(comp, path)
@@ -524,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the default random load")
     p.add_argument("--tol", type=float, default=None,
-                   help="pass/fail threshold for cross-formulation diffs")
+                   help="pass/fail threshold for cross-formulation diffs "
+                        "(finite, non-negative)")
     p.add_argument("--write", action="store_true",
                    help="write recovered cochains as CSV")
 
@@ -588,15 +580,14 @@ def main(argv=None) -> int:
         warnings.showwarning = _warn  # one line each, without a listing
         try:
             if not args.out.is_dir():
-                raise CliError(f"output directory {args.out} does not exist")
+                raise Error(f"output directory {args.out} does not exist")
             if getattr(args, "grid", 16) < 16:
-                raise CliError(f"--grid must be at least 16, got {args.grid}")
+                raise Error(f"--grid must be at least 16, got {args.grid}")
             for p in getattr(args, "P", []):
                 if p <= 0.5:
-                    raise CliError(f"--P values must exceed 1/2, got {p:g}")
+                    raise Error(f"--P values must exceed 1/2, got {p:g}")
             return COMMANDS[args.command](args)
-        except (CliError, MeshError, HodgeError, SibsonError, SystemError,
-                whitney.DegreeError, OSError) as exc:
+        except (Error, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except MemoryError as exc:

@@ -23,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (DualMesh, SimplicialComplex, generate_fig8, pixel_centers,
-                   vertex_ring)
+from . import Error
+from .mesh import (DualMesh, SimplicialComplex, check_degree, generate_fig8,
+                   pixel_centers, vertex_ring)
 from .whitney import whitney_gram_matrix
 from .sibson import DualInterpolation, SibsonCell, edge_forms
-
-
-class HodgeError(ValueError):
-    pass
 
 
 @dataclass
@@ -50,39 +47,29 @@ class HodgeOperator:
 # assembly
 
 
-def _check_degree(complex: SimplicialComplex, k: int) -> None:
-    if not 0 <= k <= complex.dim:
-        raise HodgeError(f"degree k={k} out of range 0..{complex.dim} for a "
-                         f"{complex.dim}D mesh")
-
-
 def assemble_diag(complex: SimplicialComplex, dual: DualMesh,
                   k: int) -> HodgeOperator:
     """Diagonal Hodge star: entries |dual cell| / |primal simplex|."""
-    _check_degree(complex, k)
+    check_degree(complex, k)
     if dual.rule == "barycentric":
         warnings.warn(
             "diagonal Hodge star with a barycentric dual is uncorrected; "
             "the circumcentric dual is the intended pairing",
             stacklevel=2,
         )
-    primal = complex.measures[k]
-    dual_m = np.asarray(dual.measures[k], dtype=float)
-    bad = np.nonzero(dual_m <= 0)[0]
+    dual_m = dual.measures[k]
+    bad = dual.negative_cells(k)
     if len(bad):
         detail = ", ".join(
             f"simplex {i}: dual measure {dual_m[i]:.3e}" for i in bad[:10]
         )
-        raise HodgeError(
-            f"nonpositive dual measures for degree {k}: {detail}"
-        )
-    mat = sp.diags(dual_m / primal).tocsr()
+        raise Error(f"nonpositive dual measures for degree {k}: {detail}")
+    mat = sp.diags(dual_m / complex.measures[k]).tocsr()
     return HodgeOperator(k, "diag", mat, f"primal {k}-simplices")
 
 
 def assemble_whitney(complex: SimplicialComplex, k: int) -> HodgeOperator:
     """Whitney (Galerkin) Hodge star: Gram matrix of Whitney k-forms."""
-    _check_degree(complex, k)
     mat = whitney_gram_matrix(complex, k)
     return HodgeOperator(k, "whitney", mat, f"primal {k}-simplices")
 
@@ -109,8 +96,8 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
     polygon's regions are built once.
     """
     if complex.dim != 2:
-        raise HodgeError("dual-inverse assembly is implemented for 2D meshes")
-    _check_degree(complex, k)
+        raise Error("dual-inverse assembly is implemented for 2D meshes")
+    check_degree(complex, k)
     di = DualInterpolation(complex, dual) if interp is None else interp
     n = complex.dim
     N = len(complex.simplices[k])
@@ -123,10 +110,9 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
     for v in range(len(complex.vertices)):
         pts, w = _cell_quadrature(di.cells[v], resolution)
         if len(pts) < 10:
-            raise HodgeError(
-                f"quadrature resolution {resolution} leaves fewer than 10 "
-                f"interior samples in the dual polygon of vertex {v}"
-            )
+            raise Error(f"quadrature resolution {resolution} leaves fewer "
+                        f"than 10 interior samples in the dual polygon of "
+                        f"vertex {v}")
         gens, fields = di.forms(v, k, pts)
         fields = fields.reshape(len(gens), len(pts), -1)  # (G, q, d)
         # symmetric by construction: the upper triangle, mirrored
@@ -159,7 +145,7 @@ def assemble(kind: str, complex: SimplicialComplex, dual: DualMesh | None,
         return assemble_whitney(complex, k)
     if kind == "dual_inverse":
         return assemble_dual_inverse(complex, dual, k, resolution, interp)
-    raise HodgeError(f"unknown Hodge kind {kind!r}")
+    raise Error(f"unknown Hodge kind {kind!r}")
 
 
 class FactorizedInverse:
@@ -207,8 +193,8 @@ def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
         try:
             inv = FactorizedInverse(A)
         except RuntimeError as exc:
-            raise HodgeError(f"{kind} Hodge star of degree {k} is singular: "
-                             f"{exc}") from exc
+            raise Error(f"{kind} Hodge star of degree {k} is singular: "
+                        f"{exc}") from exc
     return (inv, A) if kind == "dual_inverse" else (A, inv)
 
 
@@ -230,8 +216,8 @@ def condition_estimate(A: sp.spmatrix | np.ndarray, method: str = "full",
     A = sp.csr_matrix(A) if sp.issparse(A) else np.asarray(A, dtype=float)
     if method == "leading-block":
         if not 1 <= block_size <= A.shape[0]:
-            raise HodgeError(f"leading block size {block_size} out of range "
-                             f"1..{A.shape[0]}")
+            raise Error(f"leading block size {block_size} out of range "
+                        f"1..{A.shape[0]}")
         A = A[:block_size, :block_size]
     # eigh, not eigvalsh: the two differ in the last bits of Table 1 blocks
     vals = np.abs(np.linalg.eigh(A.toarray() if sp.issparse(A) else A)[0])

@@ -29,15 +29,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import Error
+
 BARYCENTRIC = "barycentric"
 CIRCUMCENTRIC = "circumcentric"
 
 # Relative determinant threshold used to flag degenerate simplices.
 DEGENERACY_RTOL = 1e-12
-
-
-class MeshError(ValueError):
-    """Raised for invalid mesh input (degenerate, duplicate, out of range)."""
 
 
 def simplex_measures(points) -> np.ndarray:
@@ -67,14 +65,14 @@ def simplex_centers(points, rule: str) -> np.ndarray:
     """Barycenters or circumcenters of a stack (m, k+1, d) of k-simplices.
 
     A circumcenter is the point equidistant from all vertices within the
-    simplex's affine hull.  Raises MeshError for a degenerate simplex
+    simplex's affine hull.  Raises `Error` for a degenerate simplex
     (relative determinant below DEGENERACY_RTOL at the simplex's own scale).
     """
     pts = np.asarray(points, dtype=float)
     if rule == BARYCENTRIC:
         return pts.mean(axis=1)
     if rule != CIRCUMCENTRIC:
-        raise MeshError(f"unknown center rule {rule!r}")
+        raise Error(f"unknown center rule {rule!r}")
     k = pts.shape[1] - 1
     if k == 0:
         return pts[:, 0].copy()
@@ -85,7 +83,7 @@ def simplex_centers(points, rule: str) -> np.ndarray:
     scale[scale == 0] = 1.0
     if np.any(np.abs(np.linalg.det(gram))
               <= DEGENERACY_RTOL * (2.0 * scale * scale) ** k):
-        raise MeshError("degenerate simplex has no circumcenter")
+        raise Error("degenerate simplex has no circumcenter")
     sol = np.linalg.solve(gram, rhs[..., None])
     return pts[:, 0] + (np.swapaxes(sol, -1, -2) @ edges)[:, 0]
 
@@ -151,7 +149,7 @@ class SimplicialComplex:
         import scipy.sparse as sp
 
         if not 0 <= k < self.dim:
-            raise MeshError(f"incidence degree k={k} out of range for n={self.dim}")
+            raise Error(f"incidence degree k={k} out of range for n={self.dim}")
         n_rows = len(self.simplices[k + 1])
         n_cols = len(self.simplices[k])
         rows = np.repeat(np.arange(n_rows), k + 2)
@@ -187,14 +185,21 @@ class SimplicialComplex:
         )
 
 
+def check_degree(complex: SimplicialComplex, k: int) -> None:
+    """Reject a form degree k outside 0..n on an n-dimensional complex."""
+    if not 0 <= k <= complex.dim:
+        raise Error(f"degree k={k} out of range 0..{complex.dim} for a "
+                    f"{complex.dim}D mesh")
+
+
 def _numeric_array(values, name: str, kinds: str) -> np.ndarray:
     """`values` as a rectangular array whose dtype kind is one of `kinds`."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged nesting
-        raise MeshError(f"{name} must be a rectangular array") from exc
+        raise Error(f"{name} must be a rectangular array") from exc
     if arr.size and arr.dtype.kind not in kinds:
-        raise MeshError(f"{name} must not hold {arr.dtype} values")
+        raise Error(f"{name} must not hold {arr.dtype} values")
     return arr
 
 
@@ -223,26 +228,26 @@ def build_complex(vertices, cells) -> SimplicialComplex:
     """
     verts = _numeric_array(vertices, "vertices", "iuf")
     if verts.ndim != 2 or verts.shape[1] not in (2, 3):
-        raise MeshError("vertices must be an (V, 2) or (V, 3) array")
+        raise Error("vertices must be an (V, 2) or (V, 3) array")
     verts = verts.astype(float)
     if not np.isfinite(verts).all():
-        raise MeshError("vertex coordinates must be finite")
+        raise Error("vertex coordinates must be finite")
     n = verts.shape[1]
     cells = _numeric_array(cells, "cells", "iu")
     if cells.ndim and len(cells) == 0:
-        raise MeshError("mesh has no cells")
+        raise Error("mesh has no cells")
     if cells.ndim != 2 or cells.shape[1] != n + 1:
-        raise MeshError(f"cells must have {n + 1} vertices each")
+        raise Error(f"cells must have {n + 1} vertices each")
     if cells.min() < 0 or cells.max() >= len(verts):
-        raise MeshError("cell vertex index out of range")
+        raise Error("cell vertex index out of range")
 
     # the largest power of the extent formed downstream, a simplex's edge
     # Gram determinant in `simplex_centers`, is at most (2 n scale**2)**n
     scale = float(np.ptp(verts, axis=0).max()) or 1.0
     limit = math.sqrt(np.finfo(float).max ** (1 / n) / (2 * n))
     if not scale < limit:
-        raise MeshError(f"vertex coordinates span {scale:.4g}; a {n}D mesh "
-                        f"must span less than {limit:.4g}")
+        raise Error(f"vertex coordinates span {scale:.4g}; a {n}D mesh "
+                    f"must span less than {limit:.4g}")
     # The first cell failing a check names the error: repeated vertices,
     # then an earlier identical cell, then a vanishing determinant.
     sorted_cells = np.sort(cells.astype(int), axis=1)
@@ -256,13 +261,13 @@ def build_complex(vertices, cells) -> SimplicialComplex:
         ci = int(bad[0])
         key = tuple(sorted_cells[ci].tolist())
         if repeated[ci]:
-            raise MeshError(f"cell {ci} has repeated vertices")
+            raise Error(f"cell {ci} has repeated vertices")
         if duplicate[ci]:
-            raise MeshError(f"duplicate cell {ci}: {key}")
-        raise MeshError(f"degenerate cell {ci}: {key}")
+            raise Error(f"duplicate cell {ci}: {key}")
+        raise Error(f"degenerate cell {ci}: {key}")
     uses = np.bincount(sorted_cells.ravel(), minlength=len(verts))
     if not uses.all():
-        raise MeshError(f"vertex {int(np.argmin(uses))} is in no cell")
+        raise Error(f"vertex {int(np.argmin(uses))} is in no cell")
 
     # Enumerate every lower-dimensional face exactly once, lexicographically:
     # column m of `faces` deletes vertex position m of each (k+1)-simplex.
@@ -461,9 +466,9 @@ def generate_fig8(P: float) -> SimplicialComplex:
     (v1,v4), (v2,v3), (v2,v4).
     """
     if not P > 0.5:
-        raise MeshError("fig8 mesh requires P > 1/2")
+        raise Error("fig8 mesh requires P > 1/2")
     if not math.isfinite(P):
-        raise MeshError(f"fig8 mesh requires a finite P, got {P:g}")
+        raise Error(f"fig8 mesh requires a finite P, got {P:g}")
     v1 = np.array([0.0, 0.0])
     v2 = np.array([0.0, 1.0])
     v3 = np.array([P, 0.5])
@@ -494,7 +499,7 @@ def two_triangle_mesh() -> SimplicialComplex:
 def structured_grid(m: int, skew: float = 0.0) -> SimplicialComplex:
     """m x m unit-square grid of right triangles (2*m*m cells)."""
     if not math.isfinite(skew):
-        raise MeshError(f"grid skew must be finite, got {skew:g}")
+        raise Error(f"grid skew must be finite, got {skew:g}")
     xs = np.linspace(0.0, 1.0, m + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     verts = np.column_stack([(X + skew * Y).ravel(), Y.ravel()])
@@ -533,7 +538,7 @@ def equilateral_grid(m: int) -> SimplicialComplex:
 def random_delaunay(n_points: int, seed: int, dim: int = 2) -> SimplicialComplex:
     """Delaunay triangulation of random points plus the unit-box corners."""
     if dim not in (2, 3):
-        raise MeshError(f"dimension must be 2 or 3, got {dim}")
+        raise Error(f"dimension must be 2 or 3, got {dim}")
     from scipy.spatial import Delaunay
 
     rng = np.random.default_rng(seed)
@@ -571,30 +576,30 @@ def complex_from_json(doc) -> SimplicialComplex:
         try:
             doc = json.loads(doc)
         except ValueError as exc:  # not JSON, or not UTF-8/16/32 text
-            raise MeshError(f"mesh document is not JSON: {exc}") from exc
+            raise Error(f"mesh document is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise MeshError("mesh document must be a JSON object")
+        raise Error("mesh document must be a JSON object")
     for key in ("dimension", "vertices", "cells"):
         if key not in doc:
-            raise MeshError(f"mesh document missing {key!r}")
+            raise Error(f"mesh document missing {key!r}")
     if type(doc["dimension"]) is not int or doc["dimension"] not in (2, 3):
-        raise MeshError(f"dimension must be 2 or 3, got {doc['dimension']!r}")
+        raise Error(f"dimension must be 2 or 3, got {doc['dimension']!r}")
     comp = build_complex(doc["vertices"], doc["cells"])
     if comp.dim != doc["dimension"]:
-        raise MeshError("vertex coordinate size disagrees with dimension")
+        raise Error("vertex coordinate size disagrees with dimension")
     orders = doc.get("simplex_order", {})
     if not isinstance(orders, dict):
-        raise MeshError("simplex_order must map degrees to simplex lists")
+        raise Error("simplex_order must map degrees to simplex lists")
     for key, order in orders.items():
         try:
             k = int(key)
             order = [[operator.index(v) for v in s] for s in order]
         except (TypeError, ValueError) as exc:
-            raise MeshError(f"bad simplex_order[{key!r}]: {exc}") from exc
+            raise Error(f"bad simplex_order[{key!r}]: {exc}") from exc
         listed = sorted(sorted(s) for s in order)
         if not (0 < k < comp.dim and listed == comp.simplices[k].tolist()):
-            raise MeshError(f"simplex_order[{key!r}] is not an ordering of "
-                            f"the mesh's {key}-simplices")
+            raise Error(f"simplex_order[{key!r}] is not an ordering of "
+                        f"the mesh's {key}-simplices")
         comp = comp.with_leading_simplices(k, order)
     return comp
 

@@ -33,12 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import Error
 from .mesh import DualMesh, SimplicialComplex, vertex_ring
 from .whitney import locate_cell
-
-
-class SibsonError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +477,14 @@ class DualInterpolation:
     and restricted Sibson coordinates on them are the building blocks of the
     dual Whitney forms.
 
-    Raises SibsonError when a polygon intersects itself (two of its sides
+    Raises `Error` when a polygon intersects itself (two of its sides
     cross properly), which a strongly non-convex vertex neighbourhood can
     cause: no interpolant on such a polygon is defined.
     """
 
     def __init__(self, complex: SimplicialComplex, dual: DualMesh):
         if complex.dim != 2:
-            raise SibsonError("dual interpolation machinery is 2D")
+            raise Error("dual interpolation machinery is 2D")
         self.complex = complex
         self.cells = []  # restricted SibsonCell per primal vertex
         self.site_lookup = []  # per vertex: tag -> local index, loop order
@@ -500,8 +497,7 @@ class DualInterpolation:
             loop = np.array([dual.centers[_TAG_DEGREE[kind]][j]
                              for kind, j in ring])
             if _self_intersects(loop):
-                raise SibsonError(f"dual polygon of vertex {v} intersects "
-                                  "itself")
+                raise Error(f"dual polygon of vertex {v} intersects itself")
             cell = SibsonCell(loop, restricted=True)
             if cell.vertices is not loop:  # turned counter-clockwise
                 ring = ring[::-1]
@@ -592,14 +588,13 @@ class DualInterpolation:
         builds the site regions of its points' polygons in one pass.
         """
         if not 0 <= dual_degree <= 2:
-            raise SibsonError(f"dual degree {dual_degree} out of range 0..2")
+            raise Error(f"dual degree {dual_degree} out of range 0..2")
         p = self.complex.dim - dual_degree
         weights = np.asarray(cochain, dtype=float)
         expected = len(self.complex.simplices[p])
         if weights.shape != (expected,):
-            raise SibsonError(
-                f"dual cochain has length {len(weights)}, expected {expected}"
-            )
+            raise Error(f"dual cochain has length {len(weights)}, expected "
+                        f"{expected}")
 
         def field(x):
             x = np.asarray(x, dtype=float)

@@ -50,16 +50,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from . import Error
 from .hodge import FactorizedInverse
 from .mesh import SimplicialComplex
-
-
-class SystemError(ValueError):
-    pass
-
-
-class IncompatibleLoadError(SystemError):
-    """Right-hand side not in the range of the relevant derivative."""
 
 
 @dataclass
@@ -154,15 +147,14 @@ class WaveSystem:
         """
         n = self.mass.shape[0]
         if count is not None and count < 1:
-            raise SystemError(f"eigenpair count must be at least 1, got {count}")
+            raise Error(f"eigenpair count must be at least 1, got {count}")
         if count is not None and count > n:
-            raise SystemError(f"eigenpair count must be at most {n}, "
-                              f"got {count}")
+            raise Error(f"eigenpair count must be at most {n}, got {count}")
         count = n if count is None else count
         M = self.mass
         if not _positive_definite(M.G if isinstance(M, FactorizedInverse)
                                   else M):
-            raise SystemError("wave mass matrix is not positive definite")
+            raise Error("wave mass matrix is not positive definite")
         zeros = np.zeros(min(count, self.nullity))
         k = count - len(zeros)
         if k == 0:
@@ -186,8 +178,7 @@ class WaveSystem:
                 K + K.T, M + M.T, eigvals_only=True,
                 subset_by_index=[self.nullity, self.nullity + k - 1])
         except scipy.linalg.LinAlgError as exc:
-            raise SystemError("wave mass matrix is not positive definite") \
-                from exc
+            raise Error("wave mass matrix is not positive definite") from exc
 
     def _lanczos_eigenvalues(self, k: int) -> np.ndarray:
         """The k lowest values past the kernel, by shift-invert Lanczos.
@@ -218,8 +209,7 @@ class WaveSystem:
         try:
             lu = _symmetric_lu(_bordered(A, borders))
         except RuntimeError as exc:
-            raise SystemError(f"wave shifted system singular: {exc}") \
-                from exc
+            raise Error(f"wave shifted system singular: {exc}") from exc
         project = self._kernel_projector()
         pad = np.zeros(lu.shape[0] - n)
 
@@ -235,7 +225,7 @@ class WaveSystem:
                          sigma=sigma, OPinv=operator(solve), v0=v0, rng=0,
                          return_eigenvectors=False)
         except ArpackError as exc:
-            raise SystemError(f"wave eigensolve failed: {exc}") from exc
+            raise Error(f"wave eigensolve failed: {exc}") from exc
 
     def _kernel_projector(self) -> Callable:
         """x -> P x, P = I - Z (Z^T M Z)^{-1} Z^T M.  Z^T M Z is factored
@@ -327,8 +317,7 @@ def least_squares(D, rhs, kernel: Gauge | None = None) -> np.ndarray:
     try:
         lu = _symmetric_lu(G, "MMD_AT_PLUS_A")
     except RuntimeError as exc:
-        raise SystemError(f"least-squares Gram matrix singular: {exc}") \
-            from exc
+        raise Error(f"least-squares Gram matrix singular: {exc}") from exc
     y = lu.solve(b)[:size]
     return y if tall else D.T @ y
 
@@ -345,10 +334,8 @@ def particular_solution(D, rhs, kernel: Gauge | None = None) -> np.ndarray:
     residual = np.linalg.norm(D @ x - rhs)
     scale = max(np.linalg.norm(rhs), 1.0)
     if residual > LOAD_RESIDUAL_TOL * scale:
-        raise IncompatibleLoadError(
-            f"load is not in the range of the derivative "
-            f"(least-squares residual {residual:.3e})"
-        )
+        raise Error(f"load is not in the range of the derivative "
+                    f"(least-squares residual {residual:.3e})")
     return x
 
 
@@ -358,7 +345,7 @@ def _gauge(complex: SimplicialComplex, j: int,
     on the vertex graph or (transposed) the cell graph; None if trivial."""
     n = complex.dim
     if (n - 1 - j if transposed else j) not in (0, 1):
-        raise SystemError(f"no gauge rule for D_{j}" + "^T" * transposed)
+        raise Error(f"no gauge rule for D_{j}" + "^T" * transposed)
     if transposed and j == n - 1:
         return None
     if transposed:  # one component, rooted at the exterior: no column
@@ -480,7 +467,7 @@ _FORMULATIONS = {
 
 def _formulation(problem: str, system: int) -> _Formulation:
     if (problem, system) not in _FORMULATIONS:
-        raise SystemError(f"{problem} system id must be 1-4, got {system}")
+        raise Error(f"{problem} system id must be 1-4, got {system}")
     return _FORMULATIONS[problem, system]
 
 
@@ -493,16 +480,14 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
     L, kernel = row.load_derivative(complex), row.load_gauge(complex)
     load = np.asarray(load, dtype=float)
     if load.shape != (L.shape[0],):
-        raise SystemError(
-            f"{name}: load has length {len(load)}, expected {L.shape[0]}")
+        raise Error(f"{name}: load has length {len(load)}, expected "
+                    f"{L.shape[0]}")
     H, j = (M, d) if primal else (M_inv, d - 1)  # B = D_d^T or D_{d-1}
     B = (complex.incidence_matrix(j).T if primal
          else complex.incidence_matrix(j)).tocsr()
     if H.shape[0] != B.shape[0]:
-        raise SystemError(
-            f"block dimension mismatch: Hodge block {H.shape} vs derivative "
-            f"block {B.shape}"
-        )
+        raise Error(f"block dimension mismatch: Hodge block {H.shape} vs "
+                    f"derivative block {B.shape}")
     f, g, x0 = np.zeros(B.shape[0]), load, None
     if primal != (row.load == "up"):
         x0 = particular_solution(L, load, kernel)
@@ -579,7 +564,7 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
             E = _bordered(E, [(system.gauge.kernel, None)])
             g = np.concatenate([g, np.zeros(extra)])
         else:
-            raise SystemError(f"unknown gauge strategy {gauge!r}")
+            raise Error(f"unknown gauge strategy {gauge!r}")
         applied = system.gauge.labels[gauge]
     B, E = B.tocsr(), E.tocsr()
     try:
@@ -593,15 +578,13 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
             x = splu(K).solve(np.concatenate([f, g]))
             u, y = x[:len(f)], x[len(f):]
     except RuntimeError as exc:
-        raise SystemError(f"saddle system singular: {exc}") from exc
+        raise Error(f"saddle system singular: {exc}") from exc
     r = np.concatenate([c * (H @ u) + B @ y - f, B.T @ u + E @ y - g])
     residual = np.linalg.norm(r) / max(np.linalg.norm(np.concatenate([f, g])),
                                        1.0)
     if not (np.isfinite(u).all() and np.isfinite(y).all()) or residual > 1e-6:
-        raise SystemError(
-            f"saddle system rank-deficient beyond the declared gauge "
-            f"(residual {residual:.3e})"
-        )
+        raise Error(f"saddle system rank-deficient beyond the declared "
+                    f"gauge (residual {residual:.3e})")
     w = y[:n1]
     recovered = system.recover(u, w)
     return SolveReport(system.name, u, w, recovered, float(residual),
@@ -656,7 +639,7 @@ def assemble_wave(complex: SimplicialComplex, formulation: str,
     elif formulation == "dual":
         C, H, M = D1.T.tocsr(), M1_inv, M2_inv
     else:
-        raise SystemError(f"unknown wave formulation {formulation!r}")
+        raise Error(f"unknown wave formulation {formulation!r}")
     kernel = _gauge(complex, 1, formulation == "dual")
     Z = None if kernel is None else kernel.kernel
     extent = complex.vertices.max(axis=0) - complex.vertices.min(axis=0)

@@ -19,11 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import SimplicialComplex
-
-
-class DegreeError(ValueError):
-    pass
+from . import Error
+from .mesh import SimplicialComplex, check_degree
 
 
 def _barycentric_coefficients(complex: SimplicialComplex, cells) -> np.ndarray:
@@ -83,7 +80,7 @@ def _whitney_values(complex: SimplicialComplex, k: int, cells, pts):
         return 2.0 * (lam[:, i, None] * np.cross(g[:, j], g[:, l])
                       + lam[:, j, None] * np.cross(g[:, l], g[:, i])
                       + lam[:, l, None] * np.cross(g[:, i], g[:, j]))
-    raise DegreeError(f"unsupported (k, n) = ({k}, {n})")
+    raise Error(f"unsupported (k, n) = ({k}, {n})")
 
 
 @dataclass
@@ -116,14 +113,11 @@ class WhitneyField:
 
 
 def interpolate(complex: SimplicialComplex, k: int, cochain) -> WhitneyField:
-    if not 0 <= k <= complex.dim:
-        raise DegreeError(f"degree k={k} out of range for n={complex.dim}")
+    check_degree(complex, k)
     weights = np.asarray(cochain, dtype=float)
     if weights.shape != (len(complex.simplices[k]),):
-        raise DegreeError(
-            f"cochain has length {len(weights)}, expected "
-            f"{len(complex.simplices[k])} for degree {k}"
-        )
+        raise Error(f"cochain has length {len(weights)}, expected "
+                    f"{len(complex.simplices[k])} for degree {k}")
     return WhitneyField(complex, k, weights)
 
 
@@ -179,9 +173,8 @@ def whitney_gram_matrix(complex: SimplicialComplex, k: int):
     unordered pair of a cell's faces is scattered once into the upper
     triangle, which is then mirrored, so the matrix is exactly symmetric.
     """
+    check_degree(complex, k)
     n = complex.dim
-    if not 0 <= k <= n:
-        raise DegreeError(f"degree k={k} out of range for n={n}")
     N = len(complex.simplices[k])
     cells = np.arange(len(complex.simplices[n]))
     # column j of grads[c] is the gradient of lambda_j on cell c

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -5,12 +6,14 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import decstar
 from decstar import cli, hodge, mesh
 from decstar.sibson import DualInterpolation
 
@@ -805,7 +808,14 @@ def test_solve_rejects_empty_system_list(capsys):
                           "from a single pair"),
     (["--system", "5"], "darcy system id must be 1-4, got 5"),
     (["--system", "1", "--seed", "-1"], "--seed must be non-negative, got -1"),
-], ids=["repeated", "empty", "mixed-pair", "out-of-range", "seed"])
+    (["--system", "1,2", "--tol", "nan"],
+     "--tol must be finite and non-negative, got nan"),
+    (["--system", "1,2", "--tol", "-1"],
+     "--tol must be finite and non-negative, got -1"),
+    (["--system", "1,2", "--tol", "inf"],
+     "--tol must be finite and non-negative, got inf"),
+], ids=["repeated", "empty", "mixed-pair", "out-of-range", "seed", "tol-nan",
+        "tol-negative", "tol-inf"])
 def test_solve_checks_its_arguments_before_the_mesh(flags, error, monkeypatch,
                                                     capsys):
     def refuse(spec):
@@ -816,6 +826,40 @@ def test_solve_checks_its_arguments_before_the_mesh(flags, error, monkeypatch,
                             "whitney", *flags], capsys)
     assert code == 1 and lines == []
     assert err == f"error: {error}\n"
+
+
+def test_solve_accepts_a_zero_tol(capsys):
+    code, lines, _ = run(["solve", "darcy", "--mesh", "grid:4", "--kind",
+                          "whitney", "--system", "1,2", "--tol", "0"], capsys)
+    assert code == 0 and lines[-1]["command"] == "solve diff"
+    assert lines[-1]["pass"] is (max(lines[-1]["diffs"].values()) == 0)
+
+
+def test_the_package_raises_one_error_type():
+    """`decstar.Error` is the package's one exception class, and every
+    `raise` in it raises that class; the `SystemExit` of the `__main__`
+    guard in `cli` is the one other raise."""
+    package = Path(decstar.__file__).parent
+    modules = [importlib.import_module(f"decstar.{path.stem}")
+               for path in sorted(package.glob("[!_]*.py"))]
+    defined = {obj for module in [decstar, *modules]
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("decstar")}
+    assert defined == {decstar.Error}
+    others = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc
+                if not (isinstance(exc, ast.Call)
+                        and isinstance(exc.func, ast.Name)
+                        and exc.func.id == "Error"):
+                    others.append(f"{path.name}: {ast.unparse(node)}")
+    assert others == ["cli.py: raise SystemExit(main())"]
+    guard = ast.parse((package / "cli.py").read_text()).body[-1]
+    assert ast.unparse(guard) == ("if __name__ == '__main__':\n"
+                                  "    raise SystemExit(main())")
 
 
 def test_solve_3d_default_load_is_compatible(capsys):
@@ -1164,6 +1208,60 @@ def test_warnings_print_on_one_line(tmp_path, argv):
     assert proc.stderr == BARYCENTRIC_DIAG_WARNING
     for line in proc.stdout.splitlines():
         strict_json(line)
+
+
+# One rejected argv for each exception class that `decstar.Error` replaced
+# (`whitney`'s degree and length checks have none: the CLI checks first),
+# with the stderr and exit status that each printed before.
+REJECTED = [
+    ("info --mesh grid:4:0:1",
+     "error: bad mesh spec 'grid:4:0:1': expected grid:m[:skew]"),
+    ("info --mesh nosuch",
+     f"error: mesh 'nosuch' is neither a file nor a builtin spec "
+     f"({cli.BUILTIN_HELP})"),
+    ("fig8 --P inf", "error: fig8 mesh requires a finite P, got inf"),
+    ("hodge --mesh grid:4 --k 5",
+     "error: degree k=5 out of range 0..2 for a 2D mesh"),
+    ("cond --mesh grid:4 --method leading-block --block 0",
+     BARYCENTRIC_DIAG_WARNING
+     + "error: leading block size 0 out of range 1..56"),
+    ("sample-field --space dual --mesh random:21:34",
+     "error: dual polygon of vertex 4 intersects itself"),
+    ("wave --mesh grid:4 --count 0",
+     BARYCENTRIC_DIAG_WARNING
+     + "error: eigenpair count must be at least 1, got 0"),
+    ("solve magneto --mesh random:60:2 --system 1,2 --kind dual_inverse "
+     "--grid 32",
+     "error: dual_inverse Hodge star of degree 1 is singular: Factor is "
+     "exactly singular"),
+    ("solve darcy --mesh grid:4 --system 1,3",
+     "error: systems 1-2 and 3-4 take loads on different spaces and cannot "
+     "share one run; pick systems from a single pair"),
+    ("solve darcy --mesh grid:4 --system 1,2 --seed -1",
+     "error: --seed must be non-negative, got -1"),
+    ("sample-field --mesh grid:4 --k 7",
+     "error: degree k=7 out of range 0..2 for a 2D mesh"),
+    ("table1 --P ,", "error: --P needs at least one value"),
+    ("solve magneto --mesh grid:3 --system 1,2 --load {ones}",
+     BARYCENTRIC_DIAG_WARNING
+     + "error: load is not in the range of the derivative (least-squares "
+       "residual 7.500e-01)"),
+    ("hodge --mesh random:5:1:3 --kind dual_inverse",
+     "error: dual-inverse assembly is implemented for 2D meshes"),
+]
+
+
+@pytest.mark.parametrize("argv, stderr", REJECTED,
+                         ids=[argv for argv, _ in REJECTED])
+def test_rejected_inputs_print_what_they_printed(argv, stderr, tmp_path,
+                                                 capsys):
+    ones = tmp_path / "ones.csv"
+    ones.write_text("1,1\n2,1\n3,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # a fresh process's filter
+        code, lines, err = run(
+            [*argv.format(ones=ones).split(), "--out", str(tmp_path)], capsys)
+    assert (code, lines, err) == (1, [], stderr + "\n")
 
 
 def test_solve_reads_the_load_before_building_the_star(tmp_path, monkeypatch,

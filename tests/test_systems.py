@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from decstar import cli, hodge, mesh, systems
-from decstar.systems import IncompatibleLoadError, SystemError
+from decstar import Error, cli, hodge, mesh, systems
 
 
 def make_pair(comp, kind="whitney", k=1):
@@ -98,22 +97,22 @@ def test_incompatible_load_rejected():
     comp = mesh.structured_grid(3)
     M, Minv = make_pair(comp)
     bad = np.ones(len(comp.vertices))  # nonzero mean: not in the range
-    with pytest.raises(IncompatibleLoadError):
+    with pytest.raises(Error, match="not in the range"):
         systems.assemble_magnetostatics(comp, 1, bad, M, Minv)
-    with pytest.raises(IncompatibleLoadError):
+    with pytest.raises(Error, match="not in the range"):
         systems.assemble_darcy(comp, 4, bad, M, Minv)
 
 
 def test_load_length_validated():
     comp = mesh.structured_grid(3)
     M, Minv = make_pair(comp)
-    with pytest.raises(SystemError, match="length"):
+    with pytest.raises(Error, match="length"):
         systems.assemble_darcy(comp, 1, np.ones(3), M, Minv)
-    with pytest.raises(SystemError):
+    with pytest.raises(Error, match="system id must be 1-4"):
         systems.assemble_darcy(comp, 7, np.ones(3), M, Minv)
     # a star of the wrong degree: vertices against darcy-1's edges
     M0, M0inv = make_pair(comp, k=0)
-    with pytest.raises(SystemError, match="block dimension mismatch"):
+    with pytest.raises(Error, match="block dimension mismatch"):
         systems.assemble_darcy(comp, 1, np.ones(len(comp.simplices[2])),
                                M0, M0inv)
 
@@ -277,7 +276,7 @@ def test_indefinite_wave_mass_is_rejected_by_the_eigensolve():
     M2, M2inv = hodge.hodge_pair(comp, None, 2, "whitney")
     M1 = -sp.identity(len(comp.simplices[1]), format="csr")
     ws = systems.assemble_wave(comp, "primal", M1, M2, M1, M2inv)
-    with pytest.raises(SystemError,
+    with pytest.raises(Error,
                        match="^wave mass matrix is not positive definite$"):
         ws.eigenpairs()
 
@@ -386,7 +385,7 @@ def test_particular_solution_min_norm():
         want = np.linalg.lstsq(D.toarray(), rhs, rcond=None)[0]
         assert np.abs(x - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
     # a load off the range of D_0^T (a nonzero total) is incompatible
-    with pytest.raises(IncompatibleLoadError):
+    with pytest.raises(Error, match="not in the range"):
         systems.particular_solution(D0.T, np.ones(D0.shape[1]), constants)
 
 
@@ -401,7 +400,7 @@ def lstsq_reference(D, rhs, kernel=None, tol=1e-10):
     x, *_ = np.linalg.lstsq(D, rhs, rcond=None)
     residual = np.linalg.norm(D @ x - rhs)
     if residual > tol * max(np.linalg.norm(rhs), 1.0):
-        raise IncompatibleLoadError(f"residual {residual:.3e}")
+        raise Error(f"load is not in the range (residual {residual:.3e})")
     return x
 
 
@@ -447,9 +446,13 @@ FORMULATION_MESHES = st.one_of(
 
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)
 @given(case=FORMULATION_MESHES)
+@example(case=(2, 14, 75))  # a dual polygon that 16 pixels per axis miss
 def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
     """Sparse pair, sparse solve and LSMR particular solutions give the
-    recovered cochains of the dense pipeline, to 1e-8 of max|reference|."""
+    recovered cochains of the dense pipeline, to 1e-8 of max|reference|.
+    A dual-inverse star that the pixel quadrature rejects is skipped, on
+    its own message: too few samples in a dual polygon, or a singular
+    star whose dense copy is singular too."""
     dim, n_points, seed = case
     comp = mesh.build_complex(*relabelled_delaunay(n_points, seed, dim))
     dual = mesh.build_dual(comp, "barycentric")
@@ -461,13 +464,22 @@ def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
             d = row.hodge_degree(dim)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                star = hodge.assemble(kind, comp, dual, d, 16).matrix.toarray()
+                star = None
                 try:
+                    star = hodge.assemble(kind, comp, dual, d, 16).matrix
                     pair = hodge.hodge_pair(comp, dual, d, kind, 16)
-                except hodge.HodgeError:
-                    # the pixel rule can miss the dual cell of a sliver
-                    # and leave a zero row: the dense star is singular too
-                    assert np.linalg.matrix_rank(star) < len(star)
+                except Error as exc:
+                    # the pixel rule can miss (much of) the dual cell of a
+                    # sliver: too few samples, or a zero row
+                    assert kind == "dual_inverse"
+                    if star is None:
+                        assert str(exc).startswith(
+                            "quadrature resolution 16 leaves fewer than 10 "
+                            "interior samples in the dual polygon of vertex ")
+                    else:
+                        assert "is singular" in str(exc)
+                        star = star.toarray()
+                        assert np.linalg.matrix_rank(star) < len(star)
                     continue
                 ref_pair = dense_pair_reference(comp, dual, d, kind, 16)
             L = row.load_derivative(comp)

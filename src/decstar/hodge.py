@@ -28,6 +28,7 @@ from .mesh import (DualMesh, SimplicialComplex, check_degree, generate_fig8,
                    pixel_centers, vertex_ring)
 from .whitney import whitney_gram_matrix
 from .sibson import DualInterpolation, SibsonCell, edge_forms
+from .systems import FactorizedInverse
 
 
 @dataclass
@@ -148,33 +149,6 @@ def assemble(kind: str, complex: SimplicialComplex, dual: DualMesh | None,
     raise Error(f"unknown Hodge kind {kind!r}")
 
 
-class FactorizedInverse:
-    """G^{-1} for a sparse nonsingular Hodge matrix G, applied by solves
-    with the sparse LU factors of G.
-
-    It is what a mixed system needs from the inverse side of a Hodge pair:
-    products `self @ x` with arrays, and the shape.  `nnz` is the fill of
-    the factors, the storage this operator costs.
-    """
-
-    def __init__(self, G):
-        from scipy.sparse.linalg import splu  # on first use, see `systems`
-
-        self.G = sp.csc_matrix(G)
-        self.lu = splu(self.G, permc_spec="MMD_AT_PLUS_A")
-
-    @property
-    def shape(self):
-        return self.G.shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.lu.L.nnz + self.lu.U.nnz)
-
-    def __matmul__(self, x):
-        return self.lu.solve(np.asarray(x, dtype=float))
-
-
 def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
                kind: str, resolution: int = 128,
                interp: DualInterpolation | None = None):
@@ -183,18 +157,14 @@ def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
     The mixed-system equivalences hold only when M and M^{-1} are exact
     inverse pairs.  The assembled side is returned as its sparse matrix; a
     diagonal star is inverted entrywise, and any other star's inverse is a
-    `FactorizedInverse` over the LU factors of the assembled side.
+    `systems.FactorizedInverse` over the LU factors of the assembled side.
     `interp` is passed on to `assemble`.
     """
     A = assemble(kind, complex, dual, k, resolution, interp).matrix
     if A.nnz == np.count_nonzero(A.diagonal()):  # diagonal: entrywise
         inv = sp.diags(1.0 / A.diagonal()).tocsr()
     else:
-        try:
-            inv = FactorizedInverse(A)
-        except RuntimeError as exc:
-            raise Error(f"{kind} Hodge star of degree {k} is singular: "
-                        f"{exc}") from exc
+        inv = FactorizedInverse(A, f"{kind} Hodge star of degree {k}")
     return (inv, A) if kind == "dual_inverse" else (A, inv)
 
 

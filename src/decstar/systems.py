@@ -10,13 +10,21 @@ derivative a load is lifted through) and how its physical cochains are
 recovered.
 
 All systems are symmetric 2x2 block systems with sparse blocks, and they
-are solved sparse.  A sparse Hodge block is factored together with the whole
-block system by sparse LU.  An inverse Hodge block c G^{-1}, which
-`hodge.hodge_pair` keeps as the LU factors of G, is eliminated instead: what
-remains is the sparse second-order operator B^T G B of the formulation
-equivalences.  Particular solutions and default loads are minimum-norm
-least-squares solutions from one sparse LU of a Gram matrix of the
-derivative (Bjorck, Numerical Methods for Least Squares Problems, 1996).
+are solved sparse.  A Hodge block c H whose inverse G, the other side of its
+Hodge pair, is a sparse matrix is eliminated: what remains is the sparse
+second-order operator B^T G B of the formulation equivalences (Benzi, Golub
+& Liesen, Acta Numerica 2005).  That is every diagonal star, and every
+inverse block G^{-1} that `hodge.hodge_pair` keeps as a `FactorizedInverse`.
+Any other Hodge block is factored together with the whole block system.
+Particular solutions and default loads are minimum-norm least-squares
+solutions from one sparse LU of a Gram matrix of the derivative (Bjorck,
+Numerical Methods for Least Squares Problems, 1996).
+
+Every factorization in the package is one symmetric sparse LU,
+`_symmetric_lu`, and an exactly singular matrix is one `Error` naming it:
+"saddle system is singular: ...", "least-squares Gram matrix is singular:
+...", "wave shifted system is singular: ..." or, from `hodge_pair`,
+"<kind> Hodge star of degree <k> is singular: ...".
 
 Every kernel, of a derivative block in either layout, of a Gram matrix or
 of a wave pencil, comes from one rule, `_gauge`: a sparse basis and the
@@ -51,7 +59,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import Error
-from .hodge import FactorizedInverse
 from .mesh import SimplicialComplex
 
 
@@ -77,6 +84,7 @@ class MixedSystem:
 
     name: str
     H: object  # Hodge matrix M_d or M_d^{-1}: sparse, or a FactorizedInverse
+    G: sp.csr_matrix | None  # H^{-1}, the pair's other side, if it is sparse
     c: float  # -sign of the formulation's row, +1 or -1
     B: sp.csr_matrix  # derivative block
     f: np.ndarray
@@ -206,10 +214,7 @@ class WaveSystem:
             borders.append((-sigma * sp.identity(n), sigma * M.G))
         else:
             A = A - sigma * M
-        try:
-            lu = _symmetric_lu(_bordered(A, borders))
-        except RuntimeError as exc:
-            raise Error(f"wave shifted system singular: {exc}") from exc
+        lu = _symmetric_lu(_bordered(A, borders), "wave shifted system")
         project = self._kernel_projector()
         pad = np.zeros(lu.shape[0] - n)
 
@@ -237,11 +242,11 @@ class WaveSystem:
             return lambda x: x
         if isinstance(M, FactorizedInverse):
             n = Z.shape[0]
-            lu = _symmetric_lu(_bordered(M.G, [(Z, None)]))
+            lu = _symmetric_lu(_bordered(M.G, [(Z, None)]), "wave mass")
             pad = np.zeros(Z.shape[1])
             return lambda x: x - Z @ lu.solve(np.concatenate([x, pad]))[n:]
         ZM = (Z.T @ M).tocsr()
-        lu = _symmetric_lu(ZM @ Z)
+        lu = _symmetric_lu(ZM @ Z, "wave kernel mass")
         return lambda x: x - Z @ lu.solve(ZM @ x)
 
 
@@ -256,11 +261,13 @@ def _bordered(A, borders) -> sp.csc_matrix:
     return sp.bmat(rows, format="csc")
 
 
-def _symmetric_lu(A, ordering: str | None = None,
+def _symmetric_lu(A, what: str, ordering: str | None = None,
                   diag_pivot_thresh: float = 1e-3):
     """Sparse LU of a symmetric matrix in SuperLU's symmetric mode: one
     `ordering` for rows and columns, and diagonal pivots while they are at
-    least `diag_pivot_thresh` of their column.
+    least `diag_pivot_thresh` of their column.  It is the package's one
+    factorization; an exactly singular A is the `Error` "`what` is
+    singular: ..." with SuperLU's reason.
 
     By default the ordering is the minimum degree of A + A^T when A has no
     zero on its diagonal, so that its pivots can stay there, and COLAMD
@@ -272,9 +279,34 @@ def _symmetric_lu(A, ordering: str | None = None,
     A = sp.csc_matrix(A)
     if ordering is None:
         ordering = "MMD_AT_PLUS_A" if A.diagonal().all() else "COLAMD"
-    return splu(A, permc_spec=ordering,
-                diag_pivot_thresh=diag_pivot_thresh,
-                options={"SymmetricMode": True})
+    try:
+        return splu(A, permc_spec=ordering,
+                    diag_pivot_thresh=diag_pivot_thresh,
+                    options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise Error(f"{what} is singular: {exc}") from exc
+
+
+class FactorizedInverse:
+    """G^{-1}, the inverse side of a Hodge pair with a sparse symmetric G,
+    applied to arrays (`self @ x`) by solves with the `_symmetric_lu`
+    factors of G; `what` names G in the `Error` of a singular one.  `nnz` is
+    the fill of the factors, the storage this operator costs."""
+
+    def __init__(self, G, what: str):
+        self.G = sp.csc_matrix(G)
+        self.lu = _symmetric_lu(self.G, what)
+
+    @property
+    def shape(self):
+        return self.G.shape
+
+    @property
+    def nnz(self) -> int:
+        return int(self.lu.L.nnz + self.lu.U.nnz)
+
+    def __matmul__(self, x):
+        return self.lu.solve(np.asarray(x, dtype=float))
 
 
 def _positive_definite(F) -> bool:
@@ -282,8 +314,8 @@ def _positive_definite(F) -> bool:
     diagonal pivots only is a congruence, so by Sylvester's law of inertia
     its pivots are all positive exactly then."""
     try:
-        lu = _symmetric_lu(F, diag_pivot_thresh=0.0)
-    except RuntimeError:  # an exactly singular pivot
+        lu = _symmetric_lu(F, "matrix", diag_pivot_thresh=0.0)
+    except Error:  # an exactly singular pivot
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c)
                 and (lu.U.diagonal() > 0).all())
@@ -314,10 +346,7 @@ def least_squares(D, rhs, kernel: Gauge | None = None) -> np.ndarray:
     size = len(b)
     if Z is not None:
         G, b = _bordered(G, [(Z, None)]), np.append(b, np.zeros(Z.shape[1]))
-    try:
-        lu = _symmetric_lu(G, "MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise Error(f"least-squares Gram matrix singular: {exc}") from exc
+    lu = _symmetric_lu(G, "least-squares Gram matrix", "MMD_AT_PLUS_A")
     y = lu.solve(b)[:size]
     return y if tall else D.T @ y
 
@@ -413,6 +442,12 @@ class _Formulation(NamedTuple):
     def hodge_degree(self, n: int) -> int:
         return range(n + 1)[self.degree]
 
+    @property
+    def lifts(self) -> bool:
+        """Whether the load is lifted into f: the layout leaves its space
+        unconstrained."""
+        return (self.orientation == "primal-first") != (self.load == "up")
+
     def load_derivative(self, complex: SimplicialComplex):
         """The derivative whose range holds this formulation's load."""
         d = self.hodge_degree(complex.dim)
@@ -482,19 +517,20 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
     if load.shape != (L.shape[0],):
         raise Error(f"{name}: load has length {len(load)}, expected "
                     f"{L.shape[0]}")
-    H, j = (M, d) if primal else (M_inv, d - 1)  # B = D_d^T or D_{d-1}
+    # B = D_d^T or D_{d-1}, and G = H^{-1}, kept when it is sparse
+    H, G, j = (M, M_inv, d) if primal else (M_inv, M, d - 1)
     B = (complex.incidence_matrix(j).T if primal
          else complex.incidence_matrix(j)).tocsr()
     if H.shape[0] != B.shape[0]:
         raise Error(f"block dimension mismatch: Hodge block {H.shape} vs "
                     f"derivative block {B.shape}")
     f, g, x0 = np.zeros(B.shape[0]), load, None
-    if primal != (row.load == "up"):
+    if row.lifts:
         x0 = particular_solution(L, load, kernel)
         f, g = -row.sign * x0, np.zeros(B.shape[1])
     parts = SimpleNamespace(B=B, H=H, L=L, kernel=kernel, x0=x0)
-    return MixedSystem(name, H, -row.sign, B, f, g,
-                       lambda u, w: row.recover(u, w, parts),
+    return MixedSystem(name, H, G if sp.issparse(G) else None, -row.sign, B,
+                       f, g, lambda u, w: row.recover(u, w, parts),
                        _gauge(complex, j, primal))
 
 
@@ -538,14 +574,12 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
     gauge="pin" zeroes the gauge dofs: Bg is B without their columns, E the
     identity on them, y = w.  gauge="augment" borders the system with the
     kernel basis Z of B: Bg = [B, 0], E = [[0, Z], [Z^T, 0]],
-    y = [w; multipliers], so w is orthogonal to the kernel.  A sparse
-    Hodge matrix H is factored with the whole system; H = G^{-1} is
-    eliminated, (Bg^T G Bg - c E) y = Bg^T G f - c g and
-    u = G (f - Bg y) / c.  The residual is that of the gauged system.  Rank
-    deficiency beyond the declared gauge is an error.
+    y = [w; multipliers], so w is orthogonal to the kernel.  A Hodge block
+    whose inverse G is sparse (`system.G`) is eliminated,
+    (Bg^T G Bg - c E) y = Bg^T G f - c g and u = G (f - Bg y) / c; any other
+    is factored with the whole system.  The residual is that of the gauged
+    system.  Rank deficiency beyond the declared gauge is an error.
     """
-    from scipy.sparse.linalg import splu
-
     t0 = time.perf_counter()
     H, c, B, f, g = system.H, system.c, system.B, system.f, system.g
     n1 = B.shape[1]
@@ -566,19 +600,15 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
         else:
             raise Error(f"unknown gauge strategy {gauge!r}")
         applied = system.gauge.labels[gauge]
-    B, E = B.tocsr(), E.tocsr()
-    try:
-        if isinstance(H, FactorizedInverse):
-            G = H.G
-            S = (B.T @ G @ B - c * E).tocsc()
-            y = splu(S).solve(B.T @ (G @ f) - c * g)
-            u = G @ (f - B @ y) / c
-        else:
-            K = sp.bmat([[c * H, B], [B.T, E]], format="csc")
-            x = splu(K).solve(np.concatenate([f, g]))
-            u, y = x[:len(f)], x[len(f):]
-    except RuntimeError as exc:
-        raise Error(f"saddle system singular: {exc}") from exc
+    B, E, G = B.tocsr(), E.tocsr(), system.G
+    if G is not None:
+        lu = _symmetric_lu(B.T @ G @ B - c * E, "saddle system")
+        y = lu.solve(B.T @ (G @ f) - c * g)
+        u = G @ (f - B @ y) / c
+    else:
+        lu = _symmetric_lu(_bordered(c * H, [(B, E)]), "saddle system")
+        x = lu.solve(np.concatenate([f, g]))
+        u, y = x[:len(f)], x[len(f):]
     r = np.concatenate([c * (H @ u) + B @ y - f, B.T @ u + E @ y - g])
     residual = np.linalg.norm(r) / max(np.linalg.norm(np.concatenate([f, g])),
                                        1.0)

@@ -168,7 +168,7 @@ def test_blocks_follow_the_formulation_table():
             H = M if primal else Minv
             assert system.H is H
             assert system.c == -row.sign
-            factorized_blocks.add(isinstance(H, hodge.FactorizedInverse))
+            factorized_blocks.add(isinstance(H, systems.FactorizedInverse))
             assert system.f.shape == (system.B.shape[0],)
             assert system.g.shape == (system.B.shape[1],)
             L = row.load_derivative(comp)
@@ -727,3 +727,60 @@ def test_solve_runs_no_iterative_solver(monkeypatch, capsys):
         out = capsys.readouterr().out.splitlines()
         assert code == 0, (problem, spec, pair)
         assert json.loads(out[-1])["pass"] is True
+
+
+def _recorded_splu(monkeypatch):
+    """Wrap scipy's `splu`; the list it returns gets the calling function's
+    name and the order of each matrix factored."""
+    import sys
+
+    import scipy.sparse.linalg
+
+    splu, calls = scipy.sparse.linalg.splu, []
+
+    def record(A, *args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, A.shape[0]))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
+    return calls
+
+
+def test_every_factorization_is_one_symmetric_lu(monkeypatch, capsys):
+    """`solve` of both problems and pairs and `wave` of both formulations,
+    with each star kind, factor only through `_symmetric_lu`."""
+    calls = _recorded_splu(monkeypatch)
+    argvs = [["solve", problem, "--system", pair]
+             for problem in ("darcy", "magneto") for pair in ("1,2", "3,4")]
+    argvs += [["wave", "--formulation", "primal", "--count", "30"],
+              ["wave", "--formulation", "dual"]]  # Lanczos serves both
+    for argv in argvs:
+        for kind in hodge.KINDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                code = cli.main([*argv, "--mesh", "grid:4", "--kind", kind,
+                                 "--grid", "32"])
+            assert code == 0, (argv, kind, capsys.readouterr().err)
+    assert {caller for caller, _ in calls} == {"_symmetric_lu"}
+
+
+@pytest.mark.parametrize("kind", ["diag", "whitney"])
+@pytest.mark.parametrize("problem, sid", [(problem, sid)
+                                          for problem in PROBLEMS
+                                          for sid in (1, 2, 3, 4)])
+def test_a_hodge_block_with_a_sparse_inverse_is_eliminated(
+        monkeypatch, kind, problem, sid):
+    """`solve` factors B^T G B, of order B.shape[1], when the Hodge block's
+    inverse G is sparse (every diagonal star, the Whitney dual-first
+    layouts), and the whole block system otherwise (Whitney primal-first)."""
+    comp = mesh.structured_grid(4)
+    row = systems._formulation(problem, sid)
+    M, Minv = make_pair(comp, kind, k=row.hodge_degree(comp.dim))
+    system = PROBLEMS[problem](comp, sid, row.default_load(comp, seed=sid),
+                               M, Minv)
+    calls = _recorded_splu(monkeypatch)
+    systems.solve(system)
+    n0, n1 = system.B.shape
+    eliminated = kind == "diag" or row.orientation == "dual-first"
+    assert (system.G is not None) == eliminated
+    assert calls[0][1] == (n1 if eliminated else n0 + n1)  # then recovery

@@ -115,9 +115,9 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
                         f"than 10 interior samples in the dual polygon of "
                         f"vertex {v}")
         gens, fields = di.forms(v, k, pts)
-        fields = fields.reshape(len(gens), len(pts), -1)  # (G, q, d)
+        fields = fields.reshape(len(gens), -1)  # (G, d q), points last
         # symmetric by construction: the upper triangle, mirrored
-        gram = np.triu(w * np.einsum("aqd,bqd->ab", fields, fields))
+        gram = np.triu(w * (fields @ fields.T))
         gram += np.triu(gram, 1).T
         rows.append(np.repeat(gens, len(gens)))
         cols.append(np.tile(gens, len(gens)))
@@ -307,10 +307,12 @@ def fig8_dual_inverse_block(P: float, resolution: int = 512) -> np.ndarray:
     pts, w = _cell_quadrature(cell, resolution)
     vals, grads = cell.coords_and_gradients_batch(pts)
     fan13, t123, t124, _ = (labels.index(t) for t in tris)
-    eta12, eta13 = edge_forms(vals, grads, [t123, t123], [t124, fan13])
+    # (2, q) rows: the points-last storage behind the (q, 2) views
+    eta12, eta13 = edge_forms(vals, grads, [t123, t123],
+                              [t124, fan13]).transpose(0, 2, 1)
 
     def dot(a, b):
-        return w * float(np.einsum("qd,qd->", a, b))
+        return w * float(np.einsum("dq,dq->", a, b))
 
     vartheta = 2.0 * dot(eta12, eta12)
     zeta = dot(eta12, eta13)

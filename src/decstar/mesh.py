@@ -293,10 +293,12 @@ def build_complex(vertices, cells) -> SimplicialComplex:
 def pixel_centers(lo, hi, m: int) -> np.ndarray:
     """The centers of the m**d equal cells of a grid over the box from
     corner `lo` to corner `hi`, one row each, the first axis slowest."""
-    axes = [np.linspace(a, b, m, endpoint=False) + (b - a) / (2 * m)
-            for a, b in zip(lo, hi)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"),
-                    axis=-1).reshape(-1, len(axes))
+    d = len(lo)
+    out = np.empty((m,) * d + (d,))
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        axis = np.linspace(a, b, m, endpoint=False) + (b - a) / (2 * m)
+        out[..., i] = axis.reshape((m,) + (1,) * (d - 1 - i))
+    return out.reshape(-1, d)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,19 @@ gradient of the overlap area; a caller that wants coordinates alone
 the cell boundary the coordinates take the Milbradt-Pick limit, from the
 same nearest-side projection that measures the boundary distance.
 
-The kernel works on (region sides, query points) arrays, with the points on
-the contiguous axis, so each numpy call runs over a whole batch at once.  Its
-sums over region sides add one side at a time in loop order, so a point's
-coordinates and gradients are the same bits in any batch, a batch of one
-included.
+Query points stay on the contiguous axis from the clip kernel to the Gram
+matrix, so each numpy call runs over a whole batch at once.  The kernel
+works on (region sides, points) arrays.  Areas are stored (sites, points)
+and area gradients (sites, 2, points), each site's row written
+contiguously; the quotient rule works on those rows in place, and the dual
+edge forms are (forms, 2, points).  The public batch methods and
+`edge_forms` return their documented (points, ...) shapes as transposed
+views of that storage, with no copy.  `DualInterpolation.forms`, which the
+dual-inverse star integrates, and the Table 1 block take the views back to
+points last for free; `DualInterpolation.interpolate` transposes its field
+values once.  Every sum over region sides or over sites adds one row at a
+time in order (`_row_sum`), so a point's coordinates and gradients are the
+same bits in any batch, a batch of one included.
 
 Dual Whitney forms attach interpolants to dual mesh cells: normalized
 characteristic functions to the dual polygons of primal vertices,
@@ -55,14 +63,15 @@ def polygon_area(loop: np.ndarray) -> float:
                        - np.dot(y, _next_corners(x)))
 
 
-def _side_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of (m, q) per-side terms over the m sides, added in side order.
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of `terms` over its first axis (region sides or sites), the rows
+    added in order.
 
     `np.sum(axis=0)` adds a batch of one point pairwise and a larger batch
     row by row, so a point's bits would depend on its batch.  In order from
     zero, every point gets the bits of a batch of one, which are also those
-    of `np.sum` over fewer than eight sides along a contiguous axis."""
-    total = np.zeros(terms.shape[1])
+    of `np.sum` over fewer than eight rows along a contiguous axis."""
+    total = np.zeros(terms.shape[1:])
     for row in terms:
         total += row
     return total
@@ -91,7 +100,7 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
     the area alone and returns None for the gradient.
 
     Work arrays are (m + 1, q) or (q,): the query points lie along the
-    contiguous axis and the sums over sides run in order (`_side_sum`).
+    contiguous axis and the sums over sides run in order (`_row_sum`).
     """
     closed = np.vstack([region, region[:1]])
     cx, cy = closed[:, :1], closed[:, 1:]
@@ -108,15 +117,15 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
     t = da / np.where(sign == 0.0, 1.0, da - db)
     inside = (~out[:-1]) - sign * (1.0 - t)
     cross = rx[:-1] * ry[1:] - ry[:-1] * rx[1:]
-    area = 0.5 * _side_sum(inside * cross)
+    area = 0.5 * _row_sum(inside * cross)
     if not chord:
         return area, None, None
     s = rx * hy - ry * hx  # coordinate along the bisector
     sa = s[:-1]
     crossing = sa + t * (s[1:] - sa)
     signed = sign * crossing
-    half = 0.5 * _side_sum(signed)  # L / 2
-    along = 0.5 * _side_sum(signed * crossing)  # the moment, along F
+    half = 0.5 * _row_sum(signed)  # L / 2
+    along = 0.5 * _row_sum(signed * crossing)  # the moment, along F
     return (area, (along * hy + half * nx) / nrm,
             (along * -hx + half * ny) / nrm)
 
@@ -237,15 +246,15 @@ CLIP_CHUNK = 1 << 14  # query points per pass of `_bisector_clip`
 
 def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray,
                   gradients: bool):
-    """Overlap areas (q, n) of the inserted region of each point with each
-    site region, and with `gradients` their gradients (q, n, 2), else None;
+    """Overlap areas (n, q) of the inserted region of each point with each
+    site region, and with `gradients` their gradients (n, 2, q), else None;
     see `SibsonCell._site_clips`.
 
     Points are clipped `CLIP_CHUNK` at a time, which bounds the temporaries;
     each point's result does not depend on its chunk.
     """
-    areas = np.zeros((len(pts), len(sites)))
-    grads = np.zeros((len(pts), len(sites), 2)) if gradients else None
+    areas = np.zeros((len(sites), len(pts)))
+    grads = np.zeros((len(sites), 2, len(pts))) if gradients else None
     for lo in range(0, len(pts), CLIP_CHUNK):
         chunk = slice(lo, lo + CLIP_CHUNK)
         qx, qy = np.ascontiguousarray(pts[chunk].T)
@@ -254,10 +263,10 @@ def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray,
                 continue
             area, gx, gy = _bisector_clip(region, sites[i], qx, qy,
                                           chord=gradients)
-            areas[chunk, i] = np.maximum(area, 0.0)
+            np.maximum(area, 0.0, out=areas[i, chunk])
             if gradients:
-                grads[chunk, i, 0] = gx
-                grads[chunk, i, 1] = gy
+                grads[i, 0, chunk] = gx
+                grads[i, 1, chunk] = gy
     return areas, grads
 
 
@@ -350,8 +359,8 @@ class SibsonCell:
         return self._box_cache[key]
 
     def _site_clips(self, pts: np.ndarray, gradients: bool):
-        """Overlap areas A_i = |D(x) cap C_i| at a batch of points and, with
-        `gradients`, their exact gradients (else None).
+        """Overlap areas A_i = |D(x) cap C_i| (n, q) at a batch of points
+        and, with `gradients`, their exact gradients (n, 2, q) (else None).
 
         Sibson's identity gives grad A_i = integral over F_i of (y - x) ds
         divided by |v_i - x|, where F_i is the part of the x-v_i bisector
@@ -367,23 +376,25 @@ class SibsonCell:
         diam = self.diameter
         margin = np.maximum(self.boundary_distance(pts), 1e-9 * diam)
         keys = np.ceil(np.log2(diam / (2.0 * margin) + 1.0)).astype(int)
-        areas = np.zeros((len(pts), self.n_sites))
-        grads = np.zeros((len(pts), self.n_sites, 2)) if gradients else None
+        areas = np.zeros((self.n_sites, len(pts)))
+        grads = np.zeros((self.n_sites, 2, len(pts))) if gradients else None
         for key in np.unique(keys):
             sel = keys == key
-            areas[sel], key_grads = _clip_regions(
+            areas[:, sel], key_grads = _clip_regions(
                 self._boxed_regions(int(key)), self.vertices, pts[sel],
                 gradients)
             if gradients:
-                grads[sel] = key_grads
+                grads[..., sel] = key_grads
         return areas, grads
 
     def coords_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Sibson coordinates for a batch of points inside the cell: the
-        overlap areas of `_site_clips` over their sum."""
+        """Sibson coordinates (q, n) for a batch of points inside the cell:
+        the overlap areas of `_site_clips` over their sum, a transposed view
+        of (n, q) storage."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         areas, _ = self._site_clips(pts, gradients=False)
-        return areas / areas.sum(axis=1)[:, None]
+        areas /= _row_sum(areas)
+        return areas.T
 
     def limit_coords(self, pts, with_gradients: bool = False):
         """Coordinates (q, n) at a batch of points of the closed cell: the
@@ -395,7 +406,8 @@ class SibsonCell:
         point near a site is near the boundary too.
 
         With `with_gradients`, also the kernel's gradients (q, n, 2) at every
-        point, boundary points included.
+        point, boundary points included.  Both are transposed views of
+        points-last storage, as from the batch methods.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         side, t, dist = self._nearest_sides(pts)
@@ -403,35 +415,40 @@ class SibsonCell:
         edge = dist <= tol
         if with_gradients:
             coords, grads = self.coords_and_gradients_batch(pts)
+            coords = coords.T  # the (n, q) storage
         else:
-            coords = np.empty((len(pts), self.n_sites))
+            coords = np.empty((self.n_sites, len(pts)))
             if not edge.all():
-                coords[~edge] = self.coords_batch(pts[~edge])
-        rows = np.nonzero(edge)[0]
-        near = np.linalg.norm(self.vertices - pts[rows, None], axis=2)
+                coords[:, ~edge] = self.coords_batch(pts[~edge]).T
+        cols = np.nonzero(edge)[0]
+        near = np.linalg.norm(self.vertices - pts[cols, None], axis=2)
         at_site = near.min(axis=1) <= tol
-        coords[rows] = 0.0
-        coords[rows[at_site], near[at_site].argmin(axis=1)] = 1.0
-        rows = rows[~at_site]
-        coords[rows, side[rows]] = 1.0 - t[rows]
-        coords[rows, (side[rows] + 1) % self.n_sites] = t[rows]
-        return (coords, grads) if with_gradients else coords
+        coords[:, cols] = 0.0
+        coords[near[at_site].argmin(axis=1), cols[at_site]] = 1.0
+        cols = cols[~at_site]
+        coords[side[cols], cols] = 1.0 - t[cols]
+        coords[(side[cols] + 1) % self.n_sites, cols] = t[cols]
+        return (coords.T, grads) if with_gradients else coords.T
 
     def coords_and_gradients_batch(self, pts: np.ndarray):
-        """Coordinates (q, n) and gradients (q, n, 2) at a batch of points.
+        """Coordinates (q, n) and gradients (q, n, 2) at a batch of points,
+        transposed views of (n, q) and (n, 2, q) storage.
 
         One clip pass per site gives each overlap area A_i and its exact
         gradient (`_site_clips`); the quotient rule on lambda_i = A_i / sum A
         then gives grad lambda_i = (grad A_i - lambda_i sum_j grad A_j)
-        / sum_j A_j.
+        / sum_j A_j, one site's rows at a time, in place.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        areas, area_grads = self._site_clips(pts, gradients=True)
-        total = areas.sum(axis=1)[:, None]
-        coords = areas / total
-        grads = (area_grads - coords[..., None]
-                 * area_grads.sum(axis=1, keepdims=True)) / total[..., None]
-        return coords, grads
+        # the areas and their gradients, turned into coordinates in place
+        coords, grads = self._site_clips(pts, gradients=True)
+        total = _row_sum(coords)
+        coords /= total
+        grad_total = _row_sum(grads)
+        for grad, lam in zip(grads, coords):
+            grad -= lam * grad_total
+            grad /= total
+        return coords.T, grads.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +478,17 @@ def _self_intersects(loop: np.ndarray) -> bool:
 def edge_forms(lam: np.ndarray, grads: np.ndarray, ia, ib) -> np.ndarray:
     """Dual edge forms lambda_a grad lambda_b - lambda_b grad lambda_a,
     (G, q, 2), from the coordinates (q, n) and gradients (q, n, 2) at a
-    batch of points and the site indices a = ia[g], b = ib[g] of each form."""
-    lam, grads = lam.T, grads.transpose(1, 0, 2)
-    return lam[ia, :, None] * grads[ib] - lam[ib, :, None] * grads[ia]
+    batch of points and the site indices a = ia[g], b = ib[g] of each form.
+
+    The forms are a transposed view of (G, 2, q) storage, built one form at
+    a time from the (n, q) and (n, 2, q) storage that the batch methods'
+    views transpose back to."""
+    lam, grads = lam.T, grads.transpose(1, 2, 0)
+    forms = np.empty((len(ia), 2, lam.shape[1]))
+    for form, a, b in zip(forms, ia, ib):
+        np.multiply(lam[a], grads[b], out=form)
+        form -= lam[b] * grads[a]
+    return forms.transpose(0, 2, 1)
 
 
 class DualInterpolation:
@@ -550,8 +575,8 @@ class DualInterpolation:
         """The dual forms of primal p-simplices supported on the polygon of
         vertex v, at a (q, 2) batch of points inside it.
 
-        Returns the generators (G,) and the values, (G, q) for p = 0 and 2
-        and (G, q, 2) for p = 1:
+        Returns the generators (G,) and the values with the points last,
+        (G, q) for p = 0 and 2 and (G, 2, q) for p = 1:
 
         - p = 0: the polygon's indicator over its area, generator v;
         - p = 2: the Sibson coordinate of each triangle-center site;
@@ -577,7 +602,7 @@ class DualInterpolation:
         gens = self.complex.cofaces(0, v)
         ia, ib = np.array([[lookup[t] for t in self.edge_endpoint_tags(e)]
                            for e in gens.tolist()], dtype=int).T
-        return gens, edge_forms(lam, grads, ia, ib)
+        return gens, edge_forms(lam, grads, ia, ib).transpose(0, 2, 1)
 
     def interpolate(self, dual_degree: int, cochain):
         """Interpolant of a dual k-cochain over the dual cell mesh.
@@ -610,7 +635,7 @@ class DualInterpolation:
                 total = np.zeros(vals.shape[1:])
                 for g, val in zip(gens, vals):
                     total += weights[g] * val
-                out[sel] = total
+                out[sel] = total.T
             return out[0] if x.ndim == 1 else out
 
         return field

@@ -18,7 +18,9 @@ inverse block G^{-1} that `hodge.hodge_pair` keeps as a `FactorizedInverse`.
 Any other Hodge block is factored together with the whole block system.
 Particular solutions and default loads are minimum-norm least-squares
 solutions from one sparse LU of a Gram matrix of the derivative (Bjorck,
-Numerical Methods for Least Squares Problems, 1996).
+Numerical Methods for Least Squares Problems, 1996).  Darcy systems 2 and 4
+lift their load through the derivative and recover the pressure through
+its transpose, both from the one LU of the formulation's `_Gram`.
 
 Every factorization in the package is one symmetric sparse LU,
 `_symmetric_lu`, and an exactly singular matrix is one `Error` naming it:
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -325,41 +328,70 @@ def _positive_definite(F) -> bool:
 # helpers
 
 
-def least_squares(D, rhs, kernel: Gauge | None = None) -> np.ndarray:
-    """Minimum-norm least-squares solution of D x = rhs for a sparse D.
+class _Gram:
+    """One sparse LU for the minimum-norm least-squares solutions of
+    D x = b (`solve`) and of D^T y = c (`solve_transpose`), for a sparse D.
 
-    One sparse LU of a Gram matrix G: D^T D, with G x = D^T rhs, when the
-    `kernel` basis spans ker D or (without one) D is taller than wide; else
-    D D^T, with G z = rhs and x = D^T z.  A rank-deficient D needs that
-    `Gauge`, whose basis then spans ker G; G is bordered with it, which
-    keeps x, or z, orthogonal to it.  `_symmetric_lu` with the minimum
-    degree ordering, even for the zero block of the border, keeps the dense
-    border of constants from tripling the fill: 2 s against 5 s for
-    D_0^T D_0 on grid:256, on one core.
+    The Gram matrix is L L^T: L = D^T, so G = D^T D, when the `kernel`
+    basis spans ker D or (without one) D is taller than wide; else L = D.
+    Through L, x = L^T z with G z = b; through L^T, G y = L c.  A
+    rank-deficient D needs that `Gauge`, whose basis then spans ker G; G is
+    bordered with it, which keeps z, or y, orthogonal to it.  G is factored
+    on first use.  `_symmetric_lu` with the minimum degree ordering, even
+    for the zero block of the border, keeps the dense border of constants
+    from tripling the fill: 2 s against 5 s for D_0^T D_0 on grid:256, on
+    one core.
     """
-    D = sp.csr_matrix(D)
-    rhs = np.asarray(rhs, dtype=float)
-    Z = None if kernel is None else kernel.kernel
-    tall = (D.shape[0] > D.shape[1] if Z is None  # else D Z = 0 picks D_j
-            else Z.shape[0] == D.shape[1] and not (D @ Z).count_nonzero())
-    G, b = (D.T @ D, D.T @ rhs) if tall else (D @ D.T, rhs)
-    size = len(b)
-    if Z is not None:
-        G, b = _bordered(G, [(Z, None)]), np.append(b, np.zeros(Z.shape[1]))
-    lu = _symmetric_lu(G, "least-squares Gram matrix", "MMD_AT_PLUS_A")
-    y = lu.solve(b)[:size]
-    return y if tall else D.T @ y
+
+    def __init__(self, D, kernel: Gauge | None):
+        D = sp.csr_matrix(D)
+        self.Z = None if kernel is None else kernel.kernel
+        self.tall = (D.shape[0] > D.shape[1] if self.Z is None
+                     # else D Z = 0 picks D_j
+                     else self.Z.shape[0] == D.shape[1]
+                     and not (D @ self.Z).count_nonzero())
+        self.L = sp.csr_matrix(D.T) if self.tall else D
+
+    @cached_property
+    def lu(self):
+        G = self.L @ self.L.T
+        if self.Z is not None:
+            G = _bordered(G, [(self.Z, None)])
+        return _symmetric_lu(G, "least-squares Gram matrix", "MMD_AT_PLUS_A")
+
+    def _gram_solve(self, b):
+        size = len(b)
+        if self.Z is not None:
+            b = np.append(b, np.zeros(self.Z.shape[1]))
+        return self.lu.solve(b)[:size]
+
+    def _through(self, rhs, transposed: bool):
+        rhs = np.asarray(rhs, dtype=float)
+        if transposed:  # through L^T
+            return self._gram_solve(self.L @ rhs)
+        return self.L.T @ self._gram_solve(rhs)
+
+    def solve(self, rhs):
+        """The minimum-norm least-squares x of D x = rhs."""
+        return self._through(rhs, self.tall)
+
+    def solve_transpose(self, rhs):
+        """The minimum-norm least-squares y of D^T y = rhs."""
+        return self._through(rhs, not self.tall)
 
 
 # compatible loads leave a residual of at most this share of max(|rhs|, 1)
 LOAD_RESIDUAL_TOL = 1e-10
 
 
-def particular_solution(D, rhs, kernel: Gauge | None = None) -> np.ndarray:
-    """Minimum-norm solution of D x = rhs (`kernel` as for
-    `least_squares`); rejects incompatible loads."""
+def particular_solution(D, rhs, kernel: Gauge | None = None,
+                        solve: Callable | None = None) -> np.ndarray:
+    """Minimum-norm solution of D x = rhs by least squares (`_Gram`, with
+    the `kernel` of D or of D^T); rejects incompatible loads.  `solve`,
+    when given, is that least-squares solve from factors built already,
+    and `kernel` goes unused."""
     rhs = np.asarray(rhs, dtype=float)
-    x = least_squares(D, rhs, kernel)
+    x = (solve or _Gram(D, kernel).solve)(rhs)
     residual = np.linalg.norm(D @ x - rhs)
     scale = max(np.linalg.norm(rhs), 1.0)
     if residual > LOAD_RESIDUAL_TOL * scale:
@@ -467,12 +499,13 @@ class _Formulation(NamedTuple):
         that every formulation of the pair accepts it."""
         L = self.load_derivative(complex)
         load = np.random.default_rng(seed).standard_normal(L.shape[0])
-        return L @ least_squares(L, load, self.load_gauge(complex))
+        return L @ _Gram(L, self.load_gauge(complex)).solve(load)
 
 
 def _flux_and_pressure(u, w, parts):
     return {"f": parts.H @ u,
-            "p": particular_solution(parts.L.T, -u, parts.kernel)}
+            "p": particular_solution(parts.L.T, -u, parts.kernel,
+                                     parts.gram.solve_transpose)}
 
 
 _FORMULATIONS = {
@@ -524,11 +557,13 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
     if H.shape[0] != B.shape[0]:
         raise Error(f"block dimension mismatch: Hodge block {H.shape} vs "
                     f"derivative block {B.shape}")
+    # one Gram LU lifts the load and recovers the Darcy pressure
+    gram = _Gram(L, kernel)
     f, g, x0 = np.zeros(B.shape[0]), load, None
     if row.lifts:
-        x0 = particular_solution(L, load, kernel)
+        x0 = particular_solution(L, load, kernel, gram.solve)
         f, g = -row.sign * x0, np.zeros(B.shape[1])
-    parts = SimpleNamespace(B=B, H=H, L=L, kernel=kernel, x0=x0)
+    parts = SimpleNamespace(B=B, H=H, L=L, kernel=kernel, x0=x0, gram=gram)
     return MixedSystem(name, H, G if sp.issparse(G) else None, -row.sign, B,
                        f, g, lambda u, w: row.recover(u, w, parts),
                        _gauge(complex, j, primal))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from decstar import Error, hodge, mesh, systems, whitney
+from decstar import Error, cli, hodge, mesh, systems, whitney
 from decstar.sibson import DualInterpolation, SibsonCell, edge_forms
 
 
@@ -250,6 +250,69 @@ def loop_dual_inverse(comp, di, k, resolution):
                 if ga != gb:
                     mat[gb, ga] += val
     return mat.tocsr()
+
+
+def one_point_dual_inverse(comp, di, k, resolution):
+    """The dense dual-inverse star from batches of one point through the
+    public batch methods and `edge_forms`: a reference for the points-last
+    layout from the clip kernel to the Gram matrix."""
+    N = len(comp.simplices[k])
+    star = np.zeros((N, N))
+    for v, sc in enumerate(di.cells):
+        pts, w = hodge._cell_quadrature(sc, resolution)
+        lookup = di.site_lookup[v]
+        if k == 2:
+            gens = [g for kind, g in lookup if kind == "c"]
+            sites = [lookup["c", g] for g in gens]
+            fields = np.array([sc.coords_batch(x[None])[0, sites]
+                               for x in pts]).T  # (G, q)
+        else:
+            gens = comp.cofaces(0, v).tolist()
+            ia, ib = np.array([[lookup[t] for t in di.edge_endpoint_tags(e)]
+                               for e in gens]).T
+            fields = np.concatenate(
+                [edge_forms(*sc.coords_and_gradients_batch(x[None]), ia, ib)
+                 for x in pts], axis=1)  # (G, q, 2)
+        fields = fields.reshape(len(gens), -1)
+        star[np.ix_(gens, gens)] += w * (fields @ fields.T)
+    return star
+
+
+# random:30:7 leaves fewer than 10 pixels in some dual polygon at grid 8
+@pytest.mark.parametrize("spec, resolution", [("grid:3", 8),
+                                              ("random:30:7", 12)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_dual_inverse_matches_one_point_batches(spec, resolution, k):
+    comp = cli.resolve_mesh(spec)
+    dual = mesh.build_dual(comp, "barycentric")
+    di = DualInterpolation(comp, dual)
+    star = hodge.assemble_dual_inverse(comp, dual, k,
+                                       resolution).matrix.toarray()
+    ref = one_point_dual_inverse(comp, di, k, resolution)
+    assert np.abs(star - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("P", [0.75, 2.0])
+def test_fig8_block_matches_one_point_batches(P):
+    comp = mesh.generate_fig8(P)
+    tris = [t for tag, t in mesh.vertex_ring(comp, 0) if tag == "c"]
+    centers = comp.vertices[comp.simplices[2][tris]].mean(axis=1)
+    cell = SibsonCell(centers, restricted=True)
+    labels = tris if cell.vertices is centers else tris[::-1]
+    fan13, t123, t124, _ = (labels.index(t) for t in tris)
+    pts, w = hodge._cell_quadrature(cell, 64)
+    eta12, eta13 = np.concatenate(
+        [edge_forms(*cell.coords_and_gradients_batch(x[None]), [t123, t123],
+                    [t124, fan13]) for x in pts], axis=1)
+
+    def dot(a, b):
+        return w * float(np.sum(a * b))
+
+    block = hodge.fig8_dual_inverse_block(P, 64)
+    want = {(0, 0): 2 * dot(eta12, eta12), (0, 1): dot(eta12, eta13),
+            (1, 1): 2 * dot(eta13, eta13)}
+    for (i, j), value in want.items():
+        assert block[i, j] == pytest.approx(value, rel=1e-13, abs=0)
 
 
 def test_dual_inverse_matches_per_entry_assembly():

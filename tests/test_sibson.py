@@ -315,6 +315,28 @@ def test_classical_batch_matches_single_points():
             assert np.array_equal(one_grads[0], grads_x)
 
 
+def test_restricted_batch_matches_single_points_on_wide_dual_polygons():
+    """On mesh dual polygons of 8 or more sites, where `np.sum` over the
+    sites would add a batch of one pairwise and a larger batch row by row,
+    the restricted coordinates and gradients give each point of a batch the
+    bits of a batch of one: the sums over sites add the sites in order."""
+    comp = mesh.random_delaunay(40, 3)
+    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    wide = [sc for sc in di.cells if sc.n_sites >= 8]
+    assert len(wide) >= 5 and max(sc.n_sites for sc in wide) >= 10
+    rng = np.random.default_rng(30)
+    for sc in wide:
+        assert sc.restricted
+        pts = interior_points(sc, rng, 30, 1e-3)
+        lam = sc.coords_batch(pts)
+        lam_g, grads = sc.coords_and_gradients_batch(pts)
+        for x, lam_x, lam_gx, grads_x in zip(pts, lam, lam_g, grads):
+            assert np.array_equal(sc.coords_batch(x[None])[0], lam_x)
+            one_lam, one_grads = sc.coords_and_gradients_batch(x[None])
+            assert np.array_equal(one_lam[0], lam_gx)
+            assert np.array_equal(one_grads[0], grads_x)
+
+
 def test_boundary_distance_batch_matches_loop():
     rng = np.random.default_rng(23)
     cell = random_convex_cell(rng)

@@ -393,9 +393,10 @@ def test_particular_solution_min_norm():
 # the dense pipeline that the sparse one replaced, kept as a reference
 
 
-def lstsq_reference(D, rhs, kernel=None, tol=1e-10):
+def lstsq_reference(D, rhs, kernel=None, solve=None, tol=1e-10):
     """Minimum-norm particular solution by dense least squares; the kernel
-    the sparse solve borders with is not needed here."""
+    the sparse solve borders with and the sparse factors it may reuse are
+    not needed here."""
     D = D.toarray() if sp.issparse(D) else np.asarray(D, dtype=float)
     x, *_ = np.linalg.lstsq(D, rhs, rcond=None)
     residual = np.linalg.norm(D @ x - rhs)
@@ -731,7 +732,8 @@ def test_solve_runs_no_iterative_solver(monkeypatch, capsys):
 
 def _recorded_splu(monkeypatch):
     """Wrap scipy's `splu`; the list it returns gets the calling function's
-    name and the order of each matrix factored."""
+    name, the order of each matrix factored and the `what` that the caller
+    names it by (None without one)."""
     import sys
 
     import scipy.sparse.linalg
@@ -739,7 +741,9 @@ def _recorded_splu(monkeypatch):
     splu, calls = scipy.sparse.linalg.splu, []
 
     def record(A, *args, **kwargs):
-        calls.append((sys._getframe(1).f_code.co_name, A.shape[0]))
+        caller = sys._getframe(1)
+        calls.append((caller.f_code.co_name, A.shape[0],
+                      caller.f_locals.get("what")))
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
@@ -748,7 +752,10 @@ def _recorded_splu(monkeypatch):
 
 def test_every_factorization_is_one_symmetric_lu(monkeypatch, capsys):
     """`solve` of both problems and pairs and `wave` of both formulations,
-    with each star kind, factor only through `_symmetric_lu`."""
+    with each star kind, factor only through `_symmetric_lu`.  A Darcy run
+    factors the least-squares Gram matrix twice: once for the default load,
+    and once for Darcy 2 or 4, whose load lift and pressure recovery share
+    the one LU."""
     calls = _recorded_splu(monkeypatch)
     argvs = [["solve", problem, "--system", pair]
              for problem in ("darcy", "magneto") for pair in ("1,2", "3,4")]
@@ -756,12 +763,18 @@ def test_every_factorization_is_one_symmetric_lu(monkeypatch, capsys):
               ["wave", "--formulation", "dual"]]  # Lanczos serves both
     for argv in argvs:
         for kind in hodge.KINDS:
+            start = len(calls)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 code = cli.main([*argv, "--mesh", "grid:4", "--kind", kind,
                                  "--grid", "32"])
             assert code == 0, (argv, kind, capsys.readouterr().err)
-    assert {caller for caller, _ in calls} == {"_symmetric_lu"}
+            if argv[1] == "darcy":
+                grams = [order for _, order, what in calls[start:]
+                         if what == "least-squares Gram matrix"]
+                # grid:4 has 32 triangles and 25 vertices, one component
+                assert grams == ([32, 32] if argv[3] == "1,2" else [26, 26])
+    assert {caller for caller, *_ in calls} == {"_symmetric_lu"}
 
 
 @pytest.mark.parametrize("kind", ["diag", "whitney"])

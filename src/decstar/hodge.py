@@ -116,8 +116,10 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
                         f"vertex {v}")
         gens, fields = di.forms(v, k, pts)
         fields = fields.reshape(len(gens), -1)  # (G, d q), points last
-        # symmetric by construction: the upper triangle, mirrored
-        gram = np.triu(w * (fields @ fields.T))
+        # F F^T by numpy's loops: `F @ F.T` would start OpenBLAS buffers
+        # that nothing else in the `hodge` command uses, 0.1 MB more peak
+        # RSS.  Symmetric by construction: the upper triangle, mirrored
+        gram = np.triu(w * np.einsum("aq,bq->ab", fields, fields))
         gram += np.triu(gram, 1).T
         rows.append(np.repeat(gens, len(gens)))
         cols.append(np.tile(gens, len(gens)))

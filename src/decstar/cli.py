@@ -310,8 +310,7 @@ def cmd_solve(args) -> int:
     # pinned gauge would drop that part of it unseen
     mixed = [assemble(comp, sid, load, M, Minv) for sid in ids]
     if args.load is not None and not any(row.lifts for row in rows):
-        systems.particular_solution(rows[0].load_derivative(comp), load,
-                                    rows[0].load_gauge(comp))
+        rows[0].check_load(comp, load)
     reports = []
     for sid, system in zip(ids, mixed):
         report = systems.solve(system, args.gauge)
@@ -332,14 +331,9 @@ def cmd_solve(args) -> int:
                 out[f"file_{name}"] = str(path)
         emit(out)
     if len(reports) == 2:  # distinct ids from one pair: at most two
-        a, b = reports
-        # Darcy's pressure is unique on top cells (systems 1-2) and fixed up
-        # to a constant per component on vertices (3-4)
-        labels = comp.vertex_components if rows[0].load == "down" else None
-        d = systems.cross_validate(
-            a, b, {"p": labels} if args.problem == "darcy" else {})
-        line = {"command": "solve diff", "pair": [a.system, b.system],
-                "diffs": d}
+        d = systems.cross_validate(*reports)
+        line = {"command": "solve diff",
+                "pair": [report.system for report in reports], "diffs": d}
         if args.tol is not None:
             line["pass"] = bool(max(d.values()) <= args.tol)
         emit(line)

@@ -1168,7 +1168,7 @@ TWO_SQUARES = {
 
 def test_two_component_mesh_solves_every_pair(tmp_path, capsys):
     """On two disjoint squares each kernel has a constant, or a root, per
-    component, and Darcy's pressure is aligned per component."""
+    component, and Darcy's pressure is mean-zero on each component."""
     path = tmp_path / "two_squares.json"
     path.write_text(json.dumps(TWO_SQUARES))
     labels = {"pin": "pin dof 0, 4", "augment": "mean-zero augmentation"}
@@ -1243,6 +1243,8 @@ REJECTED = [
        "residual 7.500e-01)"),
     ("hodge --mesh random:5:1:3 --kind dual_inverse",
      "error: dual-inverse assembly is implemented for 2D meshes"),
+    ("sample-field --space dual --mesh random:12:3:3",
+     "error: dual interpolation machinery is 2D"),
     ("solve darcy --mesh grid:3 --system 3 --load {ones}",
      BARYCENTRIC_DIAG_WARNING
      + "error: load is not in the range of the derivative (least-squares "

@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 from unittest import mock
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from decstar import Error, cli, hodge, mesh, systems
+from test_cli import TWO_SQUARES
 
 
 def make_pair(comp, kind="whitney", k=1):
@@ -41,7 +43,7 @@ def test_darcy_primal_pair_equivalence(kind):
         phi, *_ = loads(comp)
         r1 = systems.solve(systems.assemble_darcy(comp, 1, phi, M, Minv))
         r2 = systems.solve(systems.assemble_darcy(comp, 2, phi, M, Minv))
-        diffs = systems.cross_validate(r1, r2, align={"p": None})
+        diffs = systems.cross_validate(r1, r2)
         assert max(diffs.values()) < 1e-8
 
 
@@ -52,7 +54,7 @@ def test_darcy_dual_pair_equivalence(kind):
         _, phibar, *_ = loads(comp)
         r3 = systems.solve(systems.assemble_darcy(comp, 3, phibar, M, Minv))
         r4 = systems.solve(systems.assemble_darcy(comp, 4, phibar, M, Minv))
-        diffs = systems.cross_validate(r3, r4, align={"p": None})
+        diffs = systems.cross_validate(r3, r4)
         assert max(diffs.values()) < 1e-8
 
 
@@ -63,11 +65,11 @@ def test_magnetostatics_pair_equivalences(kind):
         _, _, jbar, j = loads(comp)
         r1 = systems.solve(systems.assemble_magnetostatics(comp, 1, jbar, M, Minv))
         r2 = systems.solve(systems.assemble_magnetostatics(comp, 2, jbar, M, Minv))
-        d12 = systems.cross_validate(r1, r2, align={})
+        d12 = systems.cross_validate(r1, r2)
         assert max(d12.values()) < 1e-8
         r3 = systems.solve(systems.assemble_magnetostatics(comp, 3, j, M, Minv))
         r4 = systems.solve(systems.assemble_magnetostatics(comp, 4, j, M, Minv))
-        d34 = systems.cross_validate(r3, r4, align={})
+        d34 = systems.cross_validate(r3, r4)
         assert max(d34.values()) < 1e-8
 
 
@@ -118,18 +120,22 @@ def test_load_length_validated():
 
 
 def test_gauge_strategies_agree():
-    comp = mesh.structured_grid(4)
-    M, Minv = make_pair(comp)
-    phi, *_ = loads(comp, seed=2)
-    sys2 = systems.assemble_darcy(comp, 2, phi, M, Minv)
-    r_pin = systems.solve(sys2, gauge="pin")
-    r_aug = systems.solve(systems.assemble_darcy(comp, 2, phi, M, Minv),
-                          gauge="augment")
-    f_diff = np.abs(r_pin.recovered["f"] - r_aug.recovered["f"]).max()
-    assert f_diff < 1e-9
-    p_aligned = systems.align_gauge(r_pin.recovered["p"],
-                                    r_aug.recovered["p"])
-    assert np.abs(r_pin.recovered["p"] - p_aligned).max() < 1e-9
+    """Every formulation recovers the same cochains under either gauge, on
+    one and two components in 2D and in 3D, with either star: none of them
+    depends on the multipliers' kernel part."""
+    comps = [cli.resolve_mesh("grid:4"), cli.resolve_mesh("random:30:2:3"),
+             mesh.complex_from_json(TWO_SQUARES)]
+    for comp, kind in itertools.product(comps, ["diag", "whitney"]):
+        for (problem, sid), row in systems._FORMULATIONS.items():
+            M, Minv = make_pair(comp, kind, k=row.hodge_degree(comp.dim))
+            load = row.default_load(comp, seed=sid)
+            system = PROBLEMS[problem](comp, sid, load, M, Minv)
+            r_pin = systems.solve(system, gauge="pin")
+            r_aug = systems.solve(system, gauge="augment")
+            for key, want in r_aug.recovered.items():
+                diff = np.abs(r_pin.recovered[key] - want).max()
+                assert diff <= 1e-10 * np.abs(want).max(), \
+                    (comp.dim, kind, problem, sid, key)
 
 
 def test_solve_reports_residual_and_gauge():
@@ -369,7 +375,7 @@ def test_lanczos_keeps_double_eigenvalues(kind):
 def test_particular_solution_min_norm():
     D = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
     rhs = np.array([1.0, 2.0])
-    x = systems.particular_solution(D, rhs)
+    x = systems.particular_solution(D, rhs, systems._Gram(D, None).solve)
     assert np.abs(D @ x - rhs).max() < 1e-12
     # minimum-norm: orthogonal to the kernel (constants)
     assert abs(x.sum()) < 1e-12
@@ -381,12 +387,14 @@ def test_particular_solution_min_norm():
     rng = np.random.default_rng(3)
     for D in (D0, D0.T):
         rhs = D @ rng.standard_normal(D.shape[1])
-        x = systems.particular_solution(D, rhs, constants)
+        x = systems.particular_solution(D, rhs,
+                                        systems._Gram(D, constants).solve)
         want = np.linalg.lstsq(D.toarray(), rhs, rcond=None)[0]
         assert np.abs(x - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
     # a load off the range of D_0^T (a nonzero total) is incompatible
     with pytest.raises(Error, match="not in the range"):
-        systems.particular_solution(D0.T, np.ones(D0.shape[1]), constants)
+        systems.particular_solution(D0.T, np.ones(D0.shape[1]),
+                                    systems._Gram(D0.T, constants).solve)
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +761,9 @@ def _recorded_splu(monkeypatch):
 def test_every_factorization_is_one_symmetric_lu(monkeypatch, capsys):
     """`solve` of both problems and pairs and `wave` of both formulations,
     with each star kind, factor only through `_symmetric_lu`.  A Darcy run
-    factors the least-squares Gram matrix twice: once for the default load,
-    and once for Darcy 2 or 4, whose load lift and pressure recovery share
-    the one LU."""
+    factors the least-squares Gram matrix once, for Darcy 2 or 4, whose
+    load lift and pressure recovery share the one LU; the default load
+    needs none."""
     calls = _recorded_splu(monkeypatch)
     argvs = [["solve", problem, "--system", pair]
              for problem in ("darcy", "magneto") for pair in ("1,2", "3,4")]
@@ -773,8 +781,31 @@ def test_every_factorization_is_one_symmetric_lu(monkeypatch, capsys):
                 grams = [order for _, order, what in calls[start:]
                          if what == "least-squares Gram matrix"]
                 # grid:4 has 32 triangles and 25 vertices, one component
-                assert grams == ([32, 32] if argv[3] == "1,2" else [26, 26])
+                assert grams == ([32] if argv[3] == "1,2" else [26])
     assert {caller for caller, *_ in calls} == {"_symmetric_lu"}
+
+
+@pytest.mark.parametrize("command, problem, sid", [
+    ("darcy", "darcy", 1), ("darcy", "darcy", 3),
+    ("magneto", "magnetostatics", 2), ("magneto", "magnetostatics", 4)])
+def test_a_system_that_neither_lifts_nor_recovers_factors_no_gram(
+        monkeypatch, tmp_path, capsys, command, problem, sid):
+    """A formulation that neither lifts its load nor recovers a pressure
+    through the load derivative factors no least-squares Gram matrix: not
+    for the default load, and not to check an in-range `--load`."""
+    comp = mesh.structured_grid(4)
+    row = systems._formulation(problem, sid)
+    path = tmp_path / "load.csv"
+    cli.write_cochain_csv(row.default_load(comp, seed=3), path)
+    calls = _recorded_splu(monkeypatch)
+    for load in ([], ["--load", str(path)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code = cli.main(["solve", command, "--mesh", "grid:4", "--system",
+                             str(sid), *load, "--out", str(tmp_path)])
+        assert code == 0, (load, capsys.readouterr().err)
+    assert [what for *_, what in calls
+            if what == "least-squares Gram matrix"] == []
 
 
 @pytest.mark.parametrize("kind", ["diag", "whitney"])

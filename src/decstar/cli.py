@@ -302,18 +302,14 @@ def cmd_solve(args) -> int:
     if args.load is not None:
         load = read_cochain_csv(args.load,
                                 rows[0].load_derivative(comp).shape[0])
+        rows[0].check_load(comp, load)
     else:
         load = rows[0].default_load(comp, args.seed)
     M, Minv = hodge.hodge_pair(comp, dual, rows[0].hodge_degree(comp.dim),
                                args.kind, args.grid)
-    # a lifting system rejects a load out of range as it is assembled; a
-    # pinned gauge would drop that part of it unseen
-    mixed = [assemble(comp, sid, load, M, Minv) for sid in ids]
-    if args.load is not None and not any(row.lifts for row in rows):
-        rows[0].check_load(comp, load)
     reports = []
-    for sid, system in zip(ids, mixed):
-        report = systems.solve(system, args.gauge)
+    for sid in ids:
+        report = systems.solve(assemble(comp, sid, load, M, Minv), args.gauge)
         reports.append(report)
         out = {
             "command": f"solve {args.problem}",

@@ -179,7 +179,8 @@ def condition_estimate(A: sp.spmatrix | np.ndarray, method: str = "full",
     """Condition number via dense symmetric eigendecomposition, keyed as
     `cond` prints it: `method`, the largest and smallest eigenvalue
     magnitudes `lambda_max` and `lambda_min`, and their ratio `condition`,
-    infinite when `lambda_min` is at most 1e-12 max(`lambda_max`, 1).
+    infinite when `lambda_min` is at most 1e-12 `lambda_max`, so that
+    scaling A moves no estimate, and a zero A is singular.
 
     method="leading-block" uses the spectrum of the leading block_size x
     block_size submatrix, the estimate used for the parameterized-mesh study;
@@ -194,7 +195,7 @@ def condition_estimate(A: sp.spmatrix | np.ndarray, method: str = "full",
     # eigh, not eigvalsh: the two differ in the last bits of Table 1 blocks
     vals = np.abs(np.linalg.eigh(A.toarray() if sp.issparse(A) else A)[0])
     lmax, lmin = float(vals.max()), float(vals.min())
-    singular = lmin <= 1e-12 * max(lmax, 1.0)
+    singular = lmin <= 1e-12 * lmax
     return {"method": method, "lambda_max": lmax, "lambda_min": lmin,
             "condition": math.inf if singular else lmax / lmin}
 

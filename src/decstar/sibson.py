@@ -135,6 +135,8 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
 
 
 REGION_CHUNK = 1 << 11  # site regions per batched clip pass
+# two sites of a polygon coincide within this share of its extent
+COINCIDENT_SITES = 1e-8
 
 
 def _padded(loops: list):
@@ -190,13 +192,17 @@ def _site_regions(pairs: list) -> list:
     pass (Sutherland & Hodgman 1974): one row per site, starting from its
     pair's domain, and one `_clip_step` per site index j against the
     bisector of the row's site and site j.  A row skips step j when its pair
-    has no site j, when site j is np.allclose to the row's site (its own
-    site included), or when its region has fewer than two corners left,
-    which no clip can turn into an area.  Rows go `REGION_CHUNK` at a time,
-    which bounds the temporaries; a row's result does not depend on its
-    chunk.
+    has no site j, when site j coincides with the row's site (its own site
+    included), or when its region has fewer than two corners left, which no
+    clip can turn into an area.  Two sites coincide when each coordinate
+    differs by at most `COINCIDENT_SITES` of the extent of the pair's
+    sites, a test that neither translation nor scaling moves.  Rows go
+    `REGION_CHUNK` at a time, which bounds the temporaries; a row's result
+    does not depend on its chunk.
     """
     sites, n_sites = _padded([loop for loop, _ in pairs])
+    tol = COINCIDENT_SITES * np.array([np.ptp(loop, axis=0).max()
+                                       for loop, _ in pairs])
     domains, n_corners = _padded([domain for _, domain in pairs])
     first = np.cumsum(n_sites) - n_sites  # each pair's first row
     pair = np.repeat(np.arange(len(pairs)), n_sites)
@@ -207,9 +213,7 @@ def _site_regions(pairs: list) -> list:
         width = n_sites[p].max()
         others = sites[p, :width]
         site = others[np.arange(len(p)), own[lo:lo + REGION_CHUNK]]
-        # np.allclose(site, others[:, j]) with its default tolerances
-        skip = np.all(np.abs(site[:, None] - others)
-                      <= 1e-8 + 1e-5 * np.abs(others), axis=2)
+        skip = np.abs(site[:, None] - others).max(axis=2) <= tol[p, None]
         skip |= np.arange(width) >= n_sites[p, None]
         corners = domains[p, :n_corners[p].max()]
         count = n_corners[p]

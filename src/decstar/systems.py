@@ -19,11 +19,13 @@ Any other Hodge block is factored together with the whole block system.
 Particular solutions are minimum-norm least-squares solutions from one
 sparse LU of a Gram matrix of the load derivative L (Bjorck, Numerical
 Methods for Least Squares Problems, 1996); Darcy 2 and 4 lift their load
-through L and recover the pressure through L^T from the same LU.  A load or
-a Darcy pressure is fixed up to ker L^T, and `_off_kernel` takes that part
-off default loads and Darcy 1 and 3's multipliers, and finds it in a load
-that no requested system lifts, with no Gram matrix of L.  So every Darcy
-pressure is minimum-norm, and no recovered cochain depends on the gauge.
+through L and recover the pressure through L^T from the same LU, whose
+every solve checks its own residual.  A load or a Darcy pressure is fixed
+up to ker L^T, and `_off_kernel` takes that part off default loads and
+Darcy 1 and 3's multipliers with no Gram matrix of L.  A given load is
+admissible when that part is nil: `_Formulation.check_load` decides it
+once per run, before any Hodge star is built.  So every Darcy pressure is
+minimum-norm, and no recovered cochain depends on the gauge.
 
 Every factorization in the package is one symmetric sparse LU,
 `_symmetric_lu`, and an exactly singular matrix is one `Error` naming it:
@@ -334,6 +336,8 @@ def _positive_definite(F) -> bool:
 class _Gram:
     """One sparse LU for the minimum-norm least-squares solutions of
     D x = b (`solve`) and of D^T y = c (`solve_transpose`), for a sparse D.
+    Each solve checks its own residual: a right-hand side off the range of
+    its operator is an `Error`.
 
     The Gram matrix is L L^T: L = D^T, so G = D^T D, when the `kernel`
     basis spans ker D or (without one) D is taller than wide; else L = D.
@@ -370,9 +374,14 @@ class _Gram:
 
     def _through(self, rhs, transposed: bool):
         rhs = np.asarray(rhs, dtype=float)
-        if transposed:  # through L^T
-            return self._gram_solve(self.L @ rhs)
-        return self.L.T @ self._gram_solve(rhs)
+        if transposed:  # L^T y = rhs, through L^T
+            x = self._gram_solve(self.L @ rhs)
+            image = self.L.T @ x
+        else:  # L x = rhs, through L
+            x = self.L.T @ self._gram_solve(rhs)
+            image = self.L @ x
+        _check_residual(np.linalg.norm(image - rhs), rhs)
+        return x
 
     def solve(self, rhs):
         """The minimum-norm least-squares x of D x = rhs."""
@@ -383,22 +392,14 @@ class _Gram:
         return self._through(rhs, not self.tall)
 
 
-# compatible loads leave a residual of at most this share of max(|rhs|, 1)
+# compatible loads leave a residual of at most this share of |rhs|
 LOAD_RESIDUAL_TOL = 1e-10
 
 
 def _check_residual(residual: float, rhs) -> None:
-    if residual > LOAD_RESIDUAL_TOL * max(np.linalg.norm(rhs), 1.0):
+    if residual > LOAD_RESIDUAL_TOL * np.linalg.norm(rhs):
         raise Error(f"load is not in the range of the derivative "
                     f"(least-squares residual {residual:.3e})")
-
-
-def particular_solution(D, rhs, solve: Callable) -> np.ndarray:
-    """The least-squares solution `solve(rhs)` of D x = rhs, minimum-norm
-    from a `_Gram`; rejects incompatible loads."""
-    x = solve(rhs)
-    _check_residual(np.linalg.norm(D @ x - rhs), rhs)
-    return x
 
 
 def _off_kernel(v, kernel: Gauge | None) -> np.ndarray:
@@ -486,12 +487,6 @@ class _Formulation(NamedTuple):
     def hodge_degree(self, n: int) -> int:
         return range(n + 1)[self.degree]
 
-    @property
-    def lifts(self) -> bool:
-        """Whether the load is lifted into f: the layout leaves its space
-        unconstrained."""
-        return (self.orientation == "primal-first") != (self.load == "up")
-
     def load_derivative(self, complex: SimplicialComplex):
         """The derivative whose range holds this formulation's load."""
         d = self.hodge_degree(complex.dim)
@@ -514,7 +509,9 @@ class _Formulation(NamedTuple):
         return _gauge(complex, j, self.load == "up")
 
     def check_load(self, complex: SimplicialComplex, load) -> None:
-        """Rejects a load with a part in `load_cokernel`."""
+        """Rejects a load with a part in `load_cokernel`, off the range of
+        `load_derivative`: the one admissibility check of a given load,
+        which holds for every formulation of the pair."""
         kept = _off_kernel(load, self.load_cokernel(complex))
         _check_residual(np.linalg.norm(load - kept), load)
 
@@ -527,9 +524,7 @@ class _Formulation(NamedTuple):
 
 
 def _flux_and_pressure(u, w, parts):
-    return {"f": parts.H @ u,
-            "p": particular_solution(parts.L.T, -u,
-                                     parts.gram.solve_transpose)}
+    return {"f": parts.H @ u, "p": parts.gram.solve_transpose(-u)}
 
 
 def _flux_and_multiplier(u, w, parts):
@@ -586,10 +581,10 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
     # one Gram LU lifts the load and recovers the Darcy pressure
     gram = _Gram(L, kernel)
     f, g, x0 = np.zeros(B.shape[0]), load, None
-    if row.lifts:
-        x0 = particular_solution(L, load, gram.solve)
+    if primal != (row.load == "up"):  # the layout leaves the load's space free
+        x0 = gram.solve(load)
         f, g = -row.sign * x0, np.zeros(B.shape[1])
-    parts = SimpleNamespace(B=B, H=H, L=L, x0=x0, gram=gram,
+    parts = SimpleNamespace(B=B, H=H, x0=x0, gram=gram,
                             cokernel=lambda: row.load_cokernel(complex))
     return MixedSystem(name, H, G if sp.issparse(G) else None, -row.sign, B,
                        f, g, lambda u, w: row.recover(u, w, parts),

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import decstar
-from decstar import cli, hodge, mesh
+from decstar import cli, hodge, mesh, systems
 from decstar.sibson import DualInterpolation
 
 SUBCOMMANDS = ["info", "dual", "hodge", "cond", "table1", "solve", "wave",
@@ -1207,7 +1207,9 @@ def test_warnings_print_on_one_line(tmp_path, argv):
 # One rejected argv for each exception class that `decstar.Error` replaced
 # (`whitney`'s degree and length checks have none: the CLI checks first),
 # with the stderr and exit status that each printed before.  The last two
-# are a load out of range that a pinned gauge once let through.
+# are a load out of range that a pinned gauge once let through.  A `--load`
+# is checked before the star is built, so the three out of range print no
+# warning of the diagonal star's.
 REJECTED = [
     ("info --mesh grid:4:0:1",
      "error: bad mesh spec 'grid:4:0:1': expected grid:m[:skew]"),
@@ -1238,21 +1240,18 @@ REJECTED = [
      "error: degree k=7 out of range 0..2 for a 2D mesh"),
     ("table1 --P ,", "error: --P needs at least one value"),
     ("solve magneto --mesh grid:3 --system 1,2 --load {ones}",
-     BARYCENTRIC_DIAG_WARNING
-     + "error: load is not in the range of the derivative (least-squares "
-       "residual 7.500e-01)"),
+     "error: load is not in the range of the derivative (least-squares "
+     "residual 7.500e-01)"),
     ("hodge --mesh random:5:1:3 --kind dual_inverse",
      "error: dual-inverse assembly is implemented for 2D meshes"),
     ("sample-field --space dual --mesh random:12:3:3",
      "error: dual interpolation machinery is 2D"),
     ("solve darcy --mesh grid:3 --system 3 --load {ones}",
-     BARYCENTRIC_DIAG_WARNING
-     + "error: load is not in the range of the derivative (least-squares "
-       "residual 7.500e-01)"),
+     "error: load is not in the range of the derivative (least-squares "
+     "residual 7.500e-01)"),
     ("solve darcy --mesh grid:3 --system 3,4 --load {ones}",
-     BARYCENTRIC_DIAG_WARNING
-     + "error: load is not in the range of the derivative (least-squares "
-       "residual 7.500e-01)"),
+     "error: load is not in the range of the derivative (least-squares "
+     "residual 7.500e-01)"),
 ]
 
 
@@ -1282,3 +1281,65 @@ def test_solve_reads_the_load_before_building_the_star(tmp_path, monkeypatch,
     assert code == 1 and lines == []
     assert err == (f"error: cochain file {path}, line 2: expected 'id,value', "
                    f"got '0,abc'\n")
+
+
+@pytest.mark.parametrize("problem", ["darcy", "magneto"])
+@pytest.mark.parametrize("system", ["1", "2", "1,2", "3", "4", "3,4"])
+def test_solve_rejects_a_load_out_of_range_before_any_star(
+        problem, system, tmp_path, monkeypatch, capsys):
+    """A `--load` in ker L^T, off the range of the pair's load derivative L,
+    is one error line with nothing on stdout, before any Hodge star is
+    built, whether or not the formulation lifts its load.  On the top cells
+    (Darcy 1-2) L is onto and every load is in range."""
+    pair, built = hodge.hodge_pair, []
+
+    def record(*args, **kwargs):
+        built.append(args[2:4])
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(hodge, "hodge_pair", record)
+    row = systems._formulation(
+        {"darcy": "darcy", "magneto": "magnetostatics"}[problem],
+        int(system[0]))
+    checked = 0
+    for spec in ("grid:3", "random:12:3:3"):
+        cokernel = row.load_cokernel(cli.resolve_mesh(spec))
+        if cokernel is None:
+            continue
+        path = tmp_path / "load.csv"
+        cli.write_cochain_csv(cokernel.kernel[:, 0].toarray().ravel(), path)
+        code, lines, err = run(["solve", problem, "--mesh", spec, "--system",
+                                system, "--load", str(path)], capsys)
+        assert (code, lines, built) == (1, [], []), spec
+        assert err.startswith("error: load is not in the range of the "
+                              "derivative (least-squares residual ")
+        assert err.count("\n") == 1
+        checked += 1
+    assert (checked == 0) == (problem == "darcy" and system[0] in "12")
+
+
+@pytest.mark.parametrize("system", ["3", "4", "3,4"])
+@pytest.mark.parametrize("scale", [1e-11, 1e-6, 1.0])
+def test_solve_rejects_a_constant_vertex_load_at_any_scale(system, scale,
+                                                           tmp_path, capsys):
+    """A constant load on the 25 vertices of grid:4 lies wholly in
+    ker D_0, off the range of D_0^T, at any scale: the range check is
+    relative to |load|, with no floor."""
+    path = tmp_path / "load.csv"
+    cli.write_cochain_csv(np.full(25, scale), path)
+    code, lines, err = run(["solve", "darcy", "--mesh", "grid:4", "--kind",
+                            "whitney", "--system", system, "--load",
+                            str(path)], capsys)
+    assert (code, lines) == (1, [])
+    assert err == (f"error: load is not in the range of the derivative "
+                   f"(least-squares residual {5 * scale:.3e})\n")
+
+
+def test_cond_reports_a_singular_dual_inverse_star(tmp_path, capsys):
+    """The random:60:2 dual-inverse star at k = 1 has a zero row: `cond`
+    prints its condition as null, as `solve` rejects it."""
+    code, lines, _ = run(["cond", "--mesh", "random:60:2", "--kind",
+                          "dual_inverse", "--k", "1", "--grid", "32",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert (lines[0]["lambda_min"], lines[0]["condition"]) == (0.0, None)

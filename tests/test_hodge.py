@@ -112,6 +112,49 @@ def test_condition_estimate_full_and_block():
     assert singular["condition"] == np.inf
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_condition_estimate_is_scale_invariant(k):
+    """A star is singular only relative to its largest eigenvalue: the
+    Whitney stars of grid:4 shrunk by 1e-5 (k = 0 entries near 1e-12) keep
+    their condition numbers."""
+    comp = mesh.structured_grid(4)
+    small = mesh.build_complex(1e-5 * comp.vertices, comp.simplices[2])
+    want, got = (hodge.condition_estimate(hodge.assemble_whitney(c, k).matrix)
+                 ["condition"] for c in (comp, small))
+    assert np.isfinite(want)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def _dual_inverse_star(spec, k, scale=1.0, shift=0.0):
+    comp = cli.resolve_mesh(spec)
+    comp = mesh.build_complex(scale * comp.vertices + shift,
+                              comp.simplices[2])
+    dual = mesh.build_dual(comp, "barycentric")
+    return hodge.assemble_dual_inverse(comp, dual, k, 32).matrix.toarray()
+
+
+@pytest.mark.parametrize("spec", ["grid:4:0.3", "random:30:7"])
+def test_dual_inverse_star_scales_exactly_by_powers_of_two(spec):
+    """Sites coincide relative to their polygon's extent, so a mesh shrunk
+    by s = 2^-24 has the same star bits: k = 1 as is, k = 2 times s^2.
+    Absolute tolerances once merged distinct sites there and moved the k = 1
+    star by 91% of its largest entry."""
+    s = 2.0 ** -24
+    for k, unit in ((1, 1.0), (2, s * s)):
+        assert np.array_equal(_dual_inverse_star(spec, k, scale=s) / unit,
+                              _dual_inverse_star(spec, k)), k
+
+
+@pytest.mark.parametrize("shift", [2.0 ** 12, 2.0 ** 14])
+def test_dual_inverse_star_is_blind_to_translation(shift):
+    """Translating random:30:7 far from the origin moves its k = 1 star by
+    rounding only, where coordinate-relative tolerances once merged distinct
+    sites and moved it by 25% (2^12) and 91% (2^14) of its largest entry."""
+    want = _dual_inverse_star("random:30:7", 1)
+    got = _dual_inverse_star("random:30:7", 1, shift=shift)
+    assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
 def test_neighborhood_size():
     comp = mesh.two_triangle_mesh()
     # the diagonal edge touches all vertices, hence both triangles

@@ -38,9 +38,9 @@ def site_regions_reference(loop: np.ndarray, domain: np.ndarray) -> list:
     """Voronoi region of each site of `loop` clipped to `domain`, one
     `clip_halfplane` per pair of sites; None for a region with fewer than
     three corners."""
-    # np.allclose(vi, vj) for every pair, with its default tolerances
-    close = np.all(np.abs(loop[:, None] - loop[None])
-                   <= 1e-8 + 1e-5 * np.abs(loop[None]), axis=2)
+    # coincident sites: each coordinate within 1e-8 of the loop's extent
+    close = (np.abs(loop[:, None] - loop[None]).max(axis=2)
+             <= 1e-8 * np.ptp(loop, axis=0).max())
     regions = []
     for i, vi in enumerate(loop):
         region = domain
@@ -429,7 +429,7 @@ def region_pairs(draw):
     center = np.array(draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5))))
     loop = center + radii[:, None] * np.column_stack([np.cos(angles),
                                                       np.sin(angles)])
-    if draw(st.booleans()):  # a site np.allclose to its neighbour
+    if draw(st.booleans()):  # a site that coincides with its neighbour
         i = draw(st.integers(0, n - 1))
         twin = loop[i] + draw(st.floats(-1e-9, 1e-9))
         loop = np.insert(loop, i + 1, twin, axis=0)

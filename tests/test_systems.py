@@ -373,9 +373,11 @@ def test_lanczos_keeps_double_eigenvalues(kind):
 
 
 def test_particular_solution_min_norm():
+    """`_Gram.solve` gives the minimum-norm particular solution of D x = rhs
+    and rejects a right-hand side off the range of D."""
     D = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
     rhs = np.array([1.0, 2.0])
-    x = systems.particular_solution(D, rhs, systems._Gram(D, None).solve)
+    x = systems._Gram(D, None).solve(rhs)
     assert np.abs(D @ x - rhs).max() < 1e-12
     # minimum-norm: orthogonal to the kernel (constants)
     assert abs(x.sum()) < 1e-12
@@ -387,30 +389,44 @@ def test_particular_solution_min_norm():
     rng = np.random.default_rng(3)
     for D in (D0, D0.T):
         rhs = D @ rng.standard_normal(D.shape[1])
-        x = systems.particular_solution(D, rhs,
-                                        systems._Gram(D, constants).solve)
+        x = systems._Gram(D, constants).solve(rhs)
         want = np.linalg.lstsq(D.toarray(), rhs, rcond=None)[0]
         assert np.abs(x - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
-    # a load off the range of D_0^T (a nonzero total) is incompatible
-    with pytest.raises(Error, match="not in the range"):
-        systems.particular_solution(D0.T, np.ones(D0.shape[1]),
-                                    systems._Gram(D0.T, constants).solve)
+    # a load off the range of D_0^T (a nonzero total) is incompatible at
+    # any scale, and a zero load is compatible
+    gram = systems._Gram(D0.T, constants)
+    for scale in (1.0, 1e-11):
+        with pytest.raises(Error, match="not in the range"):
+            gram.solve(np.full(D0.shape[1], scale))
+    assert not gram.solve(np.zeros(D0.shape[1])).any()
 
 
 # ---------------------------------------------------------------------------
 # the dense pipeline that the sparse one replaced, kept as a reference
 
 
-def lstsq_reference(D, rhs, kernel=None, solve=None, tol=1e-10):
-    """Minimum-norm particular solution by dense least squares; the kernel
-    the sparse solve borders with and the sparse factors it may reuse are
-    not needed here."""
-    D = D.toarray() if sp.issparse(D) else np.asarray(D, dtype=float)
+def lstsq_reference(D, rhs, tol=1e-10):
+    """Minimum-norm least-squares solution of D x = rhs by dense least
+    squares, rejected when its residual exceeds `tol` of |rhs|."""
     x, *_ = np.linalg.lstsq(D, rhs, rcond=None)
     residual = np.linalg.norm(D @ x - rhs)
-    if residual > tol * max(np.linalg.norm(rhs), 1.0):
+    if residual > tol * np.linalg.norm(rhs):
         raise Error(f"load is not in the range (residual {residual:.3e})")
     return x
+
+
+class LstsqGram:
+    """`systems._Gram` by `lstsq_reference`; the kernel the sparse Gram
+    matrix is bordered with is not needed here."""
+
+    def __init__(self, D, kernel):
+        self.D = D.toarray() if sp.issparse(D) else np.asarray(D, dtype=float)
+
+    def solve(self, rhs):
+        return lstsq_reference(self.D, rhs)
+
+    def solve_transpose(self, rhs):
+        return lstsq_reference(self.D.T, rhs)
 
 
 def dense_pair_reference(comp, dual, k, kind, resolution):
@@ -457,7 +473,7 @@ FORMULATION_MESHES = st.one_of(
 @given(case=FORMULATION_MESHES)
 @example(case=(2, 14, 75))  # a dual polygon that 16 pixels per axis miss
 def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
-    """Sparse pair, sparse solve and LSMR particular solutions give the
+    """Sparse pair, sparse solve and Gram particular solutions give the
     recovered cochains of the dense pipeline, to 1e-8 of max|reference|.
     A dual-inverse star that the pixel quadrature rejects is skipped, on
     its own message: too few samples in a dual polygon, or a singular
@@ -496,8 +512,7 @@ def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
             for gauge in ("pin", "augment"):
                 report = systems.solve(
                     PROBLEMS[problem](comp, sid, load, *pair), gauge)
-                with mock.patch.object(systems, "particular_solution",
-                                       lstsq_reference):
+                with mock.patch.object(systems, "_Gram", LstsqGram):
                     ref_system = PROBLEMS[problem](comp, sid, load, *ref_pair)
                     ref = ref_system.recover(
                         *dense_solve_reference(ref_system, gauge))

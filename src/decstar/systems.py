@@ -16,25 +16,27 @@ second-order operator B^T G B of the formulation equivalences (Benzi, Golub
 & Liesen, Acta Numerica 2005).  That is every diagonal star, and every
 inverse block G^{-1} that `hodge.hodge_pair` keeps as a `FactorizedInverse`.
 Any other Hodge block is factored together with the whole block system.
-Particular solutions are minimum-norm least-squares solutions from one
-sparse LU of a Gram matrix of the load derivative L (Bjorck, Numerical
-Methods for Least Squares Problems, 1996); Darcy 2 and 4 lift their load
+Particular solutions come from one sparse LU of a square block of the
+load derivative L = D_j or D_j^T, on rows and columns read off `_gauge`'s
+forests (`_LoadBlock`, the tree-cotree lift); Darcy 2 and 4 lift their load
 through L and recover the pressure through L^T from the same LU, whose
 every solve checks its own residual.  A load or a Darcy pressure is fixed
 up to ker L^T, and `_off_kernel` takes that part off default loads and
-Darcy 1 and 3's multipliers with no Gram matrix of L.  A given load is
-admissible when that part is nil: `_Formulation.check_load` decides it
-once per run, before any Hodge star is built.  So every Darcy pressure is
-minimum-norm, and no recovered cochain depends on the gauge.
+every Darcy pressure.  A given load is admissible when that part is nil:
+`_Formulation.check_load` decides it once per run, before any Hodge star
+is built.  So every Darcy pressure is minimum-norm, and no recovered
+cochain depends on the gauge or on the particular solution.
 
-Every factorization in the package is one symmetric sparse LU,
-`_symmetric_lu`, and an exactly singular matrix is one `Error` naming it:
-"saddle system is singular: ...", "least-squares Gram matrix is singular:
-...", "wave shifted system is singular: ..." or, from `hodge_pair`,
-"<kind> Hodge star of degree <k> is singular: ...".
+Every factorization in the package is one sparse LU in SuperLU's
+symmetric mode, `_symmetric_lu`, and an exactly singular matrix is one
+`Error` naming it: "saddle system is singular: ...", "load block of D_<j>
+is singular: ...", "wave shifted system is singular: ..." or, from
+`hodge_pair`, "<kind> Hodge star of degree <k> is singular: ...".  A load
+block that is not square, on a mesh with a hole or a cavity, is an
+`Error` too.
 
-Every kernel, of a derivative block in either layout, of a Gram matrix or
-of a wave pencil, comes from one rule, `_gauge`: a sparse basis and the
+Every kernel, of a derivative block in either layout, of a load derivative
+or of a wave pencil, comes from one rule, `_gauge`: a sparse basis and the
 dofs that pin it, read off a spanning forest of the vertex graph (edges
 join vertices; each component is rooted at its first vertex) or of the cell
 graph (faces join top cells, and boundary faces the exterior, its one
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -271,10 +272,11 @@ def _bordered(A, borders) -> sp.csc_matrix:
 
 def _symmetric_lu(A, what: str, ordering: str | None = None,
                   diag_pivot_thresh: float = 1e-3):
-    """Sparse LU of a symmetric matrix in SuperLU's symmetric mode: one
+    """Sparse LU of a square matrix in SuperLU's symmetric mode: one
     `ordering` for rows and columns, and diagonal pivots while they are at
     least `diag_pivot_thresh` of their column.  It is the package's one
-    factorization; an exactly singular A is the `Error` "`what` is
+    factorization, of symmetric matrices and of `_LoadBlock`'s
+    nonsymmetric one; an exactly singular A is the `Error` "`what` is
     singular: ..." with SuperLU's reason.
 
     By default the ordering is the minimum degree of A + A^T when A has no
@@ -333,63 +335,60 @@ def _positive_definite(F) -> bool:
 # helpers
 
 
-class _Gram:
-    """One sparse LU for the minimum-norm least-squares solutions of
-    D x = b (`solve`) and of D^T y = c (`solve_transpose`), for a sparse D.
-    Each solve checks its own residual: a right-hand side off the range of
-    its operator is an `Error`.
+class _LoadBlock:
+    """One sparse LU for particular solutions of L x = b (`solve`) and of
+    L^T y = c (`solve_transpose`), L = D_j or (`transposed`) D_j^T, each
+    checking its own residual: a right-hand side off the range is an `Error`.
 
-    The Gram matrix is L L^T: L = D^T, so G = D^T D, when the `kernel`
-    basis spans ker D or (without one) D is taller than wide; else L = D.
-    Through L, x = L^T z with G z = b; through L^T, G y = L c.  A
-    rank-deficient D needs that `Gauge`, whose basis then spans ker G; G is
-    bordered with it, which keeps z, or y, orthogonal to it.  G is factored
-    on first use.  `_symmetric_lu` with the minimum degree ordering, even
-    for the zero block of the border, keeps the dense border of constants
-    from tripling the fill: 2 s against 5 s for D_0^T D_0 on grid:256, on
-    one core.
+    The LU is of a square block K of D_j, on rows and columns read off
+    `_gauge`'s forests: for j = 0 the vertex forest's edges and the
+    non-root vertices; for j = n - 1 every top cell and the cell forest's
+    faces; for j = 1 in 3D the faces off the cell forest and the edges off
+    the vertex forest (Le Menach, Clenet & Piriou, IEEE Trans. Magn. 1998).
+    On a mesh without holes or cavities K is nonsingular, and a forest's K
+    factors with no fill.  The solutions are zero off K; any serves, since
+    two differ by an element of ker L = range(B), which the multiplier
+    absorbs.
     """
 
-    def __init__(self, D, kernel: Gauge | None):
-        D = sp.csr_matrix(D)
-        self.Z = None if kernel is None else kernel.kernel
-        self.tall = (D.shape[0] > D.shape[1] if self.Z is None
-                     # else D Z = 0 picks D_j
-                     else self.Z.shape[0] == D.shape[1]
-                     and not (D @ self.Z).count_nonzero())
-        self.L = sp.csr_matrix(D.T) if self.tall else D
+    def __init__(self, complex: SimplicialComplex, j: int, transposed: bool):
+        n, self.transposed = complex.dim, transposed
+        self.D = complex.incidence_matrix(j).tocsr()
 
-    @cached_property
-    def lu(self):
-        G = self.L @ self.L.T
-        if self.Z is not None:
-            G = _bordered(G, [(self.Z, None)])
-        return _symmetric_lu(G, "least-squares Gram matrix", "MMD_AT_PLUS_A")
+        def free(size, gauge):  # the dofs that `gauge` does not pin
+            return np.delete(np.arange(size), [] if gauge is None
+                             else gauge.pins())
 
-    def _gram_solve(self, b):
-        size = len(b)
-        if self.Z is not None:
-            b = np.append(b, np.zeros(self.Z.shape[1]))
-        return self.lu.solve(b)[:size]
+        self.rows = (_gauge(complex, 1).pins() if j == 0
+                     else free(self.D.shape[0], _gauge(complex, j, True)))
+        self.cols = (_gauge(complex, n - 2, True).pins() if j == n - 1
+                     else free(self.D.shape[1], _gauge(complex, j)))
+        K, what = self.D[self.rows][:, self.cols], f"load block of D_{j}"
+        if K.shape[0] != K.shape[1]:
+            raise Error(f"{what} is {K.shape[0]} x {K.shape[1]}, not square: "
+                        f"the mesh has a hole or a cavity")
+        self.lu = _symmetric_lu(K, what, "COLAMD")
 
     def _through(self, rhs, transposed: bool):
         rhs = np.asarray(rhs, dtype=float)
-        if transposed:  # L^T y = rhs, through L^T
-            x = self._gram_solve(self.L @ rhs)
-            image = self.L.T @ x
-        else:  # L x = rhs, through L
-            x = self.L.T @ self._gram_solve(rhs)
-            image = self.L @ x
+        if transposed:  # D_j^T x = rhs
+            x = np.zeros(self.D.shape[0])
+            x[self.rows] = self.lu.solve(rhs[self.cols], trans="T")
+            image = self.D.T @ x
+        else:  # D_j x = rhs
+            x = np.zeros(self.D.shape[1])
+            x[self.cols] = self.lu.solve(rhs[self.rows])
+            image = self.D @ x
         _check_residual(np.linalg.norm(image - rhs), rhs)
         return x
 
     def solve(self, rhs):
-        """The minimum-norm least-squares x of D x = rhs."""
-        return self._through(rhs, self.tall)
+        """A solution x of L x = rhs."""
+        return self._through(rhs, self.transposed)
 
     def solve_transpose(self, rhs):
-        """The minimum-norm least-squares y of D^T y = rhs."""
-        return self._through(rhs, not self.tall)
+        """A solution y of L^T y = rhs."""
+        return self._through(rhs, not self.transposed)
 
 
 # compatible loads leave a residual of at most this share of |rhs|
@@ -487,26 +486,20 @@ class _Formulation(NamedTuple):
     def hodge_degree(self, n: int) -> int:
         return range(n + 1)[self.degree]
 
+    def load_degree(self, n: int) -> int:
+        """j of the load derivative, D_j (load "up") or D_j^T (load "down")."""
+        return self.hodge_degree(n) - (self.load == "down")
+
     def load_derivative(self, complex: SimplicialComplex):
         """The derivative whose range holds this formulation's load."""
-        d = self.hodge_degree(complex.dim)
-        if self.load == "up":
-            return complex.incidence_matrix(d)
-        return complex.incidence_matrix(d - 1).T
-
-    def load_gauge(self, complex: SimplicialComplex) -> Gauge | None:
-        """The kernel of the Gram matrix of `load_derivative`, D_j or D_j^T:
-        ker D_j for D_j^T D_j, but ker D_j^T (trivial) for j = n - 1, whose
-        Gram is on the top cells."""
-        j = self.hodge_degree(complex.dim) - (self.load == "down")
-        return _gauge(complex, j, j == complex.dim - 1)
+        D = complex.incidence_matrix(self.load_degree(complex.dim))
+        return D if self.load == "up" else D.T
 
     def load_cokernel(self, complex: SimplicialComplex) -> Gauge | None:
         """ker L^T for L = `load_derivative`: loads are orthogonal to it and
-        Darcy pressures free in it.  It is `load_gauge` but for 3D
-        magnetostatics 3-4, whose Gram D_1^T D_1 is bordered by ker D_1."""
-        j = self.hodge_degree(complex.dim) - (self.load == "down")
-        return _gauge(complex, j, self.load == "up")
+        Darcy pressures free in it."""
+        return _gauge(complex, self.load_degree(complex.dim),
+                      self.load == "up")
 
     def check_load(self, complex: SimplicialComplex, load) -> None:
         """Rejects a load with a part in `load_cokernel`, off the range of
@@ -524,7 +517,8 @@ class _Formulation(NamedTuple):
 
 
 def _flux_and_pressure(u, w, parts):
-    return {"f": parts.H @ u, "p": parts.gram.solve_transpose(-u)}
+    p = parts.block.solve_transpose(-u)
+    return {"f": parts.H @ u, "p": _off_kernel(p, parts.cokernel())}
 
 
 def _flux_and_multiplier(u, w, parts):
@@ -566,7 +560,7 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
     name = f"{problem}-{system}"
     d = row.hodge_degree(complex.dim)
     primal = row.orientation == "primal-first"
-    L, kernel = row.load_derivative(complex), row.load_gauge(complex)
+    L = row.load_derivative(complex)
     load = np.asarray(load, dtype=float)
     if load.shape != (L.shape[0],):
         raise Error(f"{name}: load has length {len(load)}, expected "
@@ -578,13 +572,14 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
     if H.shape[0] != B.shape[0]:
         raise Error(f"block dimension mismatch: Hodge block {H.shape} vs "
                     f"derivative block {B.shape}")
-    # one Gram LU lifts the load and recovers the Darcy pressure
-    gram = _Gram(L, kernel)
-    f, g, x0 = np.zeros(B.shape[0]), load, None
+    f, g, x0, block = np.zeros(B.shape[0]), load, None, None
     if primal != (row.load == "up"):  # the layout leaves the load's space free
-        x0 = gram.solve(load)
+        # one LU lifts the load and recovers the Darcy pressure
+        block = _LoadBlock(complex, row.load_degree(complex.dim),
+                           row.load == "down")
+        x0 = block.solve(load)
         f, g = -row.sign * x0, np.zeros(B.shape[1])
-    parts = SimpleNamespace(B=B, H=H, x0=x0, gram=gram,
+    parts = SimpleNamespace(B=B, H=H, x0=x0, block=block,
                             cokernel=lambda: row.load_cokernel(complex))
     return MixedSystem(name, H, G if sp.issparse(G) else None, -row.sign, B,
                        f, g, lambda u, w: row.recover(u, w, parts),
@@ -667,8 +662,8 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
         x = lu.solve(np.concatenate([f, g]))
         u, y = x[:len(f)], x[len(f):]
     r = np.concatenate([c * (H @ u) + B @ y - f, B.T @ u + E @ y - g])
-    residual = np.linalg.norm(r) / max(np.linalg.norm(np.concatenate([f, g])),
-                                       1.0)
+    scale = np.linalg.norm(np.concatenate([f, g]))
+    residual = np.linalg.norm(r) / scale if scale else 0.0
     if not (np.isfinite(u).all() and np.isfinite(y).all()) or residual > 1e-6:
         raise Error(f"saddle system rank-deficient beyond the declared "
                     f"gauge (residual {residual:.3e})")

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -1333,6 +1334,66 @@ def test_solve_rejects_a_constant_vertex_load_at_any_scale(system, scale,
     assert (code, lines) == (1, [])
     assert err == (f"error: load is not in the range of the derivative "
                    f"(least-squares residual {5 * scale:.3e})\n")
+
+
+@pytest.mark.parametrize("problem", ["darcy", "magneto"])
+@pytest.mark.parametrize("system", ["1,2", "3,4"])
+def test_solve_residual_is_relative_with_no_floor(problem, system, tmp_path,
+                                                  capsys):
+    """`solve`'s residual is relative to |[f; g]| with no floor: a load
+    scaled by 2^-40, which scales every solve exactly, reports the same
+    residuals bit for bit, and a zero load reports 0.0."""
+    row = systems._formulation(
+        {"darcy": "darcy", "magneto": "magnetostatics"}[problem],
+        int(system[0]))
+    load = row.default_load(cli.resolve_mesh("grid:4"), seed=5)
+    path, residuals = tmp_path / "load.csv", []
+    for scale in (1.0, 2.0 ** -40, 0.0):
+        cli.write_cochain_csv(scale * load, path)
+        code, lines, _ = run(["solve", problem, "--mesh", "grid:4", "--kind",
+                              "whitney", "--system", system, "--load",
+                              str(path), "--tol", "1e-8", "--out",
+                              str(tmp_path)], capsys)
+        assert code == 0 and lines[2]["pass"] is True, scale
+        residuals.append([line["residual"] for line in lines[:2]])
+    assert residuals[1] == residuals[0]
+    assert residuals[2] == [0.0, 0.0]
+
+
+def solid_torus_json() -> str:
+    """A 3 x 3 x 1 block of unit cubes less its middle one, each cut into
+    six tetrahedra about its main diagonal: a solid torus, with one loop
+    (b_1 = 1) and no cavity (b_2 = 0)."""
+    verts = [[i, j, k] for k in range(2) for j in range(4) for i in range(4)]
+    index = {tuple(v): n for n, v in enumerate(verts)}
+    cells = []
+    for i, j in itertools.product(range(3), repeat=2):
+        if (i, j) == (1, 1):
+            continue
+        for axes in itertools.permutations(range(3)):
+            corner, tet = [i, j, 0], [index[i, j, 0]]
+            for axis in axes:
+                corner[axis] += 1
+                tet.append(index[tuple(corner)])
+            cells.append(tet)
+    return json.dumps({"dimension": 3, "vertices": verts, "cells": cells})
+
+
+@pytest.mark.parametrize("system", ["1,2", "3,4"])
+def test_solve_magneto_on_a_solid_torus_is_one_error_line(system, tmp_path,
+                                                          capsys):
+    """3D magnetostatics lifts its load through D_1 or D_1^T.  Off the two
+    forests a solid torus leaves one more edge than face, so the block of
+    D_1 that lifts it is not square: one error line, with nothing on
+    stdout and no traceback."""
+    path = tmp_path / "torus.json"
+    path.write_text(solid_torus_json())
+    code, lines, err = run(["solve", "magneto", "--mesh", str(path),
+                            "--kind", "whitney", "--system", system,
+                            "--out", str(tmp_path)], capsys)
+    assert (code, lines) == (1, [])
+    assert err == ("error: load block of D_1 is 80 x 81, not square: the "
+                   "mesh has a hole or a cavity\n")
 
 
 def test_cond_reports_a_singular_dual_inverse_star(tmp_path, capsys):

@@ -372,33 +372,50 @@ def test_lanczos_keeps_double_eigenvalues(kind):
         assert np.sum(np.diff(phys) <= 1e-10 * phys[1:]) == 3
 
 
-def test_particular_solution_min_norm():
-    """`_Gram.solve` gives the minimum-norm particular solution of D x = rhs
-    and rejects a right-hand side off the range of D."""
-    D = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-    rhs = np.array([1.0, 2.0])
-    x = systems._Gram(D, None).solve(rhs)
-    assert np.abs(D @ x - rhs).max() < 1e-12
-    # minimum-norm: orthogonal to the kernel (constants)
-    assert abs(x.sum()) < 1e-12
-    # D_0 is rank-deficient: the constants border its Gram matrix, D_0^T D_0
-    # in both orientations (tall D_0, wide D_0^T)
-    comp = mesh.structured_grid(4)
-    constants = systems._gauge(comp, 0)
-    D0 = comp.incidence_matrix(0)
+@pytest.mark.parametrize("spec", ["grid:4", "random:12:3:3"])
+def test_load_block_particular_solutions(spec):
+    """For every load degree j and either orientation of L (D_j or D_j^T),
+    `_LoadBlock.solve` solves L x = rhs and `solve_transpose` L^T y = rhs
+    for a right-hand side in range, maps zero to zero, and rejects one in
+    ker of the adjoint, off the range, at any scale."""
+    comp = cli.resolve_mesh(spec)
     rng = np.random.default_rng(3)
-    for D in (D0, D0.T):
-        rhs = D @ rng.standard_normal(D.shape[1])
-        x = systems._Gram(D, constants).solve(rhs)
-        want = np.linalg.lstsq(D.toarray(), rhs, rcond=None)[0]
-        assert np.abs(x - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
-    # a load off the range of D_0^T (a nonzero total) is incompatible at
-    # any scale, and a zero load is compatible
-    gram = systems._Gram(D0.T, constants)
-    for scale in (1.0, 1e-11):
-        with pytest.raises(Error, match="not in the range"):
-            gram.solve(np.full(D0.shape[1], scale))
-    assert not gram.solve(np.zeros(D0.shape[1])).any()
+    for j in sorted({0, 1, comp.dim - 1}):
+        for transposed in (False, True):
+            block = systems._LoadBlock(comp, j, transposed)
+            D = comp.incidence_matrix(j)
+            L = (D.T if transposed else D).tocsr()
+            rejected = 0
+            for op, solve in ((L, block.solve), (L.T, block.solve_transpose)):
+                rhs = op @ rng.standard_normal(op.shape[1])
+                x = solve(rhs)
+                assert np.linalg.norm(op @ x - rhs) \
+                    <= 1e-12 * np.linalg.norm(rhs), (j, transposed)
+                assert not solve(np.zeros(op.shape[0])).any()
+                # none for D_{n-1}, which is onto
+                off = scipy.linalg.null_space(op.T.toarray())
+                for scale in (1.0, 1e-11) if off.shape[1] else ():
+                    with pytest.raises(Error, match="not in the range"):
+                        solve(scale * off[:, 0])
+                    rejected += 1
+            assert rejected, (j, transposed)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just(2), st.integers(3, 60), st.integers(0, 10_000)),
+    st.tuples(st.just(3), st.integers(5, 40), st.integers(0, 10_000))))
+def test_load_block_is_square_and_nonsingular(relabelled_delaunay, case):
+    """The block K of D_j that `_LoadBlock` factors is square and of full
+    rank for every load degree j on random Delaunay meshes, which have no
+    holes or cavities."""
+    dim, n_points, seed = case
+    comp = mesh.build_complex(*relabelled_delaunay(n_points, seed, dim))
+    for j in sorted({0, 1, dim - 1}):
+        block = systems._LoadBlock(comp, j, False)
+        K = block.D[block.rows][:, block.cols].toarray()
+        assert K.shape[0] == K.shape[1], (j, K.shape)
+        assert np.linalg.matrix_rank(K) == len(K), j
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +433,12 @@ def lstsq_reference(D, rhs, tol=1e-10):
 
 
 class LstsqGram:
-    """`systems._Gram` by `lstsq_reference`; the kernel the sparse Gram
-    matrix is bordered with is not needed here."""
+    """`systems._LoadBlock` by `lstsq_reference` on L = D_j, or D_j^T when
+    `transposed`: minimum-norm solutions in place of the block's."""
 
-    def __init__(self, D, kernel):
-        self.D = D.toarray() if sp.issparse(D) else np.asarray(D, dtype=float)
+    def __init__(self, complex, j, transposed):
+        D = complex.incidence_matrix(j).toarray()
+        self.D = D.T if transposed else D
 
     def solve(self, rhs):
         return lstsq_reference(self.D, rhs)
@@ -473,7 +491,7 @@ FORMULATION_MESHES = st.one_of(
 @given(case=FORMULATION_MESHES)
 @example(case=(2, 14, 75))  # a dual polygon that 16 pixels per axis miss
 def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
-    """Sparse pair, sparse solve and Gram particular solutions give the
+    """Sparse pair, sparse solve and load-block particular solutions give the
     recovered cochains of the dense pipeline, to 1e-8 of max|reference|.
     A dual-inverse star that the pixel quadrature rejects is skipped, on
     its own message: too few samples in a dual polygon, or a singular
@@ -512,7 +530,7 @@ def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
             for gauge in ("pin", "augment"):
                 report = systems.solve(
                     PROBLEMS[problem](comp, sid, load, *pair), gauge)
-                with mock.patch.object(systems, "_Gram", LstsqGram):
+                with mock.patch.object(systems, "_LoadBlock", LstsqGram):
                     ref_system = PROBLEMS[problem](comp, sid, load, *ref_pair)
                     ref = ref_system.recover(
                         *dense_solve_reference(ref_system, gauge))
@@ -776,9 +794,8 @@ def _recorded_splu(monkeypatch):
 def test_every_factorization_is_one_symmetric_lu(monkeypatch, capsys):
     """`solve` of both problems and pairs and `wave` of both formulations,
     with each star kind, factor only through `_symmetric_lu`.  A Darcy run
-    factors the least-squares Gram matrix once, for Darcy 2 or 4, whose
-    load lift and pressure recovery share the one LU; the default load
-    needs none."""
+    factors one load block, for Darcy 2 or 4, whose load lift and pressure
+    recovery share the one LU; the default load needs none."""
     calls = _recorded_splu(monkeypatch)
     argvs = [["solve", problem, "--system", pair]
              for problem in ("darcy", "magneto") for pair in ("1,2", "3,4")]
@@ -793,10 +810,10 @@ def test_every_factorization_is_one_symmetric_lu(monkeypatch, capsys):
                                  "--grid", "32"])
             assert code == 0, (argv, kind, capsys.readouterr().err)
             if argv[1] == "darcy":
-                grams = [order for _, order, what in calls[start:]
-                         if what == "least-squares Gram matrix"]
+                blocks = [order for _, order, what in calls[start:]
+                          if str(what).startswith("load block")]
                 # grid:4 has 32 triangles and 25 vertices, one component
-                assert grams == ([32] if argv[3] == "1,2" else [26])
+                assert blocks == ([32] if argv[3] == "1,2" else [24])
     assert {caller for caller, *_ in calls} == {"_symmetric_lu"}
 
 
@@ -806,8 +823,8 @@ def test_every_factorization_is_one_symmetric_lu(monkeypatch, capsys):
 def test_a_system_that_neither_lifts_nor_recovers_factors_no_gram(
         monkeypatch, tmp_path, capsys, command, problem, sid):
     """A formulation that neither lifts its load nor recovers a pressure
-    through the load derivative factors no least-squares Gram matrix: not
-    for the default load, and not to check an in-range `--load`."""
+    through the load derivative factors no load block: not for the default
+    load, and not to check an in-range `--load`."""
     comp = mesh.structured_grid(4)
     row = systems._formulation(problem, sid)
     path = tmp_path / "load.csv"
@@ -820,7 +837,7 @@ def test_a_system_that_neither_lifts_nor_recovers_factors_no_gram(
                              str(sid), *load, "--out", str(tmp_path)])
         assert code == 0, (load, capsys.readouterr().err)
     assert [what for *_, what in calls
-            if what == "least-squares Gram matrix"] == []
+            if str(what).startswith("load block")] == []
 
 
 @pytest.mark.parametrize("kind", ["diag", "whitney"])

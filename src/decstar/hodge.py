@@ -76,10 +76,24 @@ def assemble_whitney(complex: SimplicialComplex, k: int) -> HodgeOperator:
 
 
 def _cell_quadrature(cell, resolution: int):
-    """Pixel-center quadrature nodes and weight over a polygon's bbox."""
+    """Pixel-center quadrature nodes and weight over a polygon's bbox.
+
+    The nodes are the pixel centers that `SibsonCell.contains` claims, in
+    `pixel_centers` order.  Its even-odd test runs once per side and pixel
+    row, not per pixel: every center of a row has the row's y, so it meets
+    each side at the same x (`SibsonCell.side_crossings`), with the same
+    bits.  A center is inside when an odd number of sides meet its row
+    right of it."""
     lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
     pts = pixel_centers(lo, hi, resolution)
-    return pts[cell.contains(pts)], np.prod(hi - lo) / resolution ** 2
+    grid = pts.reshape(resolution, resolution, 2)  # [x index, y index]
+    xint, straddles = cell.side_crossings(grid[0, :, 1])
+    xint[~straddles] = -np.inf  # a side off the row is right of no center
+    x = grid[:, :1, 0]
+    inside = np.zeros((resolution, resolution), dtype=bool)
+    for row in xint:
+        inside ^= x < row
+    return pts[inside.ravel()], np.prod(hi - lo) / resolution ** 2
 
 
 def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,

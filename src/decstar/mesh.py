@@ -106,6 +106,11 @@ class SimplicialComplex:
     face_indices: list  # face_indices[k]: (N_{k+1}, k+2) int array
 
     @cached_property
+    def _incidence(self) -> dict:
+        """D_k per k, built on first use (`incidence_matrix`)."""
+        return {}
+
+    @cached_property
     def _coboundary(self) -> list:
         """Per k < dim, D_k in CSC form: the (k+1)-simplices containing
         k-simplex i are the rows of its column i, ascending."""
@@ -145,19 +150,28 @@ class SimplicialComplex:
         return mask
 
     def incidence_matrix(self, k: int):
-        """Signed incidence matrix D_k from k-cochains to (k+1)-cochains."""
+        """Signed incidence matrix D_k from k-cochains to (k+1)-cochains, in
+        canonical CSR form.  It is built once per complex and shared: every
+        call returns the same matrix, whose arrays are read-only."""
         import scipy.sparse as sp
 
         if not 0 <= k < self.dim:
             raise Error(f"incidence degree k={k} out of range for n={self.dim}")
-        n_rows = len(self.simplices[k + 1])
-        n_cols = len(self.simplices[k])
-        rows = np.repeat(np.arange(n_rows), k + 2)
-        cols = self.face_indices[k].ravel()
-        signs = np.tile([(-1) ** m for m in range(k + 2)], n_rows).astype(float)
-        signs *= np.repeat(self.orientations[k + 1], k + 2)
-        signs *= self.orientations[k][cols]
-        return sp.csr_matrix((signs, (rows, cols)), shape=(n_rows, n_cols))
+        if k not in self._incidence:
+            n_rows = len(self.simplices[k + 1])
+            n_cols = len(self.simplices[k])
+            rows = np.repeat(np.arange(n_rows), k + 2)
+            cols = self.face_indices[k].ravel()
+            signs = np.tile([(-1) ** m for m in range(k + 2)],
+                            n_rows).astype(float)
+            signs *= np.repeat(self.orientations[k + 1], k + 2)
+            signs *= self.orientations[k][cols]
+            D = sp.csr_matrix((signs, (rows, cols)), shape=(n_rows, n_cols))
+            D.sum_duplicates()
+            for a in (D.data, D.indices, D.indptr):
+                a.flags.writeable = False
+            self._incidence[k] = D
+        return self._incidence[k]
 
     def with_leading_simplices(self, k: int, leading) -> "SimplicialComplex":
         """Return a copy with the given k-simplices enumerated first, in order."""

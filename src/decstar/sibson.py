@@ -81,11 +81,13 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
                    py: np.ndarray, chord: bool = True):
     """Clip `region` to the part nearer each query point than `site`.
 
-    `region` is a counter-clockwise loop and `px`, `py` the coordinates of a
-    batch of q points, each a contiguous 1-D array.  For every point x this
-    is one pass over the loop's edges against the bisector half-plane
-    {y : |y - x| <= |y - site|}, returning the clipped area and the x and
-    y components of its gradient with respect to x.
+    `region` is a counter-clockwise loop of m corners, closed: its first
+    corner is repeated as row m, as `_site_regions` builds it.  `px`, `py`
+    are the coordinates of a batch of q points, each a contiguous 1-D
+    array.  For every point x this is one pass over the loop's edges
+    against the bisector half-plane {y : |y - x| <= |y - site|}, returning
+    the clipped area and the x and y components of its gradient with
+    respect to x.
 
     An edge contributes the inside fraction of its shoelace term.  The
     gradient is Sibson's identity: the integral of (y - x) over the chord F
@@ -99,33 +101,45 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
     adds nothing to the shoelace sum.  With `chord=False` the pass measures
     the area alone and returns None for the gradient.
 
-    Work arrays are (m + 1, q) or (q,): the query points lie along the
-    contiguous axis and the sums over sides run in order (`_row_sum`).
+    Work arrays are (m + 1, q), (m, q) or (q,): the query points lie along
+    the contiguous axis and the sums over sides run in order (`_row_sum`).
+    Each full-size array is written in place once it is made, with the
+    operations of the plain formulas in their order, so the bits are
+    theirs; the outside flags are floats (0 or 1) from the start.
     """
-    closed = np.vstack([region, region[:1]])
-    cx, cy = closed[:, :1], closed[:, 1:]
+    cx, cy = region[:, :1], region[:, 1:]
     nx, ny = site[0] - px, site[1] - py
     nrm = np.sqrt(nx ** 2 + ny ** 2)
-    nrm = np.where(nrm == 0.0, 1.0, nrm)
+    nrm[nrm == 0.0] = 1.0
     hx, hy = nx / nrm, ny / nrm
     rx = cx - 0.5 * (px + site[0])
     ry = cy - 0.5 * (py + site[1])
-    d = rx * hx + ry * hy
-    out = d > 0
-    da, db = d[:-1], d[1:]
-    sign = out[1:].astype(float) - out[:-1]
-    t = da / np.where(sign == 0.0, 1.0, da - db)
-    inside = (~out[:-1]) - sign * (1.0 - t)
-    cross = rx[:-1] * ry[1:] - ry[:-1] * rx[1:]
-    area = 0.5 * _row_sum(inside * cross)
+    d = rx * hx
+    d += ry * hy
+    outf = (d > 0).astype(float)
+    sign = outf[1:] - outf[:-1]  # +1 where the loop leaves, -1 enters
+    da = d[:-1]
+    den = da - d[1:]
+    den[sign == 0.0] = 1.0
+    t = np.divide(da, den, out=den)
+    inside = 1.0 - outf[:-1]
+    inside -= sign * (1.0 - t)
+    cross = rx[:-1] * ry[1:]
+    cross -= ry[:-1] * rx[1:]
+    cross *= inside
+    area = 0.5 * _row_sum(cross)
     if not chord:
         return area, None, None
-    s = rx * hy - ry * hx  # coordinate along the bisector
+    s = rx * hy  # coordinate along the bisector
+    s -= ry * hx
     sa = s[:-1]
-    crossing = sa + t * (s[1:] - sa)
-    signed = sign * crossing
+    crossing = s[1:] - sa
+    crossing *= t
+    crossing += sa
+    signed = np.multiply(sign, crossing, out=sign)
     half = 0.5 * _row_sum(signed)  # L / 2
-    along = 0.5 * _row_sum(signed * crossing)  # the moment, along F
+    crossing *= signed
+    along = 0.5 * _row_sum(crossing)  # the moment, along F
     return (area, (along * hy + half * nx) / nrm,
             (along * -hx + half * ny) / nrm)
 
@@ -186,7 +200,8 @@ def _clip_step(corners: np.ndarray, count: np.ndarray, point: np.ndarray,
 def _site_regions(pairs: list) -> list:
     """For each (loop, domain) pair, the Voronoi region of each site of
     `loop` clipped to `domain`, as a list; None for a region with fewer than
-    three corners, which has no area.
+    three corners, which has no area.  Each region is a closed loop, its
+    first corner repeated last, as `_bisector_clip` takes it.
 
     Every region of every pair comes from one batched Sutherland-Hodgman
     pass (Sutherland & Hodgman 1974): one row per site, starting from its
@@ -232,11 +247,14 @@ def _site_regions(pairs: list) -> list:
             if grow > 0:
                 corners = np.pad(corners, ((0, 0), (0, grow), (0, 0)))
             corners[act, :clipped.shape[1]] = clipped
-        flat.append(corners[np.arange(corners.shape[1]) < count[:, None]])
-        counts.append(count)
+        # close each loop: its first corner again after its last
+        corners = np.pad(corners, ((0, 0), (0, 1), (0, 0)))
+        corners[np.arange(len(count)), count] = corners[:, 0]
+        flat.append(corners[np.arange(corners.shape[1]) <= count[:, None]])
+        counts.append(count + 1)
     flat = np.concatenate(flat)
     ends = np.cumsum(np.concatenate(counts)).tolist()
-    regions = [flat[a:b] if b - a >= 3 else None
+    regions = [flat[a:b] if b - a >= 4 else None
                for a, b in zip([0] + ends[:-1], ends)]
     return [regions[f:f + n] for f, n in zip(first, n_sites)]
 
@@ -245,7 +263,9 @@ def _site_regions(pairs: list) -> list:
 # Sibson coordinates
 
 
-CLIP_CHUNK = 1 << 14  # query points per pass of `_bisector_clip`
+# query points per pass of `_bisector_clip`: a pass's (sides, points) work
+# arrays stay in cache, and its temporaries add little to the peak RSS
+CLIP_CHUNK = 1 << 12
 
 
 def _clip_regions(regions: list, sites: np.ndarray, pts: np.ndarray,
@@ -311,16 +331,26 @@ class SibsonCell:
         v = self.vertices
         return float(np.linalg.norm(v[:, None] - v[None], axis=2).max())
 
-    def contains(self, pts) -> np.ndarray:
-        """Even-odd crossing test of a (q, 2) batch of points: (m, q) work
-        arrays, one row per side of the loop."""
-        x, y = np.ascontiguousarray(np.atleast_2d(pts).T, dtype=float)
+    def side_crossings(self, y: np.ndarray):
+        """Where each side of the loop (from corner i to corner i + 1) meets
+        the horizontal line at each height of the 1-D array `y`: the x of
+        the meeting point and whether the side straddles the line, two
+        (m, len(y)) arrays, one row per side.  The x is read only where the
+        side straddles."""
         ax, ay = self.vertices[:, :1], self.vertices[:, 1:]
         b = _next_corners(self.vertices)
         bx, by = b[:, :1], b[:, 1:]
         straddles = (ay > y) != (by > y)
         with np.errstate(divide="ignore", invalid="ignore"):
             xint = ax + (y - ay) * (bx - ax) / (by - ay)
+        return xint, straddles
+
+    def contains(self, pts) -> np.ndarray:
+        """Even-odd crossing test of a (q, 2) batch of points: a point is
+        inside when an odd number of sides meet its horizontal line right
+        of it (`side_crossings`); (m, q) work arrays."""
+        x, y = np.ascontiguousarray(np.atleast_2d(pts).T, dtype=float)
+        xint, straddles = self.side_crossings(y)
         return (straddles & (x < xint)).sum(axis=0) % 2 == 1
 
     def _nearest_sides(self, pts: np.ndarray):
@@ -347,7 +377,8 @@ class SibsonCell:
 
     @cached_property
     def regions(self) -> list:
-        """Site regions clipped to the cell: the restricted variant's.
+        """Site regions clipped to the cell, closed loops as `_site_regions`
+        builds them: the restricted variant's.
         `DualInterpolation.build_regions` fills this for many cells at
         once."""
         return _site_regions([(self.vertices, self.vertices)])[0]

@@ -18,14 +18,17 @@ inverse block G^{-1} that `hodge.hodge_pair` keeps as a `FactorizedInverse`.
 Any other Hodge block is factored together with the whole block system.
 Particular solutions come from one sparse LU of a square block of the
 load derivative L = D_j or D_j^T, on rows and columns read off `_gauge`'s
-forests (`_LoadBlock`, the tree-cotree lift); Darcy 2 and 4 lift their load
-through L and recover the pressure through L^T from the same LU, whose
-every solve checks its own residual.  A load or a Darcy pressure is fixed
-up to ker L^T, and `_off_kernel` takes that part off default loads and
-every Darcy pressure.  A given load is admissible when that part is nil:
-`_Formulation.check_load` decides it once per run, before any Hodge star
-is built.  So every Darcy pressure is minimum-norm, and no recovered
-cochain depends on the gauge or on the particular solution.
+forests (`_LoadBlock`, the tree-cotree lift, by `_pins`); Darcy 2 and 4
+lift their load through L and recover the pressure through L^T from the
+same LU, whose every solve checks its own residual.  A flux with a part
+that no pressure produces, which a hole or a cavity of the mesh carries,
+fails that recovery: the `Error` `NO_PRESSURE`.  A load or a Darcy
+pressure is fixed up to ker L^T, and `_off_kernel` takes that part off
+default loads and every Darcy pressure.  A given load is admissible when
+that part is nil: `_Formulation.check_load` decides it once per run,
+before any Hodge star is built.  So every Darcy pressure is minimum-norm,
+and no recovered cochain depends on the gauge or on the particular
+solution.
 
 Every factorization in the package is one sparse LU in SuperLU's
 symmetric mode, `_symmetric_lu`, and an exactly singular matrix is one
@@ -335,14 +338,27 @@ def _positive_definite(F) -> bool:
 # helpers
 
 
+# compatible loads leave a residual of at most this share of |rhs|
+LOAD_RESIDUAL_TOL = 1e-10
+OUT_OF_RANGE = "load is not in the range of the derivative"
+
+
+def _check_residual(residual: float, rhs, what: str = OUT_OF_RANGE) -> None:
+    """The `Error` "`what` (residual ...)" when the absolute `residual` of a
+    solve exceeds `LOAD_RESIDUAL_TOL` of |rhs|."""
+    if residual > LOAD_RESIDUAL_TOL * np.linalg.norm(rhs):
+        raise Error(f"{what} (residual {residual:.3e})")
+
+
 class _LoadBlock:
     """One sparse LU for particular solutions of L x = b (`solve`) and of
     L^T y = c (`solve_transpose`), L = D_j or (`transposed`) D_j^T, each
-    checking its own residual: a right-hand side off the range is an `Error`.
+    checking its own residual: a right-hand side off the range is an `Error`,
+    `OUT_OF_RANGE` unless `solve_transpose` names another.
 
     The LU is of a square block K of D_j, on rows and columns read off
-    `_gauge`'s forests: for j = 0 the vertex forest's edges and the
-    non-root vertices; for j = n - 1 every top cell and the cell forest's
+    `_gauge`'s forests (`_pins`): for j = 0 the vertex forest's edges and
+    the non-root vertices; for j = n - 1 every top cell and the cell forest's
     faces; for j = 1 in 3D the faces off the cell forest and the edges off
     the vertex forest (Le Menach, Clenet & Piriou, IEEE Trans. Magn. 1998).
     On a mesh without holes or cavities K is nonsingular, and a forest's K
@@ -353,23 +369,22 @@ class _LoadBlock:
 
     def __init__(self, complex: SimplicialComplex, j: int, transposed: bool):
         n, self.transposed = complex.dim, transposed
-        self.D = complex.incidence_matrix(j).tocsr()
+        self.D = complex.incidence_matrix(j)
 
-        def free(size, gauge):  # the dofs that `gauge` does not pin
-            return np.delete(np.arange(size), [] if gauge is None
-                             else gauge.pins())
+        def free(size, pins):  # the dofs that `pins` leaves
+            return np.delete(np.arange(size), pins)
 
-        self.rows = (_gauge(complex, 1).pins() if j == 0
-                     else free(self.D.shape[0], _gauge(complex, j, True)))
-        self.cols = (_gauge(complex, n - 2, True).pins() if j == n - 1
-                     else free(self.D.shape[1], _gauge(complex, j)))
+        self.rows = (_pins(complex, 1) if j == 0
+                     else free(self.D.shape[0], _pins(complex, j, True)))
+        self.cols = (_pins(complex, n - 2, True) if j == n - 1
+                     else free(self.D.shape[1], _pins(complex, j)))
         K, what = self.D[self.rows][:, self.cols], f"load block of D_{j}"
         if K.shape[0] != K.shape[1]:
             raise Error(f"{what} is {K.shape[0]} x {K.shape[1]}, not square: "
                         f"the mesh has a hole or a cavity")
         self.lu = _symmetric_lu(K, what, "COLAMD")
 
-    def _through(self, rhs, transposed: bool):
+    def _through(self, rhs, transposed: bool, what: str):
         rhs = np.asarray(rhs, dtype=float)
         if transposed:  # D_j^T x = rhs
             x = np.zeros(self.D.shape[0])
@@ -379,26 +394,17 @@ class _LoadBlock:
             x = np.zeros(self.D.shape[1])
             x[self.cols] = self.lu.solve(rhs[self.rows])
             image = self.D @ x
-        _check_residual(np.linalg.norm(image - rhs), rhs)
+        _check_residual(np.linalg.norm(image - rhs), rhs, what)
         return x
 
     def solve(self, rhs):
         """A solution x of L x = rhs."""
-        return self._through(rhs, self.transposed)
+        return self._through(rhs, self.transposed, OUT_OF_RANGE)
 
-    def solve_transpose(self, rhs):
-        """A solution y of L^T y = rhs."""
-        return self._through(rhs, not self.transposed)
-
-
-# compatible loads leave a residual of at most this share of |rhs|
-LOAD_RESIDUAL_TOL = 1e-10
-
-
-def _check_residual(residual: float, rhs) -> None:
-    if residual > LOAD_RESIDUAL_TOL * np.linalg.norm(rhs):
-        raise Error(f"load is not in the range of the derivative "
-                    f"(least-squares residual {residual:.3e})")
+    def solve_transpose(self, rhs, what: str = OUT_OF_RANGE):
+        """A solution y of L^T y = rhs; the `Error` `what` if there is
+        none."""
+        return self._through(rhs, not self.transposed, what)
 
 
 def _off_kernel(v, kernel: Gauge | None) -> np.ndarray:
@@ -426,7 +432,7 @@ def _gauge(complex: SimplicialComplex, j: int,
                                     "faces", "cell boundaries")
     else:
         labels = complex.vertex_components
-        roots = np.unique(labels, return_index=True)[1]
+        roots = _pins(complex, 0)
         if j == 0:
             Z = sp.identity(len(roots), format="csr")[labels]
             return Gauge(Z, {"pin": "pin dof " + ", ".join(map(str, roots)),
@@ -438,7 +444,23 @@ def _gauge(complex: SimplicialComplex, j: int,
     m = Z.shape[1]
     return Gauge(Z, {"pin": f"pin tree of {m} {links}",
                      "augment": f"augmentation by {m} {columns}"},
-                 lambda: _spanning_forest(A))
+                 lambda: _pins(complex, j, transposed))
+
+
+def _pins(complex: SimplicialComplex, j: int,
+          transposed: bool = False) -> np.ndarray:
+    """The dofs, ascending, that pin the kernel of D_j (transposed: of
+    D_j^T) by `_gauge`'s rule: for D_0 each vertex component's root, its
+    first vertex; for D_1 the vertex forest's edges; for D_{n-2}^T the cell
+    forest's faces; none for D_{n-1}^T, whose kernel is trivial."""
+    n = complex.dim
+    if transposed:
+        if j == n - 1:
+            return np.empty(0, dtype=int)
+        return _spanning_forest(complex.incidence_matrix(n - 1).T)
+    if j == 0:
+        return np.unique(complex.vertex_components, return_index=True)[1]
+    return _spanning_forest(complex.incidence_matrix(0))
 
 
 def _spanning_forest(A) -> np.ndarray:
@@ -451,7 +473,9 @@ def _spanning_forest(A) -> np.ndarray:
     ends = np.array([np.minimum.reduceat(A.indices, A.indptr[:-1]),
                      np.maximum.reduceat(A.indices, A.indptr[:-1])])
     ends[1, np.diff(A.indptr) == 1] = A.shape[1]
-    ids = np.unique(ends, axis=1, return_index=True)[1]
+    # the first link of each (lower end, upper end) pair, in pair order
+    ids = np.unique(ends[0] * (A.shape[1] + 1) + ends[1],
+                    return_index=True)[1]
     weights = sp.coo_matrix((ids + 1.0, tuple(ends[:, ids])),
                             shape=(A.shape[1] + 1,) * 2)
     return np.sort(minimum_spanning_tree(weights).data.astype(int) - 1)
@@ -516,8 +540,14 @@ class _Formulation(NamedTuple):
         return _off_kernel(load, self.load_cokernel(complex))
 
 
+# a Darcy 2 or 4 flux off range(L^T): it has a harmonic part, which a loop
+# or a cavity of the mesh carries
+NO_PRESSURE = ("Darcy pressure recovery failed: the flux has a part that no "
+               "pressure produces; the mesh likely has a hole or a cavity")
+
+
 def _flux_and_pressure(u, w, parts):
-    p = parts.block.solve_transpose(-u)
+    p = parts.block.solve_transpose(-u, NO_PRESSURE)
     return {"f": parts.H @ u, "p": _off_kernel(p, parts.cokernel())}
 
 

@@ -1241,18 +1241,18 @@ REJECTED = [
      "error: degree k=7 out of range 0..2 for a 2D mesh"),
     ("table1 --P ,", "error: --P needs at least one value"),
     ("solve magneto --mesh grid:3 --system 1,2 --load {ones}",
-     "error: load is not in the range of the derivative (least-squares "
-     "residual 7.500e-01)"),
+     "error: load is not in the range of the derivative (residual "
+     "7.500e-01)"),
     ("hodge --mesh random:5:1:3 --kind dual_inverse",
      "error: dual-inverse assembly is implemented for 2D meshes"),
     ("sample-field --space dual --mesh random:12:3:3",
      "error: dual interpolation machinery is 2D"),
     ("solve darcy --mesh grid:3 --system 3 --load {ones}",
-     "error: load is not in the range of the derivative (least-squares "
-     "residual 7.500e-01)"),
+     "error: load is not in the range of the derivative (residual "
+     "7.500e-01)"),
     ("solve darcy --mesh grid:3 --system 3,4 --load {ones}",
-     "error: load is not in the range of the derivative (least-squares "
-     "residual 7.500e-01)"),
+     "error: load is not in the range of the derivative (residual "
+     "7.500e-01)"),
 ]
 
 
@@ -1313,7 +1313,7 @@ def test_solve_rejects_a_load_out_of_range_before_any_star(
                                 system, "--load", str(path)], capsys)
         assert (code, lines, built) == (1, [], []), spec
         assert err.startswith("error: load is not in the range of the "
-                              "derivative (least-squares residual ")
+                              "derivative (residual ")
         assert err.count("\n") == 1
         checked += 1
     assert (checked == 0) == (problem == "darcy" and system[0] in "12")
@@ -1333,7 +1333,7 @@ def test_solve_rejects_a_constant_vertex_load_at_any_scale(system, scale,
                             str(path)], capsys)
     assert (code, lines) == (1, [])
     assert err == (f"error: load is not in the range of the derivative "
-                   f"(least-squares residual {5 * scale:.3e})\n")
+                   f"(residual {5 * scale:.3e})\n")
 
 
 @pytest.mark.parametrize("problem", ["darcy", "magneto"])
@@ -1394,6 +1394,24 @@ def test_solve_magneto_on_a_solid_torus_is_one_error_line(system, tmp_path,
     assert (code, lines) == (1, [])
     assert err == ("error: load block of D_1 is 80 x 81, not square: the "
                    "mesh has a hole or a cavity\n")
+
+
+def test_solve_darcy_on_a_solid_torus_names_the_pressure_recovery(tmp_path,
+                                                                  capsys):
+    """Darcy 3 solves on a solid torus, but its loop carries a harmonic
+    flux that Darcy 4's vertex pressure cannot produce: after Darcy 3's
+    summary, one error line names the failed recovery, not the load, which
+    passed the range check."""
+    path = tmp_path / "torus.json"
+    path.write_text(solid_torus_json())
+    code, lines, err = run(["solve", "darcy", "--mesh", str(path), "--kind",
+                            "whitney", "--system", "3,4", "--out",
+                            str(tmp_path)], capsys)
+    assert (code, [line["name"] for line in lines]) == (1, ["darcy-3"])
+    assert err.startswith("error: Darcy pressure recovery failed: the flux "
+                          "has a part that no pressure produces; the mesh "
+                          "likely has a hole or a cavity (residual ")
+    assert err.count("\n") == 1
 
 
 def test_cond_reports_a_singular_dual_inverse_star(tmp_path, capsys):

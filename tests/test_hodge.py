@@ -335,6 +335,40 @@ def test_dual_inverse_matches_one_point_batches(spec, resolution, k):
     assert np.abs(star - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def quadrature_polygons() -> list:
+    """A non-convex polygon on the unit box with horizontal sides, one of
+    them on a pixel row at resolution 8 (y = 9/16), a corner on another
+    (y = 5/16) and a vertical side through pixel centers (x = 13/16); and
+    random star-shaped polygons of 3 to 14 corners."""
+    polygons = [np.array([[0, 0], [1, 0], [1, 0.4], [0.8125, 0.4],
+                          [0.8125, 0.5625], [0.6, 0.5625], [0.5, 1],
+                          [0.2, 0.3125], [0, 0.5]])]
+    rng = np.random.default_rng(34)
+    for n in (3, 5, 9, 14):
+        angles = np.sort(rng.uniform(0, 2 * np.pi, n))
+        radii = rng.uniform(0.3, 1.0, n)
+        polygons.append(radii[:, None] * np.column_stack(
+            [np.cos(angles), np.sin(angles)]) + rng.uniform(-2, 2, 2))
+    return polygons
+
+
+@pytest.mark.parametrize("resolution", [8, 13, 32, 64])
+def test_cell_quadrature_nodes_are_the_pixel_centers_the_cell_contains(
+        resolution):
+    """The per-row even-odd test claims the pixel centers that the
+    per-point `SibsonCell.contains` claims, in `pixel_centers` order."""
+    for i, loop in enumerate(quadrature_polygons()):
+        cell = SibsonCell(loop, restricted=True)
+        lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
+        centers = mesh.pixel_centers(lo, hi, resolution)
+        if i == 0 and resolution == 8:  # sides and a corner on centers
+            assert {0.3125, 0.5625} <= set(centers[:, 1].tolist())
+            assert 0.8125 in centers[:, 0]
+        pts, w = hodge._cell_quadrature(cell, resolution)
+        assert np.array_equal(pts, centers[cell.contains(centers)])
+        assert w == np.prod(hi - lo) / resolution ** 2
+
+
 @pytest.mark.parametrize("P", [0.75, 2.0])
 def test_fig8_block_matches_one_point_batches(P):
     comp = mesh.generate_fig8(P)

@@ -120,6 +120,21 @@ def test_incidence_rows_sum_structure():
     assert np.all(D0.sum(axis=1) == 0)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_incidence_matrix_is_built_once_and_read_only(dim):
+    comp = mesh.random_delaunay(12, 3, dim=dim)
+    for k in range(comp.dim):
+        D = comp.incidence_matrix(k)
+        assert comp.incidence_matrix(k) is D
+        assert D.format == "csr" and D.has_canonical_format
+        for a in (D.data, D.indices, D.indptr):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            D.data[0] = 2.0
+        # the CSC form that `cofaces` reads is derived from it
+        assert (comp._coboundary[k] != D).nnz == 0
+
+
 DELAUNAY_3D = st.builds(lambda n, seed: mesh.random_delaunay(n, seed, dim=3),
                         st.integers(4, 30), st.integers(0, 10_000))
 

@@ -225,7 +225,7 @@ def test_bisector_clip_two_piece_chord():
     # x = 2 bisects x = (1, 1.2) and site (3, 1.2) and cuts both arms of the
     # C, leaving chord pieces {2} x [0, 1] and {2} x [2, 3]
     loop = np.array([[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 3],
-                     [0, 3]], dtype=float)
+                     [0, 3], [0, 0]], dtype=float)  # closed
     area, gx, gy = _bisector_clip(loop, np.array([3.0, 1.2]),
                                   np.array([1.0]), np.array([1.2]))
     assert area[0] == pytest.approx(5.0, abs=1e-14)
@@ -255,7 +255,7 @@ def test_kernel_gives_each_point_its_one_point_bits(monkeypatch, name,
     pts = interior_points(sc, np.random.default_rng(28), 40, 1e-3)
     lam, grads = sc.coords_and_gradients_batch(pts)
     if restricted:
-        widest = max(len(r) for r in sc.regions if r is not None)
+        widest = max(len(r) - 1 for r in sc.regions if r is not None)
         assert (widest >= 8) == (name != "9-gon")
     for x, lam_x, grads_x in zip(pts, lam, grads):
         one_lam, one_grads = sc.coords_and_gradients_batch(x[None])
@@ -267,6 +267,72 @@ def test_kernel_gives_each_point_its_one_point_bits(monkeypatch, name,
     assert np.array_equal(split_lam, lam)
     assert np.array_equal(split_grads, grads)
     assert np.array_equal(sc.coords_batch(pts), lam)
+
+
+def plain_bisector_clip(region, site, px, py, chord=True):
+    """The clip kernel's arithmetic in its plain form: an open loop closed
+    here, and every temporary a fresh array.  `_bisector_clip` must give
+    its bits."""
+    closed = np.vstack([region, region[:1]])
+    cx, cy = closed[:, :1], closed[:, 1:]
+    nx, ny = site[0] - px, site[1] - py
+    nrm = np.sqrt(nx ** 2 + ny ** 2)
+    nrm = np.where(nrm == 0.0, 1.0, nrm)
+    hx, hy = nx / nrm, ny / nrm
+    rx = cx - 0.5 * (px + site[0])
+    ry = cy - 0.5 * (py + site[1])
+    d = rx * hx + ry * hy
+    out = d > 0
+    da, db = d[:-1], d[1:]
+    sign = out[1:].astype(float) - out[:-1]
+    t = da / np.where(sign == 0.0, 1.0, da - db)
+    inside = (~out[:-1]) - sign * (1.0 - t)
+    cross = rx[:-1] * ry[1:] - ry[:-1] * rx[1:]
+    area = 0.5 * sibson._row_sum(inside * cross)
+    if not chord:
+        return area, None, None
+    s = rx * hy - ry * hx
+    sa = s[:-1]
+    crossing = sa + t * (s[1:] - sa)
+    signed = sign * crossing
+    half = 0.5 * sibson._row_sum(signed)
+    along = 0.5 * sibson._row_sum(signed * crossing)
+    return (area, (along * hy + half * nx) / nrm,
+            (along * -hx + half * ny) / nrm)
+
+
+@pytest.mark.parametrize("name", KERNEL_CELLS)
+@pytest.mark.parametrize("restricted", [True, False])
+def test_clip_kernel_has_the_bits_of_its_plain_arithmetic(name, restricted):
+    """Every region of a convex or non-convex cell, some of 8 or more
+    corners, clipped for a batch that holds every site, points near the
+    sites and points inside and outside the cell: the kernel's in-place
+    arithmetic gives the bits of the plain formulas, with and without the
+    chord terms."""
+    sc = SibsonCell(np.array(KERNEL_CELLS[name], dtype=float), restricted)
+    rng = np.random.default_rng(33)
+    lo, hi = sc.vertices.min(axis=0), sc.vertices.max(axis=0)
+    pts = np.concatenate([sc.vertices,
+                          sc.vertices + 1e-9 * rng.standard_normal((
+                              sc.n_sites, 2)),
+                          interior_points(sc, rng, 40, 1e-3),
+                          rng.uniform(2 * lo - hi, 2 * hi - lo, (40, 2))])
+    px, py = np.ascontiguousarray(pts.T)
+    regions = sc.regions if restricted else sc._boxed_regions(0)
+    if restricted:
+        widest = max(len(r) - 1 for r in regions if r is not None)
+        assert (widest >= 8) == (name != "9-gon")
+    for region, site in zip(regions, sc.vertices):
+        if region is None:
+            continue
+        assert np.array_equal(region[-1], region[0])  # closed
+        for chord in (True, False):
+            got = _bisector_clip(region, site, px, py, chord=chord)
+            want = plain_bisector_clip(region[:-1], site, px, py,
+                                       chord=chord)
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or np.array_equal(a, b)
+            assert chord or got[1] is None
 
 
 @pytest.mark.parametrize("name", KERNEL_CELLS)
@@ -450,9 +516,10 @@ def assert_regions_match_reference(pairs):
         for region, ref in zip(built, reference):
             if ref is None:
                 assert region is None
-            else:
-                assert region.shape == ref.shape
-                assert np.array_equal(region, ref)
+            else:  # closed: the first corner again after the last
+                assert region.shape == (len(ref) + 1, 2)
+                assert np.array_equal(region[:-1], ref)
+                assert np.array_equal(region[-1], ref[0])
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

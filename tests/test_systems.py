@@ -443,7 +443,7 @@ class LstsqGram:
     def solve(self, rhs):
         return lstsq_reference(self.D, rhs)
 
-    def solve_transpose(self, rhs):
+    def solve_transpose(self, rhs, what=None):
         return lstsq_reference(self.D.T, rhs)
 
 

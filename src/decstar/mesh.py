@@ -12,10 +12,10 @@ dual areas always sum to the mesh volume under the barycentric rule.  In 2D,
 `vertex_ring` lists the dual vertices of a vertex's dual polygon in order.
 
 Assembly works on whole arrays of simplices: faces are enumerated by one
-stable lexsort of their sorted vertex tuples (`_unique_rows`), measures
-and centers come from batched determinants and solves, and adjacency is
-read off the incidence matrices: `cofaces` and `boundary_simplices` take
-the column structure of each D_k, converted to CSC once per complex.
+stable lexsort of their sorted vertex tuples (`_unique_rows`), measures and
+side signs come from one closed-form determinant rule (`_det`), and
+adjacency is read off the incidence matrices: `cofaces` and
+`boundary_simplices` take the column structure of each D_k, in CSC form.
 """
 
 from __future__ import annotations
@@ -38,26 +38,36 @@ CIRCUMCENTRIC = "circumcentric"
 DEGENERACY_RTOL = 1e-12
 
 
+def _det(a) -> np.ndarray:
+    """Determinants of a stack (..., m, m) of order m = 0..3 by cofactor
+    expansion along the first row, with no logarithm and no division: a
+    stack scaled by 2^j has them scaled by exactly 2^(j m).  The empty
+    determinant is 1."""
+    a = np.asarray(a, dtype=float)
+    m = a.shape[-1]
+    if m < 2:
+        return a[..., 0, 0].copy() if m else np.ones(a.shape[:-2])
+    if m == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return (a[..., 0, 0] * _det(a[..., 1:, [1, 2]])
+            - a[..., 0, 1] * _det(a[..., 1:, [0, 2]])
+            + a[..., 0, 2] * _det(a[..., 1:, [0, 1]]))
+
+
 def simplex_measures(points) -> np.ndarray:
     """Unsigned k-volumes of a stack of k-simplices, points shaped (..., k+1, d).
 
     A full-dimensional simplex (k = d) takes |det(edges)| / k!, which keeps
-    its relative accuracy on slivers; in 2D that is the cross product, which
-    has no LU division and so is exact on short dyadic edges.  Lower
-    dimensions take the Gram determinant, which squares the conditioning but
-    works in any ambient dimension.  A point has measure 1 by convention.
+    its relative accuracy on slivers.  Lower dimensions take the Gram
+    determinant, which squares the conditioning but works in any ambient
+    dimension; a point's empty Gram determinant gives it measure 1.
     """
     pts = np.asarray(points, dtype=float)
     k = pts.shape[-2] - 1
-    if k == 0:
-        return np.ones(pts.shape[:-2])
     edges = pts[..., 1:, :] - pts[..., :1, :]
-    if k == pts.shape[-1] == 2:
-        (ax, ay), (bx, by) = np.moveaxis(edges, (-2, -1), (0, 1))
-        return np.abs(ax * by - ay * bx) / 2.0
     if k == pts.shape[-1]:
-        return np.abs(np.linalg.det(edges)) / math.factorial(k)
-    det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
+        return np.abs(_det(edges)) / math.factorial(k)
+    det = _det(edges @ np.swapaxes(edges, -1, -2))
     return np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
 
 
@@ -81,7 +91,7 @@ def simplex_centers(points, rule: str) -> np.ndarray:
     rhs = np.einsum("mij,mij->mi", edges, edges)
     scale = np.abs(edges).max(axis=(1, 2))
     scale[scale == 0] = 1.0
-    if np.any(np.abs(np.linalg.det(gram))
+    if np.any(np.abs(_det(gram))
               <= DEGENERACY_RTOL * (2.0 * scale * scale) ** k):
         raise Error("degenerate simplex has no circumcenter")
     sol = np.linalg.solve(gram, rhs[..., None])
@@ -266,7 +276,7 @@ def build_complex(vertices, cells) -> SimplicialComplex:
     # then an earlier identical cell, then a vanishing determinant.
     sorted_cells = np.sort(cells.astype(int), axis=1)
     _, first, inverse = _unique_rows(sorted_cells)
-    det = np.linalg.det(verts[sorted_cells[:, 1:]] - verts[sorted_cells[:, :1]])
+    det = _det(verts[sorted_cells[:, 1:]] - verts[sorted_cells[:, :1]])
     repeated = (np.diff(sorted_cells, axis=1) == 0).any(axis=1)
     duplicate = first[inverse] != np.arange(len(cells))
     degenerate = np.abs(det) <= DEGENERACY_RTOL * scale**n
@@ -292,10 +302,7 @@ def build_complex(vertices, cells) -> SimplicialComplex:
         faces = simplices[k + 1][:, keep].reshape(-1, k + 1)
         simplices[k], _, inverse = _unique_rows(faces)
         face_indices[k] = inverse.reshape(-1, k + 2)
-    # a cell's measure is |det| / n!, which keeps its relative accuracy on
-    # slivers
-    measures = [simplex_measures(verts[simp]) for simp in simplices[:n]]
-    measures.append(np.abs(det) / math.factorial(n))
+    measures = [simplex_measures(verts[simp]) for simp in simplices]
     orientations = [np.ones(len(simplices[k]), dtype=int) for k in range(n)]
     orientations.append(np.where(det > 0, 1, -1))
 
@@ -340,24 +347,14 @@ class DualMesh:
 def _side_signs(complex: SimplicialComplex, centers: list, k: int) -> np.ndarray:
     """(N_k, k+1) signs: +1 where the center of k-simplex i and the vertex
     that its face m omits lie on the same side of that face's affine hull,
-    -1 on opposite sides, 0 if the center lies on it."""
-    faces = complex.simplices[k - 1][complex.face_indices[k - 1]]
-    base = complex.vertices[faces]  # (N_k, k+1, k, dim)
-    v0 = base[..., 0, :]
-    edges = base[..., 1:, :] - v0[..., None, :]
-
-    def residual(p):  # p - v0 minus its projection onto the face's span
-        r = p - v0
-        if k > 1:
-            coef = np.linalg.solve(edges @ np.swapaxes(edges, -1, -2),
-                                   edges @ r[..., None])
-            r = r - (np.swapaxes(edges, -1, -2) @ coef)[..., 0]
-        return r
-
-    query = np.broadcast_to(centers[k][:, None, :], v0.shape)
-    opposite = complex.vertices[complex.simplices[k]]
-    return np.sign(np.einsum("imd,imd->im", residual(query),
-                             residual(opposite)))
+    -1 on opposite sides, 0 if the center lies on it: sign det(E_m E^T),
+    E the simplex's edges and E_m those with vertex m moved to the center."""
+    pts = complex.vertices[complex.simplices[k]]  # (N_k, k+1, dim)
+    moved = np.repeat(pts[:, None], k + 1, axis=1)
+    moved[:, np.arange(k + 1), np.arange(k + 1)] = centers[k][:, None]
+    edges = pts[:, None, 1:] - pts[:, None, :1]
+    return np.sign(_det((moved[..., 1:, :] - moved[..., :1, :])
+                        @ np.swapaxes(edges, -1, -2)))
 
 
 def vertex_ring(complex: SimplicialComplex, v: int) -> list:
@@ -519,36 +516,22 @@ def structured_grid(m: int, skew: float = 0.0) -> SimplicialComplex:
     xs = np.linspace(0.0, 1.0, m + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     verts = np.column_stack([(X + skew * Y).ravel(), Y.ravel()])
-    cells = []
-    for i in range(m):
-        for j in range(m):
-            a = i * (m + 1) + j
-            b = a + m + 1
-            cells.append((a, b, a + 1))
-            cells.append((a + 1, b, b + 1))
+    a = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()  # i m + j
+    b = a + m + 1
+    cells = np.column_stack([a, b, a + 1, a + 1, b, b + 1]).reshape(-1, 3)
     return build_complex(verts, cells)
 
 
 def equilateral_grid(m: int) -> SimplicialComplex:
     """Uniform mesh of equilateral triangles, m rows of m up/down pairs."""
-    h = math.sqrt(3.0) / 2.0
-    verts = []
-    for j in range(m + 1):
-        off = 0.5 * (j % 2)
-        for i in range(m + 1):
-            verts.append((i + off, j * h))
-    cells = []
-    for j in range(m):
-        for i in range(m):
-            a = j * (m + 1) + i
-            b = a + m + 1
-            if j % 2 == 0:
-                cells.append((a, a + 1, b))
-                cells.append((a + 1, b, b + 1))
-            else:
-                cells.append((a, a + 1, b + 1))
-                cells.append((a, b, b + 1))
-    return build_complex(verts, cells)
+    j, i = np.divmod(np.arange((m + 1) ** 2), m + 1)  # row j, column i
+    # odd rows shift by half a side; m < 0 leaves no vertex row at all
+    verts = (np.column_stack([i + 0.5 * (j % 2), j * (math.sqrt(3.0) / 2.0)])
+             if m >= 0 else [])
+    a = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()  # j m + i
+    b, odd = a + m + 1, a // (m + 1) % 2
+    cells = np.column_stack([a, a + 1, b + odd, a + 1 - odd, b, b + 1])
+    return build_complex(verts, cells.reshape(-1, 3))
 
 
 def random_delaunay(n_points: int, seed: int, dim: int = 2) -> SimplicialComplex:
@@ -562,7 +545,7 @@ def random_delaunay(n_points: int, seed: int, dim: int = 2) -> SimplicialComplex
     corners = np.array(list(itertools.product([0.0, 1.0], repeat=dim)))
     pts = np.vstack([corners, pts])
     cells = Delaunay(pts).simplices
-    vol = np.abs(np.linalg.det(pts[cells[:, 1:]] - pts[cells[:, :1]]))
+    vol = np.abs(_det(pts[cells[:, 1:]] - pts[cells[:, :1]]))
     return build_complex(pts, np.sort(cells[vol > 1e-10], axis=1))
 
 

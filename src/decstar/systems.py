@@ -236,11 +236,14 @@ class WaveSystem:
         def solve(b):
             return project(lu.solve(np.concatenate([b, pad]))[:n])
 
+        # ARPACK's convergence floor is absolute: (K, s M) has Ritz values ~1
+        scale = _binary_order(sigma)
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
-            return eigsh(self.stiffness, k, operator(lambda x: M @ x),
-                         sigma=sigma, OPinv=operator(solve), v0=v0, rng=0,
-                         return_eigenvectors=False)
+            return scale * eigsh(
+                self.stiffness, k, operator(lambda x: scale * (M @ x)),
+                sigma=sigma / scale, OPinv=operator(solve), v0=v0, rng=0,
+                return_eigenvectors=False)
         except ArpackError as exc:
             raise Error(f"wave eigensolve failed: {exc}") from exc
 
@@ -659,8 +662,12 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
     y = [w; multipliers], so w is orthogonal to the kernel.  A Hodge block
     whose inverse G is sparse (`system.G`) is eliminated,
     (Bg^T G Bg - c E) y = Bg^T G f - c g and u = G (f - Bg y) / c; any other
-    is factored with the whole system.  The residual is that of the gauged
-    system.  Rank deficiency beyond the declared gauge is an error.
+    is factored with the whole system.  Either way H and f are divided by
+    a power of two s that scales with H (`_binary_order`), and y = [w / s;
+    multipliers], so the matrix has the same bits at every mesh scale.  The
+    residual is the larger block row backward error |r_i| / (|A_i1| |u| +
+    |A_i2| |y| + |b_i|) of that system, |c H u / s| for |A_11| |u|; above
+    1e-6 it is rank deficiency beyond the declared gauge, an error.
     """
     t0 = time.perf_counter()
     H, c, B, f, g = system.H, system.c, system.B, system.f, system.g
@@ -684,23 +691,33 @@ def solve(system: MixedSystem, gauge: str = "pin") -> SolveReport:
         applied = system.gauge.labels[gauge]
     B, E, G = B.tocsr(), E.tocsr(), system.G
     if G is not None:
-        lu = _symmetric_lu(B.T @ G @ B - c * E, "saddle system")
+        scale = 1 / _binary_order(G)
+        lu = _symmetric_lu(scale * (B.T @ G @ B) - c * E, "saddle system")
         y = lu.solve(B.T @ (G @ f) - c * g)
-        u = G @ (f - B @ y) / c
+        u = G @ (f - scale * (B @ y)) / c
     else:
-        lu = _symmetric_lu(_bordered(c * H, [(B, E)]), "saddle system")
-        x = lu.solve(np.concatenate([f, g]))
+        scale = _binary_order(H)
+        lu = _symmetric_lu(_bordered(c / scale * H, [(B, E)]), "saddle system")
+        x = lu.solve(np.concatenate([f / scale, g]))
         u, y = x[:len(f)], x[len(f):]
-    r = np.concatenate([c * (H @ u) + B @ y - f, B.T @ u + E @ y - g])
-    scale = np.linalg.norm(np.concatenate([f, g]))
-    residual = np.linalg.norm(r) / scale if scale else 0.0
+    norm = np.linalg.norm
+    Hu, fs, nB, ny = H @ u / scale, f / scale, norm(B.data), norm(y)
+    rows = [(c * Hu + B @ y - fs, norm(Hu) + nB * ny + norm(fs)),
+            (B.T @ u + E @ y - g, nB * norm(u) + norm(E.data) * ny + norm(g))]
+    residual = max(norm(r) / s if s else 0.0 for r, s in rows)
     if not (np.isfinite(u).all() and np.isfinite(y).all()) or residual > 1e-6:
         raise Error(f"saddle system rank-deficient beyond the declared "
                     f"gauge (residual {residual:.3e})")
-    w = y[:n1]
+    w = scale * y[:n1]
     recovered = system.recover(u, w)
     return SolveReport(system.name, u, w, recovered, float(residual),
                        applied, time.perf_counter() - t0)
+
+
+def _binary_order(A) -> float:
+    """The power of two just above max |A|: A over it is exact, and the same
+    for A and 2^j A."""
+    return 2.0 ** np.frexp(np.max(abs(A)))[1]
 
 
 def cross_validate(a: SolveReport, b: SolveReport) -> dict:

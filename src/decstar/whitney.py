@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import Error
-from .mesh import SimplicialComplex, check_degree
+from .mesh import SimplicialComplex, _det, check_degree
 
 
 def _barycentric_coefficients(complex: SimplicialComplex, cells) -> np.ndarray:
@@ -186,8 +186,7 @@ def whitney_gram_matrix(complex: SimplicialComplex, k: int):
     axes = np.array(list(itertools.combinations(range(n), k)), dtype=int)
     subsets = np.array(list(itertools.combinations(range(n + 1), k)),
                        dtype=int)
-    minors = np.linalg.det(grads[:, axes[:, None, :, None],
-                                 subsets[None, :, None, :]])
+    minors = _det(grads[:, axes[:, None, :, None], subsets[None, :, None, :]])
     rows, cols, weights, pairs = _pair_table(n, k)
     dets = np.einsum("csr,csr->cr", minors[:, :, rows], minors[:, :, cols])
     vals = (dets * weights).reshape(len(cells), len(pairs), -1).sum(axis=-1)

@@ -1340,9 +1340,9 @@ def test_solve_rejects_a_constant_vertex_load_at_any_scale(system, scale,
 @pytest.mark.parametrize("system", ["1,2", "3,4"])
 def test_solve_residual_is_relative_with_no_floor(problem, system, tmp_path,
                                                   capsys):
-    """`solve`'s residual is relative to |[f; g]| with no floor: a load
-    scaled by 2^-40, which scales every solve exactly, reports the same
-    residuals bit for bit, and a zero load reports 0.0."""
+    """`solve`'s residual is a relative backward error with no floor: a
+    load scaled by 2^-40, which scales every solve exactly, reports the
+    same residuals bit for bit, and a zero load reports 0.0."""
     row = systems._formulation(
         {"darcy": "darcy", "magneto": "magnetostatics"}[problem],
         int(system[0]))

@@ -1,8 +1,11 @@
+import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from decstar import Error, cli, hodge, mesh, systems, whitney
 from decstar.sibson import DualInterpolation, SibsonCell, edge_forms
@@ -133,16 +136,93 @@ def _dual_inverse_star(spec, k, scale=1.0, shift=0.0):
     return hodge.assemble_dual_inverse(comp, dual, k, 32).matrix.toarray()
 
 
-@pytest.mark.parametrize("spec", ["grid:4:0.3", "random:30:7"])
-def test_dual_inverse_star_scales_exactly_by_powers_of_two(spec):
-    """Sites coincide relative to their polygon's extent, so a mesh shrunk
-    by s = 2^-24 has the same star bits: k = 1 as is, k = 2 times s^2.
-    Absolute tolerances once merged distinct sites there and moved the k = 1
-    star by 91% of its largest entry."""
-    s = 2.0 ** -24
-    for k, unit in ((1, 1.0), (2, s * s)):
-        assert np.array_equal(_dual_inverse_star(spec, k, scale=s) / unit,
-                              _dual_inverse_star(spec, k)), k
+ASSEMBLE = {"darcy": systems.assemble_darcy,
+            "magnetostatics": systems.assemble_magnetostatics}
+
+
+def _scaled_outputs(spec, j):
+    """The outputs of the pipeline on mesh `spec` scaled by 2^j, each as
+    (value, e): it should be its value at 2^0 times 2^(e j), or times some
+    power of two for e None.  The stars, spectra and solves read the
+    barycentric dual."""
+    comp = cli.resolve_mesh(spec)
+    n = comp.dim
+    comp = mesh.build_complex(np.ldexp(comp.vertices, j), comp.simplices[n])
+    duals = {rule: mesh.build_dual(comp, rule)
+             for rule in (mesh.BARYCENTRIC, mesh.CIRCUMCENTRIC)}
+    dual = duals[mesh.BARYCENTRIC]
+    out = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the barycentric diag star warns
+        for k in range(n + 1):
+            out[f"measure {k}"] = comp.measures[k], k
+            for rule, d in duals.items():
+                out[f"{rule} dual measure {k}"] = d.measures[k], n - k
+            for kind in ("diag", "whitney"):
+                star = hodge.assemble(kind, comp, dual, k).matrix
+                out[f"{kind} star {k}"] = star, n - 2 * k
+                out[f"{kind} cond {k}"] = np.array(
+                    [hodge.condition_estimate(star)["condition"]]), 0
+        if n == 2:
+            for k in (1, 2):
+                star = hodge.assemble_dual_inverse(comp, dual, k, 32).matrix
+                out[f"dual_inverse star {k}"] = star, 2 * k - n
+        for kind in ("diag", "whitney"):
+            pairs = {d: hodge.hodge_pair(comp, dual, d, kind) for d in (1, 2)}
+            for form in ("primal", "dual"):
+                (M1, M1inv), (M2, M2inv) = pairs[1], pairs[2]
+                ws = systems.assemble_wave(comp, form, M1, M2, M1inv, M2inv)
+                out[f"{kind} {form} wave"] = ws.eigenpairs(8), -2
+            for (problem, sid), row in systems._FORMULATIONS.items():
+                system = ASSEMBLE[problem](comp, sid,
+                                           row.default_load(comp, sid),
+                                           *pairs[row.hodge_degree(n)])
+                for gauge in ("pin", "augment"):
+                    report = systems.solve(system, gauge)
+                    name = f"{kind} {problem} {sid} {gauge}"
+                    out[f"{name} residual"] = np.array([report.residual]), 0
+                    for key, value in report.recovered.items():
+                        out[f"{name} {key}"] = value, None
+    return out
+
+
+@functools.cache
+def _unit_outputs(spec):
+    return _scaled_outputs(spec, 0)
+
+
+def _is_scaled(got, want, e) -> bool:
+    """got == want 2^e bit for bit; for e None, 2^e is the ratio of their
+    largest magnitudes."""
+    got, want = (a.toarray() if sp.issparse(a) else np.asarray(a)
+                 for a in (got, want))
+    if e is None:
+        e = np.frexp(np.abs(got).max() / np.abs(want).max())[1] - 1
+    return np.array_equal(got, np.ldexp(want, e))
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(j=st.integers(-40, 40))
+@example(j=-40)
+@example(j=40)
+@pytest.mark.parametrize("spec",
+                         ["grid:4:0.3", "random:30:7", "random:30:2:3"])
+def test_dual_inverse_star_scales_exactly_by_powers_of_two(spec, j):
+    """Scaling a mesh by 2^j is exact in binary floating point, and so is
+    every step after it: measures, dual measures under both rules, the
+    diag, Whitney and (2D) dual-inverse stars, their condition numbers, the
+    wave spectra, and the recovered cochains and residual of every mixed
+    formulation under both gauges scale by their power of two, bit for
+    bit.  Absolute tolerances once merged distinct dual-inverse sites on a
+    mesh shrunk by 2^-24 and moved the k = 1 star by 91% of its largest
+    entry; numpy's LU determinant made no measure of degree k >= 1 scale
+    exactly."""
+    want = _unit_outputs(spec)
+    got = _scaled_outputs(spec, j)
+    assert got.keys() == want.keys()
+    for name, (value, e) in got.items():
+        assert _is_scaled(value, want[name][0],
+                          None if e is None else e * j), name
 
 
 @pytest.mark.parametrize("shift", [2.0 ** 12, 2.0 ** 14])

@@ -310,6 +310,133 @@ def test_with_leading_simplices_reorders():
         assert abs(prod).max() == 0
 
 
+def exact_det(rows) -> int:
+    """The determinant of a small integer matrix by the Leibniz formula."""
+    m = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]]
+                                                for i in range(m))
+    return total
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_det_is_exact_on_small_integer_matrices(m):
+    stack = np.random.default_rng(m).integers(-9, 10, size=(200, m, m))
+    want = [exact_det(a.tolist()) for a in stack]
+    assert mesh._det(stack).tolist() == want
+    assert mesh._det(stack[0]) == want[0]
+
+
+def test_det_of_one_entry_is_the_entry():
+    """numpy's LU determinant goes through logarithms and gives
+    0.007812500000000002 here; cofactor expansion has no rounding."""
+    assert mesh._det([[1 / 128]]) == 1 / 128
+    entries = np.random.default_rng(0).standard_normal((1000, 1, 1))
+    assert np.array_equal(mesh._det(entries), entries[:, 0, 0])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(m=st.integers(0, 3), j=st.integers(-40, 40), seed=st.integers(0, 99))
+@example(m=3, j=-40, seed=0)
+@example(m=3, j=40, seed=0)
+def test_det_scales_by_exact_powers_of_two(m, j, seed):
+    a = np.random.default_rng(seed).standard_normal((100, m, m))
+    assert np.array_equal(mesh._det(np.ldexp(a, j)),
+                          np.ldexp(mesh._det(a), j * m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_det_agrees_with_numpy_to_rounding(m):
+    """Both are backward stable: they agree to a few units of rounding
+    relative to the product of the row norms, Hadamard's bound on |det|."""
+    a = np.random.default_rng(m).standard_normal((10_000, m, m))
+    a[:100, -1] = a[:100, 0] + 1e-9 * a[:100, -1]  # nearly singular rows
+    bound = np.prod(np.linalg.norm(a, axis=-1), axis=-1)
+    err = np.abs(mesh._det(a) - np.linalg.det(a))
+    assert (err <= 8 * np.finfo(float).eps * bound).all()
+
+
+def test_vertex_circumcenters_need_their_own_branch():
+    """A vertex has no edges: the degeneracy test's extent, a maximum over
+    the empty edge stack, has no value, so `simplex_centers` returns the
+    vertices themselves before reaching it."""
+    pts = np.random.default_rng(0).random((5, 1, 3))
+    assert np.array_equal(mesh.simplex_centers(pts, mesh.CIRCUMCENTRIC),
+                          pts[:, 0])
+    edges = pts[:, 1:] - pts[:, :1]
+    with pytest.raises(ValueError, match="zero-size array"):
+        np.abs(edges).max(axis=(1, 2))
+
+
+def loop_structured_grid(m, skew=0.0):
+    """(vertices, cells) of `mesh.structured_grid`, cell by cell."""
+    xs = np.linspace(0.0, 1.0, m + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.column_stack([(X + skew * Y).ravel(), Y.ravel()])
+    cells = []
+    for i in range(m):
+        for j in range(m):
+            a = i * (m + 1) + j
+            b = a + m + 1
+            cells.append((a, b, a + 1))
+            cells.append((a + 1, b, b + 1))
+    return verts, cells
+
+
+def loop_equilateral_grid(m):
+    """(vertices, cells) of `mesh.equilateral_grid`, vertex by vertex and
+    cell by cell."""
+    h = math.sqrt(3.0) / 2.0
+    verts = []
+    for j in range(m + 1):
+        off = 0.5 * (j % 2)
+        for i in range(m + 1):
+            verts.append((i + off, j * h))
+    cells = []
+    for j in range(m):
+        for i in range(m):
+            a = j * (m + 1) + i
+            b = a + m + 1
+            if j % 2 == 0:
+                cells.append((a, a + 1, b))
+                cells.append((a + 1, b, b + 1))
+            else:
+                cells.append((a, a + 1, b + 1))
+                cells.append((a, b, b + 1))
+    return verts, cells
+
+
+def outcome(build):
+    """The complex `build()` returns, or the type and text of its error."""
+    try:
+        return build()
+    except (Error, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("m", range(-2, 6))
+def test_grid_generators_match_their_loops(m):
+    """Same vertices, simplices and orientations, or the same error: for
+    m < 0 the equilateral grid has no vertex rows ("vertices must be ..."),
+    the square grid no cells or no sample points."""
+    cases = [(lambda: mesh.structured_grid(m), loop_structured_grid, (m,)),
+             (lambda: mesh.structured_grid(m, 0.3), loop_structured_grid,
+              (m, 0.3)),
+             (lambda: mesh.equilateral_grid(m), loop_equilateral_grid, (m,))]
+    for build, loop, args in cases:
+        got = outcome(build)
+        want = outcome(lambda: mesh.build_complex(*loop(*args)))
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert np.array_equal(got.vertices, want.vertices)
+        for k in range(3):
+            assert np.array_equal(got.simplices[k], want.simplices[k])
+            assert np.array_equal(got.orientations[k], want.orientations[k])
+
+
 # ---------------------------------------------------------------------------
 # The per-simplex loops that the array kernels of `build_complex`,
 # `build_dual` and the incidence-matrix adjacency replaced, kept as

@@ -22,13 +22,13 @@ forests (`_LoadBlock`, the tree-cotree lift, by `_pins`); Darcy 2 and 4
 lift their load through L and recover the pressure through L^T from the
 same LU, whose every solve checks its own residual.  A flux with a part
 that no pressure produces, which a hole or a cavity of the mesh carries,
-fails that recovery: the `Error` `NO_PRESSURE`.  A load or a Darcy
-pressure is fixed up to ker L^T, and `_off_kernel` takes that part off
-default loads and every Darcy pressure.  A given load is admissible when
-that part is nil: `_Formulation.check_load` decides it once per run,
-before any Hodge star is built.  So every Darcy pressure is minimum-norm,
-and no recovered cochain depends on the gauge or on the particular
-solution.
+fails that recovery: the `Error` `NO_PRESSURE`.  Loads need no LU: a
+default load is L applied to a seeded vector, and `_Formulation.check_load`
+rejects a given one that ker L^T does not annihilate, once per run, before
+any Hodge star is built.  A Darcy pressure is fixed up to ker L^T: trivial
+for Darcy 1-2, the constants on each component for Darcy 3-4, whose
+pressures are reported mean-free.  So every Darcy pressure is minimum-norm,
+and no recovered cochain depends on the gauge or the particular solution.
 
 Every factorization in the package is one sparse LU in SuperLU's
 symmetric mode, `_symmetric_lu`, and an exactly singular matrix is one
@@ -348,7 +348,7 @@ OUT_OF_RANGE = "load is not in the range of the derivative"
 
 def _check_residual(residual: float, rhs, what: str = OUT_OF_RANGE) -> None:
     """The `Error` "`what` (residual ...)" when the absolute `residual` of a
-    solve exceeds `LOAD_RESIDUAL_TOL` of |rhs|."""
+    solve or a range check exceeds `LOAD_RESIDUAL_TOL` of |rhs|."""
     if residual > LOAD_RESIDUAL_TOL * np.linalg.norm(rhs):
         raise Error(f"{what} (residual {residual:.3e})")
 
@@ -408,17 +408,6 @@ class _LoadBlock:
         """A solution y of L^T y = rhs; the `Error` `what` if there is
         none."""
         return self._through(rhs, not self.transposed, what)
-
-
-def _off_kernel(v, kernel: Gauge | None) -> np.ndarray:
-    """v - Z (Z^T Z)^{-1} Z^T v for the `kernel` basis Z (v if None), Z^T Z in
-    COLAMD order: on random:3000:1:3's cell-graph Laplacian D_2 D_2^T that
-    took 1.4 s and 180 MB of peak RSS, minimum degree 6.8 s and 260 MB."""
-    if kernel is None:
-        return v
-    Z = kernel.kernel
-    lu = _symmetric_lu(Z.T @ Z, "kernel Gram matrix", "COLAMD")
-    return v - Z @ lu.solve(Z.T @ v)
 
 
 def _gauge(complex: SimplicialComplex, j: int,
@@ -529,18 +518,21 @@ class _Formulation(NamedTuple):
                       self.load == "up")
 
     def check_load(self, complex: SimplicialComplex, load) -> None:
-        """Rejects a load with a part in `load_cokernel`, off the range of
-        `load_derivative`: the one admissibility check of a given load,
-        which holds for every formulation of the pair."""
-        kept = _off_kernel(load, self.load_cokernel(complex))
-        _check_residual(np.linalg.norm(load - kept), load)
+        """Rejects a load off the range of `load_derivative`, which the
+        `load_cokernel` basis Z does not annihilate, for every formulation of
+        the pair.  The residual |diag(Z^T Z)^{-1/2} Z^T load| is the norm of
+        its part in ker L^T when Z's columns are orthogonal."""
+        cokernel = self.load_cokernel(complex)
+        if cokernel is not None:
+            Z = cokernel.kernel
+            norms = np.sqrt(np.ravel(Z.multiply(Z).sum(axis=0)))
+            _check_residual(np.linalg.norm(Z.T @ load / norms), load)
 
     def default_load(self, complex: SimplicialComplex, seed: int):
-        """A seeded load less its part in `load_cokernel`, so in the range
-        of `load_derivative`: every formulation of the pair accepts it."""
-        size = self.load_derivative(complex).shape[0]
-        load = np.random.default_rng(seed).standard_normal(size)
-        return _off_kernel(load, self.load_cokernel(complex))
+        """L applied to a seeded vector, L = `load_derivative`: in range(L)
+        by construction, so every formulation of the pair accepts it."""
+        L = self.load_derivative(complex)
+        return L @ np.random.default_rng(seed).standard_normal(L.shape[1])
 
 
 # a Darcy 2 or 4 flux off range(L^T): it has a harmonic part, which a loop
@@ -549,13 +541,20 @@ NO_PRESSURE = ("Darcy pressure recovery failed: the flux has a part that no "
                "pressure produces; the mesh likely has a hole or a cavity")
 
 
+def _mean_free(p, labels):
+    """p less its mean on each component of `labels`, or p if None: a Darcy
+    pressure less its part in ker L^T, trivial for Darcy 1-2's cell ones."""
+    return p if labels is None else p - (
+        np.bincount(labels, p) / np.bincount(labels))[labels]
+
+
 def _flux_and_pressure(u, w, parts):
     p = parts.block.solve_transpose(-u, NO_PRESSURE)
-    return {"f": parts.H @ u, "p": _off_kernel(p, parts.cokernel())}
+    return {"f": parts.H @ u, "p": _mean_free(p, parts.components)}
 
 
 def _flux_and_multiplier(u, w, parts):
-    return {"f": u, "p": _off_kernel(w, parts.cokernel())}
+    return {"f": u, "p": _mean_free(w, parts.components)}
 
 
 _FORMULATIONS = {
@@ -606,14 +605,14 @@ def _assemble_formulation(problem: str, complex: SimplicialComplex,
         raise Error(f"block dimension mismatch: Hodge block {H.shape} vs "
                     f"derivative block {B.shape}")
     f, g, x0, block = np.zeros(B.shape[0]), load, None, None
-    if primal != (row.load == "up"):  # the layout leaves the load's space free
+    k, down = row.load_degree(complex.dim), row.load == "down"
+    if primal == down:  # the layout leaves the load's space free
         # one LU lifts the load and recovers the Darcy pressure
-        block = _LoadBlock(complex, row.load_degree(complex.dim),
-                           row.load == "down")
+        block = _LoadBlock(complex, k, down)
         x0 = block.solve(load)
         f, g = -row.sign * x0, np.zeros(B.shape[1])
-    parts = SimpleNamespace(B=B, H=H, x0=x0, block=block,
-                            cokernel=lambda: row.load_cokernel(complex))
+    parts = SimpleNamespace(B=B, H=H, x0=x0, block=block, components=(
+        complex.vertex_components if down and k == 0 else None))  # L = D_0^T
     return MixedSystem(name, H, G if sp.issparse(G) else None, -row.sign, B,
                        f, g, lambda u, w: row.recover(u, w, parts),
                        _gauge(complex, j, primal))

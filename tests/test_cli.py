@@ -858,8 +858,8 @@ def test_the_package_raises_one_error_type():
 
 
 def test_solve_3d_default_load_is_compatible(capsys):
-    # the default current of systems 1-2 is projected onto the range of
-    # D_{n-2}^T, which in 3D is not just the mean-zero vectors
+    # the default current of systems 1-2 is D_{n-2}^T applied to a seeded
+    # vector, in its range, which in 3D is not just the mean-zero vectors
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code, lines, err = run(["solve", "magneto", "--mesh", "random:12:3:3",

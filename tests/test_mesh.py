@@ -358,6 +358,21 @@ def test_det_agrees_with_numpy_to_rounding(m):
     assert (err <= 8 * np.finfo(float).eps * bound).all()
 
 
+@pytest.mark.parametrize("pts", [
+    [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]],  # collinear triangle
+    [[[1.0, 2.0], [1.0, 2.0]]],  # edge of length zero
+    [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+      [1.0, 1.0, 0.0]]],  # flat tetrahedron
+])
+def test_a_degenerate_simplex_has_no_circumcenter(pts):
+    """A degenerate simplex has a barycenter but no circumcenter."""
+    with pytest.raises(Error) as exc:
+        mesh.simplex_centers(pts, mesh.CIRCUMCENTRIC)
+    assert str(exc.value) == "degenerate simplex has no circumcenter"
+    assert np.array_equal(mesh.simplex_centers(pts, mesh.BARYCENTRIC),
+                          np.mean(pts, axis=1))
+
+
 def test_vertex_circumcenters_need_their_own_branch():
     """A vertex has no edges: the degeneracy test's extent, a maximum over
     the empty edge stack, has no value, so `simplex_centers` returns the

@@ -149,6 +149,34 @@ def test_solve_reports_residual_and_gauge():
     assert report2.gauge_applied == "pin dof 0"
 
 
+@pytest.mark.parametrize("kind", ["diag", "whitney"])
+@pytest.mark.parametrize("sid", [2, 3])
+def test_an_undeclared_kernel_is_rank_deficiency_beyond_the_gauge(kind, sid):
+    """A system whose B keeps its kernel but declares no gauge, with a
+    second right-hand side off range(B^T), has no solution; its LU meets no
+    exactly zero pivot, and the residual check rejects what it returns."""
+    comp = mesh.structured_grid(4)
+    row = systems._formulation("darcy", sid)
+    M, Minv = make_pair(comp, kind, k=row.hodge_degree(comp.dim))
+    system = systems.assemble_darcy(comp, sid, row.default_load(comp, sid),
+                                    M, Minv)
+    system.g = system.g + system.gauge.kernel[:, 0].toarray().ravel()
+    system.gauge = None
+    with pytest.raises(Error, match=r"^saddle system rank-deficient beyond "
+                                    r"the declared gauge \(residual "):
+        systems.solve(system)
+
+
+@pytest.mark.parametrize("F", [sp.diags([1.0, 0.0]),
+                               sp.csr_matrix(np.ones((2, 2)))])
+def test_an_exactly_singular_matrix_is_not_positive_definite(F):
+    """A positive semidefinite F with an exactly zero pivot fails its
+    diagonal-pivot LU, which `_positive_definite` reads as False."""
+    with pytest.raises(Error, match="exactly singular"):
+        systems._symmetric_lu(F, "matrix", diag_pivot_thresh=0.0)
+    assert systems._positive_definite(F) is False
+
+
 def test_blocks_follow_the_formulation_table():
     """Each row's saddle blocks: B is D_d^T (primal-first) or D_{d-1}
     (dual-first), the Hodge block is -sign times the Hodge side the layout
@@ -541,15 +569,25 @@ def test_sparse_solves_match_dense_reference(relabelled_delaunay, case):
                         (kind, problem, sid, gauge, key)
 
 
-def test_default_load_is_the_lstsq_projection():
-    for spec in ("grid:4", "random:12:3:3"):
-        comp = cli.resolve_mesh(spec)
-        for row in systems._FORMULATIONS.values():
-            D = row.load_derivative(comp)
-            load = row.default_load(comp, seed=7)
-            raw = np.random.default_rng(7).standard_normal(D.shape[0])
-            want = D @ np.linalg.lstsq(D.toarray(), raw, rcond=None)[0]
-            assert np.abs(load - want).max() <= 1e-10 * np.abs(want).max()
+def test_default_load_is_the_load_derivative_of_a_seeded_vector():
+    """Every formulation's default load, on one and two components in 2D
+    and in 3D, is L applied to the seeded vector, in range(L) by
+    construction, so `check_load` accepts it; the seeded vector itself has
+    a part in a nontrivial ker L^T, which it rejects."""
+    comps = [cli.resolve_mesh("grid:4"), cli.resolve_mesh("random:12:3:3"),
+             mesh.complex_from_json(TWO_SQUARES)]
+    for comp, row in itertools.product(comps, systems._FORMULATIONS.values()):
+        L = row.load_derivative(comp)
+        load = row.default_load(comp, seed=7)
+        seeded = np.random.default_rng(7).standard_normal(L.shape[1])
+        assert np.array_equal(load, L @ seeded)
+        row.check_load(comp, load)
+        raw = np.random.default_rng(7).standard_normal(L.shape[0])
+        if row.load_cokernel(comp) is None:
+            row.check_load(comp, raw)
+        else:
+            with pytest.raises(Error, match="load is not in the range"):
+                row.check_load(comp, raw)
 
 
 @pytest.mark.parametrize("problem", ["darcy", "magneto"])
@@ -791,29 +829,57 @@ def _recorded_splu(monkeypatch):
     return calls
 
 
-def test_every_factorization_is_one_symmetric_lu(monkeypatch, capsys):
+def test_every_factorization_is_one_symmetric_lu(monkeypatch, tmp_path,
+                                                 capsys):
     """`solve` of both problems and pairs and `wave` of both formulations,
-    with each star kind, factor only through `_symmetric_lu`.  A Darcy run
-    factors one load block, for Darcy 2 or 4, whose load lift and pressure
-    recovery share the one LU; the default load needs none."""
+    with each star kind, factor only through `_symmetric_lu`.  A `solve`,
+    on grid:4 and on random:12:3:3, with the default load or with it given
+    as a `--load`, factors nothing but saddle systems, load blocks and Hodge
+    stars: loads need no factorization.  A Darcy run factors one load block,
+    for Darcy 2 or 4, whose load lift and pressure recovery share the one
+    LU."""
     calls = _recorded_splu(monkeypatch)
-    argvs = [["solve", problem, "--system", pair]
-             for problem in ("darcy", "magneto") for pair in ("1,2", "3,4")]
-    argvs += [["wave", "--formulation", "primal", "--count", "30"],
-              ["wave", "--formulation", "dual"]]  # Lanczos serves both
-    for argv in argvs:
-        for kind in hodge.KINDS:
-            start = len(calls)
+    problems = {"darcy": "darcy", "magneto": "magnetostatics"}
+    cases = [("grid:4", kind) for kind in hodge.KINDS]
+    cases += [("random:12:3:3", kind) for kind in ("diag", "whitney")]
+    path = tmp_path / "load.csv"
+    for spec, kind in cases:
+        comp = cli.resolve_mesh(spec)
+        for (problem, name), pair in itertools.product(problems.items(),
+                                                       ("1,2", "3,4")):
+            row = systems._formulation(name, int(pair[0]))
+            cli.write_cochain_csv(row.default_load(comp, seed=0), path)
+            for load in ([], ["--load", str(path)]):
+                start = len(calls)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    code = cli.main(["solve", problem, "--system", pair,
+                                     "--mesh", spec, "--kind", kind, "--grid",
+                                     "32", *load, "--out", str(tmp_path)])
+                case = (spec, kind, problem, pair, load)
+                assert code == 0, (case, capsys.readouterr().err)
+                whats = [str(what) for *_, what in calls[start:]]
+                assert all(what == "saddle system"
+                           or what.startswith("load block of D_")
+                           or " Hodge star of degree " in what
+                           for what in whats), (case, whats)
+                if problem == "darcy":
+                    blocks = [order for _, order, what in calls[start:]
+                              if str(what).startswith("load block")]
+                    # the top cells, or the vertices less one root (one
+                    # component)
+                    assert blocks == ([len(comp.simplices[comp.dim])]
+                                      if pair == "1,2"
+                                      else [len(comp.vertices) - 1]), case
+    for formulation, count in (("primal", "30"), ("dual", "6")):
+        for kind in hodge.KINDS:  # Lanczos serves both formulations
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                code = cli.main([*argv, "--mesh", "grid:4", "--kind", kind,
-                                 "--grid", "32"])
-            assert code == 0, (argv, kind, capsys.readouterr().err)
-            if argv[1] == "darcy":
-                blocks = [order for _, order, what in calls[start:]
-                          if str(what).startswith("load block")]
-                # grid:4 has 32 triangles and 25 vertices, one component
-                assert blocks == ([32] if argv[3] == "1,2" else [24])
+                code = cli.main(["wave", "--formulation", formulation,
+                                 "--count", count, "--mesh", "grid:4",
+                                 "--kind", kind, "--grid", "32"])
+            assert code == 0, (formulation, kind, capsys.readouterr().err)
+    assert "kernel Gram matrix" not in {what for *_, what in calls}
     assert {caller for caller, *_ in calls} == {"_symmetric_lu"}
 
 

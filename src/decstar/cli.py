@@ -330,8 +330,9 @@ def cmd_solve(args) -> int:
         d = systems.cross_validate(*reports)
         line = {"command": "solve diff",
                 "pair": [report.system for report in reports], "diffs": d}
-        if args.tol is not None:
-            line["pass"] = bool(max(d.values()) <= args.tol)
+        if args.tol is not None:  # each diff relative to its field's scale
+            line["pass"] = all(d[key] <= args.tol * max(
+                np.abs(r.recovered[key]).max() for r in reports) for key in d)
         emit(line)
     return 0
 
@@ -500,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the default random load")
     p.add_argument("--tol", type=float, default=None,
-                   help="pass/fail threshold for cross-formulation diffs "
-                        "(finite, non-negative)")
+                   help="pass/fail threshold for cross-formulation diffs, "
+                        "relative to each field's largest |entry| in either "
+                        "formulation (finite, non-negative)")
     p.add_argument("--write", action="store_true",
                    help="write recovered cochains as CSV")
 

@@ -6,7 +6,7 @@ dual to primal measures; the Whitney star is the Gram matrix of primal
 Whitney forms; the dual-inverse star is the Gram matrix of dual Whitney
 forms, assembled directly (its sparsity is the point: the inverse of the
 Whitney star would be dense).  `hodge_pair` therefore never forms that
-inverse; it keeps the sparse LU factors of the assembled star.
+inverse; it solves with the sparse LU factors of the assembled star.
 
 The Table 1 study of the two-fan mesh family takes its dual-inverse
 column from one hub cell, whose ring of triangle centers comes from the
@@ -173,14 +173,17 @@ def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
     The mixed-system equivalences hold only when M and M^{-1} are exact
     inverse pairs.  The assembled side is returned as its sparse matrix; a
     diagonal star is inverted entrywise, and any other star's inverse is a
-    `systems.FactorizedInverse` over the LU factors of the assembled side.
-    `interp` is passed on to `assemble`.
+    `systems.FactorizedInverse`, whose one LU certifies the star at its first
+    solve.  Quadrature can leave a dual-inverse star indefinite, so its LU
+    is made here.  `interp` is passed on to `assemble`.
     """
     A = assemble(kind, complex, dual, k, resolution, interp).matrix
     if A.nnz == np.count_nonzero(A.diagonal()):  # diagonal: entrywise
         inv = sp.diags(1.0 / A.diagonal()).tocsr()
     else:
         inv = FactorizedInverse(A, f"{kind} Hodge star of degree {k}")
+        if kind == "dual_inverse":
+            inv.lu
     return (inv, A) if kind == "dual_inverse" else (A, inv)
 
 

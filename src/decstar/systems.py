@@ -33,10 +33,11 @@ and no recovered cochain depends on the gauge or the particular solution.
 Every factorization in the package is one sparse LU in SuperLU's
 symmetric mode, `_symmetric_lu`, and an exactly singular matrix is one
 `Error` naming it: "saddle system is singular: ...", "load block of D_<j>
-is singular: ...", "wave shifted system is singular: ..." or, from
-`hodge_pair`, "<kind> Hodge star of degree <k> is singular: ...".  A load
-block that is not square, on a mesh with a hole or a cavity, is an
-`Error` too.
+is singular: ...", "wave shifted system is singular: ..." or "<kind> Hodge
+star of degree <k> is singular: ...".  A star's one LU, made by its first
+solve (`FactorizedInverse`), certifies it positive definite, as a wave
+mass's own LU does.  A load block that is not square, on a mesh with a
+hole or a cavity, is an `Error` too.
 
 Every kernel, of a derivative block in either layout, of a load derivative
 or of a wave pencil, comes from one rule, `_gauge`: a sparse basis and the
@@ -62,6 +63,7 @@ add to the start of every CLI command, and most commands use none of them.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -163,7 +165,7 @@ class WaveSystem:
         request ARPACK cannot serve, max(2k + 1, 20) >= n - nullity Lanczos
         vectors for k physical values, is solved by LAPACK `eigh` on the
         dense pencil; that includes every value (`count` None).  Either way
-        the mass must be positive definite.
+        the mass's own LU first certifies it positive definite.
         """
         n = self.mass.shape[0]
         if count is not None and count < 1:
@@ -172,9 +174,8 @@ class WaveSystem:
             raise Error(f"eigenpair count must be at most {n}, got {count}")
         count = n if count is None else count
         M = self.mass
-        if not _positive_definite(M.G if isinstance(M, FactorizedInverse)
-                                  else M):
-            raise Error("wave mass matrix is not positive definite")
+        (M if isinstance(M, FactorizedInverse)
+         else FactorizedInverse(M, "wave mass matrix")).lu
         zeros = np.zeros(min(count, self.nullity))
         k = count - len(zeros)
         if k == 0:
@@ -305,17 +306,22 @@ def _symmetric_lu(A, what: str, ordering: str | None = None,
 
 class FactorizedInverse:
     """G^{-1}, the inverse side of a Hodge pair with a sparse symmetric G,
-    applied to arrays (`self @ x`) by solves with the `_symmetric_lu`
-    factors of G; `what` names G in the `Error` of a singular one.  `nnz` is
-    the fill of the factors, the storage this operator costs."""
+    applied to arrays (`self @ x`) by solves with one LU of G, `lu`, made on
+    first use.  Its pivots are diagonal, so by Sylvester's law of inertia
+    they are all positive exactly when G is positive definite: any other G
+    is the `Error` "`what` is not positive definite", or `_symmetric_lu`'s
+    "`what` is singular: ...".  `nnz` is the fill of the factors."""
 
     def __init__(self, G, what: str):
-        self.G = sp.csc_matrix(G)
-        self.lu = _symmetric_lu(self.G, what)
+        self.G, self.what = sp.csc_matrix(G), what
+        self.shape = self.G.shape
 
-    @property
-    def shape(self):
-        return self.G.shape
+    @functools.cached_property
+    def lu(self):
+        lu = _symmetric_lu(self.G, self.what, diag_pivot_thresh=0.0)
+        if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal() <= 0).any():
+            raise Error(f"{self.what} is not positive definite")
+        return lu
 
     @property
     def nnz(self) -> int:
@@ -323,18 +329,6 @@ class FactorizedInverse:
 
     def __matmul__(self, x):
         return self.lu.solve(np.asarray(x, dtype=float))
-
-
-def _positive_definite(F) -> bool:
-    """Whether the symmetric sparse F is positive definite: its LU with
-    diagonal pivots only is a congruence, so by Sylvester's law of inertia
-    its pivots are all positive exactly then."""
-    try:
-        lu = _symmetric_lu(F, "matrix", diag_pivot_thresh=0.0)
-    except Error:  # an exactly singular pivot
-        return False
-    return bool(np.array_equal(lu.perm_r, lu.perm_c)
-                and (lu.U.diagonal() > 0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +715,8 @@ def _binary_order(A) -> float:
 
 def cross_validate(a: SolveReport, b: SolveReport) -> dict:
     """Max-norm differences of the cochains that two formulations of one
-    pair recover; both recover the same ones, none of them gauge-dependent."""
+    pair recover; both recover the same ones, none of them gauge-dependent.
+    `solve --tol` passes each at most tol times its field's max |entry|."""
     return {key: float(np.abs(va - b.recovered[key]).max())
             for key, va in a.recovered.items()}
 

@@ -75,12 +75,10 @@ def _whitney_values(complex: SimplicialComplex, k: int, cells, pts):
     if k == 1:
         i, j = pos
         return lam[:, i, None] * g[:, j] - lam[:, j, None] * g[:, i]
-    if k == 2 and n == 3:
-        i, j, l = pos
-        return 2.0 * (lam[:, i, None] * np.cross(g[:, j], g[:, l])
-                      + lam[:, j, None] * np.cross(g[:, l], g[:, i])
-                      + lam[:, l, None] * np.cross(g[:, i], g[:, j]))
-    raise Error(f"unsupported (k, n) = ({k}, {n})")
+    i, j, l = pos  # k = 2, n = 3: the one case left
+    return 2.0 * (lam[:, i, None] * np.cross(g[:, j], g[:, l])
+                  + lam[:, j, None] * np.cross(g[:, l], g[:, i])
+                  + lam[:, l, None] * np.cross(g[:, i], g[:, j]))
 
 
 @dataclass

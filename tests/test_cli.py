@@ -104,6 +104,15 @@ def test_info_summary(capsys):
         lines[0]["counts"] == {"0": 4, "1": 5, "2": 2}
 
 
+def test_info_resolves_an_equilateral_grid(capsys):
+    code, lines, _ = run(["info", "--mesh", "equilateral:3"], capsys)
+    assert code == 0
+    assert lines[0]["counts"] == {"0": 16, "1": 33, "2": 18}
+    assert lines[0]["primal_range"][1] == pytest.approx([1.0, 1.0])
+    assert lines[0]["primal_range"][2] == pytest.approx([3 ** 0.5 / 4] * 2)
+    assert lines[0]["worst_aspect_ratio"] == pytest.approx(1.0)
+
+
 def test_info_zero_dual_measure_is_strict_json(capsys):
     # right triangles put circumcenters on the hypotenuses, so the diagonal
     # edges have zero dual length and an unbounded dual gradation
@@ -1358,6 +1367,48 @@ def test_solve_residual_is_relative_with_no_floor(problem, system, tmp_path,
         residuals.append([line["residual"] for line in lines[:2]])
     assert residuals[1] == residuals[0]
     assert residuals[2] == [0.0, 0.0]
+
+
+def test_solve_tol_is_relative_to_each_field(tmp_path, capsys):
+    """random:30:2:3 scaled by 2^-30 and 2^34 scales each Darcy field and
+    its difference alike, so every pair and star passes `--tol 1e-8` at
+    each scale, though the absolute pressure differences span 2^64."""
+    base = cli.resolve_mesh("random:30:2:3")
+    passes = []
+    for j in (-30, 0, 34):
+        path = tmp_path / f"scaled{j}.json"
+        mesh.save_mesh(mesh.build_complex(np.ldexp(base.vertices, j),
+                                          base.simplices[3]), path)
+        for pair, kind in itertools.product(("1,2", "3,4"), ("diag",
+                                                             "whitney")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                code, lines, err = run(["solve", "darcy", "--mesh", str(path),
+                                        "--system", pair, "--kind", kind,
+                                        "--tol", "1e-8"], capsys)
+            assert code == 0, err
+            passes.append(lines[2]["pass"])
+    assert passes == [True] * 12
+
+
+def test_an_indefinite_star_is_one_error_line(monkeypatch, capsys):
+    """A non-diagonal star that is not positive definite fails its LU's
+    certificate: one error line naming it, and nothing on stdout."""
+    assemble = hodge.assemble
+
+    def negated(*args, **kwargs):
+        star = assemble(*args, **kwargs)
+        star.matrix = -star.matrix
+        return star
+
+    monkeypatch.setattr(hodge, "assemble", negated)
+    for argv in (["solve", "darcy", "--system", "1,2"],
+                 ["wave", "--formulation", "dual"]):
+        code, lines, err = run([*argv, "--mesh", "grid:4", "--kind",
+                                "dual_inverse", "--grid", "32"], capsys)
+        assert (code, lines) == (1, []), argv
+        assert err == ("error: dual_inverse Hodge star of degree 1 is not "
+                       "positive definite\n"), argv
 
 
 def solid_torus_json() -> str:

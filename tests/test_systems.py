@@ -170,11 +170,39 @@ def test_an_undeclared_kernel_is_rank_deficiency_beyond_the_gauge(kind, sid):
 @pytest.mark.parametrize("F", [sp.diags([1.0, 0.0]),
                                sp.csr_matrix(np.ones((2, 2)))])
 def test_an_exactly_singular_matrix_is_not_positive_definite(F):
-    """A positive semidefinite F with an exactly zero pivot fails its
-    diagonal-pivot LU, which `_positive_definite` reads as False."""
-    with pytest.raises(Error, match="exactly singular"):
-        systems._symmetric_lu(F, "matrix", diag_pivot_thresh=0.0)
-    assert systems._positive_definite(F) is False
+    """A positive semidefinite F with an exactly zero pivot fails the
+    diagonal-pivot LU of its `FactorizedInverse` with the singular line."""
+    inverse = systems.FactorizedInverse(F, "matrix")
+    with pytest.raises(Error, match="^matrix is singular: .*exactly singular"):
+        inverse.lu
+    with pytest.raises(Error, match="^matrix is singular: "):
+        inverse @ np.ones(2)
+
+
+@pytest.mark.parametrize("F", [sp.diags([1.0, -1.0]),
+                               sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]),
+                               sp.csr_matrix([[1.0, 2.0], [2.0, 1.0]])])
+def test_a_nonsingular_indefinite_matrix_is_not_positive_definite(F):
+    """A negative pivot, or an off-diagonal one where the diagonal is zero,
+    fails the certificate of a `FactorizedInverse`'s LU, at its first
+    solve as at `lu`."""
+    inverse = systems.FactorizedInverse(F, "matrix")
+    with pytest.raises(Error, match="^matrix is not positive definite$"):
+        inverse @ np.ones(2)
+
+
+def test_a_factorized_inverse_makes_its_one_lu_on_first_use(monkeypatch):
+    """No LU at construction; the first solve makes it, and every later
+    solve and `nnz` reuse it."""
+    calls = _recorded_splu(monkeypatch)
+    G = sp.csr_matrix([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    inverse = systems.FactorizedInverse(G, "star")
+    assert calls == []
+    x = inverse @ np.array([1.0, 0.0, 1.0])
+    assert np.allclose(G @ x, [1.0, 0.0, 1.0])
+    assert inverse @ np.eye(3) @ G == pytest.approx(np.eye(3))
+    assert inverse.nnz > 0 and inverse.lu is inverse.lu
+    assert calls == [("_symmetric_lu", 3, "star")]
 
 
 def test_blocks_follow_the_formulation_table():
@@ -303,6 +331,31 @@ def test_dual_inverse_dual_wave_matches_the_whitney_star():
         spectra.append(ws.eigenpairs(6))
     dual_inverse, whitney = spectra
     assert np.abs(dual_inverse / whitney - 1.0).max() <= 0.05
+
+
+def _gauged_system():
+    comp = mesh.structured_grid(3)
+    M, Minv = make_pair(comp, k=1)
+    row = systems._formulation("darcy", 3)  # B = D_0: the constants
+    return systems.assemble_darcy(comp, 3, row.default_load(comp, 0), M, Minv)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: hodge.assemble("sharp", mesh.structured_grid(2), None, 1),
+     "unknown Hodge kind 'sharp'"),
+    (lambda: systems.solve(_gauged_system(), "fix"),
+     "unknown gauge strategy 'fix'"),
+    (lambda: systems.assemble_wave(mesh.structured_grid(2), "mixed",
+                                   *[None] * 4),
+     "unknown wave formulation 'mixed'"),
+    (lambda: systems._gauge(mesh.structured_grid(2), 2), "no gauge rule for D_2"),
+    (lambda: mesh.structured_grid(2).incidence_matrix(2),
+     "incidence degree k=2 out of range for n=2"),
+], ids=["hodge-kind", "gauge", "wave-formulation", "gauge-rule",
+        "incidence-degree"])
+def test_library_inputs_out_of_their_domain_are_errors(call, error):
+    with pytest.raises(Error, match=f"^{error}$"):
+        call()
 
 
 def test_indefinite_wave_mass_is_rejected_by_the_eigensolve():
@@ -837,28 +890,52 @@ def test_every_factorization_is_one_symmetric_lu(monkeypatch, tmp_path,
     as a `--load`, factors nothing but saddle systems, load blocks and Hodge
     stars: loads need no factorization.  A Darcy run factors one load block,
     for Darcy 2 or 4, whose load lift and pressure recovery share the one
-    LU."""
+    LU.  A star's one LU comes at its first solve, so a lone primal-first
+    Whitney `solve` and a Whitney `wave` factor no star; only `hodge_pair`'s
+    certificate of a dual-inverse star factors it there.  A wave's mass is
+    factored once: a Whitney primal wave's M_1 only as "wave mass matrix"."""
     calls = _recorded_splu(monkeypatch)
+    pair, paired = hodge.hodge_pair, []
+
+    def record_pair(*args, **kwargs):  # the LUs made inside hodge_pair
+        start = len(calls)
+        result = pair(*args, **kwargs)
+        paired.extend(str(what) for *_, what in calls[start:])
+        return result
+
+    monkeypatch.setattr(hodge, "hodge_pair", record_pair)
+
+    def run(args, case):
+        start, first = len(calls), len(paired)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code = cli.main(args)
+        assert code == 0, (case, capsys.readouterr().err)
+        whats = [str(what) for *_, what in calls[start:]]
+        stars = [what for what in whats if " Hodge star of degree " in what]
+        # hodge_pair factors a dual-inverse star, and it alone
+        assert paired[first:] == (stars if "dual_inverse" in args else []), \
+            (case, whats)
+        if "dual_inverse" in args:
+            assert stars, case
+        return whats
+
     problems = {"darcy": "darcy", "magneto": "magnetostatics"}
     cases = [("grid:4", kind) for kind in hodge.KINDS]
     cases += [("random:12:3:3", kind) for kind in ("diag", "whitney")]
     path = tmp_path / "load.csv"
     for spec, kind in cases:
         comp = cli.resolve_mesh(spec)
-        for (problem, name), pair in itertools.product(problems.items(),
-                                                       ("1,2", "3,4")):
-            row = systems._formulation(name, int(pair[0]))
+        for (problem, name), pair_ids in itertools.product(problems.items(),
+                                                           ("1,2", "3,4")):
+            row = systems._formulation(name, int(pair_ids[0]))
             cli.write_cochain_csv(row.default_load(comp, seed=0), path)
             for load in ([], ["--load", str(path)]):
                 start = len(calls)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    code = cli.main(["solve", problem, "--system", pair,
-                                     "--mesh", spec, "--kind", kind, "--grid",
-                                     "32", *load, "--out", str(tmp_path)])
-                case = (spec, kind, problem, pair, load)
-                assert code == 0, (case, capsys.readouterr().err)
-                whats = [str(what) for *_, what in calls[start:]]
+                case = (spec, kind, problem, pair_ids, load)
+                whats = run(["solve", problem, "--system", pair_ids, "--mesh",
+                             spec, "--kind", kind, "--grid", "32", *load,
+                             "--out", str(tmp_path)], case)
                 assert all(what == "saddle system"
                            or what.startswith("load block of D_")
                            or " Hodge star of degree " in what
@@ -869,16 +946,26 @@ def test_every_factorization_is_one_symmetric_lu(monkeypatch, tmp_path,
                     # the top cells, or the vertices less one root (one
                     # component)
                     assert blocks == ([len(comp.simplices[comp.dim])]
-                                      if pair == "1,2"
+                                      if pair_ids == "1,2"
                                       else [len(comp.vertices) - 1]), case
+    for spec in ("grid:4", "random:12:3:3"):
+        whats = run(["solve", "darcy", "--system", "1", "--mesh", spec,
+                     "--kind", "whitney"], spec)
+        assert whats == ["saddle system"], (spec, whats)
+    whitney_waves = {"primal": ["wave mass matrix", "wave shifted system",
+                                "wave kernel mass"],
+                     "dual": ["wave mass matrix", "wave shifted system"]}
     for formulation, count in (("primal", "30"), ("dual", "6")):
         for kind in hodge.KINDS:  # Lanczos serves both formulations
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                code = cli.main(["wave", "--formulation", formulation,
-                                 "--count", count, "--mesh", "grid:4",
-                                 "--kind", kind, "--grid", "32"])
-            assert code == 0, (formulation, kind, capsys.readouterr().err)
+            whats = run(["wave", "--formulation", formulation, "--count",
+                         count, "--mesh", "grid:4", "--kind", kind, "--grid",
+                         "32"], (formulation, kind))
+            if kind == "whitney":
+                assert whats == whitney_waves[formulation], whats
+        whats = run(["wave", "--formulation", formulation, "--count",
+                     {"primal": "300", "dual": "6"}[formulation], "--mesh",
+                     "grid:16", "--kind", "whitney"], (formulation, "grid:16"))
+        assert whats == whitney_waves[formulation], whats
     assert "kernel Gram matrix" not in {what for *_, what in calls}
     assert {caller for caller, *_ in calls} == {"_symmetric_lu"}
 

@@ -113,7 +113,7 @@ def test_gram_matrix_symmetric_positive_definite(comp):
     for k in range(comp.dim + 1):
         G = whitney.whitney_gram_matrix(comp, k)
         assert abs(G - G.T).max() < 1e-14
-        assert systems._positive_definite(G)
+        systems.FactorizedInverse(G, "Gram matrix").lu  # certifies G SPD
         assert np.linalg.eigvalsh(G.toarray()).min() > 0
 
 

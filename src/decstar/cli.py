@@ -7,12 +7,14 @@ summary line per result on stdout; artifacts (Matrix Market matrices, CSV
 tables, JSON meshes) are written to --out.  Identical inputs and flags
 produce byte-identical artifacts.
 
-Each `cmd_*` reads the parsed argparse namespace alone.  `main` checks the
-settings several commands share (an existing --out directory, --grid of at
-least 16, --P values above 1/2) before it dispatches, turns every
-rejected input (a `decstar.Error`), `OSError` and `MemoryError` into one
-`error:` line on stderr and exit status 1, and prints every warning as one
-`warning:` line on stderr.  Its first call in a process, and only that one,
+Each `cmd_*` reads the parsed argparse namespace alone; a star command
+passes `--kind` on, and `hodge.star_input` builds what that kind reads
+besides the mesh once per command.  `main` checks the settings several
+commands share (an existing --out directory, --grid of at least 16, --P
+values above 1/2) before it dispatches, turns every rejected input (a
+`decstar.Error`), `OSError` and `MemoryError` into one `error:` line on
+stderr and exit status 1, and prints every warning as one `warning:` line
+on stderr.  Its first call in a process, and only that one,
 runs `gc.freeze()`: the ~40k objects left tracked by importing numpy and
 scipy move to a permanent generation, so no command pays a full collection
 over them (a 13-23 ms pause on a 2-core host).
@@ -32,8 +34,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from . import Error, hodge, mesh, systems, whitney
-from .sibson import DualInterpolation
+from . import Error, hodge, mesh, sibson, systems, whitney
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +231,10 @@ def cmd_dual(args) -> int:
     return 0
 
 
-def _dual_for_kind(comp, args):
-    """The dual mesh if the Hodge kind reads one, else None."""
-    if args.kind in hodge.READS_DUAL:
-        return mesh.build_dual(comp, args.rule)
-    return None
-
-
 def _assemble_star(args) -> hodge.HodgeOperator:
     comp = resolve_mesh(args.mesh)
-    return hodge.assemble(args.kind, comp, _dual_for_kind(comp, args), args.k,
-                          args.grid)
+    star = hodge.star_input(args.kind, comp, args.rule)
+    return hodge.assemble(args.kind, comp, star, args.k, args.grid)
 
 
 def cmd_hodge(args) -> int:
@@ -298,14 +292,14 @@ def cmd_solve(args) -> int:
         raise Error("systems 1-2 and 3-4 take loads on different spaces and "
                     "cannot share one run; pick systems from a single pair")
     comp = resolve_mesh(args.mesh)
-    dual = _dual_for_kind(comp, args)
     if args.load is not None:
         load = read_cochain_csv(args.load,
                                 rows[0].load_derivative(comp).shape[0])
         rows[0].check_load(comp, load)
     else:
         load = rows[0].default_load(comp, args.seed)
-    M, Minv = hodge.hodge_pair(comp, dual, rows[0].hodge_degree(comp.dim),
+    star = hodge.star_input(args.kind, comp, args.rule)
+    M, Minv = hodge.hodge_pair(comp, star, rows[0].hodge_degree(comp.dim),
                                args.kind, args.grid)
     reports = []
     for sid in ids:
@@ -339,13 +333,9 @@ def cmd_solve(args) -> int:
 
 def cmd_wave(args) -> int:
     comp = resolve_mesh(args.mesh)
-    dual = _dual_for_kind(comp, args)
-    # one interpolation for both degrees, so each polygon's regions are
-    # built once; on a 3D mesh the assembly reports its own error
-    interp = (DualInterpolation(comp, dual)
-              if args.kind == "dual_inverse" and comp.dim == 2 else None)
-    M1, M1inv = hodge.hodge_pair(comp, dual, 1, args.kind, args.grid, interp)
-    M2, M2inv = hodge.hodge_pair(comp, dual, 2, args.kind, args.grid, interp)
+    star = hodge.star_input(args.kind, comp, args.rule)  # for both degrees
+    M1, M1inv = hodge.hodge_pair(comp, star, 1, args.kind, args.grid)
+    M2, M2inv = hodge.hodge_pair(comp, star, 2, args.kind, args.grid)
     ws = systems.assemble_wave(comp, args.formulation, M1, M2, M1inv, M2inv)
     vals = ws.eigenpairs(args.count)
     emit({
@@ -370,7 +360,7 @@ def cmd_sample_field(args) -> int:
         fld = whitney.interpolate(comp, args.k, weights)
     else:
         dual = mesh.build_dual(comp, args.rule)
-        di = DualInterpolation(comp, dual)
+        di = sibson.DualInterpolation(comp, dual)
         fld = di.interpolate(comp.dim - args.k, weights)
     pts = mesh.pixel_centers(comp.vertices.min(axis=0),
                              comp.vertices.max(axis=0), args.samples)

@@ -7,6 +7,8 @@ Whitney forms; the dual-inverse star is the Gram matrix of dual Whitney
 forms, assembled directly (its sparsity is the point: the inverse of the
 Whitney star would be dense).  `hodge_pair` therefore never forms that
 inverse; it solves with the sparse LU factors of the assembled star.
+What a kind reads besides the complex is built once per command, by
+`star_input`, and shared by every degree assembled from it.
 
 The Table 1 study of the two-fan mesh family takes its dual-inverse
 column from one hub cell, whose ring of triangle centers comes from the
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import Error
+from . import Error, mesh
 from .mesh import (DualMesh, SimplicialComplex, check_degree, generate_fig8,
                    pixel_centers, vertex_ring)
 from .whitney import whitney_gram_matrix
@@ -96,24 +98,23 @@ def _cell_quadrature(cell, resolution: int):
     return pts[inside.ravel()], np.prod(hi - lo) / resolution ** 2
 
 
-def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
-                          resolution: int = 128,
-                          interp: DualInterpolation | None = None
-                          ) -> HodgeOperator:
+def assemble_dual_inverse(complex: SimplicialComplex,
+                          dual: DualMesh | DualInterpolation, k: int,
+                          resolution: int = 128) -> HodgeOperator:
     """Inverse dual Hodge star: Gram matrix of dual Whitney forms.
 
     Entries are integrated by pixel-grid quadrature over the per-vertex dual
     polygons whose union carries the forms' supports; on each polygon,
     `DualInterpolation.forms` evaluates the forms supported there.  Every
     polygon's site regions are built in one batched pass before the first
-    polygon.  `interp` is the mesh's `DualInterpolation`, built here when
-    None; a caller that assembles several degrees passes one, so each
-    polygon's regions are built once.
+    polygon.  `dual` is the dual mesh, or its `DualInterpolation`
+    (`star_input`), whose regions every degree assembled from it shares.
     """
     if complex.dim != 2:
         raise Error("dual-inverse assembly is implemented for 2D meshes")
     check_degree(complex, k)
-    di = DualInterpolation(complex, dual) if interp is None else interp
+    di = (dual if isinstance(dual, DualInterpolation)
+          else DualInterpolation(complex, dual))
     n = complex.dim
     N = len(complex.simplices[k])
     space = f"dual {n - k}-cells of primal {k}-simplices"
@@ -146,28 +147,37 @@ def assemble_dual_inverse(complex: SimplicialComplex, dual: DualMesh, k: int,
 
 
 KINDS = ("diag", "whitney", "dual_inverse")
-READS_DUAL = ("diag", "dual_inverse")  # the kinds that read the dual mesh
 
 
-def assemble(kind: str, complex: SimplicialComplex, dual: DualMesh | None,
-             k: int, resolution: int = 128,
-             interp: DualInterpolation | None = None) -> HodgeOperator:
+def star_input(kind: str, complex: SimplicialComplex, rule: str):
+    """What a star of `kind` reads besides the complex, built once for all
+    its degrees: None for whitney; for diag, and for dual_inverse on a mesh
+    other than 2D (whose assembly is an error), the dual mesh of center
+    `rule`; for dual_inverse in 2D, that mesh's `DualInterpolation`."""
+    if kind == "whitney":
+        return None
+    dual = mesh.build_dual(complex, rule)
+    if kind == "dual_inverse" and complex.dim == 2:
+        return DualInterpolation(complex, dual)
+    return dual
+
+
+def assemble(kind: str, complex: SimplicialComplex, dual, k: int,
+             resolution: int = 128) -> HodgeOperator:
     """The Hodge star of one of `KINDS` at degree k: M_k for diag and
-    whitney, its inverse M_k^{-1} for dual_inverse.  Only the kinds in
-    `READS_DUAL` read `dual`; the others take None.  Only dual_inverse reads
-    `interp` (see `assemble_dual_inverse`)."""
+    whitney, its inverse M_k^{-1} for dual_inverse.  `dual` is what the
+    kind reads besides the complex (`star_input`)."""
     if kind == "diag":
         return assemble_diag(complex, dual, k)
     if kind == "whitney":
         return assemble_whitney(complex, k)
     if kind == "dual_inverse":
-        return assemble_dual_inverse(complex, dual, k, resolution, interp)
+        return assemble_dual_inverse(complex, dual, k, resolution)
     raise Error(f"unknown Hodge kind {kind!r}")
 
 
-def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
-               kind: str, resolution: int = 128,
-               interp: DualInterpolation | None = None):
+def hodge_pair(complex: SimplicialComplex, dual, k: int, kind: str,
+               resolution: int = 128):
     """A Hodge matrix and its exact inverse, from a single assembly.
 
     The mixed-system equivalences hold only when M and M^{-1} are exact
@@ -175,9 +185,9 @@ def hodge_pair(complex: SimplicialComplex, dual: DualMesh | None, k: int,
     diagonal star is inverted entrywise, and any other star's inverse is a
     `systems.FactorizedInverse`, whose one LU certifies the star at its first
     solve.  Quadrature can leave a dual-inverse star indefinite, so its LU
-    is made here.  `interp` is passed on to `assemble`.
+    is made here.  `dual` is passed on to `assemble`.
     """
-    A = assemble(kind, complex, dual, k, resolution, interp).matrix
+    A = assemble(kind, complex, dual, k, resolution).matrix
     if A.nnz == np.count_nonzero(A.diagonal()):  # diagonal: entrywise
         inv = sp.diags(1.0 / A.diagonal()).tocsr()
     else:

@@ -103,15 +103,16 @@ class SimplicialComplex:
     """An oriented simplicial complex with all faces enumerated.
 
     simplices[k] holds the k-simplices as strictly increasing vertex tuples,
-    one row each; orientations[k] carries a +-1 sign per simplex relative to
-    that sorted tuple.  face_indices[k][r, m] is the index of the k-face of
-    (k+1)-simplex r obtained by deleting vertex position m.
+    one row each.  Every simplex below the top degree is oriented by its
+    sorted vertex tuple; orientation carries a +-1 sign per top cell
+    relative to that tuple.  face_indices[k][r, m] is the index of the
+    k-face of (k+1)-simplex r obtained by deleting vertex position m.
     """
 
     dim: int
     vertices: np.ndarray
     simplices: list  # list of (N_k, k+1) int arrays
-    orientations: list  # list of (N_k,) int arrays
+    orientation: np.ndarray  # (N_n,) int array
     measures: list  # (N_k,) lengths, areas, volumes; 1 for vertices
     face_indices: list  # face_indices[k]: (N_{k+1}, k+2) int array
 
@@ -174,8 +175,8 @@ class SimplicialComplex:
             cols = self.face_indices[k].ravel()
             signs = np.tile([(-1) ** m for m in range(k + 2)],
                             n_rows).astype(float)
-            signs *= np.repeat(self.orientations[k + 1], k + 2)
-            signs *= self.orientations[k][cols]
+            if k + 1 == self.dim:
+                signs *= np.repeat(self.orientation, k + 2)
             D = sp.csr_matrix((signs, (rows, cols)), shape=(n_rows, n_cols))
             D.sum_duplicates()
             for a in (D.data, D.indices, D.indptr):
@@ -193,19 +194,18 @@ class SimplicialComplex:
         inv = np.empty_like(perm)
         inv[perm] = np.arange(len(perm))
         simplices = list(self.simplices)
-        orientations = list(self.orientations)
         measures = list(self.measures)
         face_indices = list(self.face_indices)
         simplices[k] = self.simplices[k][perm]
-        orientations[k] = self.orientations[k][perm]
         measures[k] = self.measures[k][perm]
         if k > 0:
             face_indices[k - 1] = self.face_indices[k - 1][perm]
         if k < self.dim:
             face_indices[k] = inv[self.face_indices[k]]
         return SimplicialComplex(
-            self.dim, self.vertices, simplices, orientations, measures,
-            face_indices,
+            self.dim, self.vertices, simplices,
+            self.orientation[perm] if k == self.dim else self.orientation,
+            measures, face_indices,
         )
 
 
@@ -247,8 +247,7 @@ def build_complex(vertices, cells) -> SimplicialComplex:
     Rejects degenerate cells (zero measure), duplicate cells, vertex
     indices out of range and vertices in no cell.  Cell orientation is
     recorded as the sign of the cell's determinant for the sorted vertex
-    tuple; lower simplices carry +1 and are identified with their sorted
-    tuples.
+    tuple; lower simplices are oriented by their sorted tuples.
     """
     verts = _numeric_array(vertices, "vertices", "iuf")
     if verts.ndim != 2 or verts.shape[1] not in (2, 3):
@@ -303,12 +302,8 @@ def build_complex(vertices, cells) -> SimplicialComplex:
         simplices[k], _, inverse = _unique_rows(faces)
         face_indices[k] = inverse.reshape(-1, k + 2)
     measures = [simplex_measures(verts[simp]) for simp in simplices]
-    orientations = [np.ones(len(simplices[k]), dtype=int) for k in range(n)]
-    orientations.append(np.where(det > 0, 1, -1))
-
-    return SimplicialComplex(
-        n, verts, simplices, orientations, measures, face_indices
-    )
+    return SimplicialComplex(n, verts, simplices, np.where(det > 0, 1, -1),
+                             measures, face_indices)
 
 
 def pixel_centers(lo, hi, m: int) -> np.ndarray:

@@ -133,6 +133,7 @@ class WaveSystem:
     mass: object  # M
     kernel: sp.csr_matrix | None  # Z
     shift: float  # sigma
+    partner: object  # the other side of M's Hodge pair
 
     @property
     def stiffness(self):
@@ -152,9 +153,9 @@ class WaveSystem:
     def nullity(self) -> int:
         return 0 if self.kernel is None else self.kernel.shape[1]
 
-    def eigenpairs(self, count: int | None = None) -> np.ndarray:
-        """Generalized eigenvalues omega^2, ascending; the `count` smallest
-        when given.  No eigenvectors are computed.
+    def eigenpairs(self, count: int) -> np.ndarray:
+        """The `count` smallest generalized eigenvalues omega^2, ascending.
+        No eigenvectors are computed.
 
         The kernel range(Z) is reported as `nullity` exact zeros, and the
         physical values past it are the lowest of the pencil deflated by the
@@ -164,17 +165,19 @@ class WaveSystem:
         (applying P to ARPACK's input as well gives wrong values).  A
         request ARPACK cannot serve, max(2k + 1, 20) >= n - nullity Lanczos
         vectors for k physical values, is solved by LAPACK `eigh` on the
-        dense pencil; that includes every value (`count` None).  Either way
-        the mass's own LU first certifies it positive definite.
+        dense pencil.  Either way an LU of the mass first certifies it
+        positive definite: its own when it is a `FactorizedInverse`, its
+        partner's when that has factored the same matrix, else a new one.
         """
-        n = self.mass.shape[0]
-        if count is not None and count < 1:
+        n, M, partner = self.mass.shape[0], self.mass, self.partner
+        if count < 1:
             raise Error(f"eigenpair count must be at least 1, got {count}")
-        if count is not None and count > n:
+        if count > n:
             raise Error(f"eigenpair count must be at most {n}, got {count}")
-        count = n if count is None else count
-        M = self.mass
-        (M if isinstance(M, FactorizedInverse)
+        shared = (isinstance(partner, FactorizedInverse)
+                  and "lu" in vars(partner) and (partner.G != M).nnz == 0)
+        # left unbound, so that a new LU is freed before the eigensolve
+        (M if isinstance(M, FactorizedInverse) else partner if shared
          else FactorizedInverse(M, "wave mass matrix")).lu
         zeros = np.zeros(min(count, self.nullity))
         k = count - len(zeros)
@@ -736,12 +739,13 @@ def assemble_wave(complex: SimplicialComplex, formulation: str,
     """
     D1 = complex.incidence_matrix(1).tocsr()
     if formulation == "primal":
-        C, H, M = D1, M2, M1
+        C, H, M, partner = D1, M2, M1, M1_inv
     elif formulation == "dual":
-        C, H, M = D1.T.tocsr(), M1_inv, M2_inv
+        C, H, M, partner = D1.T.tocsr(), M1_inv, M2_inv, M2
     else:
         raise Error(f"unknown wave formulation {formulation!r}")
     kernel = _gauge(complex, 1, formulation == "dual")
     Z = None if kernel is None else kernel.kernel
     extent = complex.vertices.max(axis=0) - complex.vertices.min(axis=0)
-    return WaveSystem(formulation, C, H, M, Z, -1.0 / float(extent @ extent))
+    return WaveSystem(formulation, C, H, M, Z, -1.0 / float(extent @ extent),
+                      partner)

@@ -433,7 +433,7 @@ def outcome(build):
 
 @pytest.mark.parametrize("m", range(-2, 6))
 def test_grid_generators_match_their_loops(m):
-    """Same vertices, simplices and orientations, or the same error: for
+    """Same vertices, simplices and cell orientations, or the same error: for
     m < 0 the equilateral grid has no vertex rows ("vertices must be ..."),
     the square grid no cells or no sample points."""
     cases = [(lambda: mesh.structured_grid(m), loop_structured_grid, (m,)),
@@ -449,7 +449,7 @@ def test_grid_generators_match_their_loops(m):
         assert np.array_equal(got.vertices, want.vertices)
         for k in range(3):
             assert np.array_equal(got.simplices[k], want.simplices[k])
-            assert np.array_equal(got.orientations[k], want.orientations[k])
+        assert np.array_equal(got.orientation, want.orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +469,8 @@ def loop_measure(points):
 
 
 def loop_build_complex(vertices, cells):
-    """(simplices, face_indices, orientations, measures), simplex by simplex."""
+    """(simplices, face_indices, cell orientation, measures), simplex by
+    simplex."""
     verts = np.asarray(vertices, dtype=float)
     n = verts.shape[1]
     top = np.sort(np.asarray(cells, dtype=int), axis=1)
@@ -490,8 +491,7 @@ def loop_build_complex(vertices, cells):
     # a cell's measure is |det| / n!, as in `build_complex`
     measures = [np.array([loop_measure(verts[s]) for s in simp])
                 for simp in simplices[:n]] + [np.abs(dets) / math.factorial(n)]
-    orientations = [np.ones(len(s), dtype=int) for s in simplices[:n]]
-    return simplices, face_indices, orientations + [orient], measures
+    return simplices, face_indices, orient, measures
 
 
 def scan_cofaces(comp, k, i):
@@ -588,11 +588,11 @@ def test_build_complex_matches_loop(relabelled_delaunay, case):
     dim, n_points, seed = case
     verts, cells = relabelled_delaunay(n_points, seed, dim)
     comp = mesh.build_complex(verts, cells)
-    simplices, face_indices, orientations, measures = \
+    simplices, face_indices, orientation, measures = \
         loop_build_complex(verts, cells)
+    assert np.array_equal(comp.orientation, orientation)
     for k in range(dim + 1):
         assert np.array_equal(comp.simplices[k], simplices[k])
-        assert np.array_equal(comp.orientations[k], orientations[k])
         assert np.abs(comp.measures[k] - measures[k]).max() \
             <= 1e-14 * np.abs(measures[k]).max()
     for k in range(dim):

@@ -253,12 +253,12 @@ def test_wave_systems():
         M1, M1inv = hodge.hodge_pair(comp, dual, 1, "whitney")
         M2, M2inv = hodge.hodge_pair(comp, dual, 2, "whitney")
     primal = systems.assemble_wave(comp, "primal", M1, M2, M1inv, M2inv)
-    vals_p = primal.eigenpairs()
+    vals_p = primal.eigenpairs(primal.mass.shape[0])
     # gradient fields are stationary: kernel dimension is N_vertices - 1
     n_zero = int((np.abs(vals_p) < 1e-9).sum())
     assert n_zero == len(comp.vertices) - 1
     dual_sys = systems.assemble_wave(comp, "dual", M1, M2, M1inv, M2inv)
-    vals_d = dual_sys.eigenpairs()
+    vals_d = dual_sys.eigenpairs(dual_sys.mass.shape[0])
     pos_p = np.sort(vals_p[np.abs(vals_p) > 1e-9])
     pos_d = np.sort(vals_d[np.abs(vals_d) > 1e-9])
     # with exact inverse pairs the nonzero spectra coincide
@@ -302,7 +302,7 @@ def test_wave_eigensolve_leaves_its_operands_unchanged(kind):
         assert np.array_equal(ws.eigenpairs(5), first)
         assert np.array_equal(dense(ws.stiffness), before[0])
         assert np.array_equal(dense(ws.mass), before[1])
-        everything = ws.eigenpairs()
+        everything = ws.eigenpairs(ws.mass.shape[0])
         assert len(everything) == ws.mass.shape[0]
         assert np.all(np.diff(everything) >= 0)
 
@@ -365,7 +365,7 @@ def test_indefinite_wave_mass_is_rejected_by_the_eigensolve():
     ws = systems.assemble_wave(comp, "primal", M1, M2, M1, M2inv)
     with pytest.raises(Error,
                        match="^wave mass matrix is not positive definite$"):
-        ws.eigenpairs()
+        ws.eigenpairs(ws.mass.shape[0])
 
 
 def dense_wave_reference(ws, count):
@@ -893,7 +893,9 @@ def test_every_factorization_is_one_symmetric_lu(monkeypatch, tmp_path,
     LU.  A star's one LU comes at its first solve, so a lone primal-first
     Whitney `solve` and a Whitney `wave` factor no star; only `hodge_pair`'s
     certificate of a dual-inverse star factors it there.  A wave's mass is
-    factored once: a Whitney primal wave's M_1 only as "wave mass matrix"."""
+    factored once: a Whitney primal wave's M_1 only as "wave mass matrix",
+    and a dual-inverse dual wave's M_2^{-1} only as its star, whose LU
+    certifies the mass."""
     calls = _recorded_splu(monkeypatch)
     pair, paired = hodge.hodge_pair, []
 
@@ -966,6 +968,11 @@ def test_every_factorization_is_one_symmetric_lu(monkeypatch, tmp_path,
                      {"primal": "300", "dual": "6"}[formulation], "--mesh",
                      "grid:16", "--kind", "whitney"], (formulation, "grid:16"))
         assert whats == whitney_waves[formulation], whats
+    whats = run(["wave", "--formulation", "dual", "--mesh", "grid:8", "--kind",
+                 "dual_inverse", "--grid", "32"], "dual_inverse grid:8")
+    assert whats == ["dual_inverse Hodge star of degree 1",
+                     "dual_inverse Hodge star of degree 2",
+                     "wave shifted system"], whats
     assert "kernel Gram matrix" not in {what for *_, what in calls}
     assert {caller for caller, *_ in calls} == {"_symmetric_lu"}
 

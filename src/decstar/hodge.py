@@ -27,9 +27,10 @@ import scipy.sparse as sp
 
 from . import Error, mesh
 from .mesh import (DualMesh, SimplicialComplex, check_degree, generate_fig8,
-                   pixel_centers, vertex_ring)
+                   vertex_ring)
 from .whitney import whitney_gram_matrix
-from .sibson import DualInterpolation, SibsonCell, edge_forms
+from .sibson import (DualInterpolation, SibsonCell, edge_forms,
+                     side_crossings)
 from .systems import FactorizedInverse
 
 
@@ -77,25 +78,57 @@ def assemble_whitney(complex: SimplicialComplex, k: int) -> HodgeOperator:
     return HodgeOperator(k, "whitney", mat, f"primal {k}-simplices")
 
 
-def _cell_quadrature(cell, resolution: int):
-    """Pixel-center quadrature nodes and weight over a polygon's bbox.
+# quadrature pixels per group of polygons in `_cell_quadrature`: a group's
+# nodes come from one pass and live only while the group is integrated
+PIXEL_BUDGET = 1 << 14
 
-    The nodes are the pixel centers that `SibsonCell.contains` claims, in
-    `pixel_centers` order.  Its even-odd test runs once per side and pixel
-    row, not per pixel: every center of a row has the row's y, so it meets
-    each side at the same x (`SibsonCell.side_crossings`), with the same
-    bits.  A center is inside when an odd number of sides meet its row
-    right of it."""
-    lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
-    pts = pixel_centers(lo, hi, resolution)
-    grid = pts.reshape(resolution, resolution, 2)  # [x index, y index]
-    xint, straddles = cell.side_crossings(grid[0, :, 1])
-    xint[~straddles] = -np.inf  # a side off the row is right of no center
-    x = grid[:, :1, 0]
-    inside = np.zeros((resolution, resolution), dtype=bool)
-    for row in xint:
-        inside ^= x < row
-    return pts[inside.ravel()], np.prod(hi - lo) / resolution ** 2
+
+def _cell_quadrature(cells, resolution: int):
+    """Pixel-center quadrature nodes and weight of each polygon of `cells`
+    over its bbox, yielded in order, a group of `PIXEL_BUDGET` pixels (at
+    least one polygon) per pass.
+
+    A polygon's nodes are the pixel centers of its bbox
+    (`mesh.pixel_centers`, whose arithmetic the pass repeats) that
+    `SibsonCell.contains` claims, in `pixel_centers` order.  The even-odd
+    test runs once per side and pixel row, not per pixel: every center of a
+    row has the row's y, so it meets each side at the same x
+    (`side_crossings`), with the same bits.  A center is inside when an odd
+    number of sides meet its row right of it.  The shorter side loops of a
+    group are padded with sides between NaN corners, which straddle no row,
+    so that one test runs over the whole group."""
+    m = resolution
+    per_group = max(1, PIXEL_BUDGET // m ** 2)
+    for start in range(0, len(cells), per_group):
+        group = [cell.vertices for cell in cells[start:start + per_group]]
+        # each side from a corner in `a` to the next in `b`, NaN-padded,
+        # which fmin and fmax skip
+        a = np.full((len(group), max(map(len, group)), 2), np.nan)
+        b = a.copy()
+        for row_a, row_b, loop in zip(a, b, group):
+            row_a[:len(loop)] = loop
+            row_b[:len(loop) - 1], row_b[len(loop) - 1] = loop[1:], loop[0]
+        lo, hi = np.fmin.reduce(a, axis=1), np.fmax.reduce(a, axis=1)
+        # (cells, axis, m): np.linspace's steps, written out, plus half a
+        # pixel; np.linspace over many boxes would switch them all to
+        # another formula when one box is flat
+        span = (hi - lo)[..., None]
+        axes = np.arange(m) * (span / m) + lo[..., None] + span / (2 * m)
+        xint, straddles = side_crossings(a, b, axes[:, 1:])
+        xint[~straddles] = -np.inf  # a side off the row is right of no center
+        x = axes[:, 0, :, None]
+        inside = np.zeros((len(group), m, m), dtype=bool)  # [cell, x, y]
+        for side in xint.transpose(1, 0, 2):
+            inside ^= x < side[:, None]
+        # the nodes, x slowest: each x repeated for the centers it keeps
+        per_x = np.count_nonzero(inside, axis=2)
+        pts = np.empty((per_x.sum(), 2))
+        pts[:, 0] = np.repeat(axes[:, 0], per_x.ravel())
+        pts[:, 1] = np.broadcast_to(axes[:, 1:], inside.shape)[inside]
+        ends = np.cumsum(per_x.sum(axis=1)).tolist()
+        weights = np.prod(span[..., 0], axis=1) / m ** 2
+        for first, end, w in zip([0] + ends[:-1], ends, weights):
+            yield pts[first:end], w
 
 
 def assemble_dual_inverse(complex: SimplicialComplex,
@@ -105,10 +138,13 @@ def assemble_dual_inverse(complex: SimplicialComplex,
 
     Entries are integrated by pixel-grid quadrature over the per-vertex dual
     polygons whose union carries the forms' supports; on each polygon,
-    `DualInterpolation.forms` evaluates the forms supported there.  Every
-    polygon's site regions are built in one batched pass before the first
-    polygon.  `dual` is the dual mesh, or its `DualInterpolation`
-    (`star_input`), whose regions every degree assembled from it shares.
+    `DualInterpolation.forms` evaluates the forms supported there, and its
+    local Gram block is one product.  Every polygon's site regions are built
+    in one batched pass before the first polygon, the quadrature nodes a
+    group of polygons per pass (`_cell_quadrature`), and the COO rows and
+    columns of every block once, after the last.  `dual` is the dual mesh,
+    or its `DualInterpolation` (`star_input`), whose regions every degree
+    assembled from it shares.
     """
     if complex.dim != 2:
         raise Error("dual-inverse assembly is implemented for 2D meshes")
@@ -122,25 +158,30 @@ def assemble_dual_inverse(complex: SimplicialComplex,
         mat = sp.diags(1.0 / np.array([c.measure for c in di.cells])).tocsr()
         return HodgeOperator(k, "dual_inverse", mat, space)
     di.build_regions(range(len(di.cells)))
-    rows, cols, vals = [], [], []
-    for v in range(len(complex.vertices)):
-        pts, w = _cell_quadrature(di.cells[v], resolution)
+    gens, vals = [], []
+    for v, (pts, w) in enumerate(_cell_quadrature(di.cells, resolution)):
         if len(pts) < 10:
             raise Error(f"quadrature resolution {resolution} leaves fewer "
                         f"than 10 interior samples in the dual polygon of "
                         f"vertex {v}")
-        gens, fields = di.forms(v, k, pts)
-        fields = fields.reshape(len(gens), -1)  # (G, d q), points last
+        local, fields = di.forms(v, k, pts)
+        fields = fields.reshape(len(local), -1)  # (G, d q), points last
         # F F^T by numpy's loops: `F @ F.T` would start OpenBLAS buffers
         # that nothing else in the `hodge` command uses, 0.1 MB more peak
-        # RSS.  Symmetric by construction: the upper triangle, mirrored
-        gram = np.triu(w * np.einsum("aq,bq->ab", fields, fields))
-        gram += np.triu(gram, 1).T
-        rows.append(np.repeat(gens, len(gens)))
-        cols.append(np.tile(gens, len(gens)))
-        vals.append(gram.ravel())
-    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                np.concatenate(cols))),
+        # RSS.  Entries (a, b) and (b, a) are the same sum, bit for bit
+        gens.append(local)
+        vals.append((w * np.einsum("aq,bq->ab", fields, fields)).ravel())
+    # every local block row-major: block b has G_b rows of G_b entries,
+    # entry (a, c) at its generators a and c
+    size = np.array([len(g) for g in gens])
+    gens = np.concatenate(gens)
+    width = np.repeat(size, size)  # entries in each row
+    rows = np.repeat(gens, width)
+    # from each entry's index to its column's index in `gens`: the row's
+    # first entry minus its block's first generator
+    shift = np.cumsum(width) - width - np.repeat(np.cumsum(size) - size, size)
+    cols = gens[np.arange(len(rows)) - np.repeat(shift, width)]
+    mat = sp.coo_matrix((np.concatenate(vals), (rows, cols)),
                         shape=(N, N)).tocsr()
     mat.eliminate_zeros()
     return HodgeOperator(k, "dual_inverse", mat, space)
@@ -311,9 +352,11 @@ def fig8_whitney_condition(P: float) -> float:
 # condition-number experiment
 
 
-def fig8_dual_inverse_block(P: float, resolution: int = 512) -> np.ndarray:
-    """The 5x5 dual-inverse block of the two-fan study, with the published
-    patch substitutions, from one quadrature pass over the first hub's cell.
+def fig8_dual_inverse_block(comp: SimplicialComplex,
+                            resolution: int = 512) -> np.ndarray:
+    """The 5x5 dual-inverse block of the two-fan mesh `comp`
+    (`generate_fig8`), with the published patch substitutions, from one
+    quadrature pass over the first hub's cell.
 
     The two-fan mesh is a neighborhood cut out of a larger triangulation, so
     the hub cell is the plain ring of the centers of the four triangles at
@@ -329,12 +372,11 @@ def fig8_dual_inverse_block(P: float, resolution: int = 512) -> np.ndarray:
       replaced by the hub half;
     - kappa, the negligible opposite-edge term, is zero.
     """
-    comp = generate_fig8(P)
     tris = [t for tag, t in vertex_ring(comp, 0) if tag == "c"]
     centers = comp.vertices[comp.simplices[2][tris]].mean(axis=1)
     cell = SibsonCell(centers, restricted=True)
     labels = tris if cell.vertices is centers else tris[::-1]
-    pts, w = _cell_quadrature(cell, resolution)
+    pts, w = next(_cell_quadrature([cell], resolution))
     vals, grads = cell.coords_and_gradients_batch(pts)
     fan13, t123, t124, _ = (labels.index(t) for t in tris)
     # (2, q) rows: the points-last storage behind the (q, 2) views
@@ -372,8 +414,9 @@ def table1_experiment(P_values, resolution: int = 512) -> list:
     rows = []
     for P in P_values:
         t0 = time.perf_counter()
-        whit = assemble_whitney(generate_fig8(P), 1).matrix
-        block = fig8_dual_inverse_block(P, resolution)
+        comp = generate_fig8(P)
+        whit = assemble_whitney(comp, 1).matrix
+        block = fig8_dual_inverse_block(comp, resolution)
         rows.append({
             "P": P, "cond_diag": fig8_diag_condition(P),
             "cond_whitney": condition_estimate(whit, "leading-block",

@@ -63,6 +63,19 @@ def polygon_area(loop: np.ndarray) -> float:
                        - np.dot(y, _next_corners(x)))
 
 
+def side_crossings(a: np.ndarray, b: np.ndarray, y: np.ndarray):
+    """Where the sides from corners `a` to corners `b`, (..., 2) arrays,
+    meet the horizontal lines at heights `y`: the x of each meeting point
+    and whether the side straddles the line, the shapes of a side's x
+    broadcast against `y`.  The x is read only where the side straddles;
+    a side between NaN corners straddles no line."""
+    ax, ay, bx, by = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
+    straddles = (ay > y) != (by > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = ax + (y - ay) * (bx - ax) / (by - ay)
+    return xint, straddles
+
+
 def _row_sum(terms: np.ndarray) -> np.ndarray:
     """Sum of `terms` over its first axis (region sides or sites), the rows
     added in order.
@@ -331,26 +344,13 @@ class SibsonCell:
         v = self.vertices
         return float(np.linalg.norm(v[:, None] - v[None], axis=2).max())
 
-    def side_crossings(self, y: np.ndarray):
-        """Where each side of the loop (from corner i to corner i + 1) meets
-        the horizontal line at each height of the 1-D array `y`: the x of
-        the meeting point and whether the side straddles the line, two
-        (m, len(y)) arrays, one row per side.  The x is read only where the
-        side straddles."""
-        ax, ay = self.vertices[:, :1], self.vertices[:, 1:]
-        b = _next_corners(self.vertices)
-        bx, by = b[:, :1], b[:, 1:]
-        straddles = (ay > y) != (by > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = ax + (y - ay) * (bx - ax) / (by - ay)
-        return xint, straddles
-
     def contains(self, pts) -> np.ndarray:
         """Even-odd crossing test of a (q, 2) batch of points: a point is
         inside when an odd number of sides meet its horizontal line right
         of it (`side_crossings`); (m, q) work arrays."""
         x, y = np.ascontiguousarray(np.atleast_2d(pts).T, dtype=float)
-        xint, straddles = self.side_crossings(y)
+        xint, straddles = side_crossings(self.vertices,
+                                         _next_corners(self.vertices), y)
         return (straddles & (x < xint)).sum(axis=0) % 2 == 1
 
     def _nearest_sides(self, pts: np.ndarray):

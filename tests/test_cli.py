@@ -399,6 +399,22 @@ def test_table1_makes_one_sibson_pass_per_p(tmp_path, monkeypatch, capsys):
     assert len(calls) == 3
 
 
+def test_table1_builds_one_two_fan_mesh_per_p(tmp_path, monkeypatch, capsys):
+    # the Whitney block and the dual-inverse block share each P's mesh
+    calls = []
+    build = mesh.build_complex
+
+    def counted(vertices, cells):
+        calls.append(len(cells))
+        return build(vertices, cells)
+
+    monkeypatch.setattr(mesh, "build_complex", counted)
+    code, _, _ = run(["table1", "--P", "2,5,10", "--grid", "64",
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert calls == [6, 6, 6]
+
+
 def test_table1_determinism(tmp_path, capsys):
     texts = []
     for sub in ("a", "b"):

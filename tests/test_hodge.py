@@ -367,7 +367,7 @@ def fig8_hub_products(comp, hub, resolution):
     centers = comp.vertices[comp.simplices[2][ring]].mean(axis=1)
     cell = SibsonCell(centers, restricted=True)
     labels = ring if cell.vertices is centers else ring[::-1]
-    pts, w = hodge._cell_quadrature(cell, resolution)
+    pts, w = next(hodge._cell_quadrature([cell], resolution))
     lam, grads = cell.coords_and_gradients_batch(pts)
 
     def eta(a, b):
@@ -392,7 +392,7 @@ def test_fig8_block_matches_two_hub_protocol(P):
                 if tag == "c"] == ring
     # the mirror y -> 1 - y swaps the hubs: the second carries an equal half
     assert vartheta2 == pytest.approx(vartheta1, rel=1e-14, abs=0)
-    block = hodge.fig8_dual_inverse_block(P, 128)
+    block = hodge.fig8_dual_inverse_block(comp, 128)
     assert block[0, 0] == pytest.approx(vartheta1 + vartheta2, rel=1e-14,
                                         abs=0)
     assert block[0, 0] == 2 * vartheta1
@@ -401,14 +401,13 @@ def test_fig8_block_matches_two_hub_protocol(P):
     assert block[1, 2] == 0
 
 
-def loop_dual_inverse(comp, di, k, resolution):
+def entry_dual_inverse(comp, di, k, resolution):
     """The dual-inverse star by per-entry accumulation, as a reference for
     the scattered local Gram matrices of `assemble_dual_inverse`."""
     N = len(comp.simplices[k])
     mat = sp.lil_matrix((N, N))
-    for v in range(len(comp.vertices)):
-        sc = di.cells[v]
-        pts, w = hodge._cell_quadrature(sc, resolution)
+    quadrature = hodge._cell_quadrature(di.cells, resolution)
+    for v, (sc, (pts, w)) in enumerate(zip(di.cells, quadrature)):
         lookup = di.site_lookup[v]
         if k == 2:
             lam = sc.coords_batch(pts)
@@ -438,8 +437,8 @@ def one_point_dual_inverse(comp, di, k, resolution):
     layout from the clip kernel to the Gram matrix."""
     N = len(comp.simplices[k])
     star = np.zeros((N, N))
-    for v, sc in enumerate(di.cells):
-        pts, w = hodge._cell_quadrature(sc, resolution)
+    quadrature = hodge._cell_quadrature(di.cells, resolution)
+    for v, (sc, (pts, w)) in enumerate(zip(di.cells, quadrature)):
         lookup = di.site_lookup[v]
         if k == 2:
             gens = [g for kind, g in lookup if kind == "c"]
@@ -489,21 +488,100 @@ def quadrature_polygons() -> list:
     return polygons
 
 
+def pixel_quadrature(cell, resolution):
+    """One polygon's quadrature nodes and weight from the per-point
+    `SibsonCell.contains` over its bbox's `pixel_centers`."""
+    lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
+    centers = mesh.pixel_centers(lo, hi, resolution)
+    return centers[cell.contains(centers)], np.prod(hi - lo) / resolution ** 2
+
+
 @pytest.mark.parametrize("resolution", [8, 13, 32, 64])
 def test_cell_quadrature_nodes_are_the_pixel_centers_the_cell_contains(
-        resolution):
+        monkeypatch, resolution):
     """The per-row even-odd test claims the pixel centers that the
-    per-point `SibsonCell.contains` claims, in `pixel_centers` order."""
-    for i, loop in enumerate(quadrature_polygons()):
-        cell = SibsonCell(loop, restricted=True)
-        lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
-        centers = mesh.pixel_centers(lo, hi, resolution)
-        if i == 0 and resolution == 8:  # sides and a corner on centers
-            assert {0.3125, 0.5625} <= set(centers[:, 1].tolist())
-            assert 0.8125 in centers[:, 0]
-        pts, w = hodge._cell_quadrature(cell, resolution)
-        assert np.array_equal(pts, centers[cell.contains(centers)])
-        assert w == np.prod(hi - lo) / resolution ** 2
+    per-point `SibsonCell.contains` claims, in `pixel_centers` order: for
+    each polygon alone, and for all of them, of 3 to 14 corners, in one
+    group, where the shorter side loops are padded."""
+    cells = [SibsonCell(loop, restricted=True)
+             for loop in quadrature_polygons()]
+    lo, hi = cells[0].vertices.min(axis=0), cells[0].vertices.max(axis=0)
+    centers = mesh.pixel_centers(lo, hi, resolution)
+    if resolution == 8:  # sides and a corner on centers
+        assert {0.3125, 0.5625} <= set(centers[:, 1].tolist())
+        assert 0.8125 in centers[:, 0]
+    alone = [q for cell in cells
+             for q in hodge._cell_quadrature([cell], resolution)]
+    monkeypatch.setattr(hodge, "PIXEL_BUDGET", len(cells) * resolution ** 2)
+    grouped = list(hodge._cell_quadrature(cells, resolution))
+    for cell, one, group in zip(cells, alone, grouped, strict=True):
+        pts, w = pixel_quadrature(cell, resolution)
+        for got_pts, got_w in (one, group):
+            assert np.array_equal(got_pts, pts)
+            assert got_w == w
+
+
+def loop_dual_inverse(comp, di, k, resolution):
+    """The dual-inverse star one polygon at a time: its nodes by
+    `pixel_quadrature`, its local Gram block's upper triangle mirrored, and
+    its COO rows and columns built with it."""
+    N = len(comp.simplices[k])
+    rows, cols, vals = [], [], []
+    for v, cell in enumerate(di.cells):
+        pts, w = pixel_quadrature(cell, resolution)
+        gens, fields = di.forms(v, k, pts)
+        fields = fields.reshape(len(gens), -1)
+        gram = np.triu(w * np.einsum("aq,bq->ab", fields, fields))
+        gram += np.triu(gram, 1).T
+        rows.append(np.repeat(gens, len(gens)))
+        cols.append(np.tile(gens, len(gens)))
+        vals.append(gram.ravel())
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                np.concatenate(cols))),
+                        shape=(N, N)).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+# random:40:1 has edges whose form vanishes on its whole support
+@pytest.mark.parametrize("spec, resolution", [
+    ("grid:3", 8), ("random:30:7", 12), ("grid:16:0.5", 16),
+    ("random:40:1", 32)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_grouped_star_is_the_polygon_loop_bit_for_bit(monkeypatch, spec,
+                                                      resolution, k):
+    """A budget of one pixel, a group of one polygon; and groups of three,
+    the last one short."""
+    comp = cli.resolve_mesh(spec)
+    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    assert len(di.cells) % 3
+    ref = loop_dual_inverse(comp, di, k, resolution)
+    for budget in (1, 3 * resolution ** 2):
+        monkeypatch.setattr(hodge, "PIXEL_BUDGET", budget)
+        star = hodge.assemble_dual_inverse(comp, di, k, resolution).matrix
+        assert np.array_equal(star.indptr, ref.indptr)
+        assert np.array_equal(star.indices, ref.indices)
+        assert star.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("per_group", [3, None])
+def test_too_few_samples_name_the_first_such_vertex_of_a_group(monkeypatch,
+                                                               per_group):
+    """The dual polygons of vertices 2 and 3 of random:30:4 hold fewer than
+    10 pixel centers at resolution 8: the error names vertex 2, the last of
+    a group of three, or the third of a group of all the polygons."""
+    comp = cli.resolve_mesh("random:30:4")
+    di = DualInterpolation(comp, mesh.build_dual(comp, "barycentric"))
+    few = [v for v, cell in enumerate(di.cells)
+           if len(pixel_quadrature(cell, 8)[0]) < 10]
+    assert few[:2] == [2, 3]
+    if per_group:
+        monkeypatch.setattr(hodge, "PIXEL_BUDGET", per_group * 8 ** 2)
+    else:
+        assert hodge.PIXEL_BUDGET >= len(di.cells) * 8 ** 2
+    with pytest.raises(Error, match="leaves fewer than 10 interior samples "
+                       "in the dual polygon of vertex 2$"):
+        hodge.assemble_dual_inverse(comp, di, 1, 8)
 
 
 @pytest.mark.parametrize("P", [0.75, 2.0])
@@ -514,7 +592,7 @@ def test_fig8_block_matches_one_point_batches(P):
     cell = SibsonCell(centers, restricted=True)
     labels = tris if cell.vertices is centers else tris[::-1]
     fan13, t123, t124, _ = (labels.index(t) for t in tris)
-    pts, w = hodge._cell_quadrature(cell, 64)
+    pts, w = next(hodge._cell_quadrature([cell], 64))
     eta12, eta13 = np.concatenate(
         [edge_forms(*cell.coords_and_gradients_batch(x[None]), [t123, t123],
                     [t124, fan13]) for x in pts], axis=1)
@@ -522,7 +600,7 @@ def test_fig8_block_matches_one_point_batches(P):
     def dot(a, b):
         return w * float(np.sum(a * b))
 
-    block = hodge.fig8_dual_inverse_block(P, 64)
+    block = hodge.fig8_dual_inverse_block(comp, 64)
     want = {(0, 0): 2 * dot(eta12, eta12), (0, 1): dot(eta12, eta13),
             (1, 1): 2 * dot(eta13, eta13)}
     for (i, j), value in want.items():
@@ -537,7 +615,7 @@ def test_dual_inverse_matches_per_entry_assembly():
     di = DualInterpolation(comp, dual)
     for k in (1, 2):
         A = hodge.assemble_dual_inverse(comp, dual, k, 32)
-        ref = loop_dual_inverse(comp, di, k, 32)
+        ref = entry_dual_inverse(comp, di, k, 32)
         assert A.matrix.nnz == ref.nnz
         assert ((A.matrix != 0) != (ref != 0)).nnz == 0
         scale = abs(ref).max()

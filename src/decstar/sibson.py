@@ -10,24 +10,28 @@ builds its own on first use.  The region of an inserted point is one
 half-plane clip of each site region, vectorized over query points.  The
 same pass measures the bisector chord that bounds each overlap and
 returns, by Sibson's vector identity (Sibson 1980; Piper 1993), the exact
-gradient of the overlap area; a caller that wants coordinates alone
-(`coords_batch`) gets an area-only pass that skips the chord terms.  On
-the cell boundary the coordinates take the Milbradt-Pick limit, from the
-same nearest-side projection that measures the boundary distance.
+gradient of the overlap area; the chord's crossings come from the pass's
+shoelace terms, each over its edge's drop in distance to the bisector.  A
+caller that wants coordinates alone (`coords_batch`) gets an area-only
+pass that skips the chord terms.  On the cell boundary the coordinates
+take the Milbradt-Pick limit, from the same nearest-side projection that
+measures the boundary distance.
 
 Query points stay on the contiguous axis from the clip kernel to the Gram
 matrix, so each numpy call runs over a whole batch at once.  The kernel
 works on (region sides, points) arrays.  Areas are stored (sites, points)
 and area gradients (sites, 2, points), each site's row written
-contiguously; the quotient rule works on those rows in place, and the dual
-edge forms are (forms, 2, points).  The public batch methods and
-`edge_forms` return their documented (points, ...) shapes as transposed
-views of that storage, with no copy.  `DualInterpolation.forms`, which the
-dual-inverse star integrates, and the Table 1 block take the views back to
-points last for free; `DualInterpolation.interpolate` transposes its field
-values once.  Every sum over region sides or over sites adds one row at a
-time in order (`_row_sum`), so a point's coordinates and gradients are the
-same bits in any batch, a batch of one included.
+contiguously; the quotient rule works on that storage in place, for every
+site at once, and the dual edge forms are (forms, 2, points), built for
+every form at once.  The public batch methods and `edge_forms` return
+their documented (points, ...) shapes as transposed views of that storage,
+with no copy.  `DualInterpolation.forms`, which the dual-inverse star
+integrates, and the Table 1 block take the views back to points last for
+free; `DualInterpolation.interpolate` transposes its field values once.
+Every sum over region sides or over sites adds the rows in order from
+zero (`_row_sum`): `np.add.reduce` does so over two or more points, and a
+loop over the rows over one, so a point's coordinates and gradients are
+the same bits in any batch, a batch of one included.
 
 Dual Whitney forms attach interpolants to dual mesh cells: normalized
 characteristic functions to the dual polygons of primal vertices,
@@ -77,13 +81,16 @@ def side_crossings(a: np.ndarray, b: np.ndarray, y: np.ndarray):
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of `terms` over its first axis (region sides or sites), the rows
-    added in order.
+    """Sum of C-contiguous `terms`, points last, over its first axis (region
+    sides or sites), the rows added in order from zero.
 
-    `np.sum(axis=0)` adds a batch of one point pairwise and a larger batch
-    row by row, so a point's bits would depend on its batch.  In order from
-    zero, every point gets the bits of a batch of one, which are also those
-    of `np.sum` over fewer than eight rows along a contiguous axis."""
+    Over two or more points `np.add.reduce` adds the rows in order, one
+    row at a time along the points axis.  Over one point that axis is the
+    contiguous one, and `np.add.reduce` adds eight or more rows pairwise,
+    so a point's bits would depend on its batch: a batch of one takes the
+    loop.  Either way a -0.0 row adds to 0.0 from the zero start."""
+    if terms.shape[-1] >= 2:
+        return np.add.reduce(terms, axis=0, initial=0.0)
     total = np.zeros(terms.shape[1:])
     for row in terms:
         total += row
@@ -114,6 +121,17 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
     adds nothing to the shoelace sum.  With `chord=False` the pass measures
     the area alone and returns None for the gradient.
 
+    The chord terms come from the shoelace terms.  With r_j corner j
+    relative to c, h the unit normal towards the site, d_j = r_j . h and
+    s_j = r_j x h, the shoelace term r_j x r_{j+1} is s_j d_{j+1} - d_j
+    s_{j+1}.  So edge j meets the bisector at s_j + t_j (s_{j+1} - s_j) =
+    -rho_j along F, with t_j = d_j / (d_j - d_{j+1}) and rho_j the shoelace
+    term over d_j - d_{j+1}: L / 2 = -1/2 sum sign_j rho_j and the moment
+    is 1/2 sum sign_j rho_j^2.  An edge that does not cross (sign 0) gets
+    the divisor 1, so every quotient is finite.  At a point on another
+    site the bisector can run along a region side, where the area has no
+    gradient and rho_j divides rounding noise by rounding noise.
+
     Work arrays are (m + 1, q), (m, q) or (q,): the query points lie along
     the contiguous axis and the sums over sides run in order (`_row_sum`).
     Each full-size array is written in place once it is made, with the
@@ -134,25 +152,21 @@ def _bisector_clip(region: np.ndarray, site: np.ndarray, px: np.ndarray,
     da = d[:-1]
     den = da - d[1:]
     den[sign == 0.0] = 1.0
+    cross = rx[:-1] * ry[1:]
+    cross -= ry[:-1] * rx[1:]
+    if chord:
+        rho = cross / den  # minus the crossing's coordinate along F
     t = np.divide(da, den, out=den)
     inside = 1.0 - outf[:-1]
     inside -= sign * (1.0 - t)
-    cross = rx[:-1] * ry[1:]
-    cross -= ry[:-1] * rx[1:]
     cross *= inside
     area = 0.5 * _row_sum(cross)
     if not chord:
         return area, None, None
-    s = rx * hy  # coordinate along the bisector
-    s -= ry * hx
-    sa = s[:-1]
-    crossing = s[1:] - sa
-    crossing *= t
-    crossing += sa
-    signed = np.multiply(sign, crossing, out=sign)
-    half = 0.5 * _row_sum(signed)  # L / 2
-    crossing *= signed
-    along = 0.5 * _row_sum(crossing)  # the moment, along F
+    signed = np.multiply(sign, rho, out=sign)
+    half = -0.5 * _row_sum(signed)  # L / 2
+    rho *= signed
+    along = 0.5 * _row_sum(rho)  # the moment, along F
     return (area, (along * hy + half * nx) / nrm,
             (along * -hx + half * ny) / nrm)
 
@@ -472,17 +486,15 @@ class SibsonCell:
         One clip pass per site gives each overlap area A_i and its exact
         gradient (`_site_clips`); the quotient rule on lambda_i = A_i / sum A
         then gives grad lambda_i = (grad A_i - lambda_i sum_j grad A_j)
-        / sum_j A_j, one site's rows at a time, in place.
+        / sum_j A_j, for every site at once, in place.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         # the areas and their gradients, turned into coordinates in place
         coords, grads = self._site_clips(pts, gradients=True)
         total = _row_sum(coords)
         coords /= total
-        grad_total = _row_sum(grads)
-        for grad, lam in zip(grads, coords):
-            grad -= lam * grad_total
-            grad /= total
+        grads -= coords[:, None] * _row_sum(grads)
+        grads /= total
         return coords.T, grads.transpose(2, 0, 1)
 
 
@@ -515,14 +527,13 @@ def edge_forms(lam: np.ndarray, grads: np.ndarray, ia, ib) -> np.ndarray:
     (G, q, 2), from the coordinates (q, n) and gradients (q, n, 2) at a
     batch of points and the site indices a = ia[g], b = ib[g] of each form.
 
-    The forms are a transposed view of (G, 2, q) storage, built one form at
-    a time from the (n, q) and (n, 2, q) storage that the batch methods'
-    views transpose back to."""
+    The forms are a transposed view of (G, 2, q) storage, built for every
+    form at once from the (n, q) and (n, 2, q) storage that the batch
+    methods' views transpose back to."""
     lam, grads = lam.T, grads.transpose(1, 2, 0)
-    forms = np.empty((len(ia), 2, lam.shape[1]))
-    for form, a, b in zip(forms, ia, ib):
-        np.multiply(lam[a], grads[b], out=form)
-        form -= lam[b] * grads[a]
+    ia, ib = np.asarray(ia), np.asarray(ib)
+    forms = lam[ia, None] * grads[ib]
+    forms -= lam[ib, None] * grads[ia]
     return forms.transpose(0, 2, 1)
 
 

@@ -29,7 +29,7 @@ from . import Error, mesh
 from .mesh import (DualMesh, SimplicialComplex, check_degree, generate_fig8,
                    vertex_ring)
 from .whitney import whitney_gram_matrix
-from .sibson import (DualInterpolation, SibsonCell, edge_forms,
+from .sibson import (CLIP_CHUNK, DualInterpolation, SibsonCell, edge_forms,
                      side_crossings)
 from .systems import FactorizedInverse
 
@@ -318,36 +318,6 @@ def fig8_diag_condition(P: float) -> float:
     return max(lead, rho) / min(lead, rho)
 
 
-def fig8_whitney_entries(P: float):
-    """Closed-form Whitney block coefficients (alpha, beta, gamma, delta)."""
-    alpha = (12 * P ** 2 + 1) / (24 * P)
-    beta = (4 * P ** 2 - 1) / (48 * P)
-    gamma = (12 * P ** 2 + 20 * math.sqrt(3) * P + 21) / (144 * P)
-    delta = (4 * P ** 2 - 5) / (48 * P)
-    return alpha, beta, gamma, delta
-
-
-def fig8_whitney_block(P: float) -> np.ndarray:
-    """The published 5x5 Whitney block.  Off-diagonal delta entries appear
-    with the sign induced by sorted-vertex edge orientations, which matches
-    the published magnitudes; the spectrum is orientation-independent."""
-    a, b, g, d = fig8_whitney_entries(P)
-    return np.array([
-        [a, b, b, b, b],
-        [b, g, 0, d, 0],
-        [b, 0, g, 0, d],
-        [b, d, 0, g, 0],
-        [b, 0, d, 0, g],
-    ])
-
-
-def fig8_whitney_condition(P: float) -> float:
-    s3 = math.sqrt(3)
-    num = (24 * P ** 2 + 5 * s3 * P
-           + math.sqrt(288 * P ** 4 - 120 * s3 * P ** 3 + 3 * P ** 2 + 9) + 3)
-    return num / (10 * s3 * P + 18)
-
-
 # ---------------------------------------------------------------------------
 # condition-number experiment
 
@@ -377,18 +347,18 @@ def fig8_dual_inverse_block(comp: SimplicialComplex,
     cell = SibsonCell(centers, restricted=True)
     labels = tris if cell.vertices is centers else tris[::-1]
     pts, w = next(_cell_quadrature([cell], resolution))
-    vals, grads = cell.coords_and_gradients_batch(pts)
     fan13, t123, t124, _ = (labels.index(t) for t in tris)
-    # (2, q) rows: the points-last storage behind the (q, 2) views
-    eta12, eta13 = edge_forms(vals, grads, [t123, t123],
-                              [t124, fan13]).transpose(0, 2, 1)
-
-    def dot(a, b):
-        return w * float(np.einsum("dq,dq->", a, b))
-
-    vartheta = 2.0 * dot(eta12, eta12)
-    zeta = dot(eta12, eta13)
-    theta = 2.0 * dot(eta13, eta13)
+    # <eta12, eta12>, <eta12, eta13>, <eta13, eta13>, summed `CLIP_CHUNK`
+    # points at a time, which bounds the (sites, 2, points) arrays
+    sums = np.zeros(3)
+    for lo in range(0, len(pts), CLIP_CHUNK):
+        vals, grads = cell.coords_and_gradients_batch(pts[lo:lo + CLIP_CHUNK])
+        # (2, q) rows: the points-last storage behind the (q, 2) views
+        eta12, eta13 = edge_forms(vals, grads, [t123, t123],
+                                  [t124, fan13]).transpose(0, 2, 1)
+        sums += [np.einsum("dq,dq->", a, b)
+                 for a, b in ((eta12, eta12), (eta12, eta13), (eta13, eta13))]
+    vartheta, zeta, theta = w * sums * [2.0, 1.0, 2.0]
     xi = zeta
     kappa = 0.0
     return np.array([

@@ -7,8 +7,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from decstar import Error, cli, hodge, mesh, systems, whitney
+from decstar import Error, cli, hodge, mesh, sibson, systems, whitney
 from decstar.sibson import DualInterpolation, SibsonCell, edge_forms
+
+from fig8_whitney import fig8_whitney_block, fig8_whitney_condition
 
 
 def test_diag_entries_are_measure_ratios():
@@ -329,11 +331,11 @@ def test_fig8_whitney_block_matches_assembly():
     for P in (2.0, 5.0):
         comp = mesh.generate_fig8(P)
         block = hodge.assemble_whitney(comp, 1).matrix.toarray()[:5, :5]
-        closed = hodge.fig8_whitney_block(P)
+        closed = fig8_whitney_block(P)
         assert np.abs(np.abs(block) - np.abs(closed)).max() < 1e-12
         assert np.abs(np.linalg.eigvalsh(block)
                       - np.linalg.eigvalsh(closed)).max() < 1e-12
-        assert hodge.fig8_whitney_condition(P) == pytest.approx(
+        assert fig8_whitney_condition(P) == pytest.approx(
             hodge.condition_estimate(block)["condition"], abs=1e-10
         )
 
@@ -343,7 +345,7 @@ def test_table1_small_resolution_sane():
     row = rows[0]
     assert row["cond_diag"] == pytest.approx(hodge.fig8_diag_condition(2.0))
     assert row["cond_whitney"] == pytest.approx(
-        hodge.fig8_whitney_condition(2.0), rel=1e-8
+        fig8_whitney_condition(2.0), rel=1e-8
     )
     assert 1.0 < row["cond_dual_inverse"] < 2.0
     csv = hodge.table1_csv(rows)
@@ -354,7 +356,8 @@ def test_table1_small_resolution_sane():
 def fig8_hub_products(comp, hub, resolution):
     """The two-fan hub protocol on one hub cell, built by hand: the ring of
     the barycenters of the fan triangle on hub-v3, t123, t124 and the fan
-    triangle on hub-v4, found by vertex sets, and one Sibson pass over it.
+    triangle on hub-v4, found by vertex sets, and one Sibson pass over it,
+    `sibson.CLIP_CHUNK` points at a time as the Table 1 block takes them.
     Returns the ring and <eta12, eta12>, <eta12, eta13>, <eta13, eta13> for
     eta12 = eta(t123, t124) and eta13 = eta(t123, fan13)."""
     tri = {frozenset(t): i for i, t in enumerate(comp.simplices[2].tolist())}
@@ -368,16 +371,20 @@ def fig8_hub_products(comp, hub, resolution):
     cell = SibsonCell(centers, restricted=True)
     labels = ring if cell.vertices is centers else ring[::-1]
     pts, w = next(hodge._cell_quadrature([cell], resolution))
-    lam, grads = cell.coords_and_gradients_batch(pts)
+    sums = np.zeros(3)
+    for lo in range(0, len(pts), sibson.CLIP_CHUNK):
+        lam, grads = cell.coords_and_gradients_batch(
+            pts[lo:lo + sibson.CLIP_CHUNK])
 
-    def eta(a, b):
-        return edge_forms(lam, grads, [labels.index(a)], [labels.index(b)])[0]
+        def eta(a, b):
+            return edge_forms(lam, grads, [labels.index(a)],
+                              [labels.index(b)])[0]
 
-    def dot(a, b):
-        return w * float(np.einsum("qd,qd->", a, b))
-
-    eta12, eta13 = eta(ring[1], ring[2]), eta(ring[1], ring[0])
-    return ring, dot(eta12, eta12), dot(eta12, eta13), dot(eta13, eta13)
+        eta12, eta13 = eta(ring[1], ring[2]), eta(ring[1], ring[0])
+        sums += [np.einsum("qd,qd->", eta12, eta12),
+                 np.einsum("qd,qd->", eta12, eta13),
+                 np.einsum("qd,qd->", eta13, eta13)]
+    return (ring, *(w * sums))
 
 
 @pytest.mark.parametrize("P", [0.75, 2.0, 5.0, 10.0])

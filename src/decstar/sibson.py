@@ -574,6 +574,11 @@ class DualInterpolation:
                 ring = ring[::-1]
             self.cells.append(cell)
             self.site_lookup.append({tag: i for i, tag in enumerate(ring)})
+        # per edge, its triangles with D_1[t, e] = -1 and +1; -1 for none
+        D1 = complex.incidence_matrix(1).tocoo()
+        ends = np.full((len(complex.simplices[1]), 2), -1)
+        ends[D1.col, (D1.data > 0).astype(int)] = D1.row
+        self._dual_edge_ends = ends.tolist()
 
     def build_regions(self, vertices) -> None:
         """Build the site regions of the polygons of `vertices` that have
@@ -587,11 +592,21 @@ class DualInterpolation:
                 cell.regions = regions  # the `cached_property` value
 
     def edge_endpoint_tags(self, e: int):
-        """Ordered site-tag pair of the dual edge of primal edge e."""
-        tris = self.complex.cofaces(1, e)
-        if len(tris) == 2:
-            return ("c", int(tris[0])), ("c", int(tris[1]))
-        return ("c", int(tris[0])), ("m", e)
+        """Ordered site-tag pair of the dual edge of primal edge e: from the
+        center of the triangle t with D_1[t, e] = -1 to that of the one with
+        +1, and on the boundary between the one triangle and the edge's
+        midpoint, which stands in for the missing one.
+
+        A triangle lies left of an edge it meets with +1, so a dual edge
+        crosses its primal edge from right to left: the edge, running from
+        its lower-numbered vertex to its higher, turned counter-clockwise.
+        A dual 1-cochain's value at e is thus the flow across e from right
+        to left, and the dual coboundary of a dual 0-cochain on the
+        triangle centers is D_1^T.  The orientation is the mesh's, not its
+        numbering's: reordering the input cells leaves it as it is."""
+        tail, head = self._dual_edge_ends[e]
+        return (("c", tail) if tail >= 0 else ("m", e),
+                ("c", head) if head >= 0 else ("m", e))
 
     def locate(self, pts) -> np.ndarray:
         """Owner polygon of each point of a (q, 2) batch; -1 outside the mesh.

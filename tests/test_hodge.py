@@ -260,12 +260,7 @@ def _relabelling_cases():
         for kind, k in itertools.product(hodge.KINDS, range(dim + 1)):
             if kind == "dual_inverse" and dim == 3:
                 continue
-            marks = ([pytest.mark.xfail(
-                strict=True, raises=AssertionError,
-                reason="ROADMAP item 13: the dual edge of an interior edge is "
-                       "oriented by its cofaces' numbering")]
-                if (kind, k) == ("dual_inverse", 1) else [])
-            yield pytest.param((n, seed, dim), kind, k, marks=marks,
+            yield pytest.param((n, seed, dim), kind, k,
                                id=f"random:{n}:{seed}:{dim}-{kind}-k{k}")
 
 
@@ -292,6 +287,26 @@ def test_every_star_is_covariant_under_relabelling(relabelled_delaunay, args,
     P = signed_relabelling(old, new, perm, k)
     S, S_new = stars
     assert abs(S_new - P @ S @ P.T).max() <= 1e-12 * abs(S).max()
+
+
+@pytest.mark.parametrize("spec", ["random:120:1", "random:30:7", "grid:8:0.3"])
+def test_dual_inverse_star_keeps_its_bits_under_a_cell_shuffle(spec):
+    """Shuffling the input cells, and the vertices within each, renumbers
+    the triangles and nothing else: the edges, their orientation and every
+    dual polygon stay, and so does each bit of the k = 1 star, whose dual
+    edges take their direction from the mesh, not from the numbering."""
+    comp = cli.resolve_mesh(spec)
+    rng = np.random.default_rng(37)
+    cells = comp.simplices[2][rng.permutation(len(comp.simplices[2]))]
+    shuffled = mesh.build_complex(comp.vertices, rng.permuted(cells, axis=1))
+    assert not np.array_equal(shuffled.simplices[2], comp.simplices[2])
+    assert np.array_equal(shuffled.simplices[1], comp.simplices[1])
+    stars = [hodge.assemble_dual_inverse(
+        c, mesh.build_dual(c, "barycentric"), 1, 32).matrix
+        for c in (comp, shuffled)]
+    assert np.array_equal(stars[0].indptr, stars[1].indptr)
+    assert np.array_equal(stars[0].indices, stars[1].indices)
+    assert stars[0].data.tobytes() == stars[1].data.tobytes()
 
 
 def test_neighborhood_size():

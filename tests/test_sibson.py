@@ -727,15 +727,13 @@ def test_dual_edge_form_line_duality(grid_interp):
     interior = np.nonzero(~comp.boundary_simplices(1))[0]
     e = int(interior[len(interior) // 2])
     form = di.interpolate(1, unit(len(comp.simplices[1]), e))
-    t1, t2 = (int(t) for t in comp.cofaces(1, e))
 
     def dual_edge(edge_id):
-        # from the center of the edge's first triangle through its midpoint
-        # to the center of its last
-        tris = comp.cofaces(1, edge_id)
-        return np.concatenate([dual.centers[2][tris[:-1]],
-                               dual.centers[1][[edge_id]],
-                               dual.centers[2][tris[-1:]]])
+        # from the dual edge's first site through the edge's midpoint to its
+        # last, in `edge_endpoint_tags` order
+        tail, head = (dual.centers[{"c": 2, "m": 1}[kind]][j]
+                      for kind, j in di.edge_endpoint_tags(edge_id))
+        return np.array([tail, dual.centers[1][edge_id], head])
 
     def path_integral(edge_id):
         pts = dual_edge(edge_id)
@@ -746,14 +744,11 @@ def test_dual_edge_form_line_duality(grid_interp):
             total += np.mean(form(a + ts[:, None] * seg) @ seg)
         return total
 
-    c1 = comp.vertices[comp.simplices[2][t1]].mean(axis=0)
-    first = dual_edge(e)[0]
-    sign = 1.0 if np.allclose(first, c1) else -1.0
-    # the circulation along the form's own dual edge is close to one, not
-    # exactly one: the path runs along the boundary between two dual
-    # polygons, and the restricted form of either polygon carries a few
-    # percent less than one along it
-    assert 0.85 < sign * path_integral(e) < 1.1
+    # the circulation along the form's own dual edge, in its orientation, is
+    # close to one, not exactly one: the path runs along the boundary
+    # between two dual polygons, and the restricted form of either polygon
+    # carries a few percent less than one along it
+    assert 0.85 < path_integral(e) < 1.1
     # a distant edge's dual path carries no circulation of this form
     far = int(interior[0]) if interior[0] != e else int(interior[-1])
     if not (set(comp.simplices[1][far]) & set(comp.simplices[1][e])):
@@ -784,6 +779,39 @@ def test_dual_edge_forms_reproduce_a_constant_field():
                      for v in interior])
     assert np.array_equal(np.repeat(interior, 6), di.locate(pts))
     assert np.abs(di.interpolate(1, cochain)(pts) - u).max() <= 1e-8
+
+
+@pytest.mark.parametrize("spec", ["grid:4", "random:30:7"])
+def test_dual_edges_cross_their_primal_edges_from_right_to_left(spec):
+    """The dual 1-cochain of a constant field u, u . (head - tail) along
+    each dual edge from `edge_endpoint_tags`, is the dual coboundary of the
+    potential u . x: D_1^T applied to its values at the triangle centers,
+    with a boundary edge's midpoint standing in for its missing triangle,
+    whose D_1 sign is minus that of the edge's one triangle.  And with u
+    the edge a -> b (a < b) turned counter-clockwise, every dual edge reads
+    a positive value: it crosses its edge from right to left."""
+    comp = cli.resolve_mesh(spec)
+    dual = mesh.build_dual(comp, "barycentric")
+    di = DualInterpolation(comp, dual)
+    n_edges = len(comp.simplices[1])
+
+    def point(tag):
+        kind, j = tag
+        return dual.centers[{"c": 2, "m": 1}[kind]][j]
+
+    ends = np.array([[point(tag) for tag in di.edge_endpoint_tags(e)]
+                     for e in range(n_edges)])  # (edges, tail/head, 2)
+    D1 = comp.incidence_matrix(1)
+    u = np.array([1.0, 0.3])
+    cochain = (ends[:, 1] - ends[:, 0]) @ u
+    # D_1^T 1 is 0 on an interior edge and its one triangle's sign on a
+    # boundary edge
+    want = (D1.T @ (dual.centers[2] @ u)
+            - (D1.T @ np.ones(D1.shape[0])) * (dual.centers[1] @ u))
+    assert np.abs(cochain - want).max() <= 1e-14 * np.abs(want).max()
+    a, b = comp.vertices[comp.simplices[1]].transpose(1, 0, 2)
+    left = (b - a) @ np.array([[0.0, 1.0], [-1.0, 0.0]])  # turned by +90
+    assert (np.einsum("ed,ed->e", ends[:, 1] - ends[:, 0], left) > 0).all()
 
 
 def test_interpolate_validates_length(grid_interp):

@@ -11,8 +11,10 @@ What a kind reads besides the complex is built once per command, by
 `star_input`, and shared by every degree assembled from it.
 
 The Table 1 study of the two-fan mesh family takes its dual-inverse
-column from one hub cell, whose ring of triangle centers comes from the
-same `vertex_ring` walk as every dual polygon.
+column from the right half of one hub cell, whose ring of triangle centers
+comes from the same `vertex_ring` walk as every dual polygon: the mesh's
+mirror y -> 1 - y swaps its two hubs, and the mirror x -> -x maps the hub
+cell onto itself, giving its left half.
 """
 
 from __future__ import annotations
@@ -326,7 +328,7 @@ def fig8_dual_inverse_block(comp: SimplicialComplex,
                             resolution: int = 512) -> np.ndarray:
     """The 5x5 dual-inverse block of the two-fan mesh `comp`
     (`generate_fig8`), with the published patch substitutions, from one
-    quadrature pass over the first hub's cell.
+    quadrature pass over the right half of the first hub's cell.
 
     The two-fan mesh is a neighborhood cut out of a larger triangulation, so
     the hub cell is the plain ring of the centers of the four triangles at
@@ -341,23 +343,47 @@ def fig8_dual_inverse_block(comp: SimplicialComplex,
     - theta = 2 <eta13, eta13>: its fan-tip half leaves the patch and is
       replaced by the hub half;
     - kappa, the negligible opposite-edge term, is zero.
+
+    The mirror R = diag(-1, 1), x -> -x, maps the hub cell onto itself and
+    swaps t123 with t124 and the fan on v1v3 with the fan on v1v4, so with
+    eta24 = eta(t124, fan14), eta12(Rx) = -R eta12(x) and
+    eta13(Rx) = R eta24(x).  Only the quadrature nodes with x >= -tol are
+    evaluated, tol being 1e-12 of the cell's width, and over the nodes m
+    with x > tol, whose mirrors are the nodes left of the axis:
+
+    - <eta12, eta12> = sum |eta12|^2 + sum_m |eta12|^2;
+    - <eta12, eta13> = sum eta12 . eta13 - sum_m eta12 . eta24;
+    - <eta13, eta13> = sum |eta13|^2 + sum_m |eta24|^2.
+
+    The nodes on the axis, a column of them at an odd `resolution`, count
+    once.
     """
     tris = [t for tag, t in vertex_ring(comp, 0) if tag == "c"]
     centers = comp.vertices[comp.simplices[2][tris]].mean(axis=1)
     cell = SibsonCell(centers, restricted=True)
     labels = tris if cell.vertices is centers else tris[::-1]
     pts, w = next(_cell_quadrature([cell], resolution))
-    fan13, t123, t124, _ = (labels.index(t) for t in tris)
-    # <eta12, eta12>, <eta12, eta13>, <eta13, eta13>, summed `CLIP_CHUNK`
-    # points at a time, which bounds the (sites, 2, points) arrays
-    sums = np.zeros(3)
-    for lo in range(0, len(pts), CLIP_CHUNK):
+    fan13, t123, t124, fan14 = (labels.index(t) for t in tris)
+    # the nodes come x slowest, so those with x >= -tol are a tail of
+    # them, and those with x > tol a tail of that
+    tol = 1e-12 * np.ptp(cell.vertices[:, 0])
+    first = np.searchsorted(pts[:, 0], -tol)
+    mirrored = np.searchsorted(pts[:, 0], tol, side="right")
+    # the sums over the half and over m, `CLIP_CHUNK` points at a time,
+    # which bounds the (sites, 2, points) arrays
+    half, mirror = np.zeros(3), np.zeros(3)
+    for lo in range(first, len(pts), CLIP_CHUNK):
         vals, grads = cell.coords_and_gradients_batch(pts[lo:lo + CLIP_CHUNK])
         # (2, q) rows: the points-last storage behind the (q, 2) views
-        eta12, eta13 = edge_forms(vals, grads, [t123, t123],
-                                  [t124, fan13]).transpose(0, 2, 1)
-        sums += [np.einsum("dq,dq->", a, b)
+        eta12, eta13, eta24 = edge_forms(vals, grads, [t123, t123, t124],
+                                         [t124, fan13, fan14]
+                                         ).transpose(0, 2, 1)
+        half += [np.einsum("dq,dq->", a, b)
                  for a, b in ((eta12, eta12), (eta12, eta13), (eta13, eta13))]
+        eta12, eta24 = (a[:, max(mirrored - lo, 0):] for a in (eta12, eta24))
+        mirror += [np.einsum("dq,dq->", a, b) for a, b in
+                   ((eta12, eta12), (eta12, eta24), (eta24, eta24))]
+    sums = half + [1.0, -1.0, 1.0] * mirror
     vartheta, zeta, theta = w * sums * [2.0, 1.0, 2.0]
     xi = zeta
     kappa = 0.0
@@ -378,8 +404,8 @@ def table1_experiment(P_values, resolution: int = 512) -> list:
     Diagonal column: ratio of the closed-form extreme diagonal entries.
     Whitney column: eigenvalue ratio of the assembled leading 5x5 block.
     Dual-inverse column: eigenvalue ratio of the quadrature 5x5 block from
-    fig8_dual_inverse_block, one Sibson pass over the first hub's cell as
-    `vertex_ring` walks it.
+    fig8_dual_inverse_block, one Sibson pass over the right half of the
+    first hub's cell as `vertex_ring` walks it.
     """
     rows = []
     for P in P_values:

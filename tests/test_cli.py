@@ -381,14 +381,15 @@ def test_table1_golden(tmp_path, capsys):
 
 
 def test_table1_makes_one_sibson_pass_per_p(tmp_path, monkeypatch, capsys):
-    # the dual-inverse block integrates over one hub cell; the mirror
-    # symmetry of the two-fan mesh gives the other hub's half
+    # the dual-inverse block integrates over the right half of one hub
+    # cell: the mirror y -> 1 - y of the two-fan mesh gives the other hub's
+    # half, and the mirror x -> -x the cell's left half
     sibson = importlib.import_module("decstar.sibson")
     calls = []
     batch = sibson.SibsonCell.coords_and_gradients_batch
 
     def counted(self, pts):
-        calls.append(len(pts))
+        calls.append(pts.copy())
         return batch(self, pts)
 
     monkeypatch.setattr(sibson.SibsonCell, "coords_and_gradients_batch",
@@ -397,6 +398,16 @@ def test_table1_makes_one_sibson_pass_per_p(tmp_path, monkeypatch, capsys):
                       "--out", str(tmp_path)], capsys)
     assert code == 0
     assert len(calls) == 3
+    monkeypatch.undo()
+    for P, pts in zip((2.0, 5.0, 10.0), calls):
+        comp = mesh.generate_fig8(P)
+        tris = [t for tag, t in mesh.vertex_ring(comp, 0) if tag == "c"]
+        cell = sibson.SibsonCell(
+            comp.vertices[comp.simplices[2][tris]].mean(axis=1),
+            restricted=True)
+        nodes, _ = next(hodge._cell_quadrature([cell], 64))
+        tol = 1e-12 * np.ptp(cell.vertices[:, 0])
+        assert np.array_equal(pts, nodes[nodes[:, 0] >= -tol])
 
 
 def test_table1_builds_one_two_fan_mesh_per_p(tmp_path, monkeypatch, capsys):

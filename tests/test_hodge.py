@@ -368,13 +368,11 @@ def test_table1_small_resolution_sane():
     assert csv.splitlines()[1].startswith("2,")
 
 
-def fig8_hub_products(comp, hub, resolution):
-    """The two-fan hub protocol on one hub cell, built by hand: the ring of
-    the barycenters of the fan triangle on hub-v3, t123, t124 and the fan
-    triangle on hub-v4, found by vertex sets, and one Sibson pass over it,
-    `sibson.CLIP_CHUNK` points at a time as the Table 1 block takes them.
-    Returns the ring and <eta12, eta12>, <eta12, eta13>, <eta13, eta13> for
-    eta12 = eta(t123, t124) and eta13 = eta(t123, fan13)."""
+def fig8_hub_cell(comp, hub):
+    """One hub cell of the two-fan mesh, built by hand: the ring of the
+    barycenters of the fan triangle on hub-v3, t123, t124 and the fan
+    triangle on hub-v4, found by vertex sets, its restricted Sibson cell,
+    and the ring's triangle at each of the cell's sites."""
     tri = {frozenset(t): i for i, t in enumerate(comp.simplices[2].tolist())}
 
     def fan(v):
@@ -384,7 +382,15 @@ def fig8_hub_products(comp, hub, resolution):
             fan(3)]
     centers = comp.vertices[comp.simplices[2][ring]].mean(axis=1)
     cell = SibsonCell(centers, restricted=True)
-    labels = ring if cell.vertices is centers else ring[::-1]
+    return ring, cell, ring if cell.vertices is centers else ring[::-1]
+
+
+def fig8_hub_products(comp, hub, resolution):
+    """The two-fan hub protocol on one whole hub cell (`fig8_hub_cell`):
+    one Sibson pass over it, `sibson.CLIP_CHUNK` points at a time.  Returns
+    the ring and <eta12, eta12>, <eta12, eta13>, <eta13, eta13> for
+    eta12 = eta(t123, t124) and eta13 = eta(t123, fan13)."""
+    ring, cell, labels = fig8_hub_cell(comp, hub)
     pts, w = next(hodge._cell_quadrature([cell], resolution))
     sums = np.zeros(3)
     for lo in range(0, len(pts), sibson.CLIP_CHUNK):
@@ -402,25 +408,92 @@ def fig8_hub_products(comp, hub, resolution):
     return (ring, *(w * sums))
 
 
+def fig8_half_hub_products(comp, resolution):
+    """The first hub's three products from the right half of its cell, as
+    the Table 1 block takes them: one Sibson pass over the nodes with
+    x >= -tol, tol = 1e-12 of the cell's width, `sibson.CLIP_CHUNK` of them
+    at a time, and the nodes m with x > tol once more through the mirror
+    x -> -x, which swaps t123 with t124 and fan13 with fan14:
+    <eta12, eta12> = sum |eta12|^2 + sum_m |eta12|^2,
+    <eta12, eta13> = sum eta12 . eta13 - sum_m eta12 . eta24 and
+    <eta13, eta13> = sum |eta13|^2 + sum_m |eta24|^2,
+    for eta24 = eta(t124, fan14)."""
+    ring, cell, labels = fig8_hub_cell(comp, 0)
+    pts, w = next(hodge._cell_quadrature([cell], resolution))
+    tol = 1e-12 * (cell.vertices[:, 0].max() - cell.vertices[:, 0].min())
+    pts = pts[pts[:, 0] >= -tol]
+    half, mirror = np.zeros(3), np.zeros(3)
+    for lo in range(0, len(pts), sibson.CLIP_CHUNK):
+        chunk = pts[lo:lo + sibson.CLIP_CHUNK]
+        lam, grads = cell.coords_and_gradients_batch(chunk)
+
+        def eta(a, b):  # (2, q): the forms' points-last storage
+            return edge_forms(lam, grads, [labels.index(a)],
+                              [labels.index(b)])[0].T
+
+        eta12, eta13, eta24 = (eta(ring[1], ring[2]), eta(ring[1], ring[0]),
+                               eta(ring[2], ring[3]))
+        half += [np.einsum("dq,dq->", eta12, eta12),
+                 np.einsum("dq,dq->", eta12, eta13),
+                 np.einsum("dq,dq->", eta13, eta13)]
+        # m is a tail of the chunk, the nodes coming x slowest; its slice
+        # of the (2, q) storage is a view, like the block's
+        axis = np.count_nonzero(chunk[:, 0] <= tol)
+        assert np.all(chunk[axis:, 0] > tol)
+        eta12, eta24 = eta12[:, axis:], eta24[:, axis:]
+        mirror += [np.einsum("dq,dq->", eta12, eta12),
+                   np.einsum("dq,dq->", eta12, eta24),
+                   np.einsum("dq,dq->", eta24, eta24)]
+    return w * (half + [1.0, -1.0, 1.0] * mirror)
+
+
 @pytest.mark.parametrize("P", [0.75, 2.0, 5.0, 10.0])
 def test_fig8_block_matches_two_hub_protocol(P):
     comp = mesh.generate_fig8(P)
-    ring1, vartheta1, zeta, theta_half = fig8_hub_products(comp, 0, 128)
-    ring2, vartheta2, _, _ = fig8_hub_products(comp, 1, 128)
-    # the hand-built rings are the ring walk's triangles, in its order
-    assert (ring1, ring2) == ([2, 0, 1, 4], [3, 0, 1, 5])
-    for hub, ring in ((0, ring1), (1, ring2)):
-        assert [t for tag, t in mesh.vertex_ring(comp, hub)
-                if tag == "c"] == ring
-    # the mirror y -> 1 - y swaps the hubs: the second carries an equal half
-    assert vartheta2 == pytest.approx(vartheta1, rel=1e-14, abs=0)
-    block = hodge.fig8_dual_inverse_block(comp, 128)
-    assert block[0, 0] == pytest.approx(vartheta1 + vartheta2, rel=1e-14,
-                                        abs=0)
-    assert block[0, 0] == 2 * vartheta1
-    assert block[0, 1] == zeta and block[1, 3] == zeta
-    assert block[1, 1] == 2 * theta_half
-    assert block[1, 2] == 0
+    # at 17, the middle column of pixels lies on the axis x = 0
+    for resolution in (128, 17):
+        ring1, vartheta1, zeta, theta_half = fig8_hub_products(comp, 0,
+                                                               resolution)
+        ring2, vartheta2, _, _ = fig8_hub_products(comp, 1, resolution)
+        # the hand-built rings are the ring walk's triangles, in its order
+        assert (ring1, ring2) == ([2, 0, 1, 4], [3, 0, 1, 5])
+        for hub, ring in ((0, ring1), (1, ring2)):
+            assert [t for tag, t in mesh.vertex_ring(comp, hub)
+                    if tag == "c"] == ring
+        # the mirror y -> 1 - y swaps the hubs: the second carries an equal
+        # half
+        assert vartheta2 == pytest.approx(vartheta1, rel=1e-14, abs=0)
+        block = hodge.fig8_dual_inverse_block(comp, resolution)
+        # the mirror x -> -x gives the left half of the first hub's cell
+        half = fig8_half_hub_products(comp, resolution)
+        assert block[0, 0] == 2 * half[0]
+        assert block[0, 1] == half[1] and block[1, 3] == half[1]
+        assert block[1, 1] == 2 * half[2]
+        assert block[1, 2] == 0
+        # and the whole cell's sums within rounding
+        bound = 1e-14 * np.abs(block).max()
+        assert abs(block[0, 0] - (vartheta1 + vartheta2)) <= bound
+        assert abs(block[0, 1] - zeta) <= bound
+        assert abs(block[1, 1] - 2 * theta_half) <= bound
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(P=st.floats(0.5, 200, exclude_min=True), resolution=st.integers(16, 96))
+def test_fig8_hub_cell_is_its_own_x_mirror(P, resolution):
+    """The Table 1 block integrates over the right half of the first hub's
+    cell and mirrors it: that holds only while the cell's corners and
+    `_cell_quadrature`'s inside mask are exact mirrors under x -> -x."""
+    _, cell, _ = fig8_hub_cell(mesh.generate_fig8(P), 0)
+    corners = {(x, y) for x, y in cell.vertices.tolist()}
+    assert corners == {(-x, y) for x, y in corners}
+    pts, _ = next(hodge._cell_quadrature([cell], resolution))
+    # each node's pixel: its center is lo + (i + 1/2) span / m
+    lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
+    ij = np.rint((pts - lo) / (hi - lo) * resolution - 0.5).astype(int)
+    inside = np.zeros((resolution, resolution), dtype=bool)
+    inside[ij[:, 0], ij[:, 1]] = True
+    assert np.count_nonzero(inside) == len(pts)
+    assert np.array_equal(inside, inside[::-1])
 
 
 def entry_dual_inverse(comp, di, k, resolution):
@@ -608,25 +681,28 @@ def test_too_few_samples_name_the_first_such_vertex_of_a_group(monkeypatch,
 
 @pytest.mark.parametrize("P", [0.75, 2.0])
 def test_fig8_block_matches_one_point_batches(P):
+    # the whole hub cell, point by point; at 17, the middle column of
+    # pixels lies on the axis x = 0
     comp = mesh.generate_fig8(P)
     tris = [t for tag, t in mesh.vertex_ring(comp, 0) if tag == "c"]
     centers = comp.vertices[comp.simplices[2][tris]].mean(axis=1)
     cell = SibsonCell(centers, restricted=True)
     labels = tris if cell.vertices is centers else tris[::-1]
     fan13, t123, t124, _ = (labels.index(t) for t in tris)
-    pts, w = next(hodge._cell_quadrature([cell], 64))
-    eta12, eta13 = np.concatenate(
-        [edge_forms(*cell.coords_and_gradients_batch(x[None]), [t123, t123],
-                    [t124, fan13]) for x in pts], axis=1)
+    for resolution in (64, 17):
+        pts, w = next(hodge._cell_quadrature([cell], resolution))
+        eta12, eta13 = np.concatenate(
+            [edge_forms(*cell.coords_and_gradients_batch(x[None]),
+                        [t123, t123], [t124, fan13]) for x in pts], axis=1)
 
-    def dot(a, b):
-        return w * float(np.sum(a * b))
+        def dot(a, b):
+            return w * float(np.sum(a * b))
 
-    block = hodge.fig8_dual_inverse_block(comp, 64)
-    want = {(0, 0): 2 * dot(eta12, eta12), (0, 1): dot(eta12, eta13),
-            (1, 1): 2 * dot(eta13, eta13)}
-    for (i, j), value in want.items():
-        assert block[i, j] == pytest.approx(value, rel=1e-13, abs=0)
+        block = hodge.fig8_dual_inverse_block(comp, resolution)
+        want = {(0, 0): 2 * dot(eta12, eta12), (0, 1): dot(eta12, eta13),
+                (1, 1): 2 * dot(eta13, eta13)}
+        for (i, j), value in want.items():
+            assert block[i, j] == pytest.approx(value, rel=1e-13, abs=0)
 
 
 def test_dual_inverse_matches_per_entry_assembly():

@@ -398,7 +398,6 @@ def test_table1_makes_one_sibson_pass_per_p(tmp_path, monkeypatch, capsys):
                       "--out", str(tmp_path)], capsys)
     assert code == 0
     assert len(calls) == 3
-    monkeypatch.undo()
     for P, pts in zip((2.0, 5.0, 10.0), calls):
         comp = mesh.generate_fig8(P)
         tris = [t for tag, t in mesh.vertex_ring(comp, 0) if tag == "c"]

@@ -471,6 +471,8 @@ def test_fig8_block_matches_two_hub_protocol(P):
         assert block[1, 1] == 2 * half[2]
         assert block[1, 2] == 0
         # and the whole cell's sums within rounding
+        assert block[0, 0] == pytest.approx(vartheta1 + vartheta2,
+                                            rel=1e-14, abs=0)
         bound = 1e-14 * np.abs(block).max()
         assert abs(block[0, 0] - (vartheta1 + vartheta2)) <= bound
         assert abs(block[0, 1] - zeta) <= bound

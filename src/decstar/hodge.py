@@ -141,11 +141,11 @@ def assemble_dual_inverse(complex: SimplicialComplex,
     Entries are integrated by pixel-grid quadrature over the per-vertex dual
     polygons whose union carries the forms' supports; on each polygon,
     `DualInterpolation.forms` evaluates the forms supported there, and its
-    local Gram block is one product.  Every polygon's site regions are built
-    in one batched pass before the first polygon, the quadrature nodes a
-    group of polygons per pass (`_cell_quadrature`), and the COO rows and
-    columns of every block once, after the last.  `dual` is the dual mesh,
-    or its `DualInterpolation` (`star_input`), whose regions every degree
+    local Gram block is one product, scattered with its own generators.
+    Every polygon's site regions are built in one batched pass before the
+    first polygon, and the quadrature nodes a group of polygons per pass
+    (`_cell_quadrature`).  `dual` is the dual mesh, or its
+    `DualInterpolation` (`star_input`), whose regions every degree
     assembled from it shares.
     """
     if complex.dim != 2:
@@ -173,16 +173,8 @@ def assemble_dual_inverse(complex: SimplicialComplex,
         # RSS.  Entries (a, b) and (b, a) are the same sum, bit for bit
         gens.append(local)
         vals.append((w * np.einsum("aq,bq->ab", fields, fields)).ravel())
-    # every local block row-major: block b has G_b rows of G_b entries,
-    # entry (a, c) at its generators a and c
-    size = np.array([len(g) for g in gens])
-    gens = np.concatenate(gens)
-    width = np.repeat(size, size)  # entries in each row
-    rows = np.repeat(gens, width)
-    # from each entry's index to its column's index in `gens`: the row's
-    # first entry minus its block's first generator
-    shift = np.cumsum(width) - width - np.repeat(np.cumsum(size) - size, size)
-    cols = gens[np.arange(len(rows)) - np.repeat(shift, width)]
+    rows = np.concatenate([np.repeat(g, len(g)) for g in gens])
+    cols = np.concatenate([np.tile(g, len(g)) for g in gens])
     mat = sp.coo_matrix((np.concatenate(vals), (rows, cols)),
                         shape=(N, N)).tocsr()
     mat.eliminate_zeros()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,27 +80,27 @@ def _whitney_values(complex: SimplicialComplex, k: int, cells, pts):
                   + lam[:, l, None] * np.cross(g[:, i], g[:, j]))
 
 
-@dataclass
-class WhitneyField:
-    """Piecewise interpolant of a primal k-cochain (the I_k map)."""
+def interpolate(complex: SimplicialComplex, k: int, cochain):
+    """Piecewise interpolant of a primal k-cochain (the I_k map): a field of
+    one point or a (q, n) batch, evaluated in the n-simplex that
+    `locate_cell` finds for each point; NaN at points outside the mesh.
+    Faces of weight 0 are skipped."""
+    check_degree(complex, k)
+    weights = np.asarray(cochain, dtype=float)
+    if weights.shape != (len(complex.simplices[k]),):
+        raise Error(f"cochain has length {len(weights)}, expected "
+                    f"{len(complex.simplices[k])} for degree {k}")
+    n = complex.dim
 
-    complex: SimplicialComplex
-    k: int
-    weights: np.ndarray
-
-    def __call__(self, x):
-        """The field at one point or a (q, n) batch, in the n-simplex that
-        `locate_cell` finds for each point; NaN at points outside the mesh.
-        Faces of weight 0 are skipped."""
+    def field(x):
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
-        cells = locate_cell(self.complex, pts)
-        n = self.complex.dim
-        out = np.full((len(pts),) + ((n,) if 0 < self.k < n else ()), np.nan)
+        cells = locate_cell(complex, pts)
+        out = np.full((len(pts),) + ((n,) if 0 < k < n else ()), np.nan)
         ok = np.nonzero(cells >= 0)[0]
         if len(ok):
-            vals = _whitney_values(self.complex, self.k, cells[ok], pts[ok])
-            w = self.weights[_cell_faces(self.complex, self.k, cells[ok])]
+            vals = _whitney_values(complex, k, cells[ok], pts[ok])
+            w = weights[_cell_faces(complex, k, cells[ok])]
             w = w.reshape(w.shape + (1,) * (out.ndim - 1))
             total = np.zeros(out[ok].shape)
             for wf, vf in zip(np.swapaxes(w, 0, 1), np.swapaxes(vals, 0, 1)):
@@ -109,14 +108,7 @@ class WhitneyField:
             out[ok] = total
         return out[0] if x.ndim == 1 else out
 
-
-def interpolate(complex: SimplicialComplex, k: int, cochain) -> WhitneyField:
-    check_degree(complex, k)
-    weights = np.asarray(cochain, dtype=float)
-    if weights.shape != (len(complex.simplices[k]),):
-        raise Error(f"cochain has length {len(weights)}, expected "
-                    f"{len(complex.simplices[k])} for degree {k}")
-    return WhitneyField(complex, k, weights)
+    return field
 
 
 def _cell_faces(complex: SimplicialComplex, k: int, cells) -> np.ndarray:

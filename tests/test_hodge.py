@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import Delaunay
 from hypothesis import example, given, settings, strategies as st
 
 from decstar import Error, cli, hodge, mesh, sibson, systems, whitney
@@ -289,13 +290,34 @@ def test_every_star_is_covariant_under_relabelling(relabelled_delaunay, args,
     assert abs(S_new - P @ S @ P.T).max() <= 1e-12 * abs(S).max()
 
 
-@pytest.mark.parametrize("spec", ["random:120:1", "random:30:7", "grid:8:0.3"])
+def jittered_lattice(m, seed):
+    """The benchmark's mesh family: the Delaunay triangulation of an m x m
+    lattice on the unit box, each node moved by up to 0.3 lattice spacings,
+    boundary nodes only along their side and the corners not at all."""
+    rng = np.random.default_rng(seed)
+    axis = np.linspace(0.0, 1.0, m)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"),
+                   axis=-1).reshape(-1, 2)
+    h = 1.0 / (m - 1)
+    offsets = rng.uniform(-0.3 * h, 0.3 * h, pts.shape)
+    offsets[(pts == 0.0) | (pts == 1.0)] = 0.0
+    pts = pts + offsets
+    cells = [sorted(c.tolist()) for c in Delaunay(pts).simplices
+             if abs(np.linalg.det(pts[c[1:]] - pts[c[0]])) > 1e-10]
+    return mesh.build_complex(pts, sorted(cells))
+
+
+@pytest.mark.parametrize("spec", ["random:120:1", "random:30:7", "grid:8:0.3",
+                                  "lattice:8:7"])
 def test_dual_inverse_star_keeps_its_bits_under_a_cell_shuffle(spec):
     """Shuffling the input cells, and the vertices within each, renumbers
     the triangles and nothing else: the edges, their orientation and every
     dual polygon stay, and so does each bit of the k = 1 star, whose dual
-    edges take their direction from the mesh, not from the numbering."""
-    comp = cli.resolve_mesh(spec)
+    edges take their direction from the mesh, not from the numbering.
+    `lattice:m:seed` is a `jittered_lattice`."""
+    name, _, args = spec.partition(":")
+    comp = (jittered_lattice(*map(int, args.split(":"))) if name == "lattice"
+            else cli.resolve_mesh(spec))
     rng = np.random.default_rng(37)
     cells = comp.simplices[2][rng.permutation(len(comp.simplices[2]))]
     shuffled = mesh.build_complex(comp.vertices, rng.permuted(cells, axis=1))

@@ -260,8 +260,8 @@ def test_gram_is_permutation_equivariant(relabelled_delaunay, case):
 
 
 # ---------------------------------------------------------------------------
-# The per-point sampler that the batched `WhitneyField` replaced, kept as
-# reference.
+# The per-point sampler that the batched primal field of
+# `whitney.interpolate` replaced, kept as reference.
 
 
 def loop_whitney_field(comp, k, weights):
